@@ -1,10 +1,9 @@
 //! The advisor: multi-tier object distribution.
 
-use crate::greedy::{pack, rank_by_density, rank_by_misses};
-use crate::knapsack::{solve_exact, Item};
+use crate::greedy::Candidate;
 use crate::memspec::MemorySpec;
 use crate::report::{PlacementReport, SelectionEntry};
-use crate::strategy::SelectionStrategy;
+use crate::strategy::{select, SelectionStrategy};
 use hmsim_analysis::{ObjectReport, ObjectStats};
 use hmsim_common::{ByteSize, HmResult};
 
@@ -62,27 +61,15 @@ impl Advisor {
             if pool.is_empty() {
                 break;
             }
-            let selected_idx: Vec<usize> = match strategy {
-                SelectionStrategy::Misses { threshold_percent } => {
-                    let ranked = rank_by_misses(&pool, report.total_misses, threshold_percent);
-                    pack(&pool, &ranked, tier.capacity).0
-                }
-                SelectionStrategy::Density => {
-                    let ranked = rank_by_density(&pool);
-                    pack(&pool, &ranked, tier.capacity).0
-                }
-                SelectionStrategy::ExactKnapsack => {
-                    let items: Vec<Item> = pool
-                        .iter()
-                        .map(|o| Item {
-                            weight_pages: o.max_size.pages().max(1),
-                            value: o.llc_misses,
-                        })
-                        .collect();
-                    let capacity_pages = tier.capacity.map(|c| c.pages()).unwrap_or(u64::MAX / 2);
-                    solve_exact(&items, capacity_pages)?.selected
-                }
-            };
+            let candidates: Vec<Candidate<'_>> = pool
+                .iter()
+                .map(|o| Candidate {
+                    name: &o.name,
+                    size: o.max_size,
+                    value: o.llc_misses,
+                })
+                .collect();
+            let selected_idx = select(strategy, &candidates, report.total_misses, tier.capacity)?;
             let mut chosen: Vec<&ObjectStats> = selected_idx.iter().map(|i| pool[*i]).collect();
             // Keep the report ordered by descending misses within a tier.
             chosen.sort_by_key(|o| std::cmp::Reverse(o.llc_misses));
@@ -344,6 +331,29 @@ mod tests {
             |p: &PlacementReport| -> u64 { p.automatic_entries().map(|e| e.llc_misses).sum() };
         assert!(misses(&exact) > misses(&greedy));
         assert_eq!(misses(&exact), 1_800_000);
+    }
+
+    /// The exact DP sizes the knapsack in whole pages, rounding *down*: a
+    /// tier one byte over a page holds one one-page object, not two.
+    #[test]
+    fn exact_knapsack_never_overshoots_a_partial_page_budget() {
+        let page = |name: &str, misses: u64| ObjectStats {
+            max_size: ByteSize::from_bytes(hmsim_common::PAGE_SIZE),
+            min_size: ByteSize::from_bytes(hmsim_common::PAGE_SIZE),
+            ..obj(name, ReportedKind::Dynamic, misses, 0)
+        };
+        let r = report(vec![page("a", 2_000), page("b", 1_000)]);
+        let budget = ByteSize::from_bytes(hmsim_common::PAGE_SIZE + 1);
+        let spec = MemorySpec::knl_budget(budget);
+        let placement = Advisor::new()
+            .advise(&r, &spec, SelectionStrategy::ExactKnapsack)
+            .unwrap();
+        let names: Vec<&str> = placement
+            .automatic_entries()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(names, vec!["a"]);
+        assert!(placement.selected_bytes(TierId::MCDRAM) <= budget);
     }
 
     #[test]

@@ -4,61 +4,83 @@
 //! computational cost" property the paper relies on to scale to hundreds of
 //! objects and multi-gigabyte memory levels.
 
-use hmsim_analysis::ObjectStats;
 use hmsim_common::ByteSize;
 
-/// Rank candidate indices by descending LLC-miss count, dropping objects that
-/// contribute less than `threshold_percent` of `total_misses`.
+/// One object offered to a selection: everything the strategies read.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Candidate<'a> {
+    /// The object's name, the last ranking tie-break (keeps plans
+    /// deterministic).
+    pub name: &'a str,
+    /// The object's size; selections charge it page-aligned.
+    pub size: ByteSize,
+    /// What promoting the object is worth: LLC misses offline, heat online.
+    pub value: u64,
+}
+
+impl Candidate<'_> {
+    /// Value per byte (zero for an empty object).
+    pub fn density(&self) -> f64 {
+        if self.size.is_zero() {
+            0.0
+        } else {
+            self.value as f64 / self.size.bytes() as f64
+        }
+    }
+}
+
+/// Rank candidate indices by descending value, dropping candidates that
+/// contribute less than `threshold_percent` of `total`.
 pub fn rank_by_misses(
-    objects: &[&ObjectStats],
-    total_misses: u64,
+    candidates: &[Candidate<'_>],
+    total: u64,
     threshold_percent: f64,
 ) -> Vec<usize> {
-    let threshold = (threshold_percent.max(0.0) / 100.0) * total_misses as f64;
-    let mut order: Vec<usize> = (0..objects.len())
+    let threshold = (threshold_percent.max(0.0) / 100.0) * total as f64;
+    let mut order: Vec<usize> = (0..candidates.len())
         .filter(|i| {
-            let misses = objects[*i].llc_misses as f64;
-            misses > 0.0 && misses >= threshold
+            let value = candidates[*i].value as f64;
+            value > 0.0 && value >= threshold
         })
         .collect();
     order.sort_by(|a, b| {
-        objects[*b]
-            .llc_misses
-            .cmp(&objects[*a].llc_misses)
-            .then_with(|| objects[*a].max_size.cmp(&objects[*b].max_size))
-            .then_with(|| objects[*a].name.cmp(&objects[*b].name))
+        let (a, b) = (&candidates[*a], &candidates[*b]);
+        b.value
+            .cmp(&a.value)
+            .then_with(|| a.size.cmp(&b.size))
+            .then_with(|| a.name.cmp(b.name))
     });
     order
 }
 
-/// Rank candidate indices by descending miss density (misses per byte).
-pub fn rank_by_density(objects: &[&ObjectStats]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..objects.len())
-        .filter(|i| objects[*i].llc_misses > 0)
+/// Rank candidate indices by descending density (value per byte).
+pub fn rank_by_density(candidates: &[Candidate<'_>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..candidates.len())
+        .filter(|i| candidates[*i].value > 0)
         .collect();
     order.sort_by(|a, b| {
-        objects[*b]
-            .density()
-            .partial_cmp(&objects[*a].density())
+        let (a, b) = (&candidates[*a], &candidates[*b]);
+        b.density()
+            .partial_cmp(&a.density())
             .expect("density is never NaN")
-            .then_with(|| objects[*b].llc_misses.cmp(&objects[*a].llc_misses))
-            .then_with(|| objects[*a].name.cmp(&objects[*b].name))
+            .then_with(|| b.value.cmp(&a.value))
+            .then_with(|| a.name.cmp(b.name))
     });
     order
 }
 
-/// Greedily pack ranked objects into a knapsack of `capacity` (page-granular
-/// accounting). Returns the indices packed and the bytes consumed
-/// (page-aligned).
+/// Greedily pack ranked candidates into a knapsack of `capacity`
+/// (page-granular accounting; `None` is unlimited). Returns the indices
+/// packed and the bytes consumed (page-aligned).
 pub fn pack(
-    objects: &[&ObjectStats],
+    candidates: &[Candidate<'_>],
     ranked: &[usize],
     capacity: Option<ByteSize>,
 ) -> (Vec<usize>, ByteSize) {
     let mut used = ByteSize::ZERO;
     let mut selected = Vec::new();
     for &idx in ranked {
-        let need = objects[idx].max_size.page_aligned();
+        let need = candidates[idx].size.page_aligned();
         let fits = match capacity {
             Some(cap) => used + need <= cap,
             None => true,
@@ -77,18 +99,12 @@ pub fn pack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmsim_analysis::ReportedKind;
 
-    fn obj(name: &str, misses: u64, mib: u64) -> ObjectStats {
-        ObjectStats {
-            name: name.to_string(),
-            site: None,
-            kind: ReportedKind::Dynamic,
-            max_size: ByteSize::from_mib(mib),
-            min_size: ByteSize::from_mib(mib),
-            llc_misses: misses,
-            samples: misses / 1000,
-            allocation_count: 1,
+    fn obj(name: &str, value: u64, mib: u64) -> Candidate<'_> {
+        Candidate {
+            name,
+            size: ByteSize::from_mib(mib),
+            value,
         }
     }
 
@@ -100,17 +116,16 @@ mod tests {
             obj("rare", 5_000, 1),
             obj("untouched", 0, 50),
         ];
-        let refs: Vec<&ObjectStats> = objects.iter().collect();
-        let total: u64 = objects.iter().map(|o| o.llc_misses).sum();
+        let total: u64 = objects.iter().map(|o| o.value).sum();
 
-        let no_threshold = rank_by_misses(&refs, total, 0.0);
+        let no_threshold = rank_by_misses(&objects, total, 0.0);
         assert_eq!(
             no_threshold,
             vec![1, 0, 2],
             "untouched object is never ranked"
         );
 
-        let with_threshold = rank_by_misses(&refs, total, 1.0);
+        let with_threshold = rank_by_misses(&objects, total, 1.0);
         assert_eq!(
             with_threshold,
             vec![1, 0],
@@ -121,9 +136,15 @@ mod tests {
     #[test]
     fn density_ranking_prefers_small_hot_objects() {
         let objects = [obj("big_hot", 900_000, 100), obj("small_hot", 500_000, 1)];
-        let refs: Vec<&ObjectStats> = objects.iter().collect();
-        let ranked = rank_by_density(&refs);
-        assert_eq!(ranked, vec![1, 0]);
+        assert_eq!(rank_by_density(&objects), vec![1, 0]);
+        assert_eq!(obj("empty", 10, 0).density(), 0.0);
+    }
+
+    #[test]
+    fn equal_rankings_break_ties_by_name() {
+        let objects = [obj("b", 100, 1), obj("a", 100, 1)];
+        assert_eq!(rank_by_misses(&objects, 200, 0.0), vec![1, 0]);
+        assert_eq!(rank_by_density(&objects), vec![1, 0]);
     }
 
     #[test]
@@ -133,9 +154,7 @@ mod tests {
             obj("medium", 900_000, 60),
             obj("small", 800_000, 30),
         ];
-        let refs: Vec<&ObjectStats> = objects.iter().collect();
-        let ranked = vec![0, 1, 2];
-        let (selected, used) = pack(&refs, &ranked, Some(ByteSize::from_mib(100)));
+        let (selected, used) = pack(&objects, &[0, 1, 2], Some(ByteSize::from_mib(100)));
         // "huge" does not fit; "medium" and "small" do.
         assert_eq!(selected, vec![1, 2]);
         assert_eq!(used, ByteSize::from_mib(90));
@@ -144,21 +163,18 @@ mod tests {
     #[test]
     fn pack_without_capacity_takes_everything() {
         let objects = [obj("a", 10, 1), obj("b", 20, 2)];
-        let refs: Vec<&ObjectStats> = objects.iter().collect();
-        let (selected, used) = pack(&refs, &[1, 0], None);
+        let (selected, used) = pack(&objects, &[1, 0], None);
         assert_eq!(selected, vec![1, 0]);
         assert_eq!(used, ByteSize::from_mib(3));
     }
 
     #[test]
     fn pack_accounts_pages_not_raw_bytes() {
-        let tiny = ObjectStats {
-            max_size: ByteSize::from_bytes(100),
-            min_size: ByteSize::from_bytes(100),
+        let tiny = Candidate {
+            size: ByteSize::from_bytes(100),
             ..obj("tiny", 10, 0)
         };
-        let refs = vec![&tiny];
-        let (_, used) = pack(&refs, &[0], Some(ByteSize::from_kib(8)));
+        let (_, used) = pack(&[tiny], &[0], Some(ByteSize::from_kib(8)));
         assert_eq!(used, ByteSize::from_kib(4), "rounded up to one page");
     }
 }

@@ -21,6 +21,9 @@
 //! notes it is impractical for realistic object counts and memory sizes,
 //! which the `knapsack_exact_vs_greedy` ablation bench demonstrates.
 //!
+//! [`select`] is the one dispatch over these strategies: the advisor runs it
+//! per tier, and the online runtime's controller re-runs it every epoch.
+//!
 //! The output is a human-readable [`report::PlacementReport`]: the list of
 //! selected objects, which of them `auto-hbwmalloc` can handle automatically
 //! (dynamic ones), and the size bounds it should use as a fast pre-filter.
@@ -37,6 +40,7 @@ pub mod strategy;
 pub mod whatif;
 
 pub use advisor::Advisor;
+pub use greedy::Candidate;
 pub use memspec::{MemorySpec, TierBudget};
 pub use report::{PlacementReport, SelectionEntry};
-pub use strategy::SelectionStrategy;
+pub use strategy::{select, SelectionStrategy};

@@ -1,5 +1,8 @@
-//! Selection strategies.
+//! Selection strategies and the one kernel that runs them.
 
+use crate::greedy::{pack, rank_by_density, rank_by_misses, Candidate};
+use crate::knapsack::{solve_exact, Item};
+use hmsim_common::{ByteSize, HmResult, PAGE_SIZE};
 use std::fmt;
 
 /// How the advisor ranks candidate objects for promotion.
@@ -53,6 +56,43 @@ impl fmt::Display for SelectionStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.label())
     }
+}
+
+/// Select which `candidates` go into a knapsack of `capacity` bytes
+/// (`None` = unlimited) under `strategy`, returning their indices.
+///
+/// This is the advisor's step 3 and the only strategy dispatch: the offline
+/// advisor, the online controller and the static harness all run it.
+/// `total` is what the `Misses(t%)` threshold is a share of. Every strategy
+/// charges each candidate its page-aligned size; the exact DP sizes the
+/// knapsack as whole pages (`floor(capacity / PAGE_SIZE)`), so it never
+/// overshoots the byte budget. The DP refuses oversized instances with
+/// [`HmError::Config`](hmsim_common::HmError::Config); the greedy
+/// strategies never fail.
+pub fn select(
+    strategy: SelectionStrategy,
+    candidates: &[Candidate<'_>],
+    total: u64,
+    capacity: Option<ByteSize>,
+) -> HmResult<Vec<usize>> {
+    Ok(match strategy {
+        SelectionStrategy::Misses { threshold_percent } => {
+            let ranked = rank_by_misses(candidates, total, threshold_percent);
+            pack(candidates, &ranked, capacity).0
+        }
+        SelectionStrategy::Density => pack(candidates, &rank_by_density(candidates), capacity).0,
+        SelectionStrategy::ExactKnapsack => {
+            let items: Vec<Item> = candidates
+                .iter()
+                .map(|c| Item {
+                    weight_pages: c.size.pages(),
+                    value: c.value,
+                })
+                .collect();
+            let capacity_pages = capacity.map_or(u64::MAX / 2, |c| c.bytes() / PAGE_SIZE);
+            solve_exact(&items, capacity_pages)?.selected
+        }
+    })
 }
 
 #[cfg(test)]

@@ -465,10 +465,16 @@ impl FoldedBinAccum {
         *self.routines.entry(routine.to_string()).or_insert(0.0) += weight;
     }
 
+    /// The heaviest routine; equal weights go to the first name in
+    /// lexicographic order, so the answer never depends on map order.
     fn dominant_routine(&self) -> Option<String> {
         self.routines
             .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights not NaN"))
+            .max_by(|a, b| {
+                a.1.partial_cmp(b.1)
+                    .expect("weights not NaN")
+                    .then_with(|| b.0.cmp(a.0))
+            })
             .map(|(name, _)| name.clone())
     }
 }
@@ -524,6 +530,37 @@ mod tests {
             });
         }
         t
+    }
+
+    #[test]
+    fn equal_weight_routines_resolve_to_the_first_name() {
+        let mut t = TraceFile::new(TraceMetadata::default());
+        let at = Nanos::from_millis;
+        let phase = |t: &mut TraceFile, name: &str, from: f64, to: f64| {
+            t.push(TraceEvent::PhaseBegin {
+                time: at(from),
+                name: name.to_string(),
+            });
+            t.push(TraceEvent::PhaseEnd {
+                time: at(to),
+                name: name.to_string(),
+            });
+        };
+        t.push(TraceEvent::PhaseBegin {
+            time: at(0.0),
+            name: "iteration".to_string(),
+        });
+        phase(&mut t, "zeta", 10.0, 40.0);
+        phase(&mut t, "alpha", 50.0, 90.0);
+        t.push(TraceEvent::PhaseEnd {
+            time: at(100.0),
+            name: "iteration".to_string(),
+        });
+        // Every fold builds fresh, differently seeded routine maps.
+        for _ in 0..32 {
+            let timeline = FoldedTimeline::fold(&t, "iteration", 1);
+            assert_eq!(timeline.bins[0].dominant_routine.as_deref(), Some("alpha"));
+        }
     }
 
     #[test]

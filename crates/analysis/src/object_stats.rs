@@ -59,16 +59,6 @@ pub struct ObjectStats {
 }
 
 impl ObjectStats {
-    /// Profit density: misses per byte — the ranking key of the advisor's
-    /// *Density* strategy.
-    pub fn density(&self) -> f64 {
-        if self.max_size.is_zero() {
-            0.0
-        } else {
-            self.llc_misses as f64 / self.max_size.bytes() as f64
-        }
-    }
-
     /// Whether the automatic framework can promote this object.
     pub fn promotable(&self) -> bool {
         self.kind == ReportedKind::Dynamic
@@ -139,15 +129,6 @@ mod tests {
             samples: misses / 1000,
             allocation_count: 1,
         }
-    }
-
-    #[test]
-    fn density_ranks_small_hot_objects_higher() {
-        let hot_small = stats("a", ReportedKind::Dynamic, 1_000_000, 10);
-        let hot_large = stats("b", ReportedKind::Dynamic, 1_000_000, 100);
-        assert!(hot_small.density() > hot_large.density());
-        let empty = stats("c", ReportedKind::Dynamic, 10, 0);
-        assert_eq!(empty.density(), 0.0);
     }
 
     #[test]

@@ -26,6 +26,4 @@ pub mod interpose;
 pub mod router;
 
 pub use interpose::{AutoHbwMalloc, InterpositionStats};
-#[allow(deprecated)]
-pub use router::RouterFactory;
 pub use router::{AllocationRouter, ApproachKind, PlacementApproach};

@@ -5,7 +5,7 @@
 //! variant carries its own configuration as enum payload (the `autohbw` size
 //! threshold, the framework's selection strategy) and knows how to build its
 //! own [`AllocationRouter`] through [`PlacementApproach::router`]. That is
-//! what removes the old `RouterFactory`-vs-`RunConfig` mismatch class: a
+//! what removes the old router-factory-vs-`RunConfig` mismatch class: a
 //! caller can no longer pair an online run configuration with a DDR router,
 //! because the router is derived from the approach value itself.
 //!
@@ -364,44 +364,6 @@ impl AllocationRouter {
     }
 }
 
-/// Helper constructing routers for the paper's comparison set.
-#[deprecated(
-    since = "0.1.0",
-    note = "approaches build their own routers now: use \
-            `PlacementApproach::router()` (or the hmem-core `Simulation` \
-            facade for whole runs)"
-)]
-pub struct RouterFactory;
-
-#[allow(deprecated)]
-impl RouterFactory {
-    /// The `autohbw` baseline with the paper's 1 MiB threshold.
-    pub fn autohbw_1m() -> HmResult<AllocationRouter> {
-        PlacementApproach::autohbw_1m().router()
-    }
-
-    /// The `numactl -p 1` baseline.
-    pub fn numactl() -> HmResult<AllocationRouter> {
-        PlacementApproach::NumactlPreferred.router()
-    }
-
-    /// The DDR-only reference.
-    pub fn ddr() -> HmResult<AllocationRouter> {
-        PlacementApproach::DdrOnly.router()
-    }
-
-    /// The cache-mode configuration (placement-transparent).
-    pub fn cache_mode() -> HmResult<AllocationRouter> {
-        PlacementApproach::CacheMode.router()
-    }
-
-    /// The online migration runtime: DDR-first allocation, with promotion
-    /// delegated to the epoch-driven placement engine.
-    pub fn online() -> HmResult<AllocationRouter> {
-        PlacementApproach::Online.router()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,29 +574,5 @@ mod tests {
         }
         assert_eq!(ApproachKind::Online.key(), "online");
         assert_eq!(ApproachKind::Numactl.to_string(), "MCDRAM*");
-    }
-
-    /// The deprecated factory shim keeps building the same routers the
-    /// approaches build for themselves (removed next PR).
-    #[test]
-    #[allow(deprecated)]
-    fn router_factory_shim_delegates_to_the_approaches() {
-        assert_eq!(RouterFactory::ddr().unwrap().kind(), ApproachKind::Ddr);
-        assert_eq!(
-            RouterFactory::numactl().unwrap().kind(),
-            ApproachKind::Numactl
-        );
-        assert_eq!(
-            RouterFactory::autohbw_1m().unwrap().kind(),
-            ApproachKind::AutoHbw
-        );
-        assert_eq!(
-            RouterFactory::cache_mode().unwrap().kind(),
-            ApproachKind::Cache
-        );
-        assert_eq!(
-            RouterFactory::online().unwrap().kind(),
-            ApproachKind::Online
-        );
     }
 }

@@ -9,13 +9,12 @@
 //! of Figure 4.
 
 use crate::metrics::delta_fom_per_mbyte;
-use crate::par::parallel_map;
 use crate::scenario::Scenario;
 use crate::session::Simulation;
 use auto_hbwmalloc::{ApproachKind, PlacementApproach};
 use hmem_advisor::SelectionStrategy;
 use hmsim_apps::{all_apps, AppSpec};
-use hmsim_common::{ByteSize, HmResult};
+use hmsim_common::{parallel_map, ByteSize, HmResult};
 
 /// Grid configuration.
 #[derive(Clone, Debug)]

@@ -33,13 +33,6 @@ pub mod figures;
 pub mod metrics;
 pub mod pipeline;
 
-/// Scoped-thread work sharing for independent simulation runs. The
-/// implementation lives in `hmsim_common` so lower layers (the multi-rank
-/// shard runner in `hmsim-runtime`) can share it; this alias keeps the
-/// historical `hmem_core::parallel_map` path working.
-pub mod par {
-    pub use hmsim_common::parallel_map;
-}
 pub mod report;
 pub mod scenario;
 pub mod session;
@@ -49,7 +42,6 @@ pub use experiment::{
     run_app_experiment, run_full_evaluation, AppExperiment, ApproachResult, ExperimentConfig,
 };
 pub use metrics::delta_fom_per_mbyte;
-pub use par::parallel_map;
 pub use pipeline::{FrameworkOutcome, FrameworkPipeline};
 pub use scenario::{
     committed_scenarios, MachineSelector, MultiRankSelector, Scenario, WorkloadSelector,

@@ -9,7 +9,7 @@
 //! master seed. The [`Simulation`](crate::session::Simulation) facade turns
 //! a validated scenario into a run without the caller wiring `RunConfig`,
 //! routers and runtimes by hand — the mismatch class the old
-//! `RouterFactory`-vs-`RunConfig` split allowed is gone, because everything
+//! router-factory-vs-`RunConfig` split allowed is gone, because everything
 //! derives from one value.
 //!
 //! Scenarios serialize to and parse from a small JSON text format (`.scn`

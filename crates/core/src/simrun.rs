@@ -18,7 +18,7 @@ use hmsim_machine::{
 };
 use hmsim_profiler::{Profiler, ProfilerConfig};
 use hmsim_runtime::{
-    ArbiterPolicy, MigrationCostModel, NodeArbiter, ObjectPlacement, OnlineConfig,
+    execute_plan, ArbiterPolicy, MigrationCostModel, NodeArbiter, ObjectPlacement, OnlineConfig,
     PlacementController,
 };
 use hmsim_trace::{TraceFile, TraceMetadata};
@@ -509,28 +509,15 @@ impl<'a> AppRun<'a> {
                 let live = ObjectPlacement::snapshot_live(&heap);
                 let epoch_budget = arbiter.analytic_budget(heap.tier_occupancy(TierId::MCDRAM));
                 let plan = controller.end_epoch(&live, TierId::MCDRAM, epoch_budget);
-                let mut epoch_cost = Nanos::ZERO;
-                for (ids, to) in [
-                    (&plan.demotions, TierId::DDR),
-                    (&plan.promotions, TierId::MCDRAM),
-                ] {
-                    for id in ids {
-                        let from = heap.registry().get(*id).map(|o| o.tier).unwrap_or(to);
-                        match heap.migrate_object(*id, to) {
-                            Ok(bytes) => {
-                                epoch_cost += cost_model.charge(bytes, from, to);
-                                migrations += 1;
-                            }
-                            // The controller plans against the same occupancy
-                            // the heap enforces, so this is a should-not-
-                            // happen path — but it must stay observable.
-                            Err(_) => migrations_rejected += 1,
-                        }
-                    }
-                }
-                now += epoch_cost;
-                loop_time += epoch_cost;
-                migration_time += epoch_cost;
+                // The controller plans against the same occupancy the heap
+                // enforces, so rejects are a should-not-happen path — but
+                // they must stay observable.
+                let exec = execute_plan(&mut heap, &plan, TierId::MCDRAM, TierId::DDR, cost_model);
+                migrations += exec.moves();
+                migrations_rejected += exec.rejected;
+                now += exec.time;
+                loop_time += exec.time;
+                migration_time += exec.time;
                 mcdram_migrated_peak =
                     mcdram_migrated_peak.max(heap.tier_occupancy(TierId::MCDRAM));
             }

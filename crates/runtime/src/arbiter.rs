@@ -14,9 +14,10 @@
 //!   on MPI applications (per-rank budgets in the Figure-4 grid), and it is
 //!   optimal when ranks are symmetric.
 //! * [`ArbiterPolicy::Global`] — one node-spanning selection: every rank's
-//!   per-object heat is merged (time-ordered through the trace crate's
-//!   k-way `MergedStream`) and a single advisor knapsack packs the whole
-//!   node budget. This is what a node-level daemon could do, and it is the
+//!   per-object heat is folded into one node-wide map (object ids are
+//!   globalized disjointly per rank and each sample only adds into its own
+//!   object's heat, so the fold needs no cross-rank time ordering) and a
+//!   single advisor knapsack packs the whole node budget. This is what a node-level daemon could do, and it is the
 //!   only policy that tracks *asymmetric* demand (see the rank-skew
 //!   workload family).
 

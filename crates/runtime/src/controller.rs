@@ -4,12 +4,13 @@
 //! The controller is deliberately engine-agnostic: the trace-driven
 //! [`OnlineRuntime`](crate::OnlineRuntime) feeds it PEBS sample weights, the
 //! analytic runner in `hmem-core` feeds it per-iteration object miss counts,
-//! and both execute the same plans through `ProcessHeap::migrate_object`.
+//! and both execute the same plans through [`execute_plan`].
 
 use crate::config::OnlineConfig;
-use hmem_advisor::{greedy, knapsack, SelectionStrategy};
-use hmsim_analysis::{ObjectStats, ReportedKind};
-use hmsim_common::{ByteSize, ObjectId, TierId};
+use crate::cost::MigrationCostModel;
+use hmem_advisor::{Candidate, SelectionStrategy};
+use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
+use hmsim_heap::ProcessHeap;
 use std::collections::{HashMap, HashSet};
 
 /// Where one live object currently sits, as the controller sees it.
@@ -29,7 +30,7 @@ impl ObjectPlacement {
     /// Snapshot every live object of a heap — the placement view both the
     /// trace-driven runtime and the analytic runner hand to
     /// [`PlacementController::end_epoch`].
-    pub fn snapshot_live(heap: &hmsim_heap::ProcessHeap) -> Vec<ObjectPlacement> {
+    pub fn snapshot_live(heap: &ProcessHeap) -> Vec<ObjectPlacement> {
         heap.registry()
             .live()
             .into_iter()
@@ -63,6 +64,63 @@ impl EpochPlan {
     pub fn moves(&self) -> usize {
         self.demotions.len() + self.promotions.len()
     }
+}
+
+/// What executing one [`EpochPlan`] did. Each caller books it into its
+/// own statistics.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PlanExecution {
+    /// Objects promoted to the fast tier.
+    pub promotions: u32,
+    /// Objects demoted out of the fast tier.
+    pub demotions: u32,
+    /// Bytes moved between tiers.
+    pub bytes_moved: u64,
+    /// Latency charged for the moves.
+    pub time: Nanos,
+    /// Planned moves the heap rejected (capacity races). Plans are
+    /// conservative, so this should stay at zero.
+    pub rejected: u64,
+}
+
+impl PlanExecution {
+    /// Moves executed (promotions + demotions).
+    pub fn moves(&self) -> u64 {
+        u64::from(self.promotions) + u64::from(self.demotions)
+    }
+}
+
+/// Execute `plan` on `heap`: the demotions to `slow` first, freeing the
+/// capacity the promotions to `fast` consume. Every move is charged through
+/// `cost`; a move the heap rejects is counted, not fatal.
+pub fn execute_plan(
+    heap: &mut ProcessHeap,
+    plan: &EpochPlan,
+    fast: TierId,
+    slow: TierId,
+    cost: &MigrationCostModel,
+) -> PlanExecution {
+    let mut exec = PlanExecution::default();
+    for (ids, from, to) in [
+        (&plan.demotions, fast, slow),
+        (&plan.promotions, slow, fast),
+    ] {
+        for id in ids {
+            match heap.migrate_object(*id, to) {
+                Ok(bytes) => {
+                    if to == fast {
+                        exec.promotions += 1;
+                    } else {
+                        exec.demotions += 1;
+                    }
+                    exec.bytes_moved += bytes.bytes();
+                    exec.time += cost.charge(bytes, from, to);
+                }
+                Err(_) => exec.rejected += 1,
+            }
+        }
+    }
+    exec
 }
 
 /// Epoch-driven placement decision engine with hysteresis.
@@ -167,49 +225,21 @@ impl PlacementController {
         fast_tier: TierId,
         budget: ByteSize,
     ) -> Vec<ObjectId> {
-        let stats: Vec<ObjectStats> = candidates
+        let offered: Vec<Candidate<'_>> = candidates
             .iter()
-            .map(|o| ObjectStats {
-                name: o.name.clone(),
-                site: None,
-                kind: ReportedKind::Dynamic,
-                max_size: o.size,
-                min_size: o.size,
-                llc_misses: self.effective_heat(o, fast_tier).round() as u64,
-                samples: 0,
-                allocation_count: 1,
+            .map(|o| Candidate {
+                name: &o.name,
+                size: o.size,
+                value: self.effective_heat(o, fast_tier).round() as u64,
             })
             .collect();
-        let refs: Vec<&ObjectStats> = stats.iter().collect();
-        let total: u64 = refs.iter().map(|s| s.llc_misses).sum();
-        let selected: Vec<usize> = match self.cfg.strategy {
-            SelectionStrategy::Misses { threshold_percent } => {
-                let ranked = greedy::rank_by_misses(&refs, total, threshold_percent);
-                greedy::pack(&refs, &ranked, Some(budget)).0
-            }
-            SelectionStrategy::Density => {
-                let ranked = greedy::rank_by_density(&refs);
-                greedy::pack(&refs, &ranked, Some(budget)).0
-            }
-            SelectionStrategy::ExactKnapsack => {
-                let items: Vec<knapsack::Item> = refs
-                    .iter()
-                    .map(|s| knapsack::Item {
-                        weight_pages: s.max_size.pages(),
-                        value: s.llc_misses,
-                    })
-                    .collect();
-                match knapsack::solve_exact(&items, budget.bytes() / hmsim_common::PAGE_SIZE) {
-                    Ok(sol) => sol.selected,
-                    // The DP refuses oversized instances; the density greedy
-                    // is the advisor's own fallback for that regime.
-                    Err(_) => {
-                        let ranked = greedy::rank_by_density(&refs);
-                        greedy::pack(&refs, &ranked, Some(budget)).0
-                    }
-                }
-            }
-        };
+        let total: u64 = offered.iter().map(|c| c.value).sum();
+        let select = |strategy| hmem_advisor::select(strategy, &offered, total, Some(budget));
+        // The exact DP refuses oversized instances; the density greedy is
+        // the controller's fallback for that regime.
+        let selected = select(self.cfg.strategy)
+            .or_else(|_| select(SelectionStrategy::Density))
+            .expect("greedy selection never fails");
         selected.into_iter().map(|i| candidates[i].id).collect()
     }
 

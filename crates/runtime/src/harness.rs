@@ -8,7 +8,7 @@
 //! [`OnlineRuntime`] migrate while the stream executes.
 
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
-use hmem_advisor::SelectionStrategy;
+use hmem_advisor::{Candidate, SelectionStrategy};
 use hmsim_apps::PhasedWorkload;
 use hmsim_common::{AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
@@ -130,40 +130,28 @@ pub fn profile_heat(
     Ok(heat)
 }
 
-/// The advisor's offline selection over profiled heat: rank with `strategy`,
-/// pack page-aligned into the budget (same code path the online controller
-/// re-runs each epoch).
+/// The advisor's offline selection over profiled heat: run `strategy`'s
+/// selection of `objects` (name and size, heat per object in `heat`)
+/// against the budget — the same [`hmem_advisor::select`] the online
+/// controller re-runs each epoch. Fails only when the exact DP refuses an
+/// oversized instance.
 pub fn select_static(
-    workload: &PhasedWorkload,
+    objects: &[(String, ByteSize)],
     heat: &[u64],
     fast_budget: ByteSize,
     strategy: SelectionStrategy,
-) -> Vec<usize> {
-    use hmsim_analysis::{ObjectStats, ReportedKind};
-    let objects = workload.objects();
-    let stats: Vec<ObjectStats> = objects
+) -> HmResult<Vec<usize>> {
+    let candidates: Vec<Candidate<'_>> = objects
         .iter()
         .zip(heat)
-        .map(|((name, size), h)| ObjectStats {
-            name: name.clone(),
-            site: None,
-            kind: ReportedKind::Dynamic,
-            max_size: *size,
-            min_size: *size,
-            llc_misses: *h,
-            samples: 0,
-            allocation_count: 1,
+        .map(|((name, size), h)| Candidate {
+            name,
+            size: *size,
+            value: *h,
         })
         .collect();
-    let refs: Vec<&ObjectStats> = stats.iter().collect();
     let total: u64 = heat.iter().sum();
-    let ranked = match strategy {
-        SelectionStrategy::Misses { threshold_percent } => {
-            hmem_advisor::greedy::rank_by_misses(&refs, total, threshold_percent)
-        }
-        _ => hmem_advisor::greedy::rank_by_density(&refs),
-    };
-    hmem_advisor::greedy::pack(&refs, &ranked, Some(fast_budget)).0
+    hmem_advisor::select(strategy, &candidates, total, Some(fast_budget))
 }
 
 /// The best static placement the offline pipeline can produce: the better of
@@ -176,7 +164,7 @@ pub fn best_static(
 ) -> HmResult<StaticOutcome> {
     let ddr = run_static(workload, machine, fast_budget, &[], "DDR")?;
     let heat = profile_heat(workload, machine, cfg)?;
-    let promoted = select_static(workload, &heat, fast_budget, cfg.strategy);
+    let promoted = select_static(&workload.objects(), &heat, fast_budget, cfg.strategy)?;
     let profiled = run_static(
         workload,
         machine,
@@ -258,11 +246,27 @@ mod tests {
         let cfg = OnlineConfig::default();
         let heat = profile_heat(&w, &m, &cfg).unwrap();
         assert!(heat.iter().all(|&h| h > 0), "all three arrays are hot");
-        let sel = select_static(&w, &heat, w.hot_set_size(), cfg.strategy);
+        let sel = select_static(&w.objects(), &heat, w.hot_set_size(), cfg.strategy).unwrap();
         assert_eq!(sel.len(), 3, "the whole triad fits the budget");
         let best = best_static(&w, &m, w.hot_set_size(), &cfg).unwrap();
         assert!(best.label.starts_with("profiled/"));
         assert_eq!(best.promoted.len(), 3);
+    }
+
+    /// The harness runs the strategy it is given: density greedy takes the
+    /// densest object and can fit nothing else, the exact DP packs the two
+    /// others for more heat.
+    #[test]
+    fn select_static_honours_the_exact_knapsack() {
+        let objects: Vec<(String, ByteSize)> = [("dense", 12), ("mid1", 8), ("mid2", 8)]
+            .iter()
+            .map(|(name, kib)| (name.to_string(), ByteSize::from_kib(*kib)))
+            .collect();
+        let heat = [920, 600, 500];
+        let budget = ByteSize::from_kib(16);
+        let select = |strategy| select_static(&objects, &heat, budget, strategy).unwrap();
+        assert_eq!(select(SelectionStrategy::Density), vec![0]);
+        assert_eq!(select(SelectionStrategy::ExactKnapsack), vec![1, 2]);
     }
 
     #[test]

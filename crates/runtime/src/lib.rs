@@ -45,7 +45,9 @@ pub mod runtime;
 
 pub use arbiter::{ArbiterPolicy, NodeArbiter};
 pub use config::OnlineConfig;
-pub use controller::{EpochPlan, ObjectPlacement, PlacementController};
+pub use controller::{
+    execute_plan, EpochPlan, ObjectPlacement, PlacementController, PlanExecution,
+};
 pub use cost::MigrationCostModel;
 pub use multirank::{
     run_multirank, MultiRankConfig, MultiRankOutcome, MultiRankRuntime, RankOutcome,

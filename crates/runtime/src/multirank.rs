@@ -12,13 +12,15 @@
 //! 1. **observe** (parallel) — every active shard drives its next window of
 //!    accesses through its own engine while its sampler watches the miss
 //!    stream; shards are independent, so this half fans out over worker
-//!    threads via `parallel_map` (re-exported as `hmem_core::parallel_map`);
+//!    threads via `hmsim_common::parallel_map`;
 //! 2. **arbitrate + commit** (serial, deterministic) — the arbiter hands
 //!    each rank its budget and the shards execute their migration deltas in
 //!    rank order. Under [`ArbiterPolicy::Global`] the per-rank samples are
-//!    first time-ordered across ranks through the trace crate's k-way
-//!    [`MergedStream`] and folded into one node-wide heat map, and a single
-//!    controller packs one knapsack spanning every rank's objects.
+//!    first folded into one node-wide heat map, and a single controller
+//!    packs one knapsack spanning every rank's objects. Object ids are
+//!    globalized disjointly per rank and each sample only adds into its own
+//!    object's heat, so the heat is the same whatever order the ranks are
+//!    folded in: no cross-rank time ordering is needed.
 //!
 //! With one rank the epoch schedule, budgets and plans collapse to exactly
 //! what [`OnlineRuntime::run`] does, whatever the policy — the
@@ -29,11 +31,10 @@ use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
 use crate::harness::provision;
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
 use hmsim_apps::MultiRankWorkload;
-use hmsim_common::{parallel_map, ByteSize, HmResult, Nanos, ObjectId, TierId};
+use hmsim_common::{parallel_map, ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use hmsim_machine::{EngineStats, MachineConfig, MemoryAccess};
 use hmsim_pebs::RawSample;
-use hmsim_trace::{MergedStream, SampleRecord, TraceEvent};
 
 /// Per-rank object ids are globalized by offsetting with the rank so one
 /// controller can plan across every shard's objects. Rank 0 keeps its ids
@@ -41,12 +42,12 @@ use hmsim_trace::{MergedStream, SampleRecord, TraceEvent};
 /// identical to the per-rank controller.
 const RANK_ID_STRIDE: u32 = 1 << 22;
 
+/// Ranks whose globalized ids fit a `u32`: `2^32 / RANK_ID_STRIDE`.
+const MAX_RANKS: u32 = (u32::MAX / RANK_ID_STRIDE) + 1;
+
+/// Globalize a rank-local id. [`MultiRankRuntime::new`] refuses rank counts
+/// and object ids that would not fit, so this never wraps.
 fn global_id(rank: u32, id: ObjectId) -> ObjectId {
-    debug_assert!(id.0 < RANK_ID_STRIDE, "object id overflows the rank stride");
-    debug_assert!(
-        rank < u32::MAX / RANK_ID_STRIDE,
-        "rank {rank} overflows the globalized id space"
-    );
     ObjectId(rank * RANK_ID_STRIDE + id.0)
 }
 
@@ -101,8 +102,6 @@ pub struct RankOutcome {
     /// The shard's simulated time: engine execution estimate plus every
     /// migration charge.
     pub time: Nanos,
-    /// LLC misses of the shard.
-    pub llc_misses: u64,
     /// The shard engine's accumulated statistics.
     pub engine: EngineStats,
     /// The shard runtime's statistics (epochs, migrations, bytes moved).
@@ -135,7 +134,10 @@ impl MultiRankOutcome {
 
     /// Total LLC misses over all ranks.
     pub fn total_misses(&self) -> u64 {
-        self.per_rank.iter().map(|r| r.llc_misses).sum()
+        self.per_rank
+            .iter()
+            .map(|r| r.engine.counters.llc_misses)
+            .sum()
     }
 
     /// Total migrations over all ranks.
@@ -175,19 +177,32 @@ pub struct MultiRankRuntime {
 impl MultiRankRuntime {
     /// Provision one shard per rank of `workload` on `machine`: every
     /// object starts in DDR and each shard's heap is capped at the
-    /// arbiter's per-rank maximum.
+    /// arbiter's per-rank maximum. Fails with [`HmError::Config`] when the
+    /// rank count or a provisioned object id does not fit the globalized id
+    /// space (more than 1024 ranks, or 2^22 objects on one rank).
     pub fn new(
         workload: &MultiRankWorkload,
         machine: &MachineConfig,
         cfg: MultiRankConfig,
     ) -> HmResult<Self> {
         let ranks = workload.ranks();
+        if ranks > MAX_RANKS {
+            return Err(HmError::Config(format!(
+                "{ranks} ranks exceed the {MAX_RANKS} the globalized object ids can tell apart"
+            )));
+        }
         let arbiter = NodeArbiter::new(cfg.policy, cfg.node_fast_budget, ranks);
         let mut shards = Vec::with_capacity(ranks as usize);
         let mut fast_tier = TierId::MCDRAM;
         for rank in 0..ranks {
             let w = workload.rank(rank);
             let p = provision(w, machine, arbiter.rank_cap())?;
+            if let Some(id) = p.ids.iter().find(|id| id.0 >= RANK_ID_STRIDE) {
+                return Err(HmError::Config(format!(
+                    "rank {rank} object id {} overflows the per-rank id stride {RANK_ID_STRIDE}",
+                    id.0
+                )));
+            }
             let mut shard_cfg = cfg.online.clone();
             shard_cfg.seed = cfg.online.seed + u64::from(rank);
             let rt = OnlineRuntime::new(machine, arbiter.partition_share(), shard_cfg);
@@ -241,7 +256,6 @@ impl MultiRankRuntime {
             .map(|s| RankOutcome {
                 rank: s.rank,
                 time: s.rt.total_time(),
-                llc_misses: s.rt.engine_stats().counters.llc_misses,
                 engine: s.rt.engine_stats().clone(),
                 stats: s.rt.stats().clone(),
                 fast_residency: s.heap.tier_occupancy(fast_tier),
@@ -326,43 +340,24 @@ impl MultiRankRuntime {
         }
     }
 
-    /// Global commit: merge every rank's samples into one time-ordered
-    /// stream, fold them into node-wide heat, run one selection spanning
+    /// Global commit: fold every rank's samples into node-wide heat, run one
+    /// selection spanning
     /// every rank's objects against the whole node budget, then execute the
     /// per-rank slices of the plan in rank order.
     fn commit_global(&mut self, observed: &[(u32, u64)]) {
         let controller = self.global.as_mut().expect("global controller present");
 
-        // Per-rank sample streams, time-ordered across ranks by the k-way
-        // merge (ties break by rank then arrival, so the fold order — and
-        // with it the f64 heat accumulation — is deterministic).
+        // Fold every rank's samples into node-wide heat. Global ids are
+        // disjoint per rank and `record` only adds into the object's own heat
+        // entry, so each object's f64 sum depends only on its own rank's
+        // sample order: a plain rank-order loop needs no cross-rank merge.
         let shards = &self.shards;
-        let inputs: Vec<(u32, _)> = observed
-            .iter()
-            .map(|(rank, _)| {
-                (
-                    *rank,
-                    shards[*rank as usize].samples.iter().map(|s| {
-                        Ok(TraceEvent::Sample(SampleRecord {
-                            time: s.time,
-                            address: s.address,
-                            object: None,
-                            weight: s.weight,
-                            latency_cycles: s.latency_cycles,
-                        }))
-                    }),
-                )
-            })
-            .collect();
-        let merged = MergedStream::new(inputs).expect("in-memory streams cannot fail");
-        for item in merged {
-            let ranked = item.expect("in-memory streams cannot fail");
-            let TraceEvent::Sample(s) = ranked.event else {
-                continue;
-            };
-            let heap = &shards[ranked.rank as usize].heap;
-            if let Some(obj) = heap.registry().find_containing(s.address) {
-                controller.record(global_id(ranked.rank, obj.id), s.weight as f64);
+        for (rank, _) in observed {
+            let shard = &shards[*rank as usize];
+            for s in &shard.samples {
+                if let Some(obj) = shard.heap.registry().find_containing(s.address) {
+                    controller.record(global_id(*rank, obj.id), s.weight as f64);
+                }
             }
         }
 
@@ -449,6 +444,28 @@ mod tests {
                 assert_eq!(split_global_id(g), (rank, ObjectId(id)));
             }
         }
+    }
+
+    #[test]
+    fn rank_counts_past_the_id_space_are_refused_before_provisioning() {
+        let m = loaded_machine();
+        let w = MultiRankWorkload::replicated(PhasedWorkload::steady_triad(ARRAY, 1), 2_000);
+        let cfg = cfg(ArbiterPolicy::Global, ByteSize::from_mib(1));
+        let err = MultiRankRuntime::new(&w, &m, cfg.clone())
+            .err()
+            .expect("2000 ranks refused");
+        assert!(
+            matches!(&err, HmError::Config(msg) if msg.contains("2000 ranks")),
+            "{err:?}"
+        );
+        // The largest rank still has room for a full stride of ids.
+        assert_eq!(
+            global_id(MAX_RANKS - 1, ObjectId(RANK_ID_STRIDE - 1)),
+            ObjectId(u32::MAX)
+        );
+        let over =
+            MultiRankWorkload::replicated(PhasedWorkload::steady_triad(ARRAY, 1), MAX_RANKS + 1);
+        assert!(MultiRankRuntime::new(&over, &m, cfg).is_err());
     }
 
     #[test]

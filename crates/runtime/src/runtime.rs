@@ -5,10 +5,12 @@
 //! (2) aggregates the samples into per-object heat through the heap's
 //! live-object registry, (3) re-runs the advisor's selection against the
 //! fast-tier budget, and (4) executes the migration delta through
-//! [`ProcessHeap::migrate_object`], charging every move through the
+//! [`execute_plan`], charging every move through the
 //! [`MigrationCostModel`] and adding it to the run's latency.
 
-use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
+use crate::controller::{
+    execute_plan, EpochPlan, ObjectPlacement, PlacementController, PlanExecution,
+};
 use crate::cost::MigrationCostModel;
 use crate::OnlineConfig;
 use hmsim_common::{ByteSize, Nanos, TierId};
@@ -219,21 +221,34 @@ impl OnlineRuntime {
         let plan = self
             .controller
             .end_epoch(&live, self.fast_tier, self.fast_budget);
-        self.finish_epoch(heap, consumed, sampled.len() as u64, &plan);
+        self.commit_epoch_with_plan(heap, consumed, sampled.len() as u64, &plan);
     }
 
-    /// Close one observed epoch whose migration plan was produced by an
-    /// external (node-global) planner instead of this runtime's own
-    /// controller. Executes the plan with the exact accounting
-    /// [`commit_epoch`](Self::commit_epoch) uses.
+    /// Close one observed epoch by executing `plan` and booking the epoch
+    /// into the statistics. [`commit_epoch`](Self::commit_epoch) passes its
+    /// own controller's plan; the node-global planner passes its slice.
     pub fn commit_epoch_with_plan(
         &mut self,
         heap: &mut ProcessHeap,
-        consumed: u64,
+        accesses: u64,
         samples: u64,
         plan: &EpochPlan,
     ) {
-        self.finish_epoch(heap, consumed, samples, plan);
+        let exec = self.execute(heap, plan);
+        self.stats.accesses += accesses;
+        self.stats.epochs += 1;
+        self.stats.samples += samples;
+        self.stats.migrations += exec.moves();
+        self.stats.bytes_migrated += ByteSize::from_bytes(exec.bytes_moved);
+        self.stats.migration_time += exec.time;
+        self.stats.epoch_log.push(EpochRecord {
+            accesses,
+            samples,
+            promotions: exec.promotions,
+            demotions: exec.demotions,
+            bytes_moved: exec.bytes_moved,
+            migration_time: exec.time,
+        });
     }
 
     /// Execute a node-planner slice on a runtime whose stream has already
@@ -242,73 +257,22 @@ impl OnlineRuntime {
     /// [`total_time`](Self::total_time): demoting a finished rank's
     /// residency is housekeeping off that rank's critical path.
     pub fn commit_background_plan(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) {
-        let slow_tier = heap.page_table().default_tier();
-        for (ids, to, from) in [
-            (&plan.demotions, slow_tier, self.fast_tier),
-            (&plan.promotions, self.fast_tier, slow_tier),
-        ] {
-            for id in ids {
-                match heap.migrate_object(*id, to) {
-                    Ok(bytes) => {
-                        self.stats.background_migrations += 1;
-                        self.stats.background_migration_time += self.cost.charge(bytes, from, to);
-                    }
-                    Err(_) => self.stats.rejected_moves += 1,
-                }
-            }
-        }
-        self.stats.fast_residency_peak = self
-            .stats
-            .fast_residency_peak
-            .max(heap.tier_occupancy(self.fast_tier));
+        let exec = self.execute(heap, plan);
+        self.stats.background_migrations += exec.moves();
+        self.stats.background_migration_time += exec.time;
     }
 
-    /// Execute a migration plan and book the epoch into the statistics.
-    fn finish_epoch(
-        &mut self,
-        heap: &mut ProcessHeap,
-        accesses: u64,
-        samples: u64,
-        plan: &EpochPlan,
-    ) {
-        self.stats.accesses += accesses;
-        self.stats.epochs += 1;
-        let mut record = EpochRecord {
-            accesses,
-            samples,
-            ..EpochRecord::default()
-        };
-        self.stats.samples += samples;
-
+    /// Execute a plan between the fast tier and the heap's default tier,
+    /// booking rejects and the fast-tier residency peak.
+    fn execute(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) -> PlanExecution {
         let slow_tier = heap.page_table().default_tier();
-        for id in &plan.demotions {
-            match heap.migrate_object(*id, slow_tier) {
-                Ok(bytes) => {
-                    record.demotions += 1;
-                    record.bytes_moved += bytes.bytes();
-                    record.migration_time += self.cost.charge(bytes, self.fast_tier, slow_tier);
-                }
-                Err(_) => self.stats.rejected_moves += 1,
-            }
-        }
-        for id in &plan.promotions {
-            match heap.migrate_object(*id, self.fast_tier) {
-                Ok(bytes) => {
-                    record.promotions += 1;
-                    record.bytes_moved += bytes.bytes();
-                    record.migration_time += self.cost.charge(bytes, slow_tier, self.fast_tier);
-                }
-                Err(_) => self.stats.rejected_moves += 1,
-            }
-        }
-        self.stats.migrations += u64::from(record.promotions) + u64::from(record.demotions);
-        self.stats.bytes_migrated += ByteSize::from_bytes(record.bytes_moved);
-        self.stats.migration_time += record.migration_time;
+        let exec = execute_plan(heap, plan, self.fast_tier, slow_tier, &self.cost);
+        self.stats.rejected_moves += exec.rejected;
         self.stats.fast_residency_peak = self
             .stats
             .fast_residency_peak
             .max(heap.tier_occupancy(self.fast_tier));
-        self.stats.epoch_log.push(record);
+        exec
     }
 }
 

@@ -41,7 +41,7 @@ fn single_rank_sharded_path_is_bitwise_identical_for_every_policy() {
             let shard = &out.per_rank[0];
 
             assert_eq!(
-                shard.llc_misses, single_misses,
+                shard.engine.counters.llc_misses, single_misses,
                 "{}/{policy}: miss counts diverged",
                 workload.name
             );

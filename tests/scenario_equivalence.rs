@@ -1,22 +1,16 @@
 //! The `Simulation` facade is a *description* of a run, not a different
 //! runner: for every approach × workload it must reproduce the pre-redesign
-//! hand-wired call path — `AppRun::execute(RouterFactory::x())`, the bare
-//! `OnlineRuntime`, `run_multirank` — bit for bit (FOM, counters, times,
-//! migrations, footprint).
-//!
-//! The hand-wired side deliberately goes through the deprecated
-//! `RouterFactory` shim so this test exercises the exact legacy spelling the
-//! migration table in the README documents.
+//! hand-wired call path — `AppRun::execute(PlacementApproach::X.router())`,
+//! the bare `OnlineRuntime`, `run_multirank` — bit for bit (FOM, counters,
+//! times, migrations, footprint).
 
-#![allow(deprecated)]
-
-use auto_hbwmalloc::{PlacementApproach, RouterFactory};
+use auto_hbwmalloc::PlacementApproach;
 use hmem_advisor::SelectionStrategy;
 use hmem_core::pipeline::FrameworkPipeline;
 use hmem_core::simrun::{AppRun, RunConfig, RunResult};
 use hmem_core::{MultiRankSelector, Outcome, Scenario, Simulation};
 use hmsim_apps::{app_by_name, MultiRankWorkload};
-use hmsim_common::{ByteSize, HmResult, Nanos};
+use hmsim_common::{ByteSize, Nanos};
 use hmsim_runtime::harness::{loaded_machine, run_online};
 use hmsim_runtime::{run_multirank, ArbiterPolicy, MultiRankConfig, OnlineConfig};
 
@@ -73,26 +67,25 @@ fn facade(scenario: &Scenario) -> Outcome {
 #[test]
 fn facade_matches_hand_wired_apprun_for_every_static_and_online_approach() {
     // The five self-contained approaches × three workloads of the
-    // acceptance criteria. The hand-wired side is exactly what PR-4-era
-    // callers wrote.
-    type Legacy = fn() -> HmResult<auto_hbwmalloc::AllocationRouter>;
-    let approaches: [(PlacementApproach, Legacy); 5] = [
-        (PlacementApproach::DdrOnly, RouterFactory::ddr),
-        (PlacementApproach::NumactlPreferred, RouterFactory::numactl),
-        (PlacementApproach::autohbw_1m(), RouterFactory::autohbw_1m),
-        (PlacementApproach::CacheMode, RouterFactory::cache_mode),
-        (PlacementApproach::Online, RouterFactory::online),
+    // acceptance criteria, each also wired by hand: the approach's own
+    // router executed by a bare `AppRun`.
+    let approaches = [
+        PlacementApproach::DdrOnly,
+        PlacementApproach::NumactlPreferred,
+        PlacementApproach::autohbw_1m(),
+        PlacementApproach::CacheMode,
+        PlacementApproach::Online,
     ];
     for app in ["miniFE", "HPCG", "SNAP"] {
         let spec = app_by_name(app).unwrap();
-        for (approach, legacy) in &approaches {
+        for approach in &approaches {
             let old_config = if *approach == PlacementApproach::CacheMode {
                 RunConfig::cache_mode().with_iterations(ITERS)
             } else {
                 RunConfig::flat(BUDGET).with_iterations(ITERS)
             };
             let old = AppRun::new(&spec, old_config)
-                .execute(legacy().unwrap())
+                .execute(approach.router().unwrap())
                 .unwrap();
 
             let budget = if *approach == PlacementApproach::CacheMode {
