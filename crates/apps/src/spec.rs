@@ -198,23 +198,6 @@ impl AppSpec {
             .unwrap_or(0.0)
     }
 
-    /// Per-iteration misses of each object, normalised from the weights.
-    pub fn object_misses_per_iteration(&self) -> Vec<(&ObjectSpec, u64)> {
-        let total: f64 = self.objects.iter().map(|o| o.miss_share).sum();
-        if total <= 0.0 {
-            return self.objects.iter().map(|o| (o, 0)).collect();
-        }
-        self.objects
-            .iter()
-            .map(|o| {
-                (
-                    o,
-                    ((o.miss_share / total) * self.misses_per_iteration as f64).round() as u64,
-                )
-            })
-            .collect()
-    }
-
     /// Traced (≥ 4 KiB) allocation events per process per second, from the
     /// object inventory and iteration structure; approximates Table I's
     /// "number of allocations/process/second" for allocation-heavy codes.
@@ -236,9 +219,9 @@ impl AppSpec {
     }
 
     /// Basic consistency checks: miss shares positive, kernel shares summing
-    /// to ≈ 1, objects referenced by kernels existing. Returns a typed
-    /// [`HmError::Config`] so bad specs surface as ordinary errors in sweeps
-    /// instead of panicking the whole grid.
+    /// to ≈ 1, object names unique, objects referenced by kernels existing.
+    /// Returns a typed [`HmError::Config`] so bad specs surface as ordinary
+    /// errors in sweeps instead of panicking the whole grid.
     pub fn validate(&self) -> HmResult<()> {
         if self.objects.is_empty() {
             return Err(HmError::Config(format!("{}: no objects", self.name)));
@@ -276,7 +259,14 @@ impl AppSpec {
                 }
             }
         }
-        for o in &self.objects {
+        for (i, o) in self.objects.iter().enumerate() {
+            // Kernels and runners address objects by name.
+            if self.objects[..i].iter().any(|p| p.name == o.name) {
+                return Err(HmError::Config(format!(
+                    "{}: duplicate object name {}",
+                    self.name, o.name
+                )));
+            }
             if o.kind == ObjectKind::Dynamic && o.site.is_empty() {
                 return Err(HmError::Config(format!(
                     "{}: dynamic object {} has no allocation site",
@@ -358,14 +348,23 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_duplicate_object_names() {
+        let mut dup = tiny_spec();
+        dup.objects[1].name = "hot";
+        let err = dup.validate().unwrap_err();
+        assert!(matches!(err, HmError::Config(_)), "{err}");
+        assert!(
+            err.to_string().contains("duplicate object name hot"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn miss_fractions_are_normalised() {
         let s = tiny_spec();
         assert!((s.miss_fraction("hot") - 0.8).abs() < 1e-12);
         assert!((s.miss_fraction("table") - 0.2).abs() < 1e-12);
         assert_eq!(s.miss_fraction("nope"), 0.0);
-        let misses = s.object_misses_per_iteration();
-        let total: u64 = misses.iter().map(|(_, m)| m).sum();
-        assert!((total as i64 - 10_000i64).abs() <= 1);
     }
 
     #[test]

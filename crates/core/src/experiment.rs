@@ -91,6 +91,27 @@ pub struct ApproachResult {
     pub is_framework: bool,
 }
 
+impl ApproachResult {
+    /// A grid row, its ΔFOM/MByte taken against the DDR reference FOM.
+    fn row(
+        label: String,
+        fom: f64,
+        mcdram_hwm: ByteSize,
+        charged_mcdram_mib: f64,
+        is_framework: bool,
+        ddr_fom: f64,
+    ) -> Self {
+        ApproachResult {
+            label,
+            fom,
+            mcdram_hwm,
+            charged_mcdram_mib,
+            dfom_per_mbyte: delta_fom_per_mbyte(fom, ddr_fom, charged_mcdram_mib),
+            is_framework,
+        }
+    }
+}
+
 /// The full Figure-4 data for one application.
 #[derive(Clone, Debug)]
 pub struct AppExperiment {
@@ -152,23 +173,6 @@ impl AppExperiment {
     }
 }
 
-/// One baseline approach of the Figure-4 comparison.
-/// One independent simulation of the per-app grid: a framework
-/// strategy × budget configuration, a profiling-free baseline, or an online
-/// migration run. Folding all kinds into one job list lets a single
-/// `parallel_map` overlap baseline runs with grid stragglers instead of
-/// draining two barriers.
-#[derive(Clone, Copy, Debug)]
-enum GridJob {
-    Framework(SelectionStrategy, ByteSize),
-    /// The online migration runtime at one fast-tier budget — the dynamic
-    /// column the static framework grid is compared against.
-    Online(ByteSize),
-    Numactl,
-    Autohbw,
-    Cache,
-}
-
 /// Run the whole grid for one application. The framework's strategy × budget
 /// configurations and the profiling-free baselines are all independent
 /// simulations, so they are fanned out over scoped worker threads. Every
@@ -193,99 +197,78 @@ pub fn run_app_experiment(spec: &AppSpec, config: &ExperimentConfig) -> HmResult
     let ddr_fom = ddr.node.fom;
 
     let full_mcdram_mib = ByteSize::from_gib(16).mib();
+    let budgets = config.budgets_for(spec);
 
-    // Framework grid (strategies × budgets) plus the three baselines, in the
-    // order the results list reports them.
-    let jobs: Vec<GridJob> = config
+    // One independent simulation per row: (approach, budget, label, charged
+    // MiB, is_framework). The framework grid (strategies × budgets), the
+    // online runs and the three baselines share one job list, in the order
+    // the results list reports them, so a single `parallel_map` overlaps
+    // baseline runs with grid stragglers instead of draining two barriers.
+    let jobs: Vec<(PlacementApproach, ByteSize, String, f64, bool)> = config
         .strategies
         .iter()
         .flat_map(|s| {
-            config
-                .budgets_for(spec)
-                .iter()
-                .map(move |b| GridJob::Framework(*s, *b))
+            budgets.iter().map(move |b| {
+                let approach = PlacementApproach::framework(*s);
+                (approach, *b, format!("{s}/{b}"), b.mib(), true)
+            })
         })
-        .chain(config.budgets_for(spec).iter().map(|b| GridJob::Online(*b)))
-        .chain([GridJob::Numactl, GridJob::Autohbw, GridJob::Cache])
+        .chain(budgets.iter().map(|b| {
+            let label = format!("{}/{b}", ApproachKind::Online);
+            (PlacementApproach::Online, *b, label, b.mib(), false)
+        }))
+        .chain([
+            (
+                PlacementApproach::NumactlPreferred,
+                share,
+                ApproachKind::Numactl.to_string(),
+                full_mcdram_mib,
+                false,
+            ),
+            (
+                PlacementApproach::autohbw_1m(),
+                share,
+                format!("{}/1m", ApproachKind::AutoHbw),
+                0.0,
+                false,
+            ),
+            (
+                PlacementApproach::CacheMode,
+                ByteSize::ZERO,
+                ApproachKind::Cache.to_string(),
+                full_mcdram_mib,
+                false,
+            ),
+        ])
         .collect();
-    let outcomes = parallel_map(jobs, |job| -> HmResult<ApproachResult> {
-        Ok(match job {
-            GridJob::Framework(strategy, budget) => {
-                let outcome = Simulation::new()
-                    .run(&scenario(PlacementApproach::framework(strategy), budget))?;
-                let mib = budget.mib();
-                ApproachResult {
-                    label: format!("{}/{}", strategy, budget),
-                    fom: outcome.node.fom,
-                    mcdram_hwm: outcome.node.mcdram_hwm,
-                    charged_mcdram_mib: mib,
-                    dfom_per_mbyte: delta_fom_per_mbyte(outcome.node.fom, ddr_fom, mib),
-                    is_framework: true,
-                }
-            }
-            GridJob::Online(budget) => {
-                let run = Simulation::new().run(&scenario(PlacementApproach::Online, budget))?;
-                let mib = budget.mib();
-                ApproachResult {
-                    label: format!("{}/{}", ApproachKind::Online, budget),
-                    fom: run.node.fom,
-                    mcdram_hwm: run.node.mcdram_hwm,
-                    charged_mcdram_mib: mib,
-                    dfom_per_mbyte: delta_fom_per_mbyte(run.node.fom, ddr_fom, mib),
-                    is_framework: false,
-                }
-            }
-            GridJob::Numactl => {
-                let run =
-                    Simulation::new().run(&scenario(PlacementApproach::NumactlPreferred, share))?;
-                ApproachResult {
-                    label: ApproachKind::Numactl.to_string(),
-                    fom: run.node.fom,
-                    mcdram_hwm: run.node.mcdram_hwm,
-                    charged_mcdram_mib: full_mcdram_mib,
-                    dfom_per_mbyte: delta_fom_per_mbyte(run.node.fom, ddr_fom, full_mcdram_mib),
-                    is_framework: false,
-                }
-            }
-            GridJob::Autohbw => {
-                let run =
-                    Simulation::new().run(&scenario(PlacementApproach::autohbw_1m(), share))?;
-                ApproachResult {
-                    label: format!("{}/1m", ApproachKind::AutoHbw),
-                    fom: run.node.fom,
-                    mcdram_hwm: run.node.mcdram_hwm,
-                    charged_mcdram_mib: 0.0,
-                    dfom_per_mbyte: 0.0,
-                    is_framework: false,
-                }
-            }
-            GridJob::Cache => {
-                let run = Simulation::new()
-                    .run(&scenario(PlacementApproach::CacheMode, ByteSize::ZERO))?;
-                ApproachResult {
-                    label: ApproachKind::Cache.to_string(),
-                    fom: run.node.fom,
-                    mcdram_hwm: ByteSize::ZERO,
-                    charged_mcdram_mib: full_mcdram_mib,
-                    dfom_per_mbyte: delta_fom_per_mbyte(run.node.fom, ddr_fom, full_mcdram_mib),
-                    is_framework: false,
-                }
-            }
-        })
+    let outcomes = parallel_map(jobs, |(approach, budget, label, mib, is_framework)| {
+        // Cache mode allocates nothing in MCDRAM: it is a hardware cache.
+        let cache = approach == PlacementApproach::CacheMode;
+        let node = Simulation::new().run(&scenario(approach, budget))?.node;
+        let hwm = if cache {
+            ByteSize::ZERO
+        } else {
+            node.mcdram_hwm
+        };
+        Ok(ApproachResult::row(
+            label,
+            node.fom,
+            hwm,
+            mib,
+            is_framework,
+            ddr_fom,
+        ))
     });
 
-    let mut results = Vec::new();
-    for r in outcomes {
-        results.push(r?);
-    }
-    results.push(ApproachResult {
-        label: ApproachKind::Ddr.to_string(),
-        fom: ddr_fom,
-        mcdram_hwm: ByteSize::ZERO,
-        charged_mcdram_mib: 0.0,
-        dfom_per_mbyte: 0.0,
-        is_framework: false,
-    });
+    let mut results = outcomes.into_iter().collect::<HmResult<Vec<_>>>()?;
+    results.push(ApproachResult::row(
+        ApproachKind::Ddr.to_string(),
+        ddr_fom,
+        ByteSize::ZERO,
+        0.0,
+        false,
+        ddr_fom,
+    ));
 
     Ok(AppExperiment {
         app: spec.name.to_string(),

@@ -389,16 +389,29 @@ impl Scenario {
             }
         }
 
-        // Workload-specific checks.
+        // Workload-specific checks; the trace-driven workloads share three.
+        if !matches!(self.workload, WorkloadSelector::App { .. }) {
+            if self.memory_mode != MemoryMode::Flat {
+                return fail("trace-driven workloads run on flat-mode machines".to_string());
+            }
+            if self.profiling.is_some() {
+                return fail(
+                    "the Extrae-style profiler attaches to analytic workloads only".to_string(),
+                );
+            }
+            if self.iterations.is_some() {
+                return fail(
+                    "trace workload length is part of the workload; iterations does not apply"
+                        .to_string(),
+                );
+            }
+        }
         match &self.workload {
             WorkloadSelector::App { name } => {
                 hmsim_apps::app_by_name(name)?;
             }
             WorkloadSelector::Phased { name, array_size } => {
                 lookup_phased(name, *array_size)?;
-                if self.memory_mode != MemoryMode::Flat {
-                    return fail("trace-driven workloads run on flat-mode machines".to_string());
-                }
                 if !matches!(
                     self.approach,
                     PlacementApproach::Online | PlacementApproach::DdrOnly
@@ -409,40 +422,13 @@ impl Scenario {
                         self.approach
                     ));
                 }
-                if self.profiling.is_some() {
-                    return fail(
-                        "the Extrae-style profiler attaches to analytic workloads only".to_string(),
-                    );
-                }
-                if self.iterations.is_some() {
-                    return fail(
-                        "trace workload length is part of the workload; iterations does \
-                         not apply"
-                            .to_string(),
-                    );
-                }
             }
             WorkloadSelector::MultiRank(sel) => {
-                if self.memory_mode != MemoryMode::Flat {
-                    return fail("trace-driven workloads run on flat-mode machines".to_string());
-                }
                 if !online_approach {
                     return fail(format!(
                         "multi-rank workloads run under the Online approach, not {}",
                         self.approach
                     ));
-                }
-                if self.profiling.is_some() {
-                    return fail(
-                        "the Extrae-style profiler attaches to analytic workloads only".to_string(),
-                    );
-                }
-                if self.iterations.is_some() {
-                    return fail(
-                        "trace workload length is part of the workload; iterations does \
-                         not apply"
-                            .to_string(),
-                    );
                 }
                 match sel {
                     MultiRankSelector::Replicated {

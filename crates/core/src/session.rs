@@ -20,7 +20,7 @@ use hmsim_apps::MultiRankWorkload;
 use hmsim_common::{ByteSize, HmError, HmResult, Nanos};
 use hmsim_machine::{EngineStats, MachineConfig, MemoryMode, TraceEngine};
 use hmsim_runtime::harness::provision;
-use hmsim_runtime::{run_multirank, MultiRankConfig, OnlineRuntime};
+use hmsim_runtime::{run_multirank, MultiRankConfig, OnlineRuntime, RuntimeStats};
 
 /// Node-level aggregates of one scenario run. For single-process scenarios
 /// these mirror the one rank; for multi-rank runs they fold the shard
@@ -191,16 +191,12 @@ impl Simulation {
                 let mut p = provision(&workload, &machine, scenario.mcdram_budget)?;
                 let mut rt = OnlineRuntime::new(&machine, scenario.mcdram_budget, cfg);
                 rt.run(workload.stream(&p.ranges), &mut p.heap);
-                let stats = rt.stats();
                 trace_result(
                     ApproachKind::Online,
                     rt.total_time(),
                     rt.engine_stats(),
                     accesses,
-                    stats.migrations,
-                    stats.migration_time,
-                    stats.rejected_moves,
-                    stats.fast_residency_peak,
+                    rt.stats(),
                 )
             }
             PlacementApproach::DdrOnly => {
@@ -212,10 +208,7 @@ impl Simulation {
                     engine.stats().time,
                     engine.stats(),
                     accesses,
-                    0,
-                    Nanos::ZERO,
-                    0,
-                    ByteSize::ZERO,
+                    &RuntimeStats::default(),
                 )
             }
             other => {
@@ -266,10 +259,7 @@ impl Simulation {
                     r.time,
                     &r.engine,
                     workload.rank(r.rank).total_accesses(),
-                    r.stats.migrations,
-                    r.stats.migration_time,
-                    r.stats.rejected_moves,
-                    r.stats.fast_residency_peak,
+                    &r.stats,
                 )
             })
             .collect();
@@ -302,30 +292,27 @@ impl Simulation {
 
 /// Map a trace-engine run into the unified [`RunResult`] shape. Trace
 /// workloads have no application FOM, so throughput (accesses per second)
-/// stands in; kernel breakdown and profiling fields stay empty.
-#[allow(clippy::too_many_arguments)]
+/// stands in; kernel breakdown and profiling fields stay empty. Migration
+/// figures come from `stats` (all zero for the DDR reference).
 fn trace_result(
     approach: ApproachKind,
     time: Nanos,
     engine: &EngineStats,
     accesses: u64,
-    migrations: u64,
-    migration_time: Nanos,
-    migrations_rejected: u64,
-    fast_residency: ByteSize,
+    stats: &RuntimeStats,
 ) -> RunResult {
     RunResult {
         fom: accesses as f64 / time.secs().max(1e-12),
         total_time: time,
         loop_time: time,
-        mcdram_hwm: fast_residency,
+        mcdram_hwm: stats.fast_residency_peak,
         counters: engine.counters,
         kernel_times: Vec::new(),
         monitoring_overhead: 0.0,
         allocator_time: Nanos::ZERO,
-        migration_time,
-        migrations,
-        migrations_rejected,
+        migration_time: stats.migration_time,
+        migrations: stats.migrations,
+        migrations_rejected: stats.rejected_moves,
         trace: None,
         approach,
     }

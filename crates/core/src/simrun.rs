@@ -9,10 +9,10 @@
 //! as well as for every baseline.
 
 use auto_hbwmalloc::{AllocationRouter, ApproachKind};
-use hmsim_apps::{AllocTiming, AppSpec};
-use hmsim_callstack::{AslrLayout, ProgramImage, Translator, Unwinder};
+use hmsim_apps::{AllocTiming, AppSpec, KernelSpec, ObjectSpec};
+use hmsim_callstack::{AslrLayout, ProgramImage, SiteKey, Translator, Unwinder};
 use hmsim_common::{Address, ByteSize, DetRng, HmResult, Nanos, ObjectId, TierId};
-use hmsim_heap::{ObjectKind, ProcessHeap};
+use hmsim_heap::{DataObject, ObjectKind, ProcessHeap};
 use hmsim_machine::{
     AnalyticEngine, MachineConfig, MemoryMode, ObjectTraffic, PerfCounters, PhaseProfile, Placement,
 };
@@ -22,7 +22,6 @@ use hmsim_runtime::{
     PlacementController,
 };
 use hmsim_trace::{TraceFile, TraceMetadata};
-use std::collections::HashMap;
 
 /// Configuration of one run.
 #[derive(Clone, Debug)]
@@ -150,10 +149,6 @@ pub struct AppRun<'a> {
     config: RunConfig,
 }
 
-struct LiveChurn {
-    object_ids: Vec<(ObjectId, Address)>,
-}
-
 impl<'a> AppRun<'a> {
     /// Create a runner.
     pub fn new(spec: &'a AppSpec, config: RunConfig) -> Self {
@@ -216,19 +211,151 @@ impl<'a> AppRun<'a> {
         requested.min(self.config.machine.cores * self.config.machine.threads_per_core)
     }
 
-    /// Execute the run with the given router.
-    pub fn execute(&self, mut router: AllocationRouter) -> HmResult<RunResult> {
-        let spec = self.spec;
-        let machine = &self.config.machine;
-        let engine = AnalyticEngine::new(machine);
+    /// Execute the run with the given router: initialise the process, run
+    /// every main-loop iteration (one online epoch each), then total up.
+    pub fn execute(&self, router: AllocationRouter) -> HmResult<RunResult> {
+        self.spec.validate()?;
+        let iterations = self
+            .config
+            .iterations_override
+            .unwrap_or(self.spec.iterations)
+            .max(1);
+        let mut run = Run::new(self.spec, &self.config, self.cores_used(), router)?;
+        run.init()?;
+        for _ in 0..iterations {
+            run.iteration()?;
+        }
+        Ok(run.finish(iterations))
+    }
+}
+
+/// The kernel of an application that declares none: the whole iteration,
+/// touching every object by its global miss share.
+const WHOLE_ITERATION: KernelSpec = KernelSpec {
+    name: "iteration",
+    instruction_share: 1.0,
+    miss_share: 1.0,
+    object_weights: &[],
+};
+
+/// One kernel of the iteration, resolved once per run.
+struct Kernel {
+    /// What the engine costs; `traffic` is refilled with the current object
+    /// ids every iteration, because churn objects get a new id each time.
+    phase: PhaseProfile,
+    /// Instructions one process retires in the kernel.
+    process_instructions: u64,
+    /// Per object touched: (spec index, node misses, process misses,
+    /// irregular fraction).
+    traffic: Vec<(usize, u64, u64, f64)>,
+    /// Time spent in the kernel over all iterations so far.
+    time: Nanos,
+}
+
+/// Distribute every kernel's instructions and misses over the node and its
+/// objects. Nothing here changes between iterations.
+fn kernel_table(spec: &AppSpec, cores_used: u32) -> Vec<Kernel> {
+    let ranks = u64::from(spec.ranks);
+    let kernels = match &spec.kernels[..] {
+        [] => std::slice::from_ref(&WHOLE_ITERATION),
+        kernels => kernels,
+    };
+    let index = |name| spec.objects.iter().position(|o| o.name == name);
+    let table = kernels.iter().map(|k| {
+        let node_misses = ((spec.misses_per_iteration * ranks) as f64 * k.miss_share) as u64;
+        // The profiler observes one monitored hardware thread's share of the
+        // misses (each thread has its own PEBS counter), which is what keeps
+        // Table I's sample counts in the tens of thousands rather than the
+        // millions.
+        let process_misses = (spec.misses_per_iteration as f64 * k.miss_share
+            / f64::from(spec.threads_per_rank.max(1))) as u64;
+        // `AppSpec::validate` guarantees every weighted name resolves.
+        let weights: Vec<(usize, f64)> = match k.object_weights {
+            [] => spec
+                .objects
+                .iter()
+                .map(|o| o.miss_share)
+                .enumerate()
+                .collect(),
+            named => named
+                .iter()
+                .filter_map(|&(n, w)| Some((index(n)?, w)))
+                .collect(),
+        };
+        let total: f64 = weights.iter().map(|(_, w)| w).sum();
+        let traffic = weights.into_iter().map(|(object, w)| {
+            let frac = w / total.max(1e-12);
+            let part = |misses: u64| (misses as f64 * frac) as u64;
+            let irregular = spec.objects[object].irregular;
+            (object, part(node_misses), part(process_misses), irregular)
+        });
+        let instructions = |per_iteration: u64| (per_iteration as f64 * k.instruction_share) as u64;
+        Kernel {
+            phase: PhaseProfile {
+                name: k.name.to_string(),
+                instructions: instructions(spec.instructions_per_iteration * ranks),
+                cores_used,
+                traffic: Vec::new(),
+            },
+            process_instructions: instructions(spec.instructions_per_iteration),
+            traffic: traffic.collect(),
+            time: Nanos::ZERO,
+        }
+    });
+    table.collect()
+}
+
+/// The online runtime of an analytic run, plus each spec object's node
+/// misses per epoch: the heat the controller consumes at every boundary.
+type Online = (
+    PlacementController,
+    MigrationCostModel,
+    NodeArbiter,
+    Vec<u64>,
+);
+
+/// Everything one run carries from initialisation to wrap-up.
+struct Run<'a> {
+    spec: &'a AppSpec,
+    engine: AnalyticEngine,
+    working_set: ByteSize,
+    router: AllocationRouter,
+    heap: ProcessHeap,
+    profiler: Option<Profiler>,
+    online: Option<Online>,
+    kernels: Vec<Kernel>,
+    /// Canonical (ASLR-independent) site key of each dynamic spec object.
+    sites: Vec<Option<SiteKey>>,
+    /// Current heap id of each spec object (`None` until first allocated).
+    ids: Vec<Option<ObjectId>>,
+    now: Nanos,
+    loop_time: Nanos,
+    allocator_time: Nanos,
+    counters: PerfCounters,
+    migration_time: Nanos,
+    migrations: u64,
+    migrations_rejected: u64,
+    mcdram_migrated_peak: ByteSize,
+}
+
+impl<'a> Run<'a> {
+    /// Build the simulated process: heap, profiler, online runtime, kernel
+    /// table and canonical allocation sites. Nothing is allocated yet.
+    fn new(
+        spec: &'a AppSpec,
+        config: &RunConfig,
+        cores_used: u32,
+        router: AllocationRouter,
+    ) -> HmResult<Self> {
+        let machine = &config.machine;
         let mut heap = ProcessHeap::new(machine)?;
-        if machine.memory_mode == MemoryMode::Flat && !self.config.mcdram_capacity.is_zero() {
-            heap.set_capacity_cap(TierId::MCDRAM, self.config.mcdram_capacity)?;
+        if machine.memory_mode == MemoryMode::Flat && !config.mcdram_capacity.is_zero() {
+            heap.set_capacity_cap(TierId::MCDRAM, config.mcdram_capacity)?;
         } else if machine.memory_mode != MemoryMode::Flat {
             heap.set_capacity_cap(TierId::MCDRAM, machine.flat_mcdram_capacity())?;
         }
 
-        let mut profiler = self.config.profile.clone().map(|cfg| {
+        let profiler = config.profile.clone().map(|cfg| {
             Profiler::new(
                 TraceMetadata {
                     application: spec.name.to_string(),
@@ -241,9 +368,7 @@ impl<'a> AppRun<'a> {
             )
         });
 
-        let mut now = Nanos::ZERO;
-        let mut allocator_time = Nanos::ZERO;
-
+        let kernels = kernel_table(spec, cores_used);
         // The online migration runtime: the controller re-plans placement
         // after every main-loop iteration (the analytic engine's natural
         // epoch), and every move is charged bytes × per-tier bandwidth. The
@@ -251,329 +376,243 @@ impl<'a> AppRun<'a> {
         // node's MCDRAM pool rather than taken as a fixed per-process
         // number; under the default static partition the arbiter hands back
         // exactly `mcdram_capacity` every epoch.
-        let mut online = (router.kind() == ApproachKind::Online).then(|| {
-            let cfg = self.config.online.clone().unwrap_or_default();
+        let online = (router.kind() == ApproachKind::Online).then(|| {
+            let cfg = config.online.clone().unwrap_or_default();
             let cost = MigrationCostModel::with_streams(machine, cfg.migration_streams);
             let ranks = spec.ranks.max(1);
-            let node_pool = self.config.mcdram_capacity * u64::from(ranks);
-            let arbiter = NodeArbiter::new(self.config.rank_policy, node_pool, ranks);
-            (PlacementController::new(cfg), cost, arbiter)
-        });
-        let mut migration_time = Nanos::ZERO;
-        let mut migrations = 0u64;
-        let mut migrations_rejected = 0u64;
-        let mut mcdram_migrated_peak = ByteSize::ZERO;
-
-        // Canonical (ASLR-independent) site keys for every dynamic object:
-        // derived through the same unwind/translate machinery the framework
-        // uses, so the profiling trace, the advisor report and the
-        // interposition library all speak the same site language.
-        let (site_unwinder, site_translator) = Self::callstack_machinery(spec, self.config.seed);
-        let canonical_sites: HashMap<&str, hmsim_callstack::SiteKey> = spec
-            .objects
-            .iter()
-            .filter(|o| o.kind == ObjectKind::Dynamic && !o.site.is_empty())
-            .filter_map(|o| {
-                let (raw, _) = site_unwinder.unwind(o.site).ok()?;
-                let (translated, _) = site_translator.translate(&raw);
-                Some((o.name, translated.site_key()))
-            })
-            .collect();
-
-        // ------------------------------------------------------------------
-        // Initialisation: static/stack definitions and init-time allocations
-        // in the order the application performs them.
-        // ------------------------------------------------------------------
-        let mut object_ids: HashMap<&str, ObjectId> = HashMap::new();
-        for o in &spec.objects {
-            match o.kind {
-                ObjectKind::Static => {
-                    let tier = router.static_tier(&heap, o.size);
-                    let (id, _) = heap.define_static(o.name, o.size, tier, now)?;
-                    object_ids.insert(o.name, id);
-                    if let Some(p) = profiler.as_mut() {
-                        if let Some(obj) = heap.registry().get(id) {
-                            p.record_alloc(obj, now);
-                        }
-                    }
-                }
-                ObjectKind::Stack => {
-                    let tier = router.stack_tier(&heap, o.size);
-                    let (id, _) = heap.define_stack(o.name, o.size, tier, now)?;
-                    object_ids.insert(o.name, id);
-                }
-                ObjectKind::Dynamic => {
-                    if matches!(o.timing, AllocTiming::Init) {
-                        let (id, _, cost) = router.malloc(
-                            &mut heap,
-                            o.size,
-                            o.name,
-                            o.site,
-                            canonical_sites.get(o.name),
-                            now,
-                        )?;
-                        allocator_time += cost;
-                        object_ids.insert(o.name, id);
-                        if let Some(p) = profiler.as_mut() {
-                            if let Some(obj) = heap.registry().get(id) {
-                                p.record_alloc(obj, now);
-                            }
-                        }
-                    }
-                }
+            let node_pool = config.mcdram_capacity * u64::from(ranks);
+            let arbiter = NodeArbiter::new(config.rank_policy, node_pool, ranks);
+            let mut heat = vec![0; spec.objects.len()];
+            for &(object, node, ..) in kernels.iter().flat_map(|k| &k.traffic) {
+                heat[object] += node;
             }
-        }
-        now += spec.init_time;
+            (PlacementController::new(cfg), cost, arbiter, heat)
+        });
 
-        // ------------------------------------------------------------------
-        // Main iteration loop.
-        // ------------------------------------------------------------------
-        let iterations = self
-            .config
-            .iterations_override
-            .unwrap_or(spec.iterations)
-            .max(1);
-        let ranks = u64::from(spec.ranks);
-        let cores = self.cores_used();
-        let node_instructions = spec.instructions_per_iteration * ranks;
-        let node_misses = spec.misses_per_iteration * ranks;
-        let working_set = ByteSize::from_bytes(spec.hot_working_set.bytes() * ranks);
-
-        let mut counters = PerfCounters::default();
-        let mut loop_time = Nanos::ZERO;
-        let mut kernel_time_acc: Vec<(String, Nanos)> = if spec.kernels.is_empty() {
-            vec![("iteration".to_string(), Nanos::ZERO)]
-        } else {
-            spec.kernels
-                .iter()
-                .map(|k| (k.name.to_string(), Nanos::ZERO))
-                .collect()
+        // Site keys derived through the same unwind/translate machinery the
+        // framework uses, so the profiling trace, the advisor report and the
+        // interposition library all speak the same site language.
+        let (unwinder, translator) = AppRun::callstack_machinery(spec, config.seed);
+        let site = |o: &ObjectSpec| {
+            if o.kind != ObjectKind::Dynamic || o.site.is_empty() {
+                return None;
+            }
+            let (raw, _) = unwinder.unwind(o.site).ok()?;
+            Some(translator.translate(&raw).0.site_key())
         };
 
-        for _iter in 0..iterations {
-            if let Some(p) = profiler.as_mut() {
-                p.phase_begin("iteration", now);
-            }
-            // Per-object LLC misses observed this iteration (the heat the
-            // online controller consumes at the epoch boundary).
-            let mut iter_heat: HashMap<ObjectId, u64> = HashMap::new();
+        Ok(Run {
+            spec,
+            engine: AnalyticEngine::new(machine),
+            working_set: ByteSize::from_bytes(spec.hot_working_set.bytes() * u64::from(spec.ranks)),
+            router,
+            heap,
+            profiler,
+            online,
+            kernels,
+            sites: spec.objects.iter().map(site).collect(),
+            ids: vec![None; spec.objects.len()],
+            now: Nanos::ZERO,
+            loop_time: Nanos::ZERO,
+            allocator_time: Nanos::ZERO,
+            counters: PerfCounters::default(),
+            migration_time: Nanos::ZERO,
+            migrations: 0,
+            migrations_rejected: 0,
+            mcdram_migrated_peak: ByteSize::ZERO,
+        })
+    }
 
-            // Per-iteration churn allocations.
-            let mut churn = LiveChurn {
-                object_ids: Vec::new(),
+    /// Initialisation: the static/stack definitions and init-time
+    /// allocations, in the order the application performs them.
+    fn init(&mut self) -> HmResult<()> {
+        let spec = self.spec;
+        for (object, o) in spec.objects.iter().enumerate() {
+            let id = match (o.kind, o.timing) {
+                (ObjectKind::Static, _) => {
+                    let tier = self.router.static_tier(&self.heap, o.size);
+                    let (id, _) = self.heap.define_static(o.name, o.size, tier, self.now)?;
+                    self.record_alloc(id);
+                    id
+                }
+                (ObjectKind::Stack, _) => {
+                    let tier = self.router.stack_tier(&self.heap, o.size);
+                    self.heap.define_stack(o.name, o.size, tier, self.now)?.0
+                }
+                (ObjectKind::Dynamic, AllocTiming::Init) => self.malloc(object, o.size)?.0,
+                (ObjectKind::Dynamic, AllocTiming::PerIteration { .. }) => continue,
             };
-            for o in &spec.objects {
-                if let AllocTiming::PerIteration {
-                    allocs_per_iteration,
-                } = o.timing
-                {
-                    for i in 0..allocs_per_iteration {
-                        let (id, range, cost) = router.malloc(
-                            &mut heap,
-                            if i == 0 { o.size } else { o.min_size },
-                            o.name,
-                            o.site,
-                            canonical_sites.get(o.name),
-                            now,
-                        )?;
-                        allocator_time += cost;
-                        churn.object_ids.push((id, range.start));
-                        if i == 0 {
-                            object_ids.insert(o.name, id);
-                        }
-                        if let Some(p) = profiler.as_mut() {
-                            if let Some(obj) = heap.registry().get(id) {
-                                p.record_alloc(obj, now);
-                            }
-                        }
-                    }
-                }
-            }
+            self.ids[object] = Some(id);
+        }
+        self.now += spec.init_time;
+        Ok(())
+    }
 
-            // Placement snapshot for this iteration.
-            let mut placement = Placement::all_in(TierId::DDR);
-            for (name, id) in &object_ids {
-                if let Some(obj) = heap.registry().get(*id) {
-                    let _ = name;
-                    placement.place(*id, obj.tier);
-                }
-            }
+    /// Allocate spec object `object` through the router and log it to the
+    /// profiler; the allocator's CPU time accrues to the run.
+    fn malloc(&mut self, object: usize, size: ByteSize) -> HmResult<(ObjectId, Address)> {
+        let o = &self.spec.objects[object];
+        let site = self.sites[object].as_ref();
+        let (id, range, cost) =
+            self.router
+                .malloc(&mut self.heap, size, o.name, o.site, site, self.now)?;
+        self.allocator_time += cost;
+        self.record_alloc(id);
+        Ok((id, range.start))
+    }
 
-            // Kernels: (name, instruction share, miss share, object weights).
-            type KernelRow<'s> = (String, f64, f64, Vec<(&'s str, f64)>);
-            let kernel_list: Vec<KernelRow<'_>> = if spec.kernels.is_empty() {
-                vec![("iteration".to_string(), 1.0, 1.0, Vec::new())]
-            } else {
-                spec.kernels
-                    .iter()
-                    .map(|k| {
-                        (
-                            k.name.to_string(),
-                            k.instruction_share,
-                            k.miss_share,
-                            k.object_weights.to_vec(),
-                        )
-                    })
-                    .collect()
+    /// Log a freshly defined or allocated object to the profiler, when one
+    /// is attached.
+    fn record_alloc(&mut self, id: ObjectId) {
+        if let (Some(p), Some(obj)) = (self.profiler.as_mut(), self.heap.registry().get(id)) {
+            p.record_alloc(obj, self.now);
+        }
+    }
+
+    /// One main-loop iteration: churn allocations, every kernel, churn frees
+    /// and, for online runs, the epoch boundary.
+    fn iteration(&mut self) -> HmResult<()> {
+        if let Some(p) = self.profiler.as_mut() {
+            p.phase_begin("iteration", self.now);
+        }
+        let mut churn = Vec::new();
+        for (object, o) in self.spec.objects.iter().enumerate() {
+            let AllocTiming::PerIteration {
+                allocs_per_iteration,
+            } = o.timing
+            else {
+                continue;
             };
-
-            for (ki, (kname, instr_share, miss_share, weights)) in kernel_list.iter().enumerate() {
-                // Distribute the kernel's misses over its objects.
-                let kernel_misses_node = (node_misses as f64 * miss_share) as u64;
-                // The profiler observes one monitored hardware thread's share
-                // of the misses (each thread has its own PEBS counter), which
-                // is what keeps Table I's sample counts in the tens of
-                // thousands rather than the millions.
-                let kernel_misses_process = (spec.misses_per_iteration as f64 * miss_share
-                    / f64::from(spec.threads_per_rank.max(1)))
-                    as u64;
-                let distribution: Vec<(&str, f64)> = if weights.is_empty() {
-                    let total: f64 = spec.objects.iter().map(|o| o.miss_share).sum();
-                    spec.objects
-                        .iter()
-                        .map(|o| (o.name, o.miss_share / total.max(1e-12)))
-                        .collect()
-                } else {
-                    let total: f64 = weights.iter().map(|(_, w)| w).sum();
-                    weights
-                        .iter()
-                        .map(|(n, w)| (*n, w / total.max(1e-12)))
-                        .collect()
-                };
-
-                let mut traffic = Vec::new();
-                let mut profiler_misses: Vec<(ObjectId, u64)> = Vec::new();
-                for (obj_name, frac) in &distribution {
-                    let Some(id) = object_ids.get(obj_name) else {
-                        continue;
-                    };
-                    let spec_obj = spec.objects.iter().find(|o| o.name == *obj_name);
-                    let irregular = spec_obj.map(|o| o.irregular).unwrap_or(0.0);
-                    let node = (kernel_misses_node as f64 * frac) as u64;
-                    let process = (kernel_misses_process as f64 * frac) as u64;
-                    traffic.push(ObjectTraffic::new(*id, node, irregular));
-                    if online.is_some() {
-                        *iter_heat.entry(*id).or_insert(0) += node;
-                    }
-                    profiler_misses.push((*id, process));
+            for i in 0..allocs_per_iteration {
+                let (id, addr) = self.malloc(object, if i == 0 { o.size } else { o.min_size })?;
+                churn.push((id, addr));
+                if i == 0 {
+                    self.ids[object] = Some(id);
                 }
-
-                let phase = PhaseProfile {
-                    name: kname.clone(),
-                    instructions: (node_instructions as f64 * instr_share) as u64,
-                    cores_used: cores,
-                    traffic,
-                };
-                let cost = engine.cost_phase(&phase, &placement, working_set);
-                counters.accumulate(&cost.counters);
-
-                if let Some(p) = profiler.as_mut() {
-                    p.phase_begin(kname.clone(), now);
-                    let refs: Vec<(&hmsim_heap::DataObject, u64)> = profiler_misses
-                        .iter()
-                        .filter_map(|(id, m)| heap.registry().get(*id).map(|o| (o, *m)))
-                        .collect();
-                    p.record_interval(
-                        now,
-                        cost.time,
-                        (spec.instructions_per_iteration as f64 * instr_share) as u64,
-                        &refs,
-                    );
-                    p.phase_end(kname.clone(), now + cost.time);
-                }
-
-                now += cost.time;
-                loop_time += cost.time;
-                let slot = ki.min(kernel_time_acc.len().saturating_sub(1));
-                kernel_time_acc[slot].1 += cost.time;
-            }
-
-            // Free the churn objects.
-            for (id, addr) in churn.object_ids {
-                if let Some(p) = profiler.as_mut() {
-                    p.record_free(id, addr, now);
-                }
-                let (_, cost) = router.free(&mut heap, addr, now)?;
-                allocator_time += cost;
-            }
-
-            // Online epoch boundary: fold this iteration's misses into the
-            // controller's heat, re-run the selection against the budget and
-            // execute the migration delta. The moved bytes are charged at
-            // per-tier bandwidth and serialise into the loop time, exactly
-            // like allocator overhead does.
-            if let Some((controller, cost_model, arbiter)) = online.as_mut() {
-                for (id, misses) in iter_heat.drain() {
-                    controller.record(id, misses as f64);
-                }
-                let live = ObjectPlacement::snapshot_live(&heap);
-                let epoch_budget = arbiter.analytic_budget(heap.tier_occupancy(TierId::MCDRAM));
-                let plan = controller.end_epoch(&live, TierId::MCDRAM, epoch_budget);
-                // The controller plans against the same occupancy the heap
-                // enforces, so rejects are a should-not-happen path — but
-                // they must stay observable.
-                let exec = execute_plan(&mut heap, &plan, TierId::MCDRAM, TierId::DDR, cost_model);
-                migrations += exec.moves();
-                migrations_rejected += exec.rejected;
-                now += exec.time;
-                loop_time += exec.time;
-                migration_time += exec.time;
-                mcdram_migrated_peak =
-                    mcdram_migrated_peak.max(heap.tier_occupancy(TierId::MCDRAM));
-            }
-
-            if let Some(p) = profiler.as_mut() {
-                p.phase_end("iteration", now);
             }
         }
 
-        // ------------------------------------------------------------------
-        // Wrap-up: totals, FOM, overheads.
-        // ------------------------------------------------------------------
+        self.run_kernels();
+
+        for (id, addr) in churn {
+            if let Some(p) = self.profiler.as_mut() {
+                p.record_free(id, addr, self.now);
+            }
+            let (_, cost) = self.router.free(&mut self.heap, addr, self.now)?;
+            self.allocator_time += cost;
+        }
+
+        self.epoch_boundary();
+        if let Some(p) = self.profiler.as_mut() {
+            p.phase_end("iteration", self.now);
+        }
+        Ok(())
+    }
+
+    /// Cost every kernel against this iteration's placement snapshot.
+    fn run_kernels(&mut self) {
+        let mut placement = Placement::all_in(TierId::DDR);
+        for &id in self.ids.iter().flatten() {
+            if let Some(obj) = self.heap.registry().get(id) {
+                placement.place(id, obj.tier);
+            }
+        }
+
+        let (ids, heap) = (&self.ids, &self.heap);
+        for k in &mut self.kernels {
+            k.phase.traffic.clear();
+            k.phase
+                .traffic
+                .extend(k.traffic.iter().filter_map(|&(o, node, _, irregular)| {
+                    Some(ObjectTraffic::new(ids[o]?, node, irregular))
+                }));
+            let cost = self
+                .engine
+                .cost_phase(&k.phase, &placement, self.working_set);
+            self.counters.accumulate(&cost.counters);
+
+            if let Some(p) = self.profiler.as_mut() {
+                p.phase_begin(k.phase.name.as_str(), self.now);
+                let refs: Vec<(&DataObject, u64)> = k
+                    .traffic
+                    .iter()
+                    .filter_map(|&(o, _, process, _)| {
+                        Some((heap.registry().get(ids[o]?)?, process))
+                    })
+                    .collect();
+                p.record_interval(self.now, cost.time, k.process_instructions, &refs);
+                p.phase_end(k.phase.name.as_str(), self.now + cost.time);
+            }
+
+            self.now += cost.time;
+            self.loop_time += cost.time;
+            k.time += cost.time;
+        }
+    }
+
+    /// Online epoch boundary: fold this iteration's misses into the
+    /// controller's heat, re-run the selection against the budget and
+    /// execute the migration delta. The moved bytes are charged at per-tier
+    /// bandwidth and serialise into the loop time, exactly like allocator
+    /// overhead does.
+    fn epoch_boundary(&mut self) {
+        let Some((controller, cost, arbiter, heat)) = self.online.as_mut() else {
+            return;
+        };
+        for (id, misses) in self.ids.iter().zip(heat.iter()) {
+            if let Some(id) = id {
+                controller.record(*id, *misses as f64);
+            }
+        }
+        let live = ObjectPlacement::snapshot_live(&self.heap);
+        let budget = arbiter.analytic_budget(self.heap.tier_occupancy(TierId::MCDRAM));
+        let plan = controller.end_epoch(&live, TierId::MCDRAM, budget);
+        // The controller plans against the same occupancy the heap enforces,
+        // so rejects are a should-not-happen path — but they must stay
+        // observable.
+        let exec = execute_plan(&mut self.heap, &plan, TierId::MCDRAM, TierId::DDR, cost);
+        self.migrations += exec.moves();
+        self.migrations_rejected += exec.rejected;
+        self.now += exec.time;
+        self.loop_time += exec.time;
+        self.migration_time += exec.time;
+        let occupancy = self.heap.tier_occupancy(TierId::MCDRAM);
+        self.mcdram_migrated_peak = self.mcdram_migrated_peak.max(occupancy);
+    }
+
+    /// Wrap-up: totals, FOM, overheads.
+    fn finish(self, iterations: u32) -> RunResult {
         // Allocator/interposition CPU time is serial per process.
-        let interposition = router.interposition_overhead();
-        let per_process_overhead = allocator_time + interposition;
-        loop_time += per_process_overhead;
-        now += per_process_overhead;
-
-        let monitoring_overhead = profiler
+        let allocator_time = self.allocator_time + self.router.interposition_overhead();
+        let loop_time = self.loop_time + allocator_time;
+        let monitoring_overhead = self
+            .profiler
             .as_ref()
-            .map(|p| p.overhead_fraction(loop_time))
-            .unwrap_or(0.0);
+            .map_or(0.0, |p| p.overhead_fraction(loop_time));
         let monitored_loop_time = loop_time * (1.0 + monitoring_overhead);
-        let total_time = spec.init_time + monitored_loop_time;
-
-        let fom = spec.fom_work_per_iteration * f64::from(iterations)
+        let fom = self.spec.fom_work_per_iteration * f64::from(iterations)
             / monitored_loop_time.secs().max(1e-12);
-
-        let kernel_times = kernel_time_acc
-            .into_iter()
-            .map(|(name, t)| (name, t / f64::from(iterations)))
-            .collect();
-
         // Online runs never allocate in MCDRAM, so their footprint shows up
         // as migrated residency rather than allocator HWM.
-        let mcdram_hwm = heap
-            .allocator(TierId::MCDRAM)
-            .map(|a| a.hwm())
-            .unwrap_or(ByteSize::ZERO)
-            .max(mcdram_migrated_peak);
-
-        Ok(RunResult {
+        let allocator_hwm = self.heap.allocator(TierId::MCDRAM).map(|a| a.hwm());
+        let per_iteration = |k: Kernel| (k.phase.name, k.time / f64::from(iterations));
+        RunResult {
             fom,
-            total_time,
+            total_time: self.spec.init_time + monitored_loop_time,
             loop_time: monitored_loop_time,
-            mcdram_hwm,
-            counters,
-            kernel_times,
+            mcdram_hwm: allocator_hwm
+                .unwrap_or(ByteSize::ZERO)
+                .max(self.mcdram_migrated_peak),
+            counters: self.counters,
+            kernel_times: self.kernels.into_iter().map(per_iteration).collect(),
             monitoring_overhead,
-            allocator_time: per_process_overhead,
-            migration_time,
-            migrations,
-            migrations_rejected,
-            trace: profiler.map(|p| p.finish()),
-            approach: router.kind(),
-        })
+            allocator_time,
+            migration_time: self.migration_time,
+            migrations: self.migrations,
+            migrations_rejected: self.migrations_rejected,
+            trace: self.profiler.map(|p| p.finish()),
+            approach: self.router.kind(),
+        }
     }
 }
 
@@ -715,6 +754,21 @@ mod tests {
             assert_eq!(run.migrations, reference.migrations, "{policy}");
             assert!(run.mcdram_hwm <= ByteSize::from_mib(256), "{policy}");
         }
+    }
+
+    #[test]
+    fn duplicate_object_names_are_rejected_before_running() {
+        // Kernels resolve their weights by name: a duplicate would pair one
+        // object's id with another's traffic shape.
+        let mut spec = app_by_name("SNAP").unwrap();
+        spec.objects[1].name = spec.objects[0].name;
+        let err = AppRun::new(
+            &spec,
+            RunConfig::flat(ByteSize::from_mib(256)).with_iterations(2),
+        )
+        .execute(PlacementApproach::DdrOnly.router().unwrap())
+        .unwrap_err();
+        assert!(matches!(err, hmsim_common::HmError::Config(_)), "{err}");
     }
 
     #[test]
