@@ -37,7 +37,6 @@ pub mod knapsack;
 pub mod memspec;
 pub mod report;
 pub mod strategy;
-pub mod whatif;
 
 pub use advisor::Advisor;
 pub use greedy::Candidate;

@@ -298,8 +298,9 @@ fn write_baseline(accesses: usize, results: &[Measured]) {
             m.name, m.naive_aps, m.optimized_aps, m.speedup()
         ));
     }
+    // Both engines are driven on the calling thread only.
     let json = format!(
-        "{{\n  \"bench\": \"engine_throughput\",\n  \"machine\": \"tiny_test, 8 MiB working set, 50% MCDRAM\",\n  \"accesses\": {accesses},\n  \"headline_speedup\": {:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"engine_throughput\",\n  \"machine\": \"tiny_test, 8 MiB working set, 50% MCDRAM\",\n  \"threads\": 1,\n  \"accesses\": {accesses},\n  \"headline_speedup\": {:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n",
         results[0].speedup()
     );
     match std::fs::write(path, &json) {

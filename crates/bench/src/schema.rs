@@ -22,7 +22,7 @@ pub const EXPECTED: &[(&str, &str, &[&str])] = &[
     (
         "BENCH_engine.json",
         "engine_throughput",
-        &["headline_speedup", "workloads"],
+        &["threads", "headline_speedup", "workloads"],
     ),
     (
         "BENCH_trace.json",

@@ -276,6 +276,12 @@ impl AddressRange {
 
     /// Iterator over all pages touched by this range.
     pub fn pages(&self) -> impl Iterator<Item = Page> {
+        self.page_span().map(Page)
+    }
+
+    /// The half-open span of page numbers touched by this range. A
+    /// zero-length range still touches the page holding `start`.
+    pub fn page_span(&self) -> Range<u64> {
         let first = self.start.page().0;
         let last = if self.len.is_zero() {
             first
@@ -287,7 +293,7 @@ impl AddressRange {
                 .saturating_sub(1)
                 .max(first)
         };
-        (first..=last).map(Page)
+        first..last + 1
     }
 
     /// The underlying `Range<u64>` of raw addresses.

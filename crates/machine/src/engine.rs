@@ -14,8 +14,9 @@
 //! array-indexed:
 //!
 //! * page→tier translation goes through a one-entry last-translation cache (a
-//!   TLB analogue, validated against [`PageTable::translation_key`]) before
-//!   falling back to the page table's two-level index;
+//!   TLB analogue, validated against [`PageTable::translation_key`]) holding
+//!   the whole page extent around the last miss, before falling back to the
+//!   page table's binary search;
 //! * per-tier traffic lives in a fixed [`TierTraffic`] array indexed by
 //!   [`TierId`], not a `HashMap`;
 //! * the tier/bandwidth lookup for miss latencies is precomputed at engine
@@ -30,7 +31,7 @@ use crate::counters::PerfCounters;
 use crate::mcdram_cache::McdramCacheModel;
 use crate::page_table::PageTable;
 use crate::tier::MAX_TIERS;
-use hmsim_common::{Address, Nanos, TierId};
+use hmsim_common::{Address, Nanos, Page, TierId};
 
 /// Where an access was ultimately served from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -145,9 +146,9 @@ pub struct TraceEngine {
     /// arithmetic); default 2.
     pub instructions_per_access: u64,
     /// One-entry last-translation cache: (page table identity key, page
-    /// number, tier). Invalidated whenever the page table mutates or a
-    /// different table is passed in.
-    tlb: Option<((u64, u64), u64, TierId)>,
+    /// extent `[lo, hi)`, tier). Invalidated whenever the page table mutates
+    /// or a different table is passed in.
+    tlb: Option<((u64, u64), u64, u64, TierId)>,
     /// L1-hit charge, precomputed.
     l1_charge: Charge,
     /// LLC-hit charge, precomputed.
@@ -261,18 +262,26 @@ impl TraceEngine {
     }
 
     /// Translate `addr` through the one-entry TLB, falling back to the page
-    /// table's two-level index.
+    /// table's extent lookup.
     #[inline]
     fn translate(&mut self, addr: Address, page_table: &PageTable) -> TierId {
         let page = addr.page();
         let key = page_table.translation_key();
-        if let Some((k, p, tier)) = self.tlb {
-            if k == key && p == page.0 {
+        if let Some((k, lo, hi, tier)) = self.tlb {
+            if k == key && (lo..hi).contains(&page.0) {
                 return tier;
             }
         }
-        let tier = page_table.tier_of_page(page);
-        self.tlb = Some((key, page.0, tier));
+        self.refill_tlb(page, page_table)
+    }
+
+    /// TLB miss: cache the extent around `page`. Kept out of line so the
+    /// hit path stays small inside the per-access loops.
+    #[cold]
+    #[inline(never)]
+    fn refill_tlb(&mut self, page: Page, page_table: &PageTable) -> TierId {
+        let (lo, hi, tier) = page_table.extent_of_page(page);
+        self.tlb = Some((page_table.translation_key(), lo, hi, tier));
         tier
     }
 
@@ -447,7 +456,7 @@ impl TraceEngine {
 mod tests {
     use super::*;
     use crate::access::{sequential_sweep, AccessKind};
-    use hmsim_common::{AddressRange, ByteSize, Page};
+    use hmsim_common::{AddressRange, ByteSize, PAGE_SIZE};
 
     fn flat_engine() -> (TraceEngine, PageTable) {
         let cfg = MachineConfig::tiny_test();
@@ -559,8 +568,30 @@ mod tests {
         // Mutate the placement: the cached translation must be dropped.
         pt.unmap_range(range);
         assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::DDR));
-        pt.map_page(probe.page(), TierId::MCDRAM);
+        pt.map_range(AddressRange::new(probe, ByteSize::ZERO), TierId::MCDRAM);
         assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::MCDRAM));
+
+        // Back-to-back cold misses with no mutation in between: the cached
+        // extent's bounds alone must notice each step out of it, from an
+        // extent into the gap above it, on into the next extent, and back
+        // below the first one.
+        let (mut e, mut pt) = flat_engine();
+        let pages = |first: u64, n: u64| {
+            AddressRange::new(Page(first).base(), ByteSize::from_bytes(n * PAGE_SIZE))
+        };
+        pt.map_range(pages(0x2000, 2), TierId::MCDRAM);
+        pt.map_range(pages(0x2003, 1), TierId::MCDRAM);
+        for (addr, tier) in [
+            (Page(0x2000).base(), TierId::MCDRAM),
+            (Page(0x2001).base().offset(PAGE_SIZE - 64), TierId::MCDRAM),
+            (Page(0x2002).base(), TierId::DDR),
+            (Page(0x2002).base().offset(PAGE_SIZE - 64), TierId::DDR),
+            (Page(0x2003).base(), TierId::MCDRAM),
+            (Page(0x1fff).base(), TierId::DDR),
+        ] {
+            let level = e.access(&MemoryAccess::load(addr, 8), &pt);
+            assert_eq!(level, ServiceLevel::Memory(tier), "access at {addr:?}");
+        }
     }
 
     #[test]
@@ -590,7 +621,7 @@ mod tests {
         let (mut e, mut pt) = flat_engine();
         // Map a page to a tier id the tiny machine does not have.
         let page = Page(0x5000);
-        pt.map_page(page, TierId(3));
+        pt.map_range(AddressRange::new(page.base(), ByteSize::ZERO), TierId(3));
         let acc = MemoryAccess::load(page.base(), 8);
         // Force an LLC miss by touching it cold.
         let level = e.access(&acc, &pt);

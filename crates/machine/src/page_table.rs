@@ -7,67 +7,49 @@
 //!
 //! # Representation
 //!
-//! Translation sits on the trace engine's LLC-miss path, so the naive
-//! `HashMap<Page, TierId>` (one SipHash per miss) was replaced by a two-level
-//! page index: the page number splits into a *chunk* (high bits) and a *slot*
-//! (low `CHUNK_BITS` bits). Chunks are dense `[u8; CHUNK_PAGES]` arrays —
-//! one byte per page, `0` meaning "fall back to the default tier" — reached
-//! through a chunk directory keyed by a multiply-shift hash (a few cycles,
-//! not SipHash). A lookup is therefore one cheap hash plus one array index;
-//! the engine layers a one-entry translation cache (a TLB analogue, keyed by
-//! [`PageTable::translation_key`]) on top so consecutive misses to the same
-//! page skip even that.
+//! Placement is decided per object, so the table stores *extents*: a `Vec`
+//! of disjoint page-number ranges `[lo, hi)` sorted by `lo`, each tagged with
+//! its tier; other pages belong to the default tier. Mapping or unmapping a
+//! range clips or splits the extents it overlaps, merges the result with
+//! same-tier neighbours and splices the vector once: a binary search and one
+//! splice per object, not one write per 4 KiB page. Remapping exactly one
+//! extent (object migration) retiers it in place. Per-tier footprint and the
+//! mapped-page count move by whole extent overlaps.
+//!
+//! A lookup is a binary search. The trace engine's one-entry translation
+//! cache (a TLB analogue, keyed by [`PageTable::translation_key`]) holds the
+//! whole extent or gap [`PageTable::extent_of_page`] returns, so a sweep
+//! translates once per same-tier run of objects, not once per page.
 
 use hmsim_common::{AddressRange, ByteSize, Page, TierId, PAGE_SIZE};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// log2 of the number of pages per chunk.
-const CHUNK_BITS: u32 = 12;
-/// Pages per chunk (4096 pages = 16 MiB of address space, 4 KiB per chunk).
-const CHUNK_PAGES: usize = 1 << CHUNK_BITS;
-/// Mask extracting the in-chunk slot from a page number.
-const SLOT_MASK: u64 = (CHUNK_PAGES as u64) - 1;
 
 /// Monotonic source of per-instance identifiers, so engine-side translation
 /// caches can tell two page tables (or a table and its clone) apart.
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Trivial multiply-shift hasher for the chunk directory: chunk ids are
-/// already well-distributed page-number prefixes, so a full SipHash per
-/// translation would be pure overhead.
-#[derive(Default)]
-pub struct ChunkIdHasher(u64);
-
-impl Hasher for ChunkIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; fold bytes defensively anyway.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E3779B97F4A7C15);
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i.wrapping_mul(0x9E3779B97F4A7C15);
-        self.0 ^= self.0 >> 29;
-    }
+/// Pages `[lo, hi)` explicitly mapped to `tier`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Extent {
+    lo: u64,
+    hi: u64,
+    tier: TierId,
 }
 
-type ChunkMap = HashMap<u64, Box<[u8; CHUNK_PAGES]>, BuildHasherDefault<ChunkIdHasher>>;
+/// The extent `[lo, hi)` in `tier`, unless it is empty.
+fn extent(lo: u64, hi: u64, tier: TierId) -> Option<Extent> {
+    (lo < hi).then_some(Extent { lo, hi, tier })
+}
 
 /// Maps pages to tiers, with a default tier for unmapped pages.
 #[derive(Debug)]
 pub struct PageTable {
     default_tier: TierId,
-    chunks: ChunkMap,
+    /// Disjoint and sorted by `lo`.
+    extents: Vec<Extent>,
     /// Bytes mapped per tier (page-granular accounting), indexed by tier id.
     footprint: Vec<u64>,
-    mapped_pages: usize,
     /// Unique instance id (fresh per construction and per clone).
     table_id: u64,
     /// Bumped on every mutation; see [`translation_key`](Self::translation_key).
@@ -78,9 +60,8 @@ impl Clone for PageTable {
     fn clone(&self) -> Self {
         PageTable {
             default_tier: self.default_tier,
-            chunks: self.chunks.clone(),
+            extents: self.extents.clone(),
             footprint: self.footprint.clone(),
-            mapped_pages: self.mapped_pages,
             // A clone can diverge from the original, so it gets its own
             // identity: cached translations for the original must not apply.
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
@@ -95,9 +76,8 @@ impl PageTable {
     pub fn new(default_tier: TierId) -> Self {
         PageTable {
             default_tier,
-            chunks: ChunkMap::default(),
+            extents: Vec::new(),
             footprint: Vec::new(),
-            mapped_pages: 0,
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             epoch: 0,
         }
@@ -114,13 +94,6 @@ impl PageTable {
         (self.table_id, self.epoch)
     }
 
-    /// Encode a tier into a chunk slot (0 is reserved for "unmapped").
-    fn encode(tier: TierId) -> u8 {
-        let idx = tier.index();
-        assert!(idx < 255, "tier index {idx} exceeds page-index encoding");
-        (idx + 1) as u8
-    }
-
     fn footprint_slot(&mut self, tier: TierId) -> &mut u64 {
         let idx = tier.index();
         if idx >= self.footprint.len() {
@@ -129,73 +102,96 @@ impl PageTable {
         &mut self.footprint[idx]
     }
 
-    /// Map every page covered by `range` to `tier`.
+    /// Map every page covered by `range` (the pages [`AddressRange::pages`]
+    /// yields) to `tier`; a page shared with another object goes to the last
+    /// writer.
     pub fn map_range(&mut self, range: AddressRange, tier: TierId) {
-        for page in range.pages() {
-            self.map_page(page, tier);
-        }
-    }
-
-    /// Map one page to a tier (re-mapping moves the footprint accounting).
-    pub fn map_page(&mut self, page: Page, tier: TierId) {
         self.epoch += 1;
-        let chunk = self
-            .chunks
-            .entry(page.0 >> CHUNK_BITS)
-            .or_insert_with(|| Box::new([0u8; CHUNK_PAGES]));
-        let slot = &mut chunk[(page.0 & SLOT_MASK) as usize];
-        let prev = *slot;
-        *slot = Self::encode(tier);
-        if prev == 0 {
-            // First explicit mapping of this page: it starts counting against
-            // its tier's footprint (even when that tier is the default one).
-            // Intentional fix over the seed accounting, which also
-            // saturating-subtracted a page from the *default* tier here —
-            // eroding any explicit default-tier footprint that page never
-            // contributed to.
-            self.mapped_pages += 1;
-            *self.footprint_slot(tier) += PAGE_SIZE;
-        } else {
-            let prev_tier = TierId(u32::from(prev) - 1);
-            if prev_tier != tier {
-                *self.footprint_slot(prev_tier) =
-                    self.footprint_slot(prev_tier).saturating_sub(PAGE_SIZE);
-                *self.footprint_slot(tier) += PAGE_SIZE;
+        let pages = range.page_span();
+        let hit = self.overlapping(&pages);
+        match &mut self.extents[hit.clone()] {
+            // Exact remap (object migration): retier in place.
+            [e] if e.lo == pages.start && e.hi == pages.end => {
+                let old = std::mem::replace(&mut e.tier, tier);
+                *self.footprint_slot(old) -= (pages.end - pages.start) * PAGE_SIZE;
+                *self.footprint_slot(tier) += (pages.end - pages.start) * PAGE_SIZE;
             }
+            _ => self.replace(hit, &pages, Some(tier)),
         }
     }
 
     /// Remove the explicit mapping of every page in `range` (they fall back
-    /// to the default tier).
+    /// to the default tier). Pages shared with another object are cleared
+    /// too.
     pub fn unmap_range(&mut self, range: AddressRange) {
         self.epoch += 1;
-        for page in range.pages() {
-            let Some(chunk) = self.chunks.get_mut(&(page.0 >> CHUNK_BITS)) else {
-                continue;
-            };
-            let slot = &mut chunk[(page.0 & SLOT_MASK) as usize];
-            if *slot != 0 {
-                let tier = TierId(u32::from(*slot) - 1);
-                *slot = 0;
-                self.mapped_pages -= 1;
-                *self.footprint_slot(tier) = self.footprint_slot(tier).saturating_sub(PAGE_SIZE);
+        let pages = range.page_span();
+        self.replace(self.overlapping(&pages), &pages, None);
+    }
+
+    /// Indices of the extents intersecting `pages`.
+    fn overlapping(&self, pages: &Range<u64>) -> Range<usize> {
+        let start = self.extents.partition_point(|e| e.hi <= pages.start);
+        let len = self.extents[start..].partition_point(|e| e.lo < pages.end);
+        start..start + len
+    }
+
+    /// Cut `pages` out of the extents at `hit`, keeping what lies outside
+    /// it, and map the hole to `tier` (or leave it unmapped). Touching
+    /// extents of one tier around the hole merge, so a run of same-tier
+    /// objects translates as one extent.
+    fn replace(&mut self, hit: Range<usize>, pages: &Range<u64>, tier: Option<TierId>) {
+        for i in hit.clone() {
+            let e = self.extents[i];
+            *self.footprint_slot(e.tier) -=
+                (e.hi.min(pages.end) - e.lo.max(pages.start)) * PAGE_SIZE;
+        }
+        if let Some(tier) = tier {
+            *self.footprint_slot(tier) += (pages.end - pages.start) * PAGE_SIZE;
+        }
+        let around = hit.start.saturating_sub(1)..(hit.end + 1).min(self.extents.len());
+        let old = &self.extents[hit.clone()];
+        let pieces = [
+            self.extents[around.start..hit.start].first().copied(),
+            old.first().and_then(|e| extent(e.lo, pages.start, e.tier)),
+            tier.and_then(|t| extent(pages.start, pages.end, t)),
+            old.last().and_then(|e| extent(pages.end, e.hi, e.tier)),
+            self.extents[hit.end..around.end].first().copied(),
+        ];
+        // A fixed buffer: this runs for every allocation and migration.
+        let (mut merged, mut n) = ([Extent::default(); 5], 0);
+        for e in pieces.into_iter().flatten() {
+            match merged[..n].last_mut() {
+                Some(m) if m.hi == e.lo && m.tier == e.tier => m.hi = e.hi,
+                _ => {
+                    merged[n] = e;
+                    n += 1;
+                }
             }
         }
+        self.extents.splice(around, merged[..n].iter().copied());
     }
 
     /// The tier a page currently lives in.
     #[inline]
     pub fn tier_of_page(&self, page: Page) -> TierId {
-        match self.chunks.get(&(page.0 >> CHUNK_BITS)) {
-            Some(chunk) => {
-                let slot = chunk[(page.0 & SLOT_MASK) as usize];
-                if slot == 0 {
-                    self.default_tier
-                } else {
-                    TierId(u32::from(slot) - 1)
-                }
-            }
-            None => self.default_tier,
+        self.extent_of_page(page).2
+    }
+
+    /// The run of pages around `page` that translate alike, as page numbers
+    /// `[lo, hi)` plus their tier: the mapped extent holding `page`, or else
+    /// the unmapped gap between its neighbouring extents (default tier).
+    #[inline]
+    pub fn extent_of_page(&self, page: Page) -> (u64, u64, TierId) {
+        let next = self.extents.partition_point(|e| e.lo <= page.0);
+        let prev = next.checked_sub(1).map(|i| self.extents[i]);
+        match prev {
+            Some(e) if e.hi > page.0 => (e.lo, e.hi, e.tier),
+            _ => (
+                prev.map_or(0, |e| e.hi),
+                self.extents.get(next).map_or(u64::MAX, |e| e.lo),
+                self.default_tier,
+            ),
         }
     }
 
@@ -213,7 +209,7 @@ impl PageTable {
 
     /// Number of explicitly mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.mapped_pages
+        (self.footprint.iter().sum::<u64>() / PAGE_SIZE) as usize
     }
 }
 
@@ -260,36 +256,83 @@ mod tests {
         assert_eq!(pt.mapped_pages(), 2);
     }
 
+    /// The `n` pages starting at page `lo`.
+    fn pages(lo: u64, n: u64) -> AddressRange {
+        AddressRange::new(Page(lo).base(), ByteSize::from_bytes(n * PAGE_SIZE))
+    }
+
     #[test]
     fn remapping_moves_footprint_between_tiers() {
         let mut pt = PageTable::new(TierId::DDR);
-        pt.map_page(Page(7), TierId::DDR);
-        pt.map_page(Page(7), TierId::MCDRAM);
+        pt.map_range(pages(7, 1), TierId::DDR);
+        pt.map_range(pages(7, 1), TierId::MCDRAM);
         assert_eq!(pt.mapped_bytes(TierId::MCDRAM).bytes(), PAGE_SIZE);
         assert_eq!(pt.mapped_bytes(TierId::DDR).bytes(), 0);
         // Re-mapping to the same tier is a no-op for accounting.
-        pt.map_page(Page(7), TierId::MCDRAM);
+        pt.map_range(pages(7, 1), TierId::MCDRAM);
         assert_eq!(pt.mapped_bytes(TierId::MCDRAM).bytes(), PAGE_SIZE);
     }
 
     #[test]
-    fn pages_straddling_chunk_boundaries_translate_correctly() {
+    fn mapping_inside_an_extent_splits_it() {
         let mut pt = PageTable::new(TierId::DDR);
-        // Map a range crossing the 4096-page chunk boundary.
-        let boundary_page = CHUNK_PAGES as u64;
-        pt.map_page(Page(boundary_page - 1), TierId::MCDRAM);
-        pt.map_page(Page(boundary_page), TierId(2));
-        assert_eq!(pt.tier_of_page(Page(boundary_page - 1)), TierId::MCDRAM);
-        assert_eq!(pt.tier_of_page(Page(boundary_page)), TierId(2));
-        assert_eq!(pt.tier_of_page(Page(boundary_page + 1)), TierId::DDR);
-        assert_eq!(pt.mapped_pages(), 2);
+        let range = AddressRange::new(Address(0), ByteSize::from_bytes(PAGE_SIZE * 8));
+        pt.map_range(range, TierId::MCDRAM);
+        pt.map_range(pages(3, 1), TierId(2));
+        assert_eq!(pt.extent_of_page(Page(2)), (0, 3, TierId::MCDRAM));
+        assert_eq!(pt.extent_of_page(Page(3)), (3, 4, TierId(2)));
+        assert_eq!(pt.extent_of_page(Page(4)), (4, 8, TierId::MCDRAM));
+        assert_eq!(pt.mapped_bytes(TierId::MCDRAM).bytes(), PAGE_SIZE * 7);
+        assert_eq!(pt.mapped_bytes(TierId(2)).bytes(), PAGE_SIZE);
+        assert_eq!(pt.mapped_pages(), 8);
+        // Unmapping across the split clears all three pieces it touches.
+        pt.unmap_range(AddressRange::new(
+            Address(PAGE_SIZE * 2),
+            ByteSize::from_bytes(PAGE_SIZE * 3),
+        ));
+        assert_eq!(pt.extent_of_page(Page(1)), (0, 2, TierId::MCDRAM));
+        assert_eq!(pt.extent_of_page(Page(3)), (2, 5, TierId::DDR));
+        assert_eq!(pt.extent_of_page(Page(5)), (5, 8, TierId::MCDRAM));
+        assert_eq!(pt.extent_of_page(Page(9)), (8, u64::MAX, TierId::DDR));
+        assert_eq!(pt.mapped_bytes(TierId(2)).bytes(), 0);
+        assert_eq!(pt.mapped_pages(), 5);
+    }
+
+    #[test]
+    fn adjacent_same_tier_ranges_merge_into_one_extent() {
+        let mut pt = PageTable::new(TierId::DDR);
+        pt.map_range(pages(0, 2), TierId::DDR);
+        pt.map_range(pages(4, 2), TierId::DDR);
+        pt.map_range(pages(2, 2), TierId::DDR);
+        assert_eq!(pt.extent_of_page(Page(3)), (0, 6, TierId::DDR));
+        pt.map_range(pages(2, 2), TierId::MCDRAM);
+        assert_eq!(pt.extent_of_page(Page(1)), (0, 2, TierId::DDR));
+        assert_eq!(pt.extent_of_page(Page(3)), (2, 4, TierId::MCDRAM));
+        assert_eq!(pt.extent_of_page(Page(5)), (4, 6, TierId::DDR));
+        assert_eq!(pt.mapped_bytes(TierId::DDR).bytes(), PAGE_SIZE * 4);
+        assert_eq!(pt.mapped_pages(), 6);
+    }
+
+    #[test]
+    fn sub_page_objects_share_their_page_with_the_last_writer() {
+        let mut pt = PageTable::new(TierId::DDR);
+        let a = AddressRange::new(Address(0), ByteSize::from_bytes(100));
+        let b = AddressRange::new(Address(100), ByteSize::from_bytes(0));
+        pt.map_range(a, TierId::MCDRAM);
+        pt.map_range(b, TierId(2));
+        assert_eq!(pt.tier_of_page(Page(0)), TierId(2));
+        assert_eq!(pt.mapped_pages(), 1);
+        assert_eq!(pt.mapped_bytes(TierId::MCDRAM).bytes(), 0);
+        pt.unmap_range(a);
+        assert_eq!(pt.tier_of_page(Page(0)), TierId::DDR);
+        assert_eq!(pt.mapped_pages(), 0);
     }
 
     #[test]
     fn translation_key_changes_on_mutation_and_differs_per_clone() {
         let mut pt = PageTable::new(TierId::DDR);
         let k0 = pt.translation_key();
-        pt.map_page(Page(1), TierId::MCDRAM);
+        pt.map_range(pages(1, 1), TierId::MCDRAM);
         let k1 = pt.translation_key();
         assert_ne!(k0, k1);
 
@@ -302,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn unmap_of_untouched_chunks_is_a_noop() {
+    fn unmap_of_an_unmapped_range_is_a_noop() {
         let mut pt = PageTable::new(TierId::DDR);
         pt.unmap_range(AddressRange::new(Address(0), ByteSize::from_mib(64)));
         assert_eq!(pt.mapped_pages(), 0);

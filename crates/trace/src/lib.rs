@@ -32,7 +32,6 @@
 
 pub mod binary;
 pub mod event;
-pub mod filter;
 pub mod format;
 pub mod merge;
 pub mod summary;
@@ -40,7 +39,6 @@ pub mod trace_file;
 
 pub use binary::{read_binary, write_binary, write_binary_to, BinaryWriter, TraceReader};
 pub use event::{AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent};
-pub use filter::EventFilter;
 pub use merge::{merge_traces, MergedStream, RankedEvent};
 pub use summary::TraceSummary;
 pub use trace_file::{TraceFile, TraceMetadata};

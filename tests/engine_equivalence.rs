@@ -1,21 +1,22 @@
 //! Equivalence regression tests for the trace-engine hot-path overhaul.
 //!
-//! The engine's translation path (two-level page index + one-entry TLB),
-//! counter storage (fixed per-tier arrays) and streaming driver (bulk counter
-//! accumulation) are all performance rewrites of straightforward code. These
-//! tests pin the invariant that made those rewrites safe: the *simulation
-//! results are identical* — same [`PerfCounters`], same per-tier traffic,
-//! same [`ServiceLevel`] sequence — across the scalar path, the streaming
-//! path, and a naive `HashMap`-based page-table mirror, for deterministic
-//! `DetRng`-seeded access streams, including the PEBS bulk-observation
-//! residual carry-over.
+//! The engine's translation path (sorted page extents + a one-entry TLB that
+//! caches a whole extent), counter storage (fixed per-tier arrays) and
+//! streaming driver (bulk counter accumulation) are all performance rewrites
+//! of straightforward code. These tests pin the invariant that made those
+//! rewrites safe: the *simulation results are identical* — same
+//! [`PerfCounters`], same per-tier traffic, same [`ServiceLevel`] sequence —
+//! across the scalar path, the streaming path, and a naive per-page
+//! `HashMap` page-table mirror, for deterministic `DetRng`-seeded access
+//! streams and random map/unmap/remap sequences, including the PEBS
+//! bulk-observation residual carry-over.
 
 use hmem_repro::machine::{
     AccessPattern, AccessStream, MachineConfig, MemoryAccess, MemoryMode, PageTable, PerfCounters,
     ServiceLevel, TraceEngine,
 };
 use hmem_repro::pebs::{PebsEvent, PebsSampler, ProcessorFamily};
-use hmsim_common::{Address, AddressRange, ByteSize, DetRng, Nanos, Page, TierId};
+use hmsim_common::{Address, AddressRange, ByteSize, DetRng, Nanos, Page, TierId, PAGE_SIZE};
 use std::collections::HashMap;
 
 /// A deterministic access stream covering every generator pattern: one
@@ -69,7 +70,7 @@ fn placements() -> (PageTable, HashMap<Page, TierId>) {
             mirror.insert(page, tier);
         }
     }
-    // Remap one stripe and unmap another: the page index must track both.
+    // Remap one stripe and unmap another: the page table must track both.
     let remap = AddressRange::new(base.offset(2 << 20), ByteSize::from_mib(1));
     pt.map_range(remap, TierId::DDR);
     for page in remap.pages() {
@@ -125,6 +126,87 @@ fn page_index_agrees_with_naive_hashmap_mirror() {
         );
     }
     assert_eq!(pt.mapped_pages(), mirror.len());
+}
+
+/// Random map, unmap and remap operations against a per-page `HashMap`
+/// mirror: sub-page, zero-length, overlapping and extent-splitting ranges,
+/// plus exact remaps and unmaps of recently mapped ranges. After every
+/// operation the table's translation, per-tier footprint and page count
+/// match the mirror, and every page inside each `[lo, hi)` that
+/// `extent_of_page` reports has the reported tier, since the engine's TLB
+/// trusts those bounds.
+#[test]
+fn extent_table_agrees_with_per_page_mirror_under_random_operations() {
+    const SPAN_PAGES: u64 = 64;
+    let tiers = [TierId::DDR, TierId::MCDRAM, TierId(2)];
+    let first = Page(0x1_0000);
+    // Every range ends below `first + 2 * SPAN_PAGES`; check a margin around.
+    let window = first.0 - 2..first.0 + 2 * SPAN_PAGES;
+    let mut rng = DetRng::new(0xE0_07);
+    let mut pt = PageTable::new(TierId::DDR);
+    let mut mirror: HashMap<Page, TierId> = HashMap::new();
+    let mut mapped: Vec<AddressRange> = Vec::new();
+    for step in 0..2_000 {
+        let start = first
+            .base()
+            .offset(rng.uniform_range(0, SPAN_PAGES * PAGE_SIZE));
+        let range = match rng.uniform_range(0, 4) {
+            0 if !mapped.is_empty() => {
+                let recent = mapped.len().min(8) as u64;
+                mapped[mapped.len() - 1 - rng.uniform_range(0, recent) as usize]
+            }
+            1 => AddressRange::new(start, ByteSize::from_bytes(rng.uniform_range(0, 200))),
+            _ => AddressRange::new(
+                start,
+                ByteSize::from_bytes(rng.uniform_range(1, SPAN_PAGES * PAGE_SIZE / 4)),
+            ),
+        };
+        if rng.chance(0.3) {
+            pt.unmap_range(range);
+            for page in range.pages() {
+                mirror.remove(&page);
+            }
+        } else {
+            let tier = tiers[rng.uniform_range(0, tiers.len() as u64) as usize];
+            pt.map_range(range, tier);
+            for page in range.pages() {
+                mirror.insert(page, tier);
+            }
+            mapped.push(range);
+        }
+
+        let expected = |p: u64| mirror.get(&Page(p)).copied().unwrap_or(TierId::DDR);
+        let mut p = window.start;
+        while p < window.end {
+            assert_eq!(
+                pt.tier_of_page(Page(p)),
+                expected(p),
+                "step {step}, page {p:#x}"
+            );
+            let (lo, hi, tier) = pt.extent_of_page(Page(p));
+            assert!(
+                lo <= p && p < hi,
+                "step {step}: {p:#x} outside [{lo:#x}, {hi:#x})"
+            );
+            for q in p..hi.min(window.end) {
+                assert_eq!(
+                    expected(q),
+                    tier,
+                    "step {step}: page {q:#x} in [{lo:#x}, {hi:#x})"
+                );
+            }
+            p = hi;
+        }
+        for tier in tiers {
+            let pages = mirror.values().filter(|t| **t == tier).count() as u64;
+            assert_eq!(
+                pt.mapped_bytes(tier).bytes(),
+                pages * PAGE_SIZE,
+                "step {step}, {tier}"
+            );
+        }
+        assert_eq!(pt.mapped_pages(), mirror.len(), "step {step}");
+    }
 }
 
 #[test]
