@@ -3,9 +3,9 @@
 //!
 //! The analysis is stream-native: [`ObjectStatsBuilder`] consumes one event
 //! at a time in a single forward pass, so it can run over an in-memory
-//! [`TraceFile`], a [`TraceReader`](hmsim_trace::TraceReader) streaming an
-//! on-disk binary trace, or a merged multi-rank stream, all with identical
-//! results. [`analyze_trace`] and [`analyze_stream`] are thin wrappers.
+//! [`TraceFile`] or a [`TraceReader`](hmsim_trace::TraceReader) streaming
+//! an on-disk binary trace, with identical results. [`analyze_trace`] and
+//! [`analyze_stream`] are thin wrappers.
 
 use crate::object_stats::{ObjectReport, ObjectStats, ReportedKind};
 use hmsim_callstack::SiteKey;
@@ -184,8 +184,7 @@ pub fn analyze_trace(trace: &TraceFile) -> ObjectReport {
 }
 
 /// Analyse any infallible event stream (e.g. an iterator over in-memory
-/// events, or a merged multi-rank stream with the events extracted) without
-/// materialising it. For a fallible source such as a
+/// events) without materialising it. For a fallible source such as a
 /// [`TraceReader`](hmsim_trace::TraceReader), use [`analyze_try_stream`].
 pub fn analyze_stream<E: Borrow<TraceEvent>>(
     application: impl Into<String>,

@@ -12,14 +12,15 @@
 //! time in a single forward pass (O(events) total work, memory bounded by
 //! the largest single instance), so it can fold a
 //! [`TraceReader`](hmsim_trace::TraceReader) stream directly without ever
-//! materialising the trace. [`FoldedTimeline::fold`] and
-//! [`FoldedTimeline::fold_stream`] are thin wrappers over it. Events are
-//! strictly filtered to each instance's `[start, end)` window — routines
-//! executing before/after an instance contribute nothing (they previously
-//! leaked into the edge bins).
+//! materialising the trace. It folds one rank's time-ordered stream, the
+//! single representative process the pipeline profiles.
+//! [`FoldedTimeline::fold`] and [`FoldedTimeline::fold_stream`] are thin
+//! wrappers over it. Events are strictly filtered to each instance's
+//! `[start, end)` window — routines executing before/after an instance
+//! contribute nothing (they previously leaked into the edge bins).
 
 use hmsim_common::{Address, HmResult, Nanos};
-use hmsim_trace::{RankedEvent, TraceEvent, TraceFile};
+use hmsim_trace::{TraceEvent, TraceFile};
 use std::borrow::Borrow;
 
 /// One bin of the folded timeline.
@@ -111,15 +112,15 @@ struct OpenInstance {
     buffered: Vec<Buffered>,
 }
 
-/// Per-rank instance-tracking state: the currently open instance plus the
-/// run of events seen while closed that share the latest timestamp. A
+/// Instance-tracking state: the currently open instance plus the run of
+/// events seen while closed that share the latest timestamp. A
 /// time-sorted stream can interleave events with the region markers at
 /// identical timestamps (the profiler emits counter snapshots exactly at
 /// iteration boundaries, before the next `PhaseBegin` in stream order); such
 /// events belong to an instance that starts at that same timestamp, so they
 /// are kept until the clock moves past them.
 #[derive(Default)]
-struct RankState {
+struct InstanceState {
     open: Option<OpenInstance>,
     pending: Vec<Buffered>,
     pending_time: Option<Nanos>,
@@ -127,10 +128,7 @@ struct RankState {
 
 /// Streaming accumulator behind [`FoldedTimeline::fold`].
 ///
-/// Feed events in time order with [`push`](Self::push) — or, for a merged
-/// multi-rank stream, with [`push_ranked`](Self::push_ranked), which tracks
-/// each rank's `PhaseBegin`/`PhaseEnd` pairing independently while folding
-/// every rank's instances into the same bins. Call
+/// Feed one rank's events in time order with [`push`](Self::push), then call
 /// [`finish`](Self::finish) to obtain the folded timeline. Each pushed event
 /// is examined exactly once on arrival (see
 /// [`events_visited`](Self::events_visited)); events inside an open instance
@@ -143,7 +141,7 @@ pub struct FoldAccumulator {
     bins: Vec<FoldedBinAccum>,
     instances: usize,
     total_duration: Nanos,
-    ranks: std::collections::HashMap<u32, RankState>,
+    state: InstanceState,
     events_visited: u64,
 }
 
@@ -157,23 +155,15 @@ impl FoldAccumulator {
             bins: (0..nbins).map(|_| FoldedBinAccum::default()).collect(),
             instances: 0,
             total_duration: Nanos::ZERO,
-            ranks: std::collections::HashMap::new(),
+            state: InstanceState::default(),
             events_visited: 0,
         }
     }
 
-    /// Consume one event of a single-rank stream.
+    /// Consume the next event of the stream.
     pub fn push(&mut self, event: &TraceEvent) {
-        self.push_ranked(0, event);
-    }
-
-    /// Consume one event of the given rank. Instance tracking (open/close of
-    /// the folded region) is per rank, so a merged multi-rank stream folds
-    /// each rank's iterations correctly instead of mispairing begin/end
-    /// markers across ranks; all ranks accumulate into the same bins.
-    pub fn push_ranked(&mut self, rank: u32, event: &TraceEvent) {
         self.events_visited += 1;
-        let state = self.ranks.entry(rank).or_default();
+        let state = &mut self.state;
         let mut to_close: Option<(OpenInstance, Nanos)> = None;
         match event {
             TraceEvent::PhaseBegin { time, name } if *name == self.region => {
@@ -366,8 +356,7 @@ impl FoldedTimeline {
     /// Fold an arbitrary infallible event stream without materialising it.
     /// For a fallible source such as a
     /// [`TraceReader`](hmsim_trace::TraceReader), use
-    /// [`fold_try_stream`](Self::fold_try_stream); for a merged multi-rank
-    /// stream, use [`fold_ranked_stream`](Self::fold_ranked_stream).
+    /// [`fold_try_stream`](Self::fold_try_stream).
     pub fn fold_stream<E: Borrow<TraceEvent>>(
         events: impl IntoIterator<Item = E>,
         region: &str,
@@ -391,23 +380,6 @@ impl FoldedTimeline {
         let mut acc = FoldAccumulator::new(region, nbins);
         for e in events {
             acc.push(&e?);
-        }
-        Ok(acc.finish())
-    }
-
-    /// Fold a merged multi-rank stream of rank-tagged events (what
-    /// [`MergedStream`](hmsim_trace::MergedStream) produces), tracking each
-    /// rank's region instances independently and folding them all into the
-    /// same bins. Stops at the first stream error.
-    pub fn fold_ranked_stream(
-        events: impl IntoIterator<Item = HmResult<RankedEvent>>,
-        region: &str,
-        nbins: usize,
-    ) -> HmResult<FoldedTimeline> {
-        let mut acc = FoldAccumulator::new(region, nbins);
-        for e in events {
-            let e = e?;
-            acc.push_ranked(e.rank, &e.event);
         }
         Ok(acc.finish())
     }

@@ -218,13 +218,12 @@ impl PhasedWorkload {
 
     /// The access stream over the ranges the heap assigned to
     /// [`objects`](Self::objects) (same order). Lazy: O(1) state regardless
-    /// of workload size. The iterator is `Send` so per-rank shards can fan
-    /// out over worker threads.
+    /// of workload size.
     ///
     /// # Panics
     ///
     /// Panics if `ranges` does not have one range per declared object.
-    pub fn stream(&self, ranges: &[AddressRange]) -> Box<dyn Iterator<Item = MemoryAccess> + Send> {
+    pub fn stream(&self, ranges: &[AddressRange]) -> Box<dyn Iterator<Item = MemoryAccess>> {
         assert_eq!(
             ranges.len(),
             self.objects().len(),

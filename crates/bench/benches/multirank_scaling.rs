@@ -1,18 +1,11 @@
-//! Multi-rank sharded simulation: shard fan-out scaling and arbitration
-//! policy quality, recorded in `BENCH_multirank.json`.
+//! Multi-rank sharded simulation: arbitration policy quality, recorded in
+//! `BENCH_multirank.json`.
 //!
-//! Two questions:
-//!
-//! 1. **Does sharding scale?** The same R-rank bundle is simulated with the
-//!    observation half of every epoch fanned out over worker threads and
-//!    with it forced serial; identical results are asserted (the arbitration
-//!    half is serial and deterministic either way), and the wall-clock ratio
-//!    is the shard fan-out speedup.
-//! 2. **Do the arbitration policies separate?** On the rank-skew triad
-//!    (rank 0's working set dominates the node) the node-global selection
-//!    must beat the static per-rank partition — the partition strands fast
-//!    memory on the small ranks while starving the dominant one. FCFS rides
-//!    along as the numactl/first-touch model.
+//! **Do the arbitration policies separate?** On the rank-skew triad (rank
+//! 0's working set dominates the node) the node-global selection must beat
+//! the static per-rank partition — the partition strands fast memory on the
+//! small ranks while starving the dominant one. FCFS rides along as the
+//! numactl/first-touch model. Shards run serially on one thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hmsim_apps::{MultiRankWorkload, PhasedWorkload};
@@ -21,7 +14,6 @@ use hmsim_runtime::harness::{loaded_machine, provision};
 use hmsim_runtime::{
     run_multirank, ArbiterPolicy, MultiRankConfig, MultiRankOutcome, OnlineConfig, OnlineRuntime,
 };
-use std::time::Instant;
 
 fn online_cfg() -> OnlineConfig {
     OnlineConfig::default().with_epoch_accesses(16_384)
@@ -51,19 +43,6 @@ fn assert_single_rank_equivalence(array: ByteSize) {
             "{policy}: simulated time diverged"
         );
     }
-}
-
-/// Wall-clock of one full multi-rank run (provision + epoch loop).
-fn wall_ms(workload: &MultiRankWorkload, cfg: &MultiRankConfig, reps: usize) -> f64 {
-    let machine = loaded_machine();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = run_multirank(workload, &machine, cfg.clone()).unwrap();
-        assert!(out.total_misses() > 0);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best * 1e3
 }
 
 struct PolicyRow {
@@ -96,20 +75,10 @@ fn json_policy(row: &PolicyRow) -> String {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_baseline(
-    ranks: u32,
-    threads: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    fanout_speedup: f64,
-    skew_budget: ByteSize,
-    rows: &[PolicyRow],
-    global_vs_partition: f64,
-) {
+fn write_baseline(skew_budget: ByteSize, rows: &[PolicyRow], global_vs_partition: f64) {
     let policies = rows.iter().map(json_policy).collect::<Vec<_>>().join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"multirank_scaling\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"headline_fanout_speedup\": {fanout_speedup:.2},\n  \"headline_global_vs_partition\": {global_vs_partition:.3},\n  \"fanout\": {{\n    \"ranks\": {ranks},\n    \"worker_threads\": {threads},\n    \"serial_ms\": {serial_ms:.1},\n    \"parallel_ms\": {parallel_ms:.1},\n    \"speedup\": {fanout_speedup:.2}\n  }},\n  \"rank_skew\": {{\n    \"ranks\": 4,\n    \"skew\": 4,\n    \"node_budget_kib\": {},\n    \"policies\": {{\n{policies}\n    }}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"multirank_scaling\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"threads\": 1,\n  \"headline_global_vs_partition\": {global_vs_partition:.3},\n  \"rank_skew\": {{\n    \"ranks\": 4,\n    \"skew\": 4,\n    \"node_budget_kib\": {},\n    \"policies\": {{\n{policies}\n    }}\n  }}\n}}\n",
         skew_budget.bytes() / 1024
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multirank.json");
@@ -121,41 +90,13 @@ fn write_baseline(
 
 fn bench_multirank_scaling(c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
-    let (array, passes, reps) = if test_mode {
-        (ByteSize::from_kib(16), 8, 1)
+    let (array, passes) = if test_mode {
+        (ByteSize::from_kib(16), 8)
     } else {
-        (ByteSize::from_kib(128), 30, 3)
+        (ByteSize::from_kib(128), 30)
     };
 
     assert_single_rank_equivalence(array);
-
-    // ---- shard fan-out scaling: R replicated triads, parallel vs serial.
-    let fan_ranks = 8u32;
-    let fan = MultiRankWorkload::replicated(PhasedWorkload::steady_triad(array, passes), fan_ranks);
-    // Per-rank hot sets fit their partition share: pure scaling measurement.
-    let fan_budget = fan.node_hot_set();
-    let base_cfg =
-        MultiRankConfig::new(ArbiterPolicy::Partition, fan_budget).with_online(online_cfg());
-    {
-        // Identical results serial vs parallel, asserted before timing.
-        let machine = loaded_machine();
-        let par = run_multirank(&fan, &machine, base_cfg.clone()).unwrap();
-        let ser = run_multirank(&fan, &machine, base_cfg.clone().serial()).unwrap();
-        for (a, b) in par.per_rank.iter().zip(&ser.per_rank) {
-            assert_eq!(a.engine.counters, b.engine.counters);
-            assert_eq!(a.time.nanos().to_bits(), b.time.nanos().to_bits());
-        }
-    }
-    let serial_ms = wall_ms(&fan, &base_cfg.clone().serial(), reps);
-    let parallel_ms = wall_ms(&fan, &base_cfg, reps);
-    let fanout_speedup = serial_ms / parallel_ms.max(1e-9);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "fan-out over {fan_ranks} ranks: serial {serial_ms:.1} ms, parallel {parallel_ms:.1} ms \
-         -> {fanout_speedup:.2}x on {threads} threads"
-    );
 
     // ---- arbitration quality on the rank-skew triad.
     let skew = MultiRankWorkload::rank_skew_triad(array, 4, 4, passes);
@@ -187,31 +128,15 @@ fn bench_multirank_scaling(c: &mut Criterion) {
     let global_vs_partition = node_ms(ArbiterPolicy::Partition) / node_ms(ArbiterPolicy::Global);
 
     if !test_mode {
-        // Acceptance criteria, enforced at bench scale: the node-global
-        // selection must beat the static per-rank partition on rank skew,
-        // and the fan-out must actually scale when cores are available.
+        // Acceptance criterion, enforced at bench scale: the node-global
+        // selection must beat the static per-rank partition on rank skew.
         assert!(
             global_vs_partition > 1.0,
             "global ({:.3} ms) must beat partition ({:.3} ms) on rank skew",
             node_ms(ArbiterPolicy::Global),
             node_ms(ArbiterPolicy::Partition)
         );
-        if threads >= 4 {
-            assert!(
-                fanout_speedup > 1.3,
-                "shard fan-out speedup {fanout_speedup:.2}x on {threads} threads"
-            );
-        }
-        write_baseline(
-            fan_ranks,
-            threads,
-            serial_ms,
-            parallel_ms,
-            fanout_speedup,
-            skew_budget,
-            &rows,
-            global_vs_partition,
-        );
+        write_baseline(skew_budget, &rows, global_vs_partition);
     }
 
     // Criterion series: the sharded runtime under each policy.

@@ -41,11 +41,7 @@ pub const EXPECTED: &[(&str, &str, &[&str])] = &[
     (
         "BENCH_multirank.json",
         "multirank_scaling",
-        &[
-            "headline_fanout_speedup",
-            "headline_global_vs_partition",
-            "rank_skew",
-        ],
+        &["threads", "headline_global_vs_partition", "rank_skew"],
     ),
 ];
 

@@ -20,7 +20,7 @@
 //!   bench schema check and the scenario loader (no serde in the offline
 //!   build);
 //! * [`par`] — the scoped-thread work-sharing fan-out used by the experiment
-//!   grid and the multi-rank shard runner;
+//!   grid;
 //! * [`table`] — plain-text table/CSV rendering used to print the paper's
 //!   tables and figure series.
 

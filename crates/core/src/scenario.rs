@@ -377,6 +377,12 @@ impl Scenario {
             if online.epoch_accesses == 0 {
                 return fail("online.epoch_accesses must be at least 1".to_string());
             }
+            if online.pebs_period == 0 {
+                return fail("online.pebs_period must be at least 1".to_string());
+            }
+            if online.migration_streams == 0 {
+                return fail("online.migration_streams must be at least 1".to_string());
+            }
             validate_strategy(&online.strategy, "online.strategy")
                 .map_err(|e| HmError::Config(format!("scenario {:?}: {e}", self.name)))?;
         }
@@ -447,13 +453,20 @@ impl Scenario {
                         skew,
                         passes,
                     } => {
-                        if array_size.is_zero() {
-                            return fail("rank-skew array_size must be positive".to_string());
-                        }
                         if *ranks < 2 || *skew < 2 || *passes == 0 {
                             return fail(format!(
                                 "rank-skew-triad needs ranks >= 2, skew >= 2, passes >= 1 \
                                  (got ranks {ranks}, skew {skew}, passes {passes})"
+                            ));
+                        }
+                        // Every rank but rank 0 runs this triad; rank 0's
+                        // is `skew` times larger.
+                        let small_rank =
+                            hmsim_apps::PhasedWorkload::steady_triad(*array_size, *passes);
+                        if small_rank.total_accesses() == 0 {
+                            return fail(format!(
+                                "rank-skew array_size {array_size} holds no array element, \
+                                 so ranks 1 and up would execute no accesses"
                             ));
                         }
                     }
@@ -570,12 +583,7 @@ pub(crate) fn lookup_phased(
     name: &str,
     array_size: ByteSize,
 ) -> HmResult<hmsim_apps::PhasedWorkload> {
-    if array_size.is_zero() {
-        return Err(HmError::Config(
-            "phased array_size must be positive".to_string(),
-        ));
-    }
-    hmsim_apps::phased_workload_by_name(name, array_size).ok_or_else(|| {
+    let workload = hmsim_apps::phased_workload_by_name(name, array_size).ok_or_else(|| {
         let candidates: Vec<&str> = hmsim_apps::phased_workloads(ByteSize::from_kib(1))
             .iter()
             .map(|w| w.name)
@@ -584,7 +592,13 @@ pub(crate) fn lookup_phased(
             "unknown phased workload {name:?}; candidates: {}",
             candidates.join(", ")
         ))
-    })
+    })?;
+    if workload.total_accesses() == 0 {
+        return Err(HmError::Config(format!(
+            "phased workload {name:?} executes no accesses at array_size {array_size}"
+        )));
+    }
+    Ok(workload)
 }
 
 // ---------------------------------------------------------------------------
@@ -1098,6 +1112,57 @@ mod tests {
         )
         .with_rank_policy(ArbiterPolicy::Global);
         assert!(s.validate().is_err(), "rank policy without online approach");
+    }
+
+    /// Knobs the runtime would silently clamp to 1, and array sizes that
+    /// hold no element (a run of zero accesses reporting `fom 0.00`), are
+    /// refused instead of run.
+    #[test]
+    fn clamped_knobs_and_empty_workloads_are_rejected() {
+        let base = committed_scenarios()
+            .into_iter()
+            .find(|s| s.name == "rank-skew-triad-global")
+            .expect("committed rank-skew scenario");
+        base.validate().unwrap();
+        let rejects = |s: &Scenario, what: &str| {
+            let err = s.validate().unwrap_err();
+            assert!(
+                matches!(&err, HmError::Config(msg) if msg.contains(what)),
+                "{what}: {err}"
+            );
+        };
+
+        let mut s = base.clone();
+        s.online.as_mut().unwrap().pebs_period = 0;
+        rejects(&s, "pebs_period");
+        let mut s = base.clone();
+        s.online.as_mut().unwrap().migration_streams = 0;
+        rejects(&s, "migration_streams");
+
+        let mut s = base.clone();
+        let WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad { array_size, .. }) =
+            &mut s.workload
+        else {
+            unreachable!("rank-skew scenario");
+        };
+        *array_size = ByteSize::from_bytes(1);
+        rejects(&s, "no accesses");
+        let replicated = Scenario::multirank(
+            MultiRankSelector::Replicated {
+                workload: "steady-triad".to_string(),
+                array_size: ByteSize::from_bytes(1),
+                ranks: 2,
+            },
+            ArbiterPolicy::Partition,
+            ByteSize::from_kib(96),
+        );
+        rejects(&replicated, "no accesses");
+        let phased = Scenario::phased(
+            "rotating-triad",
+            ByteSize::from_bytes(7),
+            ByteSize::from_kib(96),
+        );
+        rejects(&phased, "no accesses");
     }
 
     #[test]

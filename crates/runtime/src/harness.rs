@@ -52,11 +52,22 @@ pub fn provision(
     machine: &MachineConfig,
     fast_budget: ByteSize,
 ) -> HmResult<Provisioned> {
+    provision_prefixed(workload, machine, fast_budget, "")
+}
+
+/// [`provision`], naming every object `<prefix><name>`.
+pub(crate) fn provision_prefixed(
+    workload: &PhasedWorkload,
+    machine: &MachineConfig,
+    fast_budget: ByteSize,
+    prefix: &str,
+) -> HmResult<Provisioned> {
     let mut heap = ProcessHeap::new(machine)?;
     heap.set_capacity_cap(TierId::MCDRAM, fast_budget)?;
     let mut ranges = Vec::new();
     let mut ids = Vec::new();
     for (name, size) in workload.objects() {
+        let name = format!("{prefix}{name}");
         let (id, range, _) = heap.malloc(size, TierId::DDR, name, None, Nanos::ZERO)?;
         ranges.push(range);
         ids.push(id);

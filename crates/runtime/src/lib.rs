@@ -29,7 +29,7 @@
 //! lock-step epochs under a shared fast-tier budget split by the
 //! [`arbiter`]'s policies — FCFS (`numactl`/first-touch), static per-rank
 //! partition (the paper's deployment mode) or a node-global selection over
-//! heat merged across ranks. With one rank every policy collapses to
+//! heat folded across ranks. With one rank every policy collapses to
 //! [`OnlineRuntime`] bitwise.
 
 #![warn(missing_docs)]

@@ -7,20 +7,23 @@
 //! under a shared node-level fast-tier budget enforced by the
 //! [`NodeArbiter`].
 //!
-//! Each node epoch has two halves:
+//! Each node epoch has two halves, both serial and in rank order:
 //!
-//! 1. **observe** (parallel) — every active shard drives its next window of
-//!    accesses through its own engine while its sampler watches the miss
-//!    stream; shards are independent, so this half fans out over worker
-//!    threads via `hmsim_common::parallel_map`;
-//! 2. **arbitrate + commit** (serial, deterministic) — the arbiter hands
-//!    each rank its budget and the shards execute their migration deltas in
-//!    rank order. Under [`ArbiterPolicy::Global`] the per-rank samples are
-//!    first folded into one node-wide heat map, and a single controller
-//!    packs one knapsack spanning every rank's objects. Object ids are
-//!    globalized disjointly per rank and each sample only adds into its own
-//!    object's heat, so the heat is the same whatever order the ranks are
-//!    folded in: no cross-rank time ordering is needed.
+//! 1. **observe** — every active shard drives its next window of accesses
+//!    through its own engine while its sampler watches the miss stream;
+//! 2. **arbitrate + commit** — the arbiter hands each rank its budget and
+//!    the shards execute their migration deltas. Under
+//!    [`ArbiterPolicy::Global`] the per-rank samples are first folded into
+//!    one node-wide heat map, and a single controller packs one knapsack
+//!    spanning every rank's objects. Object ids are globalized disjointly
+//!    per rank and each sample only adds into its own object's heat, so the
+//!    heat is the same whatever order the ranks are folded in: no cross-rank
+//!    time ordering is needed.
+//!
+//! Every shard allocates its objects as `r####/<name>`, so the global
+//! planner's name tie-break orders objects by rank first without renaming
+//! anything per epoch; within one rank the shared prefix keeps the order of
+//! the bare names.
 //!
 //! With one rank the epoch schedule, budgets and plans collapse to exactly
 //! what [`OnlineRuntime::run`] does, whatever the policy — the
@@ -28,10 +31,10 @@
 
 use crate::arbiter::{ArbiterPolicy, NodeArbiter};
 use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
-use crate::harness::provision;
+use crate::harness::provision_prefixed;
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
 use hmsim_apps::MultiRankWorkload;
-use hmsim_common::{parallel_map, ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
+use hmsim_common::{ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use hmsim_machine::{EngineStats, MachineConfig, MemoryAccess};
 use hmsim_pebs::RawSample;
@@ -65,9 +68,6 @@ pub struct MultiRankConfig {
     /// Per-shard epoch-loop knobs. Shard r's sampler is seeded with
     /// `online.seed + r`, so rank 0 reproduces the single-rank runtime.
     pub online: OnlineConfig,
-    /// Fan the observation half of each epoch out over worker threads
-    /// (`false` = serial reference, used by the scaling bench).
-    pub parallel: bool,
 }
 
 impl MultiRankConfig {
@@ -77,7 +77,6 @@ impl MultiRankConfig {
             policy,
             node_fast_budget,
             online: OnlineConfig::default(),
-            parallel: true,
         }
     }
 
@@ -87,9 +86,9 @@ impl MultiRankConfig {
         self
     }
 
-    /// Disable the shard fan-out (serial reference).
-    pub fn serial(mut self) -> Self {
-        self.parallel = false;
+    /// Returns `self` unchanged: shards always run serially. Kept so that
+    /// existing callers still compile.
+    pub fn serial(self) -> Self {
         self
     }
 }
@@ -152,13 +151,9 @@ struct Shard {
     rank: u32,
     rt: OnlineRuntime,
     heap: ProcessHeap,
-    stream: Box<dyn Iterator<Item = MemoryAccess> + Send>,
+    stream: Box<dyn Iterator<Item = MemoryAccess>>,
     /// Scratch buffer holding the current epoch's samples (reused).
     samples: Vec<RawSample>,
-    /// Rank-prefixed object names for the global planner's deterministic
-    /// tie-breaking, computed once at provisioning instead of re-formatted
-    /// every epoch (objects allocated later fall back to formatting).
-    global_names: std::collections::HashMap<ObjectId, String>,
     done: bool,
 }
 
@@ -169,7 +164,6 @@ pub struct MultiRankRuntime {
     /// The node-spanning controller (global policy only).
     global: Option<PlacementController>,
     epoch_len: u64,
-    parallel: bool,
     fast_tier: TierId,
     node_epochs: u64,
 }
@@ -196,7 +190,7 @@ impl MultiRankRuntime {
         let mut fast_tier = TierId::MCDRAM;
         for rank in 0..ranks {
             let w = workload.rank(rank);
-            let p = provision(w, machine, arbiter.rank_cap())?;
+            let p = provision_prefixed(w, machine, arbiter.rank_cap(), &format!("r{rank:04}/"))?;
             if let Some(id) = p.ids.iter().find(|id| id.0 >= RANK_ID_STRIDE) {
                 return Err(HmError::Config(format!(
                     "rank {rank} object id {} overflows the per-rank id stride {RANK_ID_STRIDE}",
@@ -207,22 +201,12 @@ impl MultiRankRuntime {
             shard_cfg.seed = cfg.online.seed + u64::from(rank);
             let rt = OnlineRuntime::new(machine, arbiter.partition_share(), shard_cfg);
             fast_tier = rt.fast_tier();
-            let stream = w.stream(&p.ranges);
-            let global_names = p
-                .ids
-                .iter()
-                .filter_map(|id| {
-                    let obj = p.heap.registry().get(*id)?;
-                    Some((*id, format!("r{rank:04}/{}", obj.name)))
-                })
-                .collect();
             shards.push(Shard {
                 rank,
                 rt,
+                stream: w.stream(&p.ranges),
                 heap: p.heap,
-                stream,
                 samples: Vec::new(),
-                global_names,
                 done: false,
             });
         }
@@ -233,7 +217,6 @@ impl MultiRankRuntime {
             arbiter,
             global,
             epoch_len: cfg.online.epoch_accesses,
-            parallel: cfg.parallel,
             fast_tier,
             node_epochs: 0,
         })
@@ -268,25 +251,22 @@ impl MultiRankRuntime {
         }
     }
 
-    /// One node epoch: parallel observation, serial arbitration. Returns
-    /// `false` once every shard has drained its stream.
+    /// One node epoch: observation, then arbitration, both in rank order.
+    /// Returns `false` once every shard has drained its stream.
     fn step(&mut self) -> bool {
-        let active: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| !s.done).collect();
-        if active.is_empty() {
+        // Each shard's samples land in its own reused scratch buffer.
+        let observed: Vec<(u32, u64)> = self
+            .shards
+            .iter_mut()
+            .filter(|s| !s.done)
+            .map(|s| {
+                let consumed = s.rt.observe_epoch(&mut *s.stream, &s.heap, &mut s.samples);
+                (s.rank, consumed)
+            })
+            .collect();
+        if observed.is_empty() {
             return false;
         }
-        // Observation half: shards are independent; fan them out. Results
-        // come back in input (= rank) order; each shard's samples land in
-        // its own reused scratch buffer.
-        let observe = |s: &mut Shard| {
-            let consumed = s.rt.observe_epoch(&mut *s.stream, &s.heap, &mut s.samples);
-            (s.rank, consumed)
-        };
-        let observed: Vec<(u32, u64)> = if self.parallel {
-            parallel_map(active, observe)
-        } else {
-            active.into_iter().map(observe).collect()
-        };
         if observed.iter().all(|(_, consumed)| *consumed == 0) {
             for s in &mut self.shards {
                 s.done = true;
@@ -295,7 +275,7 @@ impl MultiRankRuntime {
         }
         self.node_epochs += 1;
 
-        // Arbitration half, serial and deterministic in rank order.
+        // Arbitration half, deterministic in rank order.
         if self.global.is_some() {
             self.commit_global(&observed);
         } else {
@@ -341,9 +321,8 @@ impl MultiRankRuntime {
     }
 
     /// Global commit: fold every rank's samples into node-wide heat, run one
-    /// selection spanning
-    /// every rank's objects against the whole node budget, then execute the
-    /// per-rank slices of the plan in rank order.
+    /// selection spanning every rank's objects against the whole node
+    /// budget, then execute the per-rank slices of the plan in rank order.
     fn commit_global(&mut self, observed: &[(u32, u64)]) {
         let controller = self.global.as_mut().expect("global controller present");
 
@@ -366,10 +345,6 @@ impl MultiRankRuntime {
         let mut live: Vec<ObjectPlacement> = Vec::new();
         for s in shards {
             for mut o in ObjectPlacement::snapshot_live(&s.heap) {
-                o.name = match s.global_names.get(&o.id) {
-                    Some(prefixed) => prefixed.clone(),
-                    None => format!("r{:04}/{}", s.rank, o.name),
-                };
                 o.id = global_id(s.rank, o.id);
                 live.push(o);
             }
@@ -543,22 +518,5 @@ mod tests {
             assert_eq!(&r.engine.counters, c0, "rank {} diverged", r.rank);
         }
         assert!(out.node_time() >= out.per_rank[0].time);
-    }
-
-    #[test]
-    fn serial_and_parallel_fanout_are_bitwise_identical() {
-        let m = loaded_machine();
-        let w = skew();
-        let budget = ByteSize::from_kib(288);
-        for policy in ArbiterPolicy::ALL {
-            let par = run_multirank(&w, &m, cfg(policy, budget)).unwrap();
-            let ser = run_multirank(&w, &m, cfg(policy, budget).serial()).unwrap();
-            assert_eq!(par.node_epochs, ser.node_epochs, "{policy}");
-            for (a, b) in par.per_rank.iter().zip(&ser.per_rank) {
-                assert_eq!(a.engine.counters, b.engine.counters, "{policy}");
-                assert_eq!(a.stats.migrations, b.stats.migrations, "{policy}");
-                assert_eq!(a.time, b.time, "{policy} rank {}", a.rank);
-            }
-        }
     }
 }

@@ -22,10 +22,9 @@
 //!   events while holding one chunk in memory — the out-of-core capture
 //!   format, sized for traces that do not fit in RAM.
 //!
-//! Per-rank streams can be combined with [`merge`]: a k-way, O(ranks)-memory
-//! merge that time-orders events from any number of rank traces into one
-//! logical multi-rank stream of [`RankedEvent`]s, mirroring Extrae's
-//! `.mpits` merge step.
+//! A trace holds one rank: the pipeline profiles a single representative
+//! MPI process and places its objects per process, so there is no
+//! cross-rank merge step.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,12 +32,10 @@
 pub mod binary;
 pub mod event;
 pub mod format;
-pub mod merge;
 pub mod summary;
 pub mod trace_file;
 
 pub use binary::{read_binary, write_binary, write_binary_to, BinaryWriter, TraceReader};
 pub use event::{AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent};
-pub use merge::{merge_traces, MergedStream, RankedEvent};
 pub use summary::TraceSummary;
 pub use trace_file::{TraceFile, TraceMetadata};

@@ -1,30 +1,30 @@
-//! End-to-end equivalence of the out-of-core trace path: per-rank traces
-//! produced by the profiler, written to the chunked binary format, k-way
-//! merged into one logical multi-rank stream, and consumed by the streaming
-//! folding / object-stats passes — all of which must match the in-memory
-//! path bitwise.
+//! End-to-end equivalence of the out-of-core trace path: a rank's trace
+//! produced by the profiler, written to the chunked binary format, read back
+//! through the streaming reader and consumed by the streaming folding /
+//! object-stats passes — all of which must match the in-memory path bitwise.
 
-use hmsim_analysis::{analyze_stream, FoldAccumulator, FoldedTimeline, ObjectStatsBuilder};
+use hmsim_analysis::{
+    analyze_stream, analyze_trace, FoldAccumulator, FoldedTimeline, ObjectStatsBuilder,
+};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, Nanos, ObjectId, TierId};
 use hmsim_heap::{DataObject, ObjectKind};
 use hmsim_profiler::{Profiler, ProfilerConfig};
-use hmsim_trace::{
-    merge_traces, BinaryWriter, MergedStream, TraceEvent, TraceFile, TraceMetadata, TraceReader,
-};
+use hmsim_trace::{BinaryWriter, TraceEvent, TraceFile, TraceMetadata, TraceReader};
 
-const RANKS: u32 = 4;
+const ITERATIONS: usize = 6;
+/// An iteration length whose multiples are not exact in binary, so the
+/// fixture has to derive shared boundaries from one expression.
+const ITER_MS: f64 = 10.7;
 
-fn rank_object(rank: u32, id: u32, mib: u64) -> DataObject {
+fn object(id: u32, mib: u64) -> DataObject {
     DataObject {
         id: ObjectId(id),
-        name: format!("grid_r{rank}_{id}"),
+        name: format!("grid_{id}"),
         kind: ObjectKind::Dynamic,
-        site: Some(SiteKey::from_text(format!(
-            "app!alloc_grid{id}+0x{rank:x}0"
-        ))),
+        site: Some(SiteKey::from_text(format!("app!alloc_grid{id}+0x10"))),
         range: AddressRange::new(
-            Address(0x10_0000_0000 | (u64::from(rank) << 33) | (u64::from(id) << 28)),
+            Address(0x10_0000_0000 | (u64::from(id) << 28)),
             ByteSize::from_mib(mib),
         ),
         tier: TierId::DDR,
@@ -33,38 +33,36 @@ fn rank_object(rank: u32, id: u32, mib: u64) -> DataObject {
     }
 }
 
-/// A profiled pseudo-run for one rank: repeated iterations with two objects
-/// of different heat, slightly different per-rank timing so the merge
-/// genuinely interleaves.
-fn rank_trace(rank: u32) -> TraceFile {
+fn boundary(i: usize) -> Nanos {
+    Nanos::from_millis(i as f64 * ITER_MS)
+}
+
+/// A profiled pseudo-run: repeated iterations over two objects of different
+/// heat.
+fn trace() -> TraceFile {
     let mut p = Profiler::new(
         TraceMetadata {
-            application: "merged-app".to_string(),
-            ranks: RANKS,
-            rank,
+            application: "streamed-app".to_string(),
             ..Default::default()
         },
         ProfilerConfig::dense(997),
     );
-    // Object ids are globally unique across ranks (like a real MPI run's
-    // per-process heaps mapped at distinct addresses).
-    let hot = rank_object(rank, rank * 2, 64);
-    let cold = rank_object(rank, rank * 2 + 1, 16);
+    let hot = object(0, 64);
+    let cold = object(1, 16);
     p.record_alloc(&hot, Nanos::ZERO);
     p.record_alloc(&cold, Nanos::ZERO);
-    let iter_ms = 10.0 + rank as f64 * 0.7;
-    for i in 0..6 {
-        // Boundaries computed from the same expression so consecutive
-        // iterations share bit-identical timestamps (`i*iter_ms + iter_ms`
-        // and `(i+1)*iter_ms` differ by an ULP for some ranks, which would
-        // make a later begin sort before the previous end).
-        let start = Nanos::from_millis(i as f64 * iter_ms);
-        let end = Nanos::from_millis((i + 1) as f64 * iter_ms);
-        let kernel_at = start + Nanos::from_millis(iter_ms * 0.6);
+    for i in 0..ITERATIONS {
+        // Both ends come from `boundary`, so consecutive iterations share
+        // bit-identical timestamps (`i*ITER_MS + ITER_MS` and
+        // `(i+1)*ITER_MS` can differ by an ULP, which would open a gap
+        // between one iteration's end and the next one's begin).
+        let start = boundary(i);
+        let end = boundary(i + 1);
+        let kernel_at = start + Nanos::from_millis(ITER_MS * 0.6);
         p.phase_begin("iteration", start);
         p.record_interval(
             start,
-            Nanos::from_millis(iter_ms * 0.6),
+            Nanos::from_millis(ITER_MS * 0.6),
             4_000_000,
             &[(&hot, 30_000), (&cold, 3_000)],
         );
@@ -76,104 +74,100 @@ fn rank_trace(rank: u32) -> TraceFile {
     p.finish()
 }
 
-fn binary_files() -> Vec<(u32, Vec<u8>)> {
-    (0..RANKS)
-        .map(|rank| {
-            let trace = rank_trace(rank);
-            let mut w = BinaryWriter::new(Vec::new(), &trace.metadata).unwrap();
-            for e in trace.events() {
-                w.push(e).unwrap();
-            }
-            (rank, w.finish().unwrap())
-        })
-        .collect()
+fn binary_file(trace: &TraceFile) -> Vec<u8> {
+    let mut w = BinaryWriter::new(Vec::new(), &trace.metadata).unwrap();
+    for e in trace.events() {
+        w.push(e).unwrap();
+    }
+    w.finish().unwrap()
 }
 
-fn merged_reader(files: &[(u32, Vec<u8>)]) -> MergedStream<TraceReader<&[u8]>> {
-    let inputs: Vec<(u32, _)> = files
-        .iter()
-        .map(|(rank, bytes)| (*rank, TraceReader::new(bytes.as_slice()).unwrap()))
-        .collect();
-    MergedStream::new(inputs).unwrap()
+fn streamed(bytes: &[u8]) -> impl Iterator<Item = TraceEvent> + '_ {
+    TraceReader::new(bytes).unwrap().map(|e| e.unwrap())
 }
 
-fn merged_stream(files: &[(u32, Vec<u8>)]) -> impl Iterator<Item = (u32, TraceEvent)> + '_ {
-    merged_reader(files)
-        .map(|e| e.unwrap())
-        .map(|e| (e.rank, e.event))
+/// The fixture exercises the fold's boundary handling: every iteration ends
+/// at exactly the timestamp where the next one begins.
+#[test]
+fn fixture_iterations_share_boundary_timestamps() {
+    let trace = trace();
+    let marks = |begin: bool| -> Vec<u64> {
+        trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::PhaseBegin { time, name } if begin && name == "iteration" => {
+                    Some(time.nanos().to_bits())
+                }
+                TraceEvent::PhaseEnd { time, name } if !begin && name == "iteration" => {
+                    Some(time.nanos().to_bits())
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    let (begins, ends) = (marks(true), marks(false));
+    assert_eq!(begins.len(), ITERATIONS);
+    assert_eq!(
+        ends[..ITERATIONS - 1],
+        begins[1..],
+        "boundaries must be shared"
+    );
 }
 
 #[test]
-fn streamed_folding_matches_in_memory_folding_on_merged_ranks() {
-    let traces: Vec<TraceFile> = (0..RANKS).map(rank_trace).collect();
-    let in_memory_merged = merge_traces(&traces);
-    assert!(
-        in_memory_merged
-            .windows(2)
-            .all(|w| w[0].event.time() <= w[1].event.time()),
-        "merge must be time ordered"
-    );
-
-    let files = binary_files();
-    let streamed_fold =
-        FoldedTimeline::fold_ranked_stream(merged_reader(&files), "iteration", 16).unwrap();
-    let in_memory_fold = FoldedTimeline::fold_ranked_stream(
-        in_memory_merged.iter().cloned().map(Ok),
+fn streamed_folding_matches_in_memory_folding() {
+    let trace = trace();
+    let bytes = binary_file(&trace);
+    let streamed_fold = FoldedTimeline::fold_try_stream(
+        TraceReader::new(bytes.as_slice()).unwrap(),
         "iteration",
         16,
     )
     .unwrap();
+    let in_memory_fold = FoldedTimeline::fold(&trace, "iteration", 16);
     assert_eq!(streamed_fold, in_memory_fold, "folding paths diverged");
-    // Rank-aware instance tracking pairs each rank's begin/end markers
-    // independently: every one of the 4 x 6 iterations is folded.
-    assert_eq!(streamed_fold.instances, RANKS as usize * 6);
+    assert_eq!(streamed_fold.instances, ITERATIONS);
     assert!(streamed_fold.bins.iter().any(|b| b.mips > 0.0));
 }
 
 #[test]
-fn streamed_object_stats_match_in_memory_on_merged_ranks() {
-    let traces: Vec<TraceFile> = (0..RANKS).map(rank_trace).collect();
-    let in_memory_merged = merge_traces(&traces);
-    let files = binary_files();
+fn streamed_object_stats_match_in_memory() {
+    let trace = trace();
+    let bytes = binary_file(&trace);
+    let streamed = analyze_stream("streamed-app", streamed(&bytes));
+    assert_eq!(
+        streamed,
+        analyze_trace(&trace),
+        "object-stats paths diverged"
+    );
 
-    let streamed = analyze_stream("merged-app", merged_stream(&files).map(|(_, e)| e));
-    let in_memory = analyze_stream("merged-app", in_memory_merged.iter().map(|e| &e.event));
-    assert_eq!(streamed, in_memory, "object-stats paths diverged");
-
-    // All 4 ranks' objects are present (2 sites per rank) and the hot site
-    // out-misses the cold one within every rank.
-    assert_eq!(streamed.objects.len() as u32, RANKS * 2);
-    for rank in 0..RANKS {
-        let hot = streamed
-            .by_name(&format!("grid_r{rank}_{}", rank * 2))
-            .expect("hot object reported");
-        let cold = streamed
-            .by_name(&format!("grid_r{rank}_{}", rank * 2 + 1))
-            .expect("cold object reported");
-        assert!(hot.llc_misses > cold.llc_misses);
-    }
+    // Both sites are reported and the hot one out-misses the cold one.
+    assert_eq!(streamed.objects.len(), 2);
+    let hot = streamed.by_name("grid_0").expect("hot object reported");
+    let cold = streamed.by_name("grid_1").expect("cold object reported");
+    assert!(hot.llc_misses > cold.llc_misses);
     assert!(streamed.total_misses > 0);
 }
 
-/// The folding pass visits each merged event exactly once — O(events), not
+/// The folding pass visits each event exactly once — O(events), not
 /// O(instances x events) as before the streaming rewrite.
 #[test]
-fn merged_fold_is_a_single_pass_over_events() {
-    let files = binary_files();
+fn fold_is_a_single_pass_over_events() {
+    let trace = trace();
+    let bytes = binary_file(&trace);
     let mut fold = FoldAccumulator::new("iteration", 16);
-    let mut stats = ObjectStatsBuilder::new("merged-app");
+    let mut stats = ObjectStatsBuilder::new("streamed-app");
     let mut total = 0u64;
-    for (rank, event) in merged_stream(&files) {
-        fold.push_ranked(rank, &event);
+    for event in streamed(&bytes) {
+        fold.push(&event);
         stats.push(&event);
         total += 1;
     }
     assert_eq!(fold.events_visited(), total);
     assert_eq!(stats.events_seen(), total);
-    let timeline = fold.finish();
-    assert_eq!(timeline.instances, RANKS as usize * 6);
-    // And the counter is the whole story: one visit per event despite the
-    // trace containing dozens of instances of the folded region.
-    let per_rank_events: u64 = (0..RANKS).map(|r| rank_trace(r).len() as u64).sum();
-    assert_eq!(total, per_rank_events);
+    assert_eq!(fold.finish().instances, ITERATIONS);
+    // One visit per event despite the trace holding several instances of
+    // the folded region.
+    assert_eq!(total, trace.len() as u64);
 }
