@@ -40,7 +40,7 @@ impl SelectionStrategy {
         ]
     }
 
-    /// Short label used in figures and CSV output.
+    /// Short label used in figures and reports.
     pub fn label(&self) -> String {
         match self {
             SelectionStrategy::Misses { threshold_percent } => {

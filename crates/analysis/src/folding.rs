@@ -390,14 +390,6 @@ impl FoldedTimeline {
         self.bins.iter().map(|b| (b.position, b.mips)).collect()
     }
 
-    /// The routine active in each bin (Figure 5, top panel).
-    pub fn routine_series(&self) -> Vec<(f64, Option<&str>)> {
-        self.bins
-            .iter()
-            .map(|b| (b.position, b.dominant_routine.as_deref()))
-            .collect()
-    }
-
     /// Position of the bin with the lowest MIPS (ignoring empty bins).
     pub fn slowest_bin(&self) -> Option<&FoldedBin> {
         self.bins

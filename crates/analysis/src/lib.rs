@@ -10,16 +10,14 @@
 //! call-stack, and when one site allocates repeatedly (a loop), the report
 //! carries the *maximum* requested size observed for that site.
 //!
-//! The result is an [`ObjectReport`] that can be written to / read from a CSV
-//! file, exactly the hand-off format between Paramedir and `hmem_advisor`,
-//! plus a [`folding`] module reproducing the coarse-grained performance
-//! timeline of the paper's Figure 5.
+//! The result is an [`ObjectReport`], the hand-off between Paramedir and
+//! `hmem_advisor`, plus a [`folding`] module reproducing the coarse-grained
+//! performance timeline of the paper's Figure 5.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod analyzer;
-pub mod csv;
 pub mod folding;
 pub mod object_stats;
 

@@ -15,22 +15,12 @@ pub enum ReportedKind {
 }
 
 impl ReportedKind {
-    /// Short code used in the CSV format.
+    /// Short name, as printed in reports.
     pub fn code(self) -> &'static str {
         match self {
             ReportedKind::Static => "static",
             ReportedKind::Dynamic => "dynamic",
             ReportedKind::Stack => "stack",
-        }
-    }
-
-    /// Parse the CSV code.
-    pub fn from_code(code: &str) -> Option<Self> {
-        match code {
-            "static" => Some(ReportedKind::Static),
-            "dynamic" => Some(ReportedKind::Dynamic),
-            "stack" => Some(ReportedKind::Stack),
-            _ => None,
         }
     }
 }
@@ -88,24 +78,9 @@ impl ObjectReport {
         });
     }
 
-    /// The fraction of total misses attributed to each object, aligned with
-    /// `objects`.
-    pub fn miss_fractions(&self) -> Vec<f64> {
-        let total = self.total_misses.max(1) as f64;
-        self.objects
-            .iter()
-            .map(|o| o.llc_misses as f64 / total)
-            .collect()
-    }
-
     /// Look up an object by name.
     pub fn by_name(&self, name: &str) -> Option<&ObjectStats> {
         self.objects.iter().find(|o| o.name == name)
-    }
-
-    /// Total size of all reported objects (max sizes summed).
-    pub fn total_size(&self) -> ByteSize {
-        self.objects.iter().map(|o| o.max_size).sum()
     }
 
     /// Only the promotable (dynamic) objects.
@@ -132,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn report_sorting_and_fractions() {
+    fn report_sorting_and_lookup() {
         let mut r = ObjectReport {
             application: "x".to_string(),
             objects: vec![
@@ -144,10 +119,7 @@ mod tests {
         };
         r.sort_by_misses();
         assert_eq!(r.objects[0].name, "hot");
-        let fr = r.miss_fractions();
-        assert!((fr[0] - 0.9).abs() < 1e-12);
         assert_eq!(r.by_name("cold").unwrap().llc_misses, 100);
-        assert_eq!(r.total_size(), ByteSize::from_mib(2));
     }
 
     #[test]
@@ -165,17 +137,5 @@ mod tests {
         let names: Vec<&str> = r.promotable().map(|o| o.name.as_str()).collect();
         assert_eq!(names, vec!["d"]);
         assert!(!r.objects[1].promotable());
-    }
-
-    #[test]
-    fn kind_codes_round_trip() {
-        for k in [
-            ReportedKind::Static,
-            ReportedKind::Dynamic,
-            ReportedKind::Stack,
-        ] {
-            assert_eq!(ReportedKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(ReportedKind::from_code("heap"), None);
     }
 }

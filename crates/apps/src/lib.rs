@@ -33,6 +33,6 @@ pub mod stream;
 pub use kernels::TriadStream;
 pub use multirank::MultiRankWorkload;
 pub use phased::{phased_workload_by_name, phased_workloads, PhasedWorkload};
-pub use registry::{all_apps, app_by_name, validated_apps};
+pub use registry::{all_apps, app_by_name};
 pub use spec::{AllocTiming, AppSpec, KernelSpec, ObjectSpec};
 pub use stream::{StreamBenchmark, StreamResult};

@@ -85,15 +85,6 @@ impl MultiRankWorkload {
         self.per_rank.iter().map(|w| w.hot_set_size()).sum()
     }
 
-    /// The largest single-rank hot set (the dominant rank's demand).
-    pub fn max_rank_hot_set(&self) -> ByteSize {
-        self.per_rank
-            .iter()
-            .map(|w| w.hot_set_size())
-            .max()
-            .unwrap_or(ByteSize::ZERO)
-    }
-
     /// Total accesses over all ranks (for throughput accounting).
     pub fn total_accesses(&self) -> u64 {
         self.per_rank.iter().map(|w| w.total_accesses()).sum()
@@ -111,7 +102,6 @@ mod tests {
         assert_eq!(m.ranks(), 4);
         assert_eq!(m.total_accesses(), 4 * w.total_accesses());
         assert_eq!(m.node_hot_set(), ByteSize::from_kib(16 * 3 * 4));
-        assert_eq!(m.max_rank_hot_set(), w.hot_set_size());
     }
 
     #[test]
@@ -122,7 +112,6 @@ mod tests {
         // dominate.
         assert_eq!(m.rank(0).hot_set_size(), ByteSize::from_kib(16 * 4 * 3));
         assert_eq!(m.rank(1).hot_set_size(), ByteSize::from_kib(16 * 3));
-        assert_eq!(m.max_rank_hot_set(), m.rank(0).hot_set_size());
         assert_eq!(
             m.node_hot_set(),
             m.rank(0).hot_set_size() + m.rank(1).hot_set_size() * 3

@@ -18,17 +18,6 @@ pub fn all_apps() -> Vec<AppSpec> {
     ]
 }
 
-/// All applications, with every spec validated first. Sweeps should prefer
-/// this over [`all_apps`]: a malformed spec surfaces as a typed error
-/// attributable to one application instead of panicking the whole grid.
-pub fn validated_apps() -> HmResult<Vec<AppSpec>> {
-    let apps = all_apps();
-    for app in &apps {
-        app.validate()?;
-    }
-    Ok(apps)
-}
-
 /// Look an application up by (case-insensitive) name.
 ///
 /// An unknown name is a typed [`HmError::Config`] listing every registered
@@ -72,7 +61,6 @@ mod tests {
         for app in &apps {
             app.validate().unwrap();
         }
-        assert_eq!(validated_apps().unwrap().len(), 8);
     }
 
     #[test]

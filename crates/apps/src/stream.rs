@@ -23,8 +23,6 @@ pub struct StreamBenchmark {
     /// Per-array size (the paper-scale runs use arrays far larger than the
     /// caches; the default is 1 GiB per array).
     pub array_size: ByteSize,
-    /// Element size in bytes (double precision).
-    pub element_size: u32,
     /// Core counts to measure (the x-axis of Figure 1).
     pub core_counts: Vec<u32>,
 }
@@ -33,19 +31,12 @@ impl Default for StreamBenchmark {
     fn default() -> Self {
         StreamBenchmark {
             array_size: ByteSize::from_gib(1),
-            element_size: 8,
             core_counts: vec![1, 2, 4, 8, 16, 32, 34, 64, 68],
         }
     }
 }
 
 impl StreamBenchmark {
-    /// Bytes moved per Triad element update: read `b[i]` and `c[i]`, write
-    /// `a[i]` (plus the write-allocate read of `a[i]`).
-    pub fn bytes_per_element(&self) -> u64 {
-        u64::from(self.element_size) * 4
-    }
-
     /// Total working set (three arrays).
     pub fn working_set(&self) -> ByteSize {
         self.array_size * 3
@@ -157,9 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn working_set_and_traffic_accounting() {
+    fn working_set_is_three_arrays() {
         let bench = StreamBenchmark::default();
         assert_eq!(bench.working_set(), ByteSize::from_gib(3));
-        assert_eq!(bench.bytes_per_element(), 32);
     }
 }

@@ -30,11 +30,6 @@ pub struct InterpositionStats {
 }
 
 impl InterpositionStats {
-    /// Total intercepted allocations.
-    pub fn total_allocations(&self) -> u64 {
-        self.promoted_allocations + self.default_allocations + self.size_filtered
-    }
-
     /// The interposition overhead as a `Nanos` duration.
     pub fn overhead(&self) -> Nanos {
         Nanos(self.overhead_ns)
@@ -50,9 +45,6 @@ pub struct AutoHbwMalloc {
     /// Budget for the alternate allocator (the advisor's memory limit);
     /// `None` lets the heap's own capacity cap decide.
     budget: Option<ByteSize>,
-    /// Whether the lb/ub size pre-filter is enabled (the paper notes it "can
-    /// be disabled upon user request").
-    size_filter_enabled: bool,
     stats: InterpositionStats,
     /// Which tier the report's automatic entries target (MCDRAM on KNL).
     fast_tier: TierId,
@@ -68,7 +60,6 @@ impl AutoHbwMalloc {
             translator,
             cache: SiteCache::default(),
             budget: None,
-            size_filter_enabled: true,
             stats: InterpositionStats::default(),
             fast_tier: TierId::MCDRAM,
         }
@@ -77,12 +68,6 @@ impl AutoHbwMalloc {
     /// Cap the amount of memory the library will place in the fast tier.
     pub fn with_budget(mut self, budget: ByteSize) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Disable the lb/ub size pre-filter.
-    pub fn with_size_filter(mut self, enabled: bool) -> Self {
-        self.size_filter_enabled = enabled;
         self
     }
 
@@ -124,8 +109,7 @@ impl AutoHbwMalloc {
         let mut promote_to: Option<TierId> = None;
 
         // Line 3: size pre-filter.
-        let within_size_window = !self.size_filter_enabled
-            || (size >= self.report.lb_size && size <= self.report.ub_size)
+        let within_size_window = (size >= self.report.lb_size && size <= self.report.ub_size)
             || self.report.ub_size.is_zero();
         if within_size_window && !self.report.entries.is_empty() {
             // Line 4: unwind.
@@ -397,20 +381,6 @@ mod tests {
         assert_eq!(heap.page_table().tier_of(range.start), TierId::DDR);
         assert_eq!(lib.stats().size_filtered, 1);
         assert_eq!(lib.stats().cache_misses, 0, "no unwind happened");
-
-        // Disabling the filter forces the full path even for tiny requests.
-        let (mut lib2, mut heap2) = setup(&[("alloc_matrix", 64)], 1024);
-        lib2 = lib2.with_size_filter(false);
-        lib2.malloc(
-            &mut heap2,
-            ByteSize::from_kib(4),
-            "tiny",
-            &["main", "alloc_matrix", "malloc"],
-            Nanos::ZERO,
-        )
-        .unwrap();
-        assert_eq!(lib2.stats().size_filtered, 0);
-        assert_eq!(lib2.stats().cache_misses, 1);
     }
 
     #[test]
@@ -439,7 +409,6 @@ mod tests {
             "miss {after_miss} vs hit {after_hit}"
         );
         assert!(lib.stats().overhead() > Nanos::ZERO);
-        assert_eq!(lib.stats().total_allocations(), 2);
     }
 
     #[test]

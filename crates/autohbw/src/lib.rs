@@ -10,7 +10,7 @@
 //! keyed by the raw (ASLR-dependent) addresses, call-stack translation on
 //! cache misses, matching against the report, a capacity check against the
 //! advisor's budget, and per-allocator book-keeping (allocation counts,
-//! average sizes, high-water marks, objects that did not fit).
+//! requested bytes, high-water marks, objects that did not fit).
 //!
 //! The crate also implements the *other* placement approaches the paper
 //! compares against, behind a single [`router::AllocationRouter`] interface:

@@ -353,15 +353,6 @@ impl AllocationRouter {
             AllocationRouter::Interposed(lib) => lib.stats().overhead(),
         }
     }
-
-    /// Access to the framework library's statistics, if this is the
-    /// framework router.
-    pub fn interposition_stats(&self) -> Option<crate::interpose::InterpositionStats> {
-        match self {
-            AllocationRouter::Interposed(lib) => Some(lib.stats()),
-            AllocationRouter::Simple { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -513,7 +504,6 @@ mod tests {
             .unwrap();
         assert_eq!(heap.page_table().tier_of(again.start), TierId::MCDRAM);
         assert_eq!(r.promoted_hwm(), ByteSize::from_mib(100));
-        assert!(r.interposition_stats().is_none());
         assert_eq!(r.interposition_overhead(), Nanos::ZERO);
     }
 

@@ -1,25 +1,22 @@
-//! Trace I/O throughput: text vs binary serialise/parse, and streamed
-//! folding.
+//! Trace I/O throughput: binary serialise/parse, and streamed folding.
 //!
-//! The out-of-core trace subsystem is justified by numbers: this bench
-//! serialises the same profiler-shaped trace through the line-oriented text
-//! format and the chunked binary format, times both directions, and times
-//! the single-pass folding of the event stream. Before any timing, the
-//! binary and text round-trips are asserted to reproduce the original trace
-//! exactly, and the fold is asserted to visit each event exactly once.
+//! This bench serialises a profiler-shaped trace through the chunked binary
+//! format, times both directions, and times the single-pass folding of the
+//! event stream. Before any timing, the binary round-trip is asserted to
+//! reproduce the original trace exactly, and the fold is asserted to visit
+//! each event exactly once.
 //!
 //! Besides the criterion benches, the target writes `BENCH_trace.json` at
-//! the repository root (text/binary throughputs, their ratio, folding
-//! events/sec) so the trace-path perf trajectory is tracked alongside
-//! `BENCH_engine.json`.
+//! the repository root (binary throughputs, folding events/sec) so the
+//! trace-path perf trajectory is tracked alongside `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hmsim_analysis::{FoldAccumulator, FoldedTimeline};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
-    format, read_binary, write_binary, AllocationRecord, CounterSnapshot, ObjectClass,
-    SampleRecord, TraceEvent, TraceFile, TraceMetadata, TraceReader,
+    read_binary, write_binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord,
+    TraceEvent, TraceFile, TraceMetadata, TraceReader,
 };
 use std::time::Instant;
 
@@ -117,10 +114,7 @@ fn measure<T, F: FnMut() -> T>(reps: usize, mut f: F) -> f64 {
 
 struct Throughputs {
     events: usize,
-    text_bytes: usize,
     binary_bytes: usize,
-    text_write_eps: f64,
-    text_parse_eps: f64,
     binary_write_eps: f64,
     binary_read_eps: f64,
     fold_eps: f64,
@@ -128,18 +122,12 @@ struct Throughputs {
 
 fn write_baseline(t: &Throughputs) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    let parse_speedup = t.binary_read_eps / t.text_parse_eps;
     let json = format!(
-        "{{\n  \"bench\": \"trace_io\",\n  \"events\": {},\n  \"text_bytes\": {},\n  \"binary_bytes\": {},\n  \"binary_size_ratio\": {:.2},\n  \"text\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"binary_parse_speedup\": {:.2},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"trace_io\",\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }}\n}}\n",
         t.events,
-        t.text_bytes,
         t.binary_bytes,
-        t.binary_bytes as f64 / t.text_bytes as f64,
-        t.text_write_eps,
-        t.text_parse_eps,
         t.binary_write_eps,
         t.binary_read_eps,
-        parse_speedup,
         t.fold_eps,
     );
     match std::fs::write(path, &json) {
@@ -155,13 +143,10 @@ fn bench_trace_io(c: &mut Criterion) {
     let trace = synthetic_trace(events_target);
     let n = trace.len();
 
-    // Equivalence gates: both formats reproduce the trace exactly, and the
-    // fold is one visit per event, before any number is reported.
-    let text = format::write_text(&trace);
+    // Equivalence gates: the binary format reproduces the trace exactly, and
+    // the fold is one visit per event, before any number is reported.
     let binary = write_binary(&trace);
     {
-        let from_text = format::read_text(&text).expect("text parses");
-        assert_eq!(from_text.events(), trace.events(), "text diverged");
         let from_binary = read_binary(&binary).expect("binary reads");
         assert_eq!(from_binary.events(), trace.events(), "binary diverged");
         assert_eq!(from_binary.metadata, trace.metadata);
@@ -173,8 +158,6 @@ fn bench_trace_io(c: &mut Criterion) {
         assert!(fold.finish().instances > 0);
     }
 
-    let text_write = measure(reps, || format::write_text(&trace));
-    let text_parse = measure(reps, || format::read_text(&text).unwrap());
     let binary_write = measure(reps, || write_binary(&trace));
     let binary_read = measure(reps, || {
         let mut count = 0usize;
@@ -188,23 +171,18 @@ fn bench_trace_io(c: &mut Criterion) {
 
     let results = Throughputs {
         events: n,
-        text_bytes: text.len(),
         binary_bytes: binary.len(),
-        text_write_eps: n as f64 / text_write,
-        text_parse_eps: n as f64 / text_parse,
         binary_write_eps: n as f64 / binary_write,
         binary_read_eps: n as f64 / binary_read,
         fold_eps: n as f64 / fold_time,
     };
     println!(
-        "trace_io: {} events | text {:.1} MiB, binary {:.1} MiB | \
-         parse text {:.2} Mev/s vs binary {:.2} Mev/s ({:.2}x) | fold {:.2} Mev/s",
+        "trace_io: {} events | binary {:.1} MiB | write {:.2} Mev/s, parse {:.2} Mev/s | \
+         fold {:.2} Mev/s",
         n,
-        results.text_bytes as f64 / (1 << 20) as f64,
         results.binary_bytes as f64 / (1 << 20) as f64,
-        results.text_parse_eps / 1e6,
+        results.binary_write_eps / 1e6,
         results.binary_read_eps / 1e6,
-        results.binary_read_eps / results.text_parse_eps,
         results.fold_eps / 1e6,
     );
     if !test_mode {
@@ -214,10 +192,6 @@ fn bench_trace_io(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_io");
     group.sample_size(10);
     group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("text_serialize", |b| b.iter(|| format::write_text(&trace)));
-    group.bench_function("text_parse", |b| {
-        b.iter(|| format::read_text(&text).unwrap())
-    });
     group.bench_function("binary_serialize", |b| b.iter(|| write_binary(&trace)));
     group.bench_function("binary_stream_read", |b| {
         b.iter(|| {

@@ -24,11 +24,7 @@ pub const EXPECTED: &[(&str, &str, &[&str])] = &[
         "engine_throughput",
         &["threads", "headline_speedup", "workloads"],
     ),
-    (
-        "BENCH_trace.json",
-        "trace_io",
-        &["binary_parse_speedup", "folding"],
-    ),
+    ("BENCH_trace.json", "trace_io", &["binary", "folding"]),
     (
         "BENCH_runtime.json",
         "runtime_migration",
@@ -113,18 +109,16 @@ mod tests {
 
     #[test]
     fn validation_requires_the_headline_keys() {
-        let good = parse_json(
-            "{\"bench\": \"trace_io\", \"binary_parse_speedup\": 14.0, \"folding\": {}}",
-        )
-        .unwrap();
+        let good =
+            parse_json("{\"bench\": \"trace_io\", \"binary\": {}, \"folding\": {}}").unwrap();
         validate_document("BENCH_trace.json", &good).unwrap();
 
-        let wrong_bench = parse_json("{\"bench\": \"oops\", \"binary_parse_speedup\": 1}").unwrap();
+        let wrong_bench = parse_json("{\"bench\": \"oops\", \"binary\": {}}").unwrap();
         assert!(validate_document("BENCH_trace.json", &wrong_bench).is_err());
 
         let missing = parse_json("{\"bench\": \"trace_io\", \"folding\": {}}").unwrap();
         let err = validate_document("BENCH_trace.json", &missing).unwrap_err();
-        assert!(err.contains("binary_parse_speedup"), "{err}");
+        assert!(err.contains("binary"), "{err}");
 
         let unregistered = parse_json("{\"bench\": \"new\"}").unwrap();
         assert!(validate_document("BENCH_new.json", &unregistered).is_err());

@@ -44,14 +44,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
 }
 
 /// Escape `text` as the body of a JSON string literal (no surrounding
@@ -297,8 +289,8 @@ mod tests {
     fn accessors_distinguish_value_kinds() {
         let doc = parse_json("{\"s\": \"v\", \"n\": 2.5}").unwrap();
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("v"));
-        assert_eq!(doc.get("n").and_then(Json::as_num), Some(2.5));
-        assert_eq!(doc.get("s").and_then(Json::as_num), None);
+        assert_eq!(doc.get("n"), Some(&Json::Num(2.5)));
+        assert_eq!(doc.get("n").and_then(Json::as_str), None);
         assert_eq!(doc.get("missing"), None);
     }
 }

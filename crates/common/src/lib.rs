@@ -12,16 +12,14 @@
 //!   ranks, cores and threads;
 //! * [`rng`] — deterministic, seed-derivable random number generation so every
 //!   experiment in the evaluation is reproducible bit-for-bit;
-//! * [`stats`] — running statistics, high-water-mark tracking, histograms and
-//!   percentile helpers used by the profiler, the allocators and the
-//!   experiment driver;
+//! * [`stats`] — high-water-mark tracking used by the allocators;
 //! * [`error`] — the shared error type;
 //! * [`json`] — the minimal recursive-descent JSON reader shared by the
 //!   bench schema check and the scenario loader (no serde in the offline
 //!   build);
 //! * [`par`] — the scoped-thread work-sharing fan-out used by the experiment
 //!   grid;
-//! * [`table`] — plain-text table/CSV rendering used to print the paper's
+//! * [`table`] — plain-text table rendering used to print the paper's
 //!   tables and figure series.
 
 #![warn(missing_docs)]
@@ -40,5 +38,5 @@ pub use error::{HmError, HmResult};
 pub use ids::{CoreId, ObjectId, RankId, SiteId, ThreadId, TierId};
 pub use par::parallel_map;
 pub use rng::DetRng;
-pub use stats::{HighWaterMark, Histogram, RunningStats};
-pub use units::{Address, AddressRange, ByteSize, Cycles, Nanos, Page, PAGE_SIZE};
+pub use stats::HighWaterMark;
+pub use units::{Address, AddressRange, ByteSize, Nanos, Page, PAGE_SIZE};

@@ -110,35 +110,6 @@ impl DetRng {
         let u = self.uniform();
         -mean * (1.0 - u).ln()
     }
-
-    /// Pick a uniformly random element index weighted by `weights`.
-    /// Returns `None` if the weights are empty or all zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().copied().filter(|w| *w > 0.0).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut x = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            if x < w {
-                return Some(i);
-            }
-            x -= w;
-        }
-        // Floating-point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| *w > 0.0)
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.uniform_range(0, i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,17 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_zero_weights() {
-        let mut r = DetRng::new(11);
-        for _ in 0..200 {
-            let idx = r.weighted_index(&[0.0, 1.0, 0.0]).unwrap();
-            assert_eq!(idx, 1);
-        }
-        assert!(r.weighted_index(&[]).is_none());
-        assert!(r.weighted_index(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
     fn normal_is_centered() {
         let mut r = DetRng::new(5);
         let n = 10_000;
@@ -220,15 +180,5 @@ mod tests {
         assert!(vals.iter().all(|v| *v >= 0.0));
         let mean = vals.iter().sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.2, "mean was {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::new(9);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

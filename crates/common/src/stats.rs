@@ -1,109 +1,10 @@
-//! Running statistics, high-water-mark tracking and histograms.
+//! High-water-mark tracking.
 //!
-//! These helpers back the book-keeping that the paper's `auto-hbwmalloc`
-//! library performs (allocation counts, average allocation size, observed
-//! high-water mark) as well as the experiment driver's summaries.
+//! Backs the book-keeping that the paper's `auto-hbwmalloc` library performs
+//! (the observed high-water mark per allocator) and the per-process HWM of
+//! Table I.
 
 use crate::units::ByteSize;
-
-/// Incrementally maintained summary statistics (count, mean, variance, min,
-/// max) using Welford's algorithm.
-#[derive(Clone, Debug, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// New, empty statistics.
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations (0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Population variance (0 for fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another set of statistics into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Tracks the current value and the highest value ever reached of a byte
 /// quantity — the *high-water mark* (HWM) reported per allocator by
@@ -144,169 +45,9 @@ impl HighWaterMark {
     }
 }
 
-/// A fixed-bucket histogram over `f64` observations, used for sample latency
-/// distributions and for the Folding timeline.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Create a histogram covering `[lo, hi)` with `n` equally sized buckets.
-    ///
-    /// Panics if `n == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0, "histogram needs at least one bucket");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of observations, including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The centre value of bucket `i`.
-    pub fn bucket_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1) from the bucket counts.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target && self.underflow > 0 {
-            return Some(self.lo);
-        }
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(self.bucket_center(i));
-            }
-        }
-        Some(self.hi)
-    }
-}
-
-/// Compute the exact percentile of a data set (interpolated, like numpy's
-/// `percentile` with linear interpolation). Returns `None` on empty input.
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let p = p.clamp(0.0, 100.0) / 100.0;
-    let rank = p * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = rank - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-}
-
-/// Geometric mean of a set of strictly positive values (`None` if empty or if
-/// any value is non-positive).
-pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() || values.iter().any(|v| *v <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    Some((log_sum / values.len() as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn running_stats_basic() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn running_stats_merge_matches_single_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut whole = RunningStats::new();
-        data.iter().for_each(|x| whole.record(*x));
-
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        data[..40].iter().for_each(|x| a.record(*x));
-        data[40..].iter().for_each(|x| b.record(*x));
-        a.merge(&b);
-
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
 
     #[test]
     fn hwm_tracks_peak() {
@@ -325,46 +66,5 @@ mod tests {
         h.grow(ByteSize::from_kib(4));
         h.shrink(ByteSize::from_mib(1));
         assert_eq!(h.current(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 100);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 5.0).abs() <= 1.0, "median was {median}");
-    }
-
-    #[test]
-    fn histogram_under_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-1.0);
-        h.record(2.0);
-        h.record(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets().iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), Some(1.0));
-        assert_eq!(percentile(&v, 100.0), Some(4.0));
-        assert_eq!(percentile(&v, 50.0), Some(2.5));
-        assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[]), None);
-        assert_eq!(geometric_mean(&[1.0, 0.0]), None);
     }
 }

@@ -1,8 +1,7 @@
-//! Plain-text table and CSV rendering.
+//! Plain-text table rendering.
 //!
 //! The experiment driver prints each of the paper's tables and figure data
-//! series both as aligned text (for humans) and as CSV (for plotting). The
-//! same helpers also back the Paramedir-style reports.
+//! series as aligned text.
 
 use std::fmt::Write as _;
 
@@ -76,62 +75,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV (RFC-4180-ish: fields containing commas, quotes or
-    /// newlines are quoted, quotes are doubled).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let emit = |out: &mut String, row: &[String]| {
-            let line: Vec<String> = row.iter().map(|c| csv_escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.header);
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
-}
-
-/// Escape one CSV field.
-pub fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-/// Parse one CSV line into fields, honouring double-quoted fields with
-/// embedded commas and doubled quotes.
-pub fn csv_parse_line(line: &str) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            } else {
-                cur.push(c);
-            }
-        } else if c == '"' && cur.is_empty() {
-            in_quotes = true;
-        } else if c == ',' {
-            fields.push(std::mem::take(&mut cur));
-        } else {
-            cur.push(c);
-        }
-    }
-    fields.push(cur);
-    fields
 }
 
 /// Format a float with a sensible number of significant digits for reports
@@ -185,28 +128,6 @@ mod tests {
         assert!(lines[2].contains("HPCG"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_round_trip_with_quotes() {
-        let mut t = TextTable::new(["name", "note"]);
-        t.row(["a,b", "he said \"hi\""]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        let parsed = csv_parse_line(lines[1]);
-        assert_eq!(
-            parsed,
-            vec!["a,b".to_string(), "he said \"hi\"".to_string()]
-        );
-    }
-
-    #[test]
-    fn csv_parse_simple_line() {
-        assert_eq!(
-            csv_parse_line("a,b,c"),
-            vec!["a".to_string(), "b".to_string(), "c".to_string()]
-        );
-        assert_eq!(csv_parse_line(""), vec!["".to_string()]);
     }
 
     #[test]

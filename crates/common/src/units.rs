@@ -2,7 +2,7 @@
 //!
 //! The simulator manipulates three families of quantities that are easy to
 //! confuse when they are all `u64`: *sizes* (bytes), *addresses* (positions in
-//! the simulated virtual address space) and *times* (nanoseconds or cycles).
+//! the simulated virtual address space) and *times* (nanoseconds).
 //! Each gets a newtype with the arithmetic that makes sense for it and nothing
 //! more.
 
@@ -209,11 +209,6 @@ impl Address {
     /// Address advanced by `bytes`.
     pub fn offset(self, bytes: u64) -> Address {
         Address(self.0 + bytes)
-    }
-
-    /// The cache line (of `line_size` bytes) containing this address.
-    pub fn cache_line(self, line_size: u64) -> u64 {
-        self.0 / line_size
     }
 }
 
@@ -426,38 +421,6 @@ impl std::iter::Sum for Nanos {
     }
 }
 
-/// A count of processor clock cycles.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
-pub struct Cycles(pub u64);
-
-impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
-    /// Convert to wall-clock time at the given core frequency (Hz).
-    pub fn at_frequency(self, hz: f64) -> Nanos {
-        Nanos(self.0 as f64 / hz * 1e9)
-    }
-
-    /// Raw cycle count.
-    pub const fn count(self) -> u64 {
-        self.0
-    }
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +465,6 @@ mod tests {
         assert_eq!(a.page(), Page(3));
         assert_eq!(a.page_offset(), 17);
         assert_eq!(a.offset(10).value(), PAGE_SIZE * 3 + 27);
-        assert_eq!(a.cache_line(64), (PAGE_SIZE * 3 + 17) / 64);
     }
 
     #[test]
@@ -535,12 +497,5 @@ mod tests {
         assert!((t.millis() - 1500.0).abs() < 1e-9);
         assert!((t.micros() - 1.5e6).abs() < 1e-6);
         assert_eq!(format!("{}", Nanos::from_micros(12.0)), "12.000us");
-    }
-
-    #[test]
-    fn cycles_to_time() {
-        let c = Cycles(1_400_000_000);
-        let t = c.at_frequency(1.4e9);
-        assert!((t.secs() - 1.0).abs() < 1e-9);
     }
 }

@@ -23,7 +23,7 @@
 //!   contribution);
 //! * [`figures`] — generators that print the data behind Figure 1, Figure 3,
 //!   Figure 5 and Table I;
-//! * [`report`] — text/CSV rendering of all of the above.
+//! * [`report`] — text rendering of all of the above.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -21,17 +21,6 @@ pub fn delta_fom_per_mbyte(fom: f64, fom_ddr: f64, mcdram_mib: f64) -> f64 {
     (fom - fom_ddr) / mcdram_mib
 }
 
-/// Locate the sweet spot: the configuration index with the highest
-/// ΔFOM/MByte. Returns `None` for an empty slice.
-pub fn sweet_spot(series: &[(f64, f64)]) -> Option<usize> {
-    // series: (mcdram_mib, dfom_per_mbyte)
-    series
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1 .1.partial_cmp(&b.1 .1).expect("no NaN"))
-        .map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,16 +34,5 @@ mod tests {
         assert!(delta_fom_per_mbyte(10.0, 11.0, 128.0) < 0.0);
         // Zero memory is guarded.
         assert_eq!(delta_fom_per_mbyte(15.0, 11.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn sweet_spot_picks_the_most_efficient_budget() {
-        // Diminishing returns: the small budget is the most efficient.
-        let series = vec![(32.0, 0.05), (64.0, 0.04), (128.0, 0.02), (256.0, 0.012)];
-        assert_eq!(sweet_spot(&series), Some(0));
-        // A hot set that only fits at 128 MiB moves the sweet spot there.
-        let series = vec![(32.0, 0.001), (64.0, 0.002), (128.0, 0.03), (256.0, 0.02)];
-        assert_eq!(sweet_spot(&series), Some(2));
-        assert_eq!(sweet_spot(&[]), None);
     }
 }

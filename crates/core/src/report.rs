@@ -1,4 +1,4 @@
-//! Text and CSV rendering of experiment results, tables and figure data.
+//! Text rendering of experiment results, tables and figure data.
 
 use crate::experiment::AppExperiment;
 use crate::figures::{Figure1Row, Figure3Row, Table1Row};
@@ -29,31 +29,6 @@ pub fn render_app_experiment(exp: &AppExperiment) -> String {
         fmt_metric(exp.ddr_fom),
         t.render()
     )
-}
-
-/// Render one application's Figure-4 data as CSV.
-pub fn app_experiment_csv(exp: &AppExperiment) -> String {
-    let mut t = TextTable::new([
-        "app",
-        "configuration",
-        "is_framework",
-        "fom",
-        "speedup",
-        "mcdram_hwm_mib",
-        "dfom_per_mbyte",
-    ]);
-    for r in &exp.results {
-        t.row([
-            exp.app.clone(),
-            r.label.clone(),
-            r.is_framework.to_string(),
-            format!("{}", r.fom),
-            format!("{}", r.fom / exp.ddr_fom.max(1e-12)),
-            format!("{}", r.mcdram_hwm.mib()),
-            format!("{}", r.dfom_per_mbyte),
-        ]);
-    }
-    t.to_csv()
 }
 
 /// Render the Figure-1 series as an aligned table.
@@ -154,16 +129,6 @@ mod tests {
         assert!(text.contains("Misses(0%)/256MiB"));
         assert!(text.contains("Cache"));
         assert!(text.contains("1.582"), "speedup column rendered: {text}");
-    }
-
-    #[test]
-    fn csv_rendering_round_trips_through_the_csv_parser() {
-        let csv = app_experiment_csv(&experiment());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let parsed = hmsim_common::table::csv_parse_line(lines[1]);
-        assert_eq!(parsed[0], "HPCG");
-        assert_eq!(parsed[2], "true");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use hmsim_common::json::{escape_str, parse_json, Json};
 use hmsim_common::{ByteSize, HmError, HmResult, Nanos};
 use hmsim_machine::{MachineConfig, MemoryMode};
 use hmsim_profiler::ProfilerConfig;
-use hmsim_runtime::{ArbiterPolicy, OnlineConfig};
+use hmsim_runtime::{ArbiterPolicy, OnlineConfig, MAX_RANKS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -273,12 +273,6 @@ impl Scenario {
         self
     }
 
-    /// Pick the machine.
-    pub fn with_machine(mut self, machine: MachineSelector) -> Self {
-        self.machine = machine;
-        self
-    }
-
     // -----------------------------------------------------------------------
     // Validation
     // -----------------------------------------------------------------------
@@ -435,6 +429,13 @@ impl Scenario {
                         "multi-rank workloads run under the Online approach, not {}",
                         self.approach
                     ));
+                }
+                // Checked here because the per-rank workloads are built
+                // before the runtime could refuse the count.
+                let (MultiRankSelector::Replicated { ranks, .. }
+                | MultiRankSelector::RankSkewTriad { ranks, .. }) = sel;
+                if *ranks > MAX_RANKS {
+                    return fail(format!("{ranks} ranks exceed the limit of {MAX_RANKS}"));
                 }
                 match sel {
                     MultiRankSelector::Replicated {
@@ -1138,6 +1139,25 @@ mod tests {
         let mut s = base.clone();
         s.online.as_mut().unwrap().migration_streams = 0;
         rejects(&s, "migration_streams");
+
+        let mut s = base.clone();
+        let WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad { ranks, .. }) =
+            &mut s.workload
+        else {
+            unreachable!("rank-skew scenario");
+        };
+        *ranks = 4_000_000_000;
+        rejects(&s, "limit of 1024");
+        let too_many = Scenario::multirank(
+            MultiRankSelector::Replicated {
+                workload: "steady-triad".to_string(),
+                array_size: ByteSize::from_kib(16),
+                ranks: MAX_RANKS + 1,
+            },
+            ArbiterPolicy::Partition,
+            ByteSize::from_kib(96),
+        );
+        rejects(&too_many, "limit of 1024");
 
         let mut s = base.clone();
         let WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad { array_size, .. }) =

@@ -58,11 +58,6 @@ impl DataObject {
         self.range.len
     }
 
-    /// Whether the object is still live at time `t`.
-    pub fn live_at(&self, t: Nanos) -> bool {
-        t >= self.allocated_at && self.freed_at.map(|f| t < f).unwrap_or(true)
-    }
-
     /// Whether this object can be promoted by the interposition library.
     pub fn promotable(&self) -> bool {
         self.kind.promotable()
@@ -94,19 +89,6 @@ mod tests {
         assert!(!ObjectKind::Stack.promotable());
         assert!(obj(ObjectKind::Dynamic).promotable());
         assert!(!obj(ObjectKind::Static).promotable());
-    }
-
-    #[test]
-    fn liveness_window() {
-        let o = obj(ObjectKind::Dynamic);
-        assert!(!o.live_at(Nanos::from_millis(5.0)));
-        assert!(o.live_at(Nanos::from_millis(10.0)));
-        assert!(o.live_at(Nanos::from_millis(49.9)));
-        assert!(!o.live_at(Nanos::from_millis(50.0)));
-
-        let mut forever = obj(ObjectKind::Static);
-        forever.freed_at = None;
-        assert!(forever.live_at(Nanos::from_secs(100.0)));
     }
 
     #[test]

@@ -89,16 +89,6 @@ pub struct TierAllocStats {
     pub cpu_time_ns: f64,
 }
 
-impl TierAllocStats {
-    /// Average size of successful allocations.
-    pub fn average_size(&self) -> ByteSize {
-        match self.total_requested.checked_div(self.allocations) {
-            Some(avg) => ByteSize::from_bytes(avg),
-            None => ByteSize::ZERO,
-        }
-    }
-}
-
 /// An allocator bound to one memory tier, with an optional capacity cap below
 /// the tier's physical size (the per-rank MCDRAM budget of the experiments).
 #[derive(Clone, Debug)]
@@ -281,7 +271,7 @@ mod tests {
         let s = a.stats();
         assert_eq!(s.allocations, 2);
         assert_eq!(s.frees, 1);
-        assert_eq!(s.average_size(), ByteSize::from_mib(20));
+        assert_eq!(s.total_requested, ByteSize::from_mib(40).bytes());
         assert_eq!(a.hwm(), ByteSize::from_mib(40));
         assert_eq!(a.used_bytes(), ByteSize::from_mib(30));
         let expected = c1.nanos() + c2.nanos() + cf.nanos();

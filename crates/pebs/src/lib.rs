@@ -5,8 +5,8 @@
 //! chosen event (LLC load misses here) has occurred `period` times, the PMU
 //! captures a record containing the referenced data address (and, on
 //! big-core Xeons, the access latency and the part of the hierarchy that
-//! served the load). Records accumulate in a buffer that the tracing runtime
-//! drains.
+//! served the load). The sampler hands each record straight to its caller,
+//! the profiler or the online runtime.
 //!
 //! The paper samples one out of every 37,589 L2 misses on the Xeon Phi,
 //! keeping the monitoring overhead "typically below 1 %".
@@ -14,10 +14,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod buffer;
 pub mod counter;
 pub mod sampler;
 
-pub use buffer::SampleBuffer;
 pub use counter::{PebsCapability, PebsEvent, ProcessorFamily};
 pub use sampler::{PebsSampler, RawSample};

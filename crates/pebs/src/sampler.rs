@@ -54,17 +54,6 @@ impl PebsSampler {
         }
     }
 
-    /// The sampler used throughout the paper: LLC load misses on KNL with a
-    /// period of 37,589.
-    pub fn paper_default(rng: DetRng) -> Self {
-        Self::new(
-            ProcessorFamily::KnightsLanding,
-            PebsEvent::LlcLoadMiss,
-            37_589,
-            rng,
-        )
-    }
-
     /// The sampling period.
     pub fn period(&self) -> u64 {
         self.period
@@ -325,12 +314,6 @@ mod tests {
         let smp = xeon.observe(Nanos::ZERO, Address(0x1)).unwrap();
         let lat = smp.latency_cycles.unwrap();
         assert!((150..=600).contains(&lat));
-    }
-
-    #[test]
-    fn paper_default_period() {
-        let s = PebsSampler::paper_default(DetRng::new(1));
-        assert_eq!(s.period(), 37_589);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::ProfilerConfig;
 use crate::overhead::OverheadModel;
-use hmsim_common::{Address, DetRng, HmResult, Nanos, ObjectId};
+use hmsim_common::{Address, DetRng, Nanos, ObjectId};
 use hmsim_heap::{DataObject, ObjectKind};
 use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 use hmsim_trace::{
@@ -17,7 +17,6 @@ pub struct Profiler {
     trace: TraceFile,
     sampler: PebsSampler,
     overhead_model: OverheadModel,
-    rng: DetRng,
     /// Allocation/deallocation events actually instrumented.
     alloc_events: u64,
     /// Counter snapshots emitted.
@@ -48,7 +47,6 @@ impl Profiler {
             trace: TraceFile::new(metadata),
             sampler,
             overhead_model: OverheadModel::default(),
-            rng,
             alloc_events: 0,
             snapshots: 0,
             pending_instructions: 0,
@@ -164,25 +162,6 @@ impl Profiler {
         }
     }
 
-    /// Record misses that do not belong to any tracked object (stack/IO
-    /// noise); sampled addresses are drawn from the given address.
-    pub fn record_untracked_misses(&mut self, start: Nanos, duration: Nanos, misses: u64) {
-        let base = 0x7ffd_0000_0000u64 + self.rng.uniform_range(0, 1 << 20);
-        let samples = self.sampler.observe_bulk(start, duration, misses, |rng| {
-            Address(base + rng.uniform_range(0, 1 << 16))
-        });
-        for s in samples {
-            self.trace.push(TraceEvent::Sample(SampleRecord {
-                time: s.time,
-                address: s.address,
-                object: None,
-                weight: s.weight,
-                latency_cycles: s.latency_cycles,
-            }));
-        }
-        self.pending_misses += misses;
-    }
-
     /// Number of samples emitted so far.
     pub fn samples(&self) -> u64 {
         self.sampler.total_samples()
@@ -217,16 +196,6 @@ impl Profiler {
         }
         self.trace.sort_by_time();
         self.trace
-    }
-
-    /// Finish profiling and emit the trace through the chunked binary writer
-    /// into `sink` (a file, a socket, …) instead of handing back the
-    /// in-memory [`TraceFile`]. The events are still sorted in memory first
-    /// (capture is simulated, so the whole trace exists anyway); the binary
-    /// sink is for the *consumers*, which can then stream it without
-    /// re-materialising. Returns the sink.
-    pub fn finish_binary<W: std::io::Write>(self, sink: W) -> HmResult<W> {
-        hmsim_trace::write_binary_to(sink, &self.finish())
     }
 }
 
@@ -358,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn untracked_misses_produce_unattributed_samples() {
-        let mut p = profiler(100);
-        p.record_untracked_misses(Nanos::ZERO, Nanos::from_millis(10.0), 1_000);
-        let trace = p.finish();
-        let unattributed = trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Sample(s) if s.object.is_none()))
-            .count();
-        assert!(unattributed >= 9, "got {unattributed}");
-    }
-
-    #[test]
     fn overhead_grows_with_allocation_rate() {
         let mut light = profiler(37_589);
         let mut heavy = profiler(37_589);
@@ -382,29 +338,6 @@ mod tests {
         let base = Nanos::from_secs(100.0);
         assert!(heavy.overhead_fraction(base) > light.overhead_fraction(base));
         assert!(light.overhead_fraction(base) < 0.01);
-    }
-
-    #[test]
-    fn finish_binary_matches_finish() {
-        let build = || {
-            let mut p = profiler(1000);
-            let a = object(0, 0x10_0000, ByteSize::from_mib(4), ObjectKind::Dynamic);
-            p.record_alloc(&a, Nanos::ZERO);
-            p.phase_begin("iteration", Nanos::ZERO);
-            p.record_interval(
-                Nanos::ZERO,
-                Nanos::from_millis(50.0),
-                10_000_000,
-                &[(&a, 40_000)],
-            );
-            p.phase_end("iteration", Nanos::from_millis(50.0));
-            p
-        };
-        let in_memory = build().finish();
-        let bytes = build().finish_binary(Vec::new()).unwrap();
-        let reread = hmsim_trace::read_binary(&bytes).unwrap();
-        assert_eq!(reread.metadata, in_memory.metadata);
-        assert_eq!(reread.events(), in_memory.events());
     }
 
     #[test]

@@ -84,18 +84,6 @@ impl OnlineConfig {
         self.epoch_accesses = accesses.max(1);
         self
     }
-
-    /// Override the per-epoch move budget.
-    pub fn with_moves_per_epoch(mut self, moves: u32) -> Self {
-        self.max_moves_per_epoch = moves;
-        self
-    }
-
-    /// Override the selection strategy.
-    pub fn with_strategy(mut self, strategy: SelectionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
 }
 
 #[cfg(test)]

@@ -50,6 +50,6 @@ pub use controller::{
 };
 pub use cost::MigrationCostModel;
 pub use multirank::{
-    run_multirank, MultiRankConfig, MultiRankOutcome, MultiRankRuntime, RankOutcome,
+    run_multirank, MultiRankConfig, MultiRankOutcome, MultiRankRuntime, RankOutcome, MAX_RANKS,
 };
 pub use runtime::{EpochRecord, OnlineRuntime, RuntimeStats};

@@ -46,7 +46,7 @@ use hmsim_pebs::RawSample;
 const RANK_ID_STRIDE: u32 = 1 << 22;
 
 /// Ranks whose globalized ids fit a `u32`: `2^32 / RANK_ID_STRIDE`.
-const MAX_RANKS: u32 = (u32::MAX / RANK_ID_STRIDE) + 1;
+pub const MAX_RANKS: u32 = (u32::MAX / RANK_ID_STRIDE) + 1;
 
 /// Globalize a rank-local id. [`MultiRankRuntime::new`] refuses rank counts
 /// and object ids that would not fit, so this never wraps.

@@ -1,9 +1,7 @@
 //! Compact chunked binary serialisation of traces.
 //!
-//! The text format of [`crate::format`] is convenient for eyeballing but
-//! costs a full parse of every decimal field; real Extrae emits binary
-//! intermediate traces precisely because capture must keep up with the
-//! application. This module provides the binary analogue:
+//! Real Extrae emits binary intermediate traces because capture must keep up
+//! with the application. This module provides the analogue:
 //!
 //! ```text
 //! [magic "HMTB"][version u16]

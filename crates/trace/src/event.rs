@@ -14,27 +14,6 @@ pub enum ObjectClass {
     Stack,
 }
 
-impl ObjectClass {
-    /// Short code used in the text format.
-    pub fn code(self) -> &'static str {
-        match self {
-            ObjectClass::Static => "S",
-            ObjectClass::Dynamic => "D",
-            ObjectClass::Stack => "K",
-        }
-    }
-
-    /// Parse from the short code.
-    pub fn from_code(code: &str) -> Option<Self> {
-        match code {
-            "S" => Some(ObjectClass::Static),
-            "D" => Some(ObjectClass::Dynamic),
-            "K" => Some(ObjectClass::Stack),
-            _ => None,
-        }
-    }
-}
-
 /// An allocation (or static/stack definition) record.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AllocationRecord {
@@ -142,18 +121,6 @@ impl TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn object_class_codes_round_trip() {
-        for c in [
-            ObjectClass::Static,
-            ObjectClass::Dynamic,
-            ObjectClass::Stack,
-        ] {
-            assert_eq!(ObjectClass::from_code(c.code()), Some(c));
-        }
-        assert_eq!(ObjectClass::from_code("X"), None);
-    }
 
     #[test]
     fn event_time_accessor() {

@@ -11,12 +11,9 @@
 //! consumes these traces; the profiler (`hmsim-profiler`, our Extrae)
 //! produces them.
 //!
-//! Traces exist in three representations:
+//! Traces exist in two representations:
 //!
 //! * **In memory** as a [`TraceFile`] — convenient for tests and small runs.
-//! * **Text** (`.prv`-like, [`mod@format`]): one record per line with
-//!   colon-separated, percent-escaped fields and a `#` header. Human-readable
-//!   interchange format.
 //! * **Binary** ([`binary`]): a compact chunked record format with a
 //!   buffered [`BinaryWriter`] and a streaming [`TraceReader`] that iterates
 //!   events while holding one chunk in memory — the out-of-core capture
@@ -31,7 +28,6 @@
 
 pub mod binary;
 pub mod event;
-pub mod format;
 pub mod summary;
 pub mod trace_file;
 

@@ -1,15 +1,14 @@
-//! DetRng-driven round-trip fuzzing of both serialisation formats.
+//! DetRng-driven round-trip fuzzing of the binary trace format.
 //!
 //! Random traces — including hostile names full of separators, escape
-//! characters and control characters — must survive text→parse and
-//! binary→read identically, event for event and metadata field for metadata
-//! field.
+//! characters and control characters — must survive binary→read
+//! identically, event for event and metadata field for metadata field.
 
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
-    binary, format, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent,
-    TraceFile, TraceMetadata, TraceReader,
+    binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent, TraceFile,
+    TraceMetadata, TraceReader,
 };
 
 /// Fragments chosen to break naive escaping: field separators, the escape
@@ -119,19 +118,6 @@ fn random_trace(rng: &mut DetRng) -> TraceFile {
 }
 
 #[test]
-fn random_traces_survive_text_round_trip() {
-    let mut rng = DetRng::new(0xF0221).derive("text-roundtrip");
-    for case in 0..50 {
-        let original = random_trace(&mut rng);
-        let text = format::write_text(&original);
-        let parsed = format::read_text(&text)
-            .unwrap_or_else(|e| panic!("case {case}: text parse failed: {e}"));
-        assert_eq!(parsed.metadata, original.metadata, "case {case} metadata");
-        assert_eq!(parsed.events(), original.events(), "case {case} events");
-    }
-}
-
-#[test]
 fn random_traces_survive_binary_round_trip() {
     let mut rng = DetRng::new(0xF0221).derive("binary-roundtrip");
     for case in 0..50 {
@@ -141,18 +127,6 @@ fn random_traces_survive_binary_round_trip() {
             .unwrap_or_else(|e| panic!("case {case}: binary read failed: {e}"));
         assert_eq!(back.metadata, original.metadata, "case {case} metadata");
         assert_eq!(back.events(), original.events(), "case {case} events");
-    }
-}
-
-#[test]
-fn text_and_binary_agree_with_each_other() {
-    let mut rng = DetRng::new(0xF0221).derive("cross-format");
-    for _ in 0..20 {
-        let original = random_trace(&mut rng);
-        let via_text = format::read_text(&format::write_text(&original)).unwrap();
-        let via_binary = binary::read_binary(&binary::write_binary(&original)).unwrap();
-        assert_eq!(via_text.events(), via_binary.events());
-        assert_eq!(via_text.metadata, via_binary.metadata);
     }
 }
 

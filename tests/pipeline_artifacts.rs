@@ -1,24 +1,24 @@
 //! Cross-crate integration tests exercising the framework's on-disk
-//! artefacts end to end: the Extrae-style trace text format, the Paramedir
-//! CSV report, the advisor's memory-specification file and its
-//! human-readable placement report — i.e. the hand-off files between the
-//! four stages of Figure 2, round-tripped through their serialised forms.
+//! artefacts end to end: the Extrae-style binary trace, the advisor's
+//! memory-specification file and its human-readable placement report — i.e.
+//! the hand-off files between the four stages of Figure 2, round-tripped
+//! through their serialised forms.
 
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
 use hmem_advisor::{Advisor, MemorySpec, PlacementReport, SelectionStrategy};
 use hmem_core::simrun::{AppRun, RunConfig};
-use hmsim_analysis::{analyze_trace, csv};
+use hmsim_analysis::analyze_trace;
 use hmsim_apps::app_by_name;
 use hmsim_common::ByteSize;
 use hmsim_profiler::ProfilerConfig;
-use hmsim_trace::format as trace_format;
+use hmsim_trace::{read_binary, write_binary};
 
 #[test]
 fn the_four_stage_hand_off_survives_serialisation_between_every_stage() {
     let spec = app_by_name("miniFE").unwrap();
     let budget = ByteSize::from_mib(128);
 
-    // Stage 1: profile, then write the trace to its text form and read it
+    // Stage 1: profile, then write the trace to its binary form and read it
     // back (what Extrae's trace file does).
     let profiled = AppRun::new(
         &spec,
@@ -29,18 +29,16 @@ fn the_four_stage_hand_off_survives_serialisation_between_every_stage() {
     .execute(PlacementApproach::DdrOnly.router().unwrap())
     .unwrap();
     let trace = profiled.trace.unwrap();
-    let trace_text = trace_format::write_text(&trace);
-    let trace_back = trace_format::read_text(&trace_text).unwrap();
-    assert_eq!(trace_back.len(), trace.len());
+    let trace_back = read_binary(&write_binary(&trace)).unwrap();
+    assert_eq!(trace_back.metadata, trace.metadata);
+    assert_eq!(trace_back.events(), trace.events());
     assert_eq!(trace_back.metadata.application, "miniFE");
 
-    // Stage 2: analyse the re-read trace and round-trip the CSV report
-    // (Paramedir's output file).
+    // Stage 2: analysing the re-read trace gives the report the original
+    // trace gives (Paramedir's output).
     let report = analyze_trace(&trace_back);
-    let report_csv = csv::write_csv(&report);
-    let report_back = csv::read_csv(&report_csv).unwrap();
-    assert_eq!(report_back, report);
-    assert!(report_back.objects.iter().any(|o| o.name == "A.coefs"));
+    assert_eq!(report, analyze_trace(&trace));
+    assert!(report.objects.iter().any(|o| o.name == "A.coefs"));
 
     // Stage 3: the memory specification is itself a config file; parse it,
     // advise, and round-trip the placement report text.
@@ -48,7 +46,7 @@ fn the_four_stage_hand_off_survives_serialisation_between_every_stage() {
     let memspec = MemorySpec::parse(&memspec_text).unwrap();
     let placement = Advisor::new()
         .advise(
-            &report_back,
+            &report,
             &memspec,
             SelectionStrategy::Misses {
                 threshold_percent: 0.0,
