@@ -3,7 +3,7 @@
 use hmem_advisor::PlacementReport;
 use hmsim_callstack::{SiteCache, SiteDecision, Translator, Unwinder};
 use hmsim_common::{Address, AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
-use hmsim_heap::ProcessHeap;
+use hmsim_heap::{AllocCostModel, ProcessHeap};
 
 /// Book-keeping of one interposed run (per allocator and overall), matching
 /// the metrics the paper says the library captures "upon user request".
@@ -160,9 +160,8 @@ impl AutoHbwMalloc {
                 // Promoted allocations go through memkind's hbw_malloc, which
                 // is costlier than glibc (dramatically so in the 1-2 MiB
                 // anomaly window the paper reports).
-                let memkind_surcharge = hmsim_heap::AllocCostModel::memkind().alloc_cost(size)
-                    - hmsim_heap::AllocCostModel::glibc().alloc_cost(size);
-                self.stats.overhead_ns += memkind_surcharge.nanos().max(0.0);
+                let memkind_surcharge = AllocCostModel::memkind_surcharge(size);
+                self.stats.overhead_ns += memkind_surcharge.nanos();
                 self.stats.promoted_allocations += 1;
                 self.stats.promoted_bytes += size.bytes();
                 self.stats.promoted_hwm = self.stats.promoted_hwm.max(self.stats.promoted_bytes);
@@ -180,23 +179,17 @@ impl AutoHbwMalloc {
 
     /// The interposed `free`: routes the call to whichever allocator owns the
     /// pointer (the library "keep\[s\] a relation of which allocations have
-    /// been done by the alternate allocators").
-    pub fn free(
-        &mut self,
-        heap: &mut ProcessHeap,
-        addr: Address,
-        now: Nanos,
-    ) -> HmResult<(ByteSize, Nanos)> {
-        let was_promoted = heap
-            .registry()
-            .find_containing(addr)
-            .map(|o| o.tier == self.fast_tier)
-            .unwrap_or(false);
-        let (size, cost) = heap.free(addr, now)?;
-        if was_promoted {
-            self.stats.promoted_bytes = self.stats.promoted_bytes.saturating_sub(size.bytes());
+    /// been done by the alternate allocators"). Returns the CPU cost of the
+    /// call.
+    pub fn free(&mut self, heap: &mut ProcessHeap, addr: Address) -> HmResult<Nanos> {
+        let (freed, cost) = heap.free(addr)?;
+        if freed.tier == self.fast_tier {
+            self.stats.promoted_bytes = self
+                .stats
+                .promoted_bytes
+                .saturating_sub(freed.size().bytes());
         }
-        Ok((size, cost))
+        Ok(cost)
     }
 
     fn site_key_of(&self, logical_stack: &[&str]) -> HmResult<hmsim_callstack::SiteKey> {
@@ -349,8 +342,7 @@ mod tests {
                 Nanos::ZERO,
             )
             .unwrap();
-        lib.free(&mut heap, r1.start, Nanos::from_millis(1.0))
-            .unwrap();
+        lib.free(&mut heap, r1.start).unwrap();
         // Budget is available again: the next allocation is promoted.
         let (_, r2, _) = lib
             .malloc(

@@ -19,7 +19,7 @@ use crate::interpose::AutoHbwMalloc;
 use hmem_advisor::SelectionStrategy;
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
-use hmsim_heap::ProcessHeap;
+use hmsim_heap::{AllocCostModel, ProcessHeap};
 use std::fmt;
 
 /// The placement approaches evaluated in Figure 4.
@@ -30,8 +30,8 @@ pub enum PlacementApproach {
     /// `numactl -p 1`: place every allocation — static, stack and dynamic —
     /// in MCDRAM first-come-first-served, falling back to DDR when exhausted.
     NumactlPreferred,
-    /// memkind's `autohbw` library: promote every dynamic allocation whose
-    /// size falls in the window, FCFS until MCDRAM is exhausted.
+    /// memkind's `autohbw` library: promote every dynamic allocation of at
+    /// least `threshold` bytes, FCFS until MCDRAM is exhausted.
     AutoHbw {
         /// Minimum size promoted (1 MiB in the paper's experiments).
         threshold: ByteSize,
@@ -172,12 +172,8 @@ pub enum AllocationRouter {
         static_tier_preferred: bool,
         /// Tier for stack data.
         stack_tier_preferred: bool,
-        /// Dynamic-allocation size window for promotion.
-        size_window: Option<(ByteSize, Option<ByteSize>)>,
-        /// Bytes promoted so far / HWM.
-        promoted: ByteSize,
-        /// High-water mark of promoted bytes.
-        promoted_hwm: ByteSize,
+        /// Smallest dynamic allocation promoted (`None`: every size).
+        min_size: Option<ByteSize>,
     },
     /// The framework's interposition library.
     Interposed(Box<AutoHbwMalloc>),
@@ -188,7 +184,7 @@ impl AllocationRouter {
     /// library ([`AllocationRouter::framework`]), so asking for it here is a
     /// configuration error.
     pub fn simple(approach: PlacementApproach) -> HmResult<AllocationRouter> {
-        let (preferred, static_pref, stack_pref, window) = match &approach {
+        let (preferred, static_pref, stack_pref, min_size) = match &approach {
             // Online placement starts everything in DDR; promotion happens
             // later through page migration, not through the allocator.
             PlacementApproach::DdrOnly
@@ -196,7 +192,7 @@ impl AllocationRouter {
             | PlacementApproach::Online => (TierId::DDR, false, false, None),
             PlacementApproach::NumactlPreferred => (TierId::MCDRAM, true, true, None),
             PlacementApproach::AutoHbw { threshold } => {
-                (TierId::MCDRAM, false, false, Some((*threshold, None)))
+                (TierId::MCDRAM, false, false, Some(*threshold))
             }
             PlacementApproach::Framework { .. } => {
                 return Err(hmsim_common::HmError::Config(
@@ -212,9 +208,7 @@ impl AllocationRouter {
             preferred,
             static_tier_preferred: static_pref,
             stack_tier_preferred: stack_pref,
-            size_window: window,
-            promoted: ByteSize::ZERO,
-            promoted_hwm: ByteSize::ZERO,
+            min_size,
         })
     }
 
@@ -254,15 +248,11 @@ impl AllocationRouter {
             AllocationRouter::Simple {
                 approach,
                 preferred,
-                size_window,
-                promoted,
-                promoted_hwm,
+                min_size,
                 ..
             } => {
-                let wants_fast = *preferred == TierId::MCDRAM
-                    && size_window
-                        .map(|(lo, hi)| size >= lo && hi.map(|h| size <= h).unwrap_or(true))
-                        .unwrap_or(true);
+                let wants_fast =
+                    *preferred == TierId::MCDRAM && min_size.is_none_or(|lo| size >= lo);
                 let site = canonical_site.cloned().unwrap_or_else(|| {
                     SiteKey::from_frames(logical_stack.iter().map(|f| format!("app!{f}+0x0")))
                 });
@@ -275,14 +265,10 @@ impl AllocationRouter {
                     // by contrast, is pure page placement and pays nothing
                     // extra, so the surcharge lives here and not in the heap.
                     let surcharge = if matches!(approach, PlacementApproach::AutoHbw { .. }) {
-                        let extra = hmsim_heap::AllocCostModel::memkind().alloc_cost(size)
-                            - hmsim_heap::AllocCostModel::glibc().alloc_cost(size);
-                        hmsim_common::Nanos(extra.nanos().max(0.0))
+                        AllocCostModel::memkind_surcharge(size)
                     } else {
                         Nanos::ZERO
                     };
-                    *promoted += size;
-                    *promoted_hwm = (*promoted_hwm).max(*promoted);
                     Ok((id, range, base_cost + surcharge))
                 } else {
                     heap.malloc(size, TierId::DDR, name, Some(site), now)
@@ -291,27 +277,11 @@ impl AllocationRouter {
         }
     }
 
-    /// Free a dynamic allocation.
-    pub fn free(
-        &mut self,
-        heap: &mut ProcessHeap,
-        addr: Address,
-        now: Nanos,
-    ) -> HmResult<(ByteSize, Nanos)> {
+    /// Free a dynamic allocation; returns the CPU cost of the call.
+    pub fn free(&mut self, heap: &mut ProcessHeap, addr: Address) -> HmResult<Nanos> {
         match self {
-            AllocationRouter::Interposed(lib) => lib.free(heap, addr, now),
-            AllocationRouter::Simple { promoted, .. } => {
-                let was_fast = heap
-                    .registry()
-                    .find_containing(addr)
-                    .map(|o| o.tier == TierId::MCDRAM)
-                    .unwrap_or(false);
-                let (size, cost) = heap.free(addr, now)?;
-                if was_fast {
-                    *promoted = promoted.saturating_sub(size);
-                }
-                Ok((size, cost))
-            }
+            AllocationRouter::Interposed(lib) => lib.free(heap, addr),
+            AllocationRouter::Simple { .. } => Ok(heap.free(addr)?.1),
         }
     }
 
@@ -335,14 +305,6 @@ impl AllocationRouter {
                 ..
             } if heap.fits(TierId::MCDRAM, size) => TierId::MCDRAM,
             _ => TierId::DDR,
-        }
-    }
-
-    /// Bytes currently promoted to MCDRAM by this router (dynamic only).
-    pub fn promoted_hwm(&self) -> ByteSize {
-        match self {
-            AllocationRouter::Simple { promoted_hwm, .. } => *promoted_hwm,
-            AllocationRouter::Interposed(lib) => ByteSize::from_bytes(lib.stats().promoted_hwm),
         }
     }
 
@@ -383,7 +345,7 @@ mod tests {
             .unwrap();
         assert_eq!(heap.page_table().tier_of(range.start), TierId::DDR);
         assert_eq!(r.static_tier(&heap, ByteSize::from_mib(10)), TierId::DDR);
-        assert_eq!(r.promoted_hwm(), ByteSize::ZERO);
+        assert_eq!(heap.allocated_hwm(TierId::MCDRAM), ByteSize::ZERO);
         assert_eq!(r.kind(), ApproachKind::Ddr);
     }
 
@@ -420,7 +382,7 @@ mod tests {
             TierId::DDR,
             "MCDRAM exhausted"
         );
-        assert_eq!(r.promoted_hwm(), ByteSize::from_mib(100));
+        assert_eq!(heap.allocated_hwm(TierId::MCDRAM), ByteSize::from_mib(100));
     }
 
     #[test]
@@ -489,8 +451,7 @@ mod tests {
                 Nanos::ZERO,
             )
             .unwrap();
-        r.free(&mut heap, range.start, Nanos::from_millis(1.0))
-            .unwrap();
+        r.free(&mut heap, range.start).unwrap();
         // Space is reusable afterwards.
         let (_, again, _) = r
             .malloc(
@@ -503,7 +464,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(heap.page_table().tier_of(again.start), TierId::MCDRAM);
-        assert_eq!(r.promoted_hwm(), ByteSize::from_mib(100));
+        assert_eq!(heap.allocated_hwm(TierId::MCDRAM), ByteSize::from_mib(100));
         assert_eq!(r.interposition_overhead(), Nanos::ZERO);
     }
 
@@ -539,7 +500,7 @@ mod tests {
             .unwrap();
         assert_eq!(heap.page_table().tier_of(range.start), TierId::DDR);
         assert_eq!(r.static_tier(&heap, ByteSize::from_mib(10)), TierId::DDR);
-        assert_eq!(r.promoted_hwm(), ByteSize::ZERO);
+        assert_eq!(heap.allocated_hwm(TierId::MCDRAM), ByteSize::ZERO);
     }
 
     #[test]

@@ -146,8 +146,8 @@ pub struct Scenario {
     /// accepted by [`Scenario::validate`] — under the Online approach.
     pub online: Option<OnlineConfig>,
     /// How the node-level fast-tier pool is arbitrated between ranks
-    /// (Online approach and multi-rank workloads; must stay the default
-    /// partition otherwise).
+    /// (multi-rank workloads only; must stay the default partition
+    /// otherwise).
     pub rank_policy: ArbiterPolicy,
     /// Attach the profiler (analytic workloads only). The Framework
     /// approach profiles its pipeline's stage-1 run with this configuration
@@ -261,7 +261,8 @@ impl Scenario {
         self
     }
 
-    /// Choose the node-level arbitration policy (Online approach only).
+    /// Choose the node-level arbitration policy (multi-rank workloads
+    /// only).
     pub fn with_rank_policy(mut self, policy: ArbiterPolicy) -> Self {
         self.rank_policy = policy;
         self
@@ -348,11 +349,16 @@ impl Scenario {
                 self.approach
             ));
         }
-        if self.rank_policy != ArbiterPolicy::default() && !online_approach {
+        // Arbitration between ranks only exists in the multi-rank runtime
+        // (which itself runs online); every other workload plans against the
+        // per-rank budget.
+        if self.rank_policy != ArbiterPolicy::default()
+            && !matches!(self.workload, WorkloadSelector::MultiRank(_))
+        {
             return fail(format!(
-                "rank_policy {} is set but the approach is {}; arbitration only \
-                 applies to online runs",
-                self.rank_policy, self.approach
+                "rank_policy {} is set but the workload is not multi-rank; \
+                 arbitration between ranks only applies to multi-rank workloads",
+                self.rank_policy
             ));
         }
         if let Some(online) = &self.online {
@@ -1113,6 +1119,24 @@ mod tests {
         )
         .with_rank_policy(ArbiterPolicy::Global);
         assert!(s.validate().is_err(), "rank policy without online approach");
+
+        // Only the multi-rank runtime arbitrates between ranks: an online
+        // analytic app or a phased workload would ignore the policy.
+        let app_online = Scenario::app("miniFE", PlacementApproach::Online, ByteSize::from_mib(64))
+            .with_rank_policy(ArbiterPolicy::Global);
+        let phased_online = Scenario::phased(
+            "rotating-triad",
+            ByteSize::from_kib(64),
+            ByteSize::from_kib(256),
+        )
+        .with_rank_policy(ArbiterPolicy::Fcfs);
+        for s in [app_online, phased_online] {
+            let err = s.validate().unwrap_err();
+            assert!(err.to_string().contains("multi-rank"), "{}: {err}", s.name);
+            s.with_rank_policy(ArbiterPolicy::Partition)
+                .validate()
+                .unwrap();
+        }
     }
 
     /// Knobs the runtime would silently clamp to 1, and array sizes that

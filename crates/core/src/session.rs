@@ -408,4 +408,26 @@ mod tests {
                     .fold(Nanos::ZERO, Nanos::max)
         );
     }
+
+    /// An online app scenario whose per-rank budget exceeds anything a node
+    /// holds runs to completion: the analytic runner plans against the
+    /// per-rank budget and never multiplies it by the rank count (SNAP runs
+    /// 64 ranks).
+    #[test]
+    fn facade_runs_an_online_app_with_a_budget_beyond_any_node() {
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/snap-online.scn"
+        ))
+        .unwrap()
+        .replace("\"256MiB\"", "\"1000000TiB\"");
+        let scenario = Scenario::parse(&text).unwrap();
+        assert_eq!(
+            scenario.mcdram_budget,
+            ByteSize::parse("1000000TiB").unwrap()
+        );
+        let outcome = Simulation::new().run(&scenario).unwrap();
+        assert_eq!(outcome.approach, ApproachKind::Online);
+        assert!(outcome.node.fom > 0.0);
+    }
 }

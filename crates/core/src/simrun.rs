@@ -1,6 +1,6 @@
 //! Execution of one application model under one placement approach.
 //!
-//! The runner builds the simulated process (address space, tier allocators,
+//! The runner builds the simulated process (address space, tier arenas,
 //! program image with ASLR), performs every allocation the application model
 //! prescribes through the chosen [`AllocationRouter`], costs each kernel of
 //! each iteration with the analytical machine engine, and optionally attaches
@@ -18,7 +18,7 @@ use hmsim_machine::{
 };
 use hmsim_profiler::{Profiler, ProfilerConfig};
 use hmsim_runtime::{
-    execute_plan, ArbiterPolicy, MigrationCostModel, NodeArbiter, ObjectPlacement, OnlineConfig,
+    execute_plan, ArbiterPolicy, MigrationCostModel, ObjectPlacement, OnlineConfig,
     PlacementController,
 };
 use hmsim_trace::{TraceFile, TraceMetadata};
@@ -41,14 +41,11 @@ pub struct RunConfig {
     /// defaults). The analytic runner treats one main-loop iteration as one
     /// epoch.
     pub online: Option<OnlineConfig>,
-    /// How the node-level MCDRAM pool (`mcdram_capacity × ranks`) is
-    /// arbitrated between ranks for online runs. The per-epoch migration
-    /// budget is drawn from a [`NodeArbiter`] rather than the raw per-rank
-    /// capacity; the default static partition hands every rank exactly
-    /// `mcdram_capacity` back, reproducing the per-rank budgets of the
-    /// Figure-4 grid. The analytic runner models one process with symmetric
-    /// peers — asymmetric (rank-skew) arbitration lives in the trace-driven
-    /// multi-rank runner (`hmsim_runtime::multirank`).
+    /// Ignored. The analytic runner models one process with symmetric
+    /// peers, under which every arbitration policy hands each rank exactly
+    /// `mcdram_capacity`, so online runs plan every epoch against
+    /// `mcdram_capacity` directly. Arbitration between ranks lives in the
+    /// trace-driven multi-rank runner (`hmsim_runtime::multirank`).
     pub rank_policy: ArbiterPolicy,
     /// Master seed.
     pub seed: u64,
@@ -97,12 +94,6 @@ impl RunConfig {
     /// Configure the online migration runtime for this run.
     pub fn with_online(mut self, online: OnlineConfig) -> Self {
         self.online = Some(online);
-        self
-    }
-
-    /// Choose how the node-level MCDRAM pool is arbitrated between ranks.
-    pub fn with_rank_policy(mut self, policy: ArbiterPolicy) -> Self {
-        self.rank_policy = policy;
         self
     }
 }
@@ -305,14 +296,10 @@ fn kernel_table(spec: &AppSpec, cores_used: u32) -> Vec<Kernel> {
     table.collect()
 }
 
-/// The online runtime of an analytic run, plus each spec object's node
-/// misses per epoch: the heat the controller consumes at every boundary.
-type Online = (
-    PlacementController,
-    MigrationCostModel,
-    NodeArbiter,
-    Vec<u64>,
-);
+/// The online runtime of an analytic run, its per-epoch fast-tier budget,
+/// and each spec object's node misses per epoch: the heat the controller
+/// consumes at every boundary.
+type Online = (PlacementController, MigrationCostModel, ByteSize, Vec<u64>);
 
 /// Everything one run carries from initialisation to wrap-up.
 struct Run<'a> {
@@ -371,22 +358,21 @@ impl<'a> Run<'a> {
         let kernels = kernel_table(spec, cores_used);
         // The online migration runtime: the controller re-plans placement
         // after every main-loop iteration (the analytic engine's natural
-        // epoch), and every move is charged bytes × per-tier bandwidth. The
-        // per-epoch budget is drawn from the node arbiter over the whole
-        // node's MCDRAM pool rather than taken as a fixed per-process
-        // number; under the default static partition the arbiter hands back
-        // exactly `mcdram_capacity` every epoch.
+        // epoch) against the per-rank budget `mcdram_capacity`, and every
+        // move is charged bytes × per-tier bandwidth.
         let online = (router.kind() == ApproachKind::Online).then(|| {
             let cfg = config.online.clone().unwrap_or_default();
             let cost = MigrationCostModel::with_streams(machine, cfg.migration_streams);
-            let ranks = spec.ranks.max(1);
-            let node_pool = config.mcdram_capacity * u64::from(ranks);
-            let arbiter = NodeArbiter::new(config.rank_policy, node_pool, ranks);
             let mut heat = vec![0; spec.objects.len()];
             for &(object, node, ..) in kernels.iter().flat_map(|k| &k.traffic) {
                 heat[object] += node;
             }
-            (PlacementController::new(cfg), cost, arbiter, heat)
+            (
+                PlacementController::new(cfg),
+                cost,
+                config.mcdram_capacity,
+                heat,
+            )
         });
 
         // Site keys derived through the same unwind/translate machinery the
@@ -498,8 +484,7 @@ impl<'a> Run<'a> {
             if let Some(p) = self.profiler.as_mut() {
                 p.record_free(id, addr, self.now);
             }
-            let (_, cost) = self.router.free(&mut self.heap, addr, self.now)?;
-            self.allocator_time += cost;
+            self.allocator_time += self.router.free(&mut self.heap, addr)?;
         }
 
         self.epoch_boundary();
@@ -556,7 +541,7 @@ impl<'a> Run<'a> {
     /// bandwidth and serialise into the loop time, exactly like allocator
     /// overhead does.
     fn epoch_boundary(&mut self) {
-        let Some((controller, cost, arbiter, heat)) = self.online.as_mut() else {
+        let Some((controller, cost, budget, heat)) = self.online.as_mut() else {
             return;
         };
         for (id, misses) in self.ids.iter().zip(heat.iter()) {
@@ -565,8 +550,7 @@ impl<'a> Run<'a> {
             }
         }
         let live = ObjectPlacement::snapshot_live(&self.heap);
-        let budget = arbiter.analytic_budget(self.heap.tier_occupancy(TierId::MCDRAM));
-        let plan = controller.end_epoch(&live, TierId::MCDRAM, budget);
+        let plan = controller.end_epoch(&live, TierId::MCDRAM, *budget);
         // The controller plans against the same occupancy the heap enforces,
         // so rejects are a should-not-happen path — but they must stay
         // observable.
@@ -594,15 +578,13 @@ impl<'a> Run<'a> {
             / monitored_loop_time.secs().max(1e-12);
         // Online runs never allocate in MCDRAM, so their footprint shows up
         // as migrated residency rather than allocator HWM.
-        let allocator_hwm = self.heap.allocator(TierId::MCDRAM).map(|a| a.hwm());
+        let allocator_hwm = self.heap.allocated_hwm(TierId::MCDRAM);
         let per_iteration = |k: Kernel| (k.phase.name, k.time / f64::from(iterations));
         RunResult {
             fom,
             total_time: self.spec.init_time + monitored_loop_time,
             loop_time: monitored_loop_time,
-            mcdram_hwm: allocator_hwm
-                .unwrap_or(ByteSize::ZERO)
-                .max(self.mcdram_migrated_peak),
+            mcdram_hwm: allocator_hwm.max(self.mcdram_migrated_peak),
             counters: self.counters,
             kernel_times: self.kernels.into_iter().map(per_iteration).collect(),
             monitoring_overhead,
@@ -730,12 +712,10 @@ mod tests {
 
     #[test]
     fn rank_policies_wire_through_online_runs() {
-        // The analytic runner models one process with symmetric peer ranks,
-        // so every arbitration policy resolves to the same per-epoch budget
-        // (the partition share) — bitwise. The wiring still matters: the
-        // budget is drawn from the NodeArbiter each epoch, and the
-        // trace-driven multi-rank runner shares the same arbiter for the
-        // asymmetric cases.
+        // The analytic runner models one process with symmetric peer ranks
+        // and plans every epoch against the per-rank budget, so it ignores
+        // the arbitration policy — bitwise. (`Scenario::validate` rejects a
+        // non-partition policy outside multi-rank workloads.)
         let spec = app_by_name("miniFE").unwrap();
         let base = RunConfig::flat(ByteSize::from_mib(256)).with_iterations(8);
         let reference = AppRun::new(&spec, base.clone())
@@ -743,13 +723,17 @@ mod tests {
             .unwrap();
         assert!(reference.migrations > 0);
         for policy in hmsim_runtime::ArbiterPolicy::ALL {
-            let run = AppRun::new(&spec, base.clone().with_rank_policy(policy))
+            let config = RunConfig {
+                rank_policy: policy,
+                ..base.clone()
+            };
+            let run = AppRun::new(&spec, config)
                 .execute(PlacementApproach::Online.router().unwrap())
                 .unwrap();
             assert_eq!(
                 run.fom.to_bits(),
                 reference.fom.to_bits(),
-                "{policy}: symmetric ranks must make every policy equivalent"
+                "{policy}: the analytic runner must ignore the policy"
             );
             assert_eq!(run.migrations, reference.migrations, "{policy}");
             assert!(run.mcdram_hwm <= ByteSize::from_mib(256), "{policy}");

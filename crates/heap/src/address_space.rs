@@ -126,7 +126,7 @@ impl AddressSpace {
     pub fn carve(&mut self, kind: RegionKind, size: ByteSize) -> HmResult<AddressRange> {
         if matches!(kind, RegionKind::Heap(_)) {
             return Err(HmError::InvalidState(
-                "heap regions are managed by the tier allocators, not carved".into(),
+                "heap regions are managed by the heap arenas, not carved".into(),
             ));
         }
         let region = self

@@ -2,13 +2,15 @@
 //!
 //! Each memory tier's heap arena is managed by one of these. It hands out
 //! address ranges from a fixed arena, merges adjacent free blocks on `free`,
-//! and tracks usage statistics. The goal is behavioural fidelity (addresses
-//! are stable, reuse happens, fragmentation exists) rather than raw speed.
+//! and tracks the bytes in use and their peak. The goal is behavioural
+//! fidelity (addresses are stable, reuse happens, fragmentation exists)
+//! rather than raw speed.
 
 use hmsim_common::{Address, AddressRange, ByteSize, HighWaterMark, HmError, HmResult};
 use std::collections::BTreeMap;
 
-/// Allocation granularity (16 bytes, glibc-like minimum alignment).
+/// Allocation granularity (16 bytes, glibc-like minimum alignment). Every
+/// block starts and ends on this boundary, so every block is aligned to it.
 const MIN_ALIGN: u64 = 16;
 
 /// A free-list allocator over one contiguous arena.
@@ -21,9 +23,6 @@ pub struct FreeListAllocator {
     /// size `free()` calls, like malloc's hidden header).
     live: BTreeMap<u64, u64>,
     hwm: HighWaterMark,
-    allocations: u64,
-    frees: u64,
-    failed: u64,
 }
 
 impl FreeListAllocator {
@@ -36,9 +35,6 @@ impl FreeListAllocator {
             free,
             live: BTreeMap::new(),
             hwm: HighWaterMark::new(),
-            allocations: 0,
-            frees: 0,
-            failed: 0,
         }
     }
 
@@ -47,56 +43,19 @@ impl FreeListAllocator {
         self.arena
     }
 
-    /// Round a request up to the allocation granularity.
-    fn rounded(size: ByteSize) -> u64 {
-        size.bytes().max(1).next_multiple_of(MIN_ALIGN)
-    }
-
-    /// Allocate `size` bytes (first-fit). Returns the range actually
-    /// reserved (length equals the requested size; internal rounding is
-    /// hidden, like malloc).
-    pub fn alloc(&mut self, size: ByteSize) -> HmResult<AddressRange> {
-        self.alloc_aligned(size, MIN_ALIGN)
-    }
-
-    /// Allocate with an explicit power-of-two alignment (posix_memalign).
-    pub fn alloc_aligned(&mut self, size: ByteSize, align: u64) -> HmResult<AddressRange> {
-        let align = align.max(MIN_ALIGN);
-        if !align.is_power_of_two() {
-            return Err(HmError::Config(format!(
-                "alignment {align} is not a power of two"
-            )));
+    /// Allocate `size` bytes (first-fit), or `None` when no free block is
+    /// large enough. The returned range has the requested length; the
+    /// rounding up to the allocation granularity is hidden, like malloc.
+    pub fn alloc(&mut self, size: ByteSize) -> Option<AddressRange> {
+        let need = size.bytes().max(1).next_multiple_of(MIN_ALIGN);
+        let (&start, &len) = self.free.iter().find(|(_, &len)| len >= need)?;
+        self.free.remove(&start);
+        if len > need {
+            self.free.insert(start + need, len - need);
         }
-        let need = Self::rounded(size);
-        // First fit over free blocks that can satisfy size after aligning.
-        let candidate = self.free.iter().find_map(|(&start, &len)| {
-            let aligned_start = start.next_multiple_of(align);
-            let pad = aligned_start - start;
-            (len >= pad + need).then_some((start, len, aligned_start, pad))
-        });
-        let (block_start, block_len, aligned_start, pad) = match candidate {
-            Some(c) => c,
-            None => {
-                self.failed += 1;
-                return Err(HmError::OutOfMemory {
-                    tier: "arena".to_string(),
-                    requested: need,
-                    available: self.free_bytes().bytes(),
-                });
-            }
-        };
-        self.free.remove(&block_start);
-        if pad > 0 {
-            self.free.insert(block_start, pad);
-        }
-        let remainder = block_len - pad - need;
-        if remainder > 0 {
-            self.free.insert(aligned_start + need, remainder);
-        }
-        self.live.insert(aligned_start, need);
+        self.live.insert(start, need);
         self.hwm.grow(ByteSize::from_bytes(need));
-        self.allocations += 1;
-        Ok(AddressRange::new(Address(aligned_start), size))
+        Some(AddressRange::new(Address(start), size))
     }
 
     /// Free a previously allocated block by its start address. Returns the
@@ -108,7 +67,6 @@ impl FreeListAllocator {
             .remove(&start)
             .ok_or(HmError::UnknownAddress(start))?;
         self.hwm.shrink(ByteSize::from_bytes(len));
-        self.frees += 1;
         // Insert and coalesce with neighbours.
         let mut new_start = start;
         let mut new_len = len;
@@ -151,9 +109,9 @@ impl FreeListAllocator {
         self.hwm.peak()
     }
 
-    /// Bytes currently free.
+    /// Bytes currently free: the arena minus what is allocated.
     pub fn free_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.free.values().sum())
+        self.arena.len - self.used_bytes()
     }
 
     /// Number of live allocations.
@@ -165,26 +123,12 @@ impl FreeListAllocator {
     pub fn fragments(&self) -> usize {
         self.free.len()
     }
-
-    /// Total successful allocations.
-    pub fn allocations(&self) -> u64 {
-        self.allocations
-    }
-
-    /// Total frees.
-    pub fn frees(&self) -> u64 {
-        self.frees
-    }
-
-    /// Allocation failures (requests that did not fit).
-    pub fn failures(&self) -> u64 {
-        self.failed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmsim_common::DetRng;
 
     fn arena(size_kib: u64) -> FreeListAllocator {
         FreeListAllocator::new(AddressRange::new(
@@ -237,10 +181,10 @@ mod tests {
     #[test]
     fn out_of_memory_reports_failure() {
         let mut a = arena(8);
-        assert!(a.alloc(ByteSize::from_kib(4)).is_ok());
-        let err = a.alloc(ByteSize::from_kib(16));
-        assert!(matches!(err, Err(HmError::OutOfMemory { .. })));
-        assert_eq!(a.failures(), 1);
+        assert!(a.alloc(ByteSize::from_kib(4)).is_some());
+        let used = a.used_bytes();
+        assert_eq!(a.alloc(ByteSize::from_kib(16)), None);
+        assert_eq!(a.used_bytes(), used, "a refused request reserves nothing");
     }
 
     #[test]
@@ -256,19 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn aligned_allocation_respects_alignment() {
-        let mut a = arena(64);
-        // Misalign the arena cursor first.
-        let _ = a.alloc(ByteSize::from_bytes(24)).unwrap();
-        let r = a.alloc_aligned(ByteSize::from_kib(1), 4096).unwrap();
-        assert_eq!(r.start.value() % 4096, 0);
-        assert!(
-            a.alloc_aligned(ByteSize::from_kib(1), 100).is_err(),
-            "non power of two"
-        );
-    }
-
-    #[test]
     fn hwm_tracks_peak_usage() {
         let mut a = arena(64);
         let r1 = a.alloc(ByteSize::from_kib(8)).unwrap();
@@ -278,8 +209,8 @@ mod tests {
         assert_eq!(a.hwm(), ByteSize::from_kib(16));
         assert_eq!(a.used_bytes(), ByteSize::from_kib(10));
         a.free(r2.start).unwrap();
-        assert_eq!(a.allocations(), 3);
-        assert_eq!(a.frees(), 2);
+        assert_eq!(a.used_bytes(), ByteSize::from_kib(2));
+        assert_eq!(a.hwm(), ByteSize::from_kib(16));
     }
 
     #[test]
@@ -289,5 +220,47 @@ mod tests {
         a.free(r1.start).unwrap();
         let r2 = a.alloc(ByteSize::from_kib(4)).unwrap();
         assert_eq!(r1.start, r2.start, "first-fit must reuse the freed block");
+    }
+
+    /// Random alloc/free sequences: after every step the O(1) `free_bytes`
+    /// equals the sum of the free blocks, used and free bytes partition the
+    /// arena, and every block is 16-aligned.
+    #[test]
+    fn free_bytes_and_used_bytes_partition_the_arena_under_random_operations() {
+        let mut rng = DetRng::new(0xF4EE_1157);
+        for round in 0..20 {
+            let mut a = arena(256);
+            let len = ByteSize::from_kib(256);
+            let mut live = Vec::new();
+            for step in 0..400 {
+                if live.is_empty() || rng.chance(0.55) {
+                    let size = ByteSize::from_bytes(rng.uniform_range(1, 9000));
+                    if let Some(r) = a.alloc(size) {
+                        assert_eq!(r.start.value() % MIN_ALIGN, 0);
+                        live.push(r.start);
+                    }
+                } else {
+                    let i = rng.uniform_range(0, live.len() as u64) as usize;
+                    a.free(live.swap_remove(i)).unwrap();
+                }
+                let free_sum: u64 = a.free.values().sum();
+                assert_eq!(
+                    a.free_bytes().bytes(),
+                    free_sum,
+                    "round {round} step {step}"
+                );
+                assert_eq!(
+                    a.used_bytes() + a.free_bytes(),
+                    len,
+                    "round {round} step {step}"
+                );
+                assert_eq!(a.live_count(), live.len());
+            }
+            for addr in live {
+                a.free(addr).unwrap();
+            }
+            assert_eq!(a.free_bytes(), len);
+            assert_eq!(a.fragments(), 1, "round {round}: everything coalesces back");
+        }
     }
 }

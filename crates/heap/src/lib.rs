@@ -1,11 +1,12 @@
 //! # hmsim-heap
 //!
 //! The simulated process memory substrate: a virtual address space carved
-//! into static/stack/per-tier-heap regions, real free-list allocators with
-//! capacity caps standing in for glibc malloc and memkind's `hbw_malloc`,
-//! a registry of live data objects (what Extrae's allocation instrumentation
-//! sees), and the process-level heap façade that `auto-hbwmalloc` interposes
-//! on.
+//! into static/stack/per-tier-heap regions, a first-fit free-list allocator
+//! per tier arena, a registry of live data objects (what Extrae's
+//! allocation instrumentation sees), the allocation-cost models of glibc and
+//! memkind's `hbw_malloc`, and the process-level heap façade that
+//! `auto-hbwmalloc` interposes on. [`ProcessHeap`] is the single owner of
+//! per-tier residency: capacity caps, occupancy and admission live there.
 //!
 //! Everything placement-related is reflected into an `hmsim-machine`
 //! [`hmsim_machine::PageTable`] so that both execution engines know which
@@ -26,4 +27,4 @@ pub use freelist::FreeListAllocator;
 pub use object::{DataObject, ObjectKind};
 pub use process_heap::ProcessHeap;
 pub use registry::LiveObjectRegistry;
-pub use tier_alloc::{AllocCostModel, TierAllocStats, TierAllocator};
+pub use tier_alloc::AllocCostModel;

@@ -30,7 +30,7 @@ impl ObjectKind {
     }
 }
 
-/// One live (or historical) data object of the simulated process.
+/// One live data object of the simulated process.
 #[derive(Clone, Debug)]
 pub struct DataObject {
     /// Unique id of this allocation instance.
@@ -48,8 +48,6 @@ pub struct DataObject {
     pub tier: TierId,
     /// Allocation timestamp.
     pub allocated_at: Nanos,
-    /// Deallocation timestamp, if it has been freed.
-    pub freed_at: Option<Nanos>,
 }
 
 impl DataObject {
@@ -78,7 +76,6 @@ mod tests {
             range: AddressRange::new(Address(0x1000), ByteSize::from_kib(64)),
             tier: TierId::DDR,
             allocated_at: Nanos::from_millis(10.0),
-            freed_at: Some(Nanos::from_millis(50.0)),
         }
     }
 

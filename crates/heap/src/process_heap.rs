@@ -1,106 +1,152 @@
-//! The process-level heap façade.
+//! The process-level heap façade and the single owner of per-tier
+//! residency.
 //!
-//! `ProcessHeap` glues together the address-space layout, one
-//! [`TierAllocator`] per memory tier, the live-object registry and a
-//! machine-level page table. It is the thing `auto-hbwmalloc` interposes on:
-//! every simulated `malloc`/`free` flows through here, and placement is
-//! reflected into the page table so the execution engines charge the right
-//! tier.
+//! `ProcessHeap` glues together the address-space layout, one private arena
+//! per memory tier (a [`FreeListAllocator`] plus an optional capacity cap),
+//! the live-object registry and a machine-level page table. It is the thing
+//! `auto-hbwmalloc` interposes on: every simulated `malloc`/`free` flows
+//! through here, and placement is reflected into the page table so the
+//! execution engines charge the right tier. Admission — Algorithm 1's
+//! `alloc→FITS(size)` and its migration counterpart — is answered here and
+//! nowhere else.
 
 use crate::address_space::{AddressSpace, RegionKind};
+use crate::freelist::FreeListAllocator;
 use crate::object::{DataObject, ObjectKind};
 use crate::registry::LiveObjectRegistry;
-use crate::tier_alloc::{AllocCostModel, TierAllocStats, TierAllocator};
+use crate::tier_alloc::AllocCostModel;
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_machine::{MachineConfig, PageTable};
 
-/// The simulated process heap: allocators, live objects and page placement.
+/// One tier's heap arena: the free list that hands out its addresses and
+/// the optional cap on bytes resident in the tier.
+#[derive(Clone, Debug)]
+struct Arena {
+    tier: TierId,
+    /// The machine's name for the tier (error messages).
+    name: String,
+    freelist: FreeListAllocator,
+    /// Cap on resident bytes (the per-rank MCDRAM budget of the
+    /// experiments); `None` means only the arena size limits allocations.
+    cap: Option<ByteSize>,
+}
+
+/// The simulated process heap: arenas, live objects and page placement.
 #[derive(Clone, Debug)]
 pub struct ProcessHeap {
     address_space: AddressSpace,
-    allocators: Vec<TierAllocator>,
+    arenas: Vec<Arena>,
     registry: LiveObjectRegistry,
     page_table: PageTable,
     /// Net bytes migrated into (positive) or out of (negative) each tier,
-    /// indexed by tier id. A tier allocator's `used_bytes` tracks where
-    /// objects were *allocated*; this overlay tracks where their pages
-    /// currently *reside* after [`migrate_object`](Self::migrate_object)
-    /// calls, so capacity enforcement sees the physical occupancy.
+    /// indexed by tier id. An arena's used bytes track where objects were
+    /// *allocated*; this overlay tracks where their pages currently
+    /// *reside* after [`migrate_object`](Self::migrate_object) calls, so
+    /// capacity enforcement sees the physical occupancy.
     migration_delta: Vec<i64>,
 }
 
 impl ProcessHeap {
-    /// Build a heap for the given machine: a glibc-like allocator over the
-    /// DDR arena and a memkind-like allocator over the MCDRAM arena (plus one
-    /// generic allocator per any additional tier).
+    /// Build a heap for the given machine: one uncapped arena per tier,
+    /// over that tier's heap region.
+    ///
+    /// Every allocation is charged glibc's cost. Page placement (where the
+    /// object lands) is orthogonal to which allocator *API* served the call:
+    /// `numactl -p 1` places glibc allocations in MCDRAM without paying
+    /// memkind's costs, so the extra cost of going through
+    /// memkind/hbw_malloc is charged by the interposition layers
+    /// (auto-hbwmalloc, autohbw) on top.
     pub fn new(machine: &MachineConfig) -> HmResult<ProcessHeap> {
         let tiers: Vec<(TierId, ByteSize)> =
             machine.tiers.iter().map(|t| (t.id, t.capacity)).collect();
         let address_space =
             AddressSpace::new(ByteSize::from_gib(2), ByteSize::from_mib(512), &tiers)?;
-        let mut allocators = Vec::new();
-        for (tier, _) in &tiers {
-            let arena = address_space
-                .region(RegionKind::Heap(*tier))
-                .ok_or_else(|| HmError::NotFound(format!("heap region for {tier:?}")))?;
-            // Page placement (where the object lands) is orthogonal to which
-            // allocator *API* served the call: `numactl -p 1` places glibc
-            // allocations in MCDRAM without paying memkind's costs. The
-            // extra cost of going through memkind/hbw_malloc is therefore
-            // charged by the interposition layers (auto-hbwmalloc, autohbw)
-            // on top of the base cost modelled here.
-            let name = if *tier == TierId::MCDRAM {
-                "mcdram-arena"
-            } else if *tier == TierId::DDR {
-                "glibc"
-            } else {
-                "generic"
-            };
-            let cost = AllocCostModel::glibc();
-            allocators.push(TierAllocator::new(*tier, name, arena, cost));
-        }
+        let arenas = machine
+            .tiers
+            .iter()
+            .map(|t| {
+                let region = address_space
+                    .region(RegionKind::Heap(t.id))
+                    .ok_or_else(|| HmError::NotFound(format!("heap region for {:?}", t.id)))?;
+                Ok(Arena {
+                    tier: t.id,
+                    name: t.name.clone(),
+                    freelist: FreeListAllocator::new(region),
+                    cap: None,
+                })
+            })
+            .collect::<HmResult<_>>()?;
         Ok(ProcessHeap {
             address_space,
-            allocators,
+            arenas,
             registry: LiveObjectRegistry::new(),
             page_table: PageTable::new(TierId::DDR),
             migration_delta: Vec::new(),
         })
     }
 
-    /// Apply a capacity cap to one tier's allocator (the per-rank MCDRAM
-    /// budget of the experiments).
+    fn arena(&self, tier: TierId) -> Option<&Arena> {
+        self.arenas.iter().find(|a| a.tier == tier)
+    }
+
+    /// Cap the bytes resident in `tier` (the per-rank MCDRAM budget of the
+    /// experiments).
     pub fn set_capacity_cap(&mut self, tier: TierId, cap: ByteSize) -> HmResult<()> {
-        let alloc = self
-            .allocator_mut(tier)
-            .ok_or_else(|| HmError::NotFound(format!("allocator for {tier:?}")))?;
-        *alloc = alloc.clone().with_capacity_cap(cap);
+        let arena = self
+            .arenas
+            .iter_mut()
+            .find(|a| a.tier == tier)
+            .ok_or_else(|| HmError::NotFound(format!("heap arena for {tier:?}")))?;
+        arena.cap = Some(cap);
         Ok(())
     }
 
-    /// The allocator serving `tier`.
-    pub fn allocator(&self, tier: TierId) -> Option<&TierAllocator> {
-        self.allocators.iter().find(|a| a.tier() == tier)
-    }
-
-    fn allocator_mut(&mut self, tier: TierId) -> Option<&mut TierAllocator> {
-        self.allocators.iter_mut().find(|a| a.tier() == tier)
-    }
-
-    /// Whether an allocation of `size` bytes currently fits in `tier`,
-    /// counting both the allocator's arena accounting *and* bytes migrated
-    /// into the tier from elsewhere (physical residency).
+    /// Whether an allocation of `size` bytes currently fits in `tier`
+    /// (Algorithm 1 line 12, `alloc→FITS(size)`). A capped tier checks both
+    /// its arena's allocated bytes and its resident bytes (which count
+    /// objects migrated in) against the cap; an uncapped one checks the
+    /// arena's free bytes.
     pub fn fits(&self, tier: TierId, size: ByteSize) -> bool {
-        let Some(alloc) = self.allocator(tier) else {
+        let Some(arena) = self.arena(tier) else {
             return false;
         };
-        if !alloc.fits(size) {
-            return false;
+        match arena.cap {
+            Some(cap) => {
+                arena.freelist.used_bytes() + size <= cap && self.tier_occupancy(tier) + size <= cap
+            }
+            None => size <= arena.freelist.free_bytes(),
         }
-        match alloc.capacity_cap() {
-            Some(cap) => self.tier_occupancy(tier) + size <= cap,
-            None => true,
+    }
+
+    /// Whether `tier` can physically absorb `size` migrated bytes under its
+    /// capacity cap. Tiers without a cap (DDR) always admit migrations: the
+    /// move consumes no arena address space, only physical residency.
+    pub fn migration_admits(&self, tier: TierId, size: ByteSize) -> bool {
+        match self.arena(tier) {
+            Some(Arena { cap: Some(cap), .. }) => self.tier_occupancy(tier) + size <= *cap,
+            Some(_) => true,
+            None => false,
+        }
+    }
+
+    /// The refusal of `size` bytes in `tier`. `available` is the headroom
+    /// under the cap, or the arena's free bytes when the tier is uncapped.
+    fn out_of_memory(&self, tier: TierId, size: ByteSize) -> HmError {
+        let (tier_name, available) = match self.arena(tier) {
+            Some(a) => {
+                let available = match a.cap {
+                    Some(cap) => cap.saturating_sub(self.tier_occupancy(tier)),
+                    None => a.freelist.free_bytes(),
+                };
+                (a.name.clone(), available.bytes())
+            }
+            None => (tier.to_string(), 0),
+        };
+        HmError::OutOfMemory {
+            tier: tier_name,
+            requested: size.bytes(),
+            available,
         }
     }
 
@@ -117,28 +163,15 @@ impl ProcessHeap {
         site: Option<SiteKey>,
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
-        if !self.fits(tier, size) {
-            let occupancy = self.tier_occupancy(tier);
-            let alloc = self
-                .allocator_mut(tier)
-                .ok_or_else(|| HmError::NotFound(format!("allocator for {tier:?}")))?;
-            // Route through the allocator so its `rejected` statistic counts
-            // the request even when the overflow is migrated-in residency the
-            // allocator itself cannot see.
-            alloc.note_rejected();
-            return Err(HmError::OutOfMemory {
-                tier: alloc.name().to_string(),
-                requested: size.bytes(),
-                available: alloc
-                    .capacity_cap()
-                    .map(|c| c.saturating_sub(occupancy).bytes())
-                    .unwrap_or(0),
-            });
-        }
-        let alloc = self
-            .allocator_mut(tier)
-            .ok_or_else(|| HmError::NotFound(format!("allocator for {tier:?}")))?;
-        let (range, cost) = alloc.alloc(size)?;
+        // Refused when the tier is full, or when no free block of its arena
+        // is large enough.
+        let range = if self.fits(tier, size) {
+            let arena = self.arenas.iter_mut().find(|a| a.tier == tier);
+            arena.and_then(|a| a.freelist.alloc(size))
+        } else {
+            None
+        };
+        let range = range.ok_or_else(|| self.out_of_memory(tier, size))?;
         let id = self.registry.next_id();
         self.registry.insert(DataObject {
             id,
@@ -148,63 +181,31 @@ impl ProcessHeap {
             range,
             tier,
             allocated_at: now,
-            freed_at: None,
         })?;
         self.page_table.map_range(range, tier);
-        Ok((id, range, cost))
+        Ok((id, range, AllocCostModel::glibc().alloc_cost(size)))
     }
 
     /// Free the dynamic allocation starting at `addr`. Returns the freed
-    /// size and the CPU cost of the call.
-    pub fn free(&mut self, addr: Address, now: Nanos) -> HmResult<(ByteSize, Nanos)> {
+    /// object and the CPU cost of the call.
+    pub fn free(&mut self, addr: Address) -> HmResult<(DataObject, Nanos)> {
         // The owning arena identifies the object's home tier (migration moves
         // pages, never addresses).
-        let home = self
-            .allocators
-            .iter()
-            .find(|a| a.owns(addr))
-            .map(|a| a.tier())
+        let arena = self
+            .arenas
+            .iter_mut()
+            .find(|a| a.freelist.owns(addr))
             .ok_or(HmError::UnknownAddress(addr.value()))?;
-        let alloc = self.allocator_mut(home).expect("tier found above");
-        let (size, cost) = alloc.free(addr)?;
-        let (id, _) = self.registry.remove_by_start(addr, now)?;
+        let home = arena.tier;
+        arena.freelist.free(addr)?;
+        let obj = self.registry.remove_by_start(addr)?;
         // If the object had been migrated away from its home tier, unwind the
         // residency overlay so the destination tier's capacity is released.
-        if let Some(current) = self.registry.get(id).map(|o| o.tier) {
-            if current != home {
-                self.shift_migration_delta(current, home, size);
-            }
+        if obj.tier != home {
+            self.shift_migration_delta(obj.tier, home, obj.size());
         }
-        self.page_table.unmap_range(AddressRange::new(addr, size));
-        Ok((size, cost))
-    }
-
-    /// Reallocate: allocate a new block in the same tier, free the old one.
-    /// (Contents are not modelled.) Returns the new object id and range plus
-    /// the combined CPU cost.
-    ///
-    /// "Same tier" means the tier the object's pages currently live in: a
-    /// migrated object re-homes into its current tier's arena, exactly like
-    /// a real `realloc` of `move_pages`-migrated memory would return fresh
-    /// pages on the preferred node. The free unwinds the migration overlay
-    /// and the new allocation is capacity-checked against it, so occupancy
-    /// accounting stays exact across the transition.
-    pub fn realloc(
-        &mut self,
-        addr: Address,
-        new_size: ByteSize,
-        now: Nanos,
-    ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
-        let old = self
-            .registry
-            .find_containing(addr)
-            .ok_or(HmError::UnknownAddress(addr.value()))?;
-        let tier = old.tier;
-        let name = old.name.clone();
-        let site = old.site.clone();
-        let (_, free_cost) = self.free(addr, now)?;
-        let (id, range, alloc_cost) = self.malloc(new_size, tier, name, site, now)?;
-        Ok((id, range, free_cost + alloc_cost))
+        self.page_table.unmap_range(obj.range);
+        Ok((obj, AllocCostModel::glibc().free_cost()))
     }
 
     /// Register a static (named) variable, carving it from the static region
@@ -217,20 +218,14 @@ impl ProcessHeap {
         tier: TierId,
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange)> {
-        let range = self.address_space.carve(RegionKind::Static, size)?;
-        let id = self.registry.next_id();
-        self.registry.insert(DataObject {
-            id,
-            name: name.into(),
-            kind: ObjectKind::Static,
-            site: None,
-            range,
+        self.define(
+            RegionKind::Static,
+            ObjectKind::Static,
+            name,
+            size,
             tier,
-            allocated_at: now,
-            freed_at: None,
-        })?;
-        self.page_table.map_range(range, tier);
-        Ok((id, range))
+            now,
+        )
     }
 
     /// Register a stack (automatic) region, e.g. per-thread stacks or the
@@ -242,101 +237,80 @@ impl ProcessHeap {
         tier: TierId,
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange)> {
-        let range = self.address_space.carve(RegionKind::Stack, size)?;
+        self.define(RegionKind::Stack, ObjectKind::Stack, name, size, tier, now)
+    }
+
+    fn define(
+        &mut self,
+        region: RegionKind,
+        kind: ObjectKind,
+        name: impl Into<String>,
+        size: ByteSize,
+        tier: TierId,
+        now: Nanos,
+    ) -> HmResult<(ObjectId, AddressRange)> {
+        let range = self.address_space.carve(region, size)?;
         let id = self.registry.next_id();
         self.registry.insert(DataObject {
             id,
             name: name.into(),
-            kind: ObjectKind::Stack,
+            kind,
             site: None,
             range,
             tier,
             allocated_at: now,
-            freed_at: None,
         })?;
         self.page_table.map_range(range, tier);
         Ok((id, range))
     }
 
-    fn delta_slot(&mut self, tier: TierId) -> &mut i64 {
-        let idx = tier.index();
-        if idx >= self.migration_delta.len() {
-            self.migration_delta.resize(idx + 1, 0);
-        }
-        &mut self.migration_delta[idx]
-    }
-
     fn shift_migration_delta(&mut self, from: TierId, to: TierId, size: ByteSize) {
-        *self.delta_slot(from) -= size.bytes() as i64;
-        *self.delta_slot(to) += size.bytes() as i64;
+        let slots = from.index().max(to.index()) + 1;
+        if self.migration_delta.len() < slots {
+            self.migration_delta.resize(slots, 0);
+        }
+        self.migration_delta[from.index()] -= size.bytes() as i64;
+        self.migration_delta[to.index()] += size.bytes() as i64;
     }
 
-    /// Bytes physically resident in `tier` right now: what its allocator
-    /// handed out, adjusted by the net effect of object migrations. (Objects
-    /// placed in a tier without going through its allocator — statics under
+    /// Bytes physically resident in `tier` right now: what its arena handed
+    /// out, adjusted by the net effect of object migrations. (Objects placed
+    /// in a tier without going through its arena — statics under
     /// `numactl -p 1` — are outside both terms, mirroring how the capacity
     /// cap has always been enforced.)
     pub fn tier_occupancy(&self, tier: TierId) -> ByteSize {
         let allocated = self
-            .allocator(tier)
-            .map(|a| a.used_bytes().bytes() as i64)
-            .unwrap_or(0);
+            .arena(tier)
+            .map_or(0, |a| a.freelist.used_bytes().bytes() as i64);
         let delta = self.migration_delta.get(tier.index()).copied().unwrap_or(0);
         ByteSize::from_bytes((allocated + delta).max(0) as u64)
     }
 
-    /// Whether `tier` can physically absorb `size` migrated bytes under its
-    /// capacity cap. Tiers without a cap (DDR) always admit migrations: the
-    /// move consumes no arena address space, only physical residency.
-    pub fn migration_admits(&self, tier: TierId, size: ByteSize) -> bool {
-        let Some(alloc) = self.allocator(tier) else {
-            return false;
-        };
-        match alloc.capacity_cap() {
-            Some(cap) => self.tier_occupancy(tier) + size <= cap,
-            None => true,
-        }
+    /// Peak bytes ever allocated from `tier`'s arena (after internal
+    /// rounding). Migrated-in residency is not counted.
+    pub fn allocated_hwm(&self, tier: TierId) -> ByteSize {
+        self.arena(tier)
+            .map_or(ByteSize::ZERO, |a| a.freelist.hwm())
     }
 
     /// Move every page of a live object to another tier (what `numactl`-style
     /// policies or the online migration runtime do). Enforces the destination
     /// tier's capacity cap: a move that does not fit fails with
     /// [`HmError::OutOfMemory`] and leaves the placement, the page table and
-    /// the occupancy accounting untouched. Returns the bytes moved
+    /// the occupancy accounting untouched; an id that is not live fails
+    /// with [`HmError::NotFound`]. Returns the bytes moved
     /// ([`ByteSize::ZERO`] when the object already lives in `tier`).
     pub fn migrate_object(&mut self, id: ObjectId, tier: TierId) -> HmResult<ByteSize> {
         let obj = self
             .registry
             .get(id)
             .ok_or_else(|| HmError::NotFound(format!("{id:?}")))?;
-        if obj.freed_at.is_some() {
-            return Err(HmError::InvalidState(format!(
-                "cannot migrate freed object {} ({id:?})",
-                obj.name
-            )));
-        }
-        let from = obj.tier;
-        let range = obj.range;
-        let size = obj.size();
+        let (from, range, size) = (obj.tier, obj.range, obj.size());
         if from == tier {
             return Ok(ByteSize::ZERO);
         }
         if !self.migration_admits(tier, size) {
-            let (name, available) = self
-                .allocator(tier)
-                .map(|a| {
-                    let avail = a
-                        .capacity_cap()
-                        .unwrap_or(ByteSize::ZERO)
-                        .saturating_sub(self.tier_occupancy(tier));
-                    (a.name().to_string(), avail.bytes())
-                })
-                .unwrap_or_else(|| (format!("{tier:?}"), 0));
-            return Err(HmError::OutOfMemory {
-                tier: name,
-                requested: size.bytes(),
-                available,
-            });
+            return Err(self.out_of_memory(tier, size));
         }
         self.page_table.map_range(range, tier);
         self.registry.set_tier(id, tier)?;
@@ -354,19 +328,9 @@ impl ProcessHeap {
         &self.page_table
     }
 
-    /// The address-space layout.
-    pub fn address_space(&self) -> &AddressSpace {
-        &self.address_space
-    }
-
-    /// Statistics of the allocator serving `tier`.
-    pub fn stats(&self, tier: TierId) -> Option<TierAllocStats> {
-        self.allocator(tier).map(|a| a.stats())
-    }
-
     /// Total live bytes across all tiers (dynamic allocations only).
     pub fn live_dynamic_bytes(&self) -> ByteSize {
-        self.allocators.iter().map(|a| a.used_bytes()).sum()
+        self.arenas.iter().map(|a| a.freelist.used_bytes()).sum()
     }
 
     /// Total live bytes including static and stack objects.
@@ -378,6 +342,7 @@ impl ProcessHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmsim_common::DetRng;
     use hmsim_machine::MachineConfig;
 
     fn heap() -> ProcessHeap {
@@ -421,18 +386,16 @@ mod tests {
                 Nanos::ZERO,
             )
             .unwrap();
-        let (size, _) = h.free(range.start, Nanos::from_millis(1.0)).unwrap();
-        assert_eq!(size, ByteSize::from_mib(4));
+        let (freed, _) = h.free(range.start).unwrap();
+        assert_eq!(freed.size(), ByteSize::from_mib(4));
+        assert_eq!(freed.name, "buf");
         assert!(h.registry().find_containing(range.start).is_none());
         assert_eq!(
             h.page_table().tier_of(range.start),
             TierId::DDR,
             "falls back to default"
         );
-        assert!(
-            h.free(range.start, Nanos::ZERO).is_err(),
-            "double free rejected"
-        );
+        assert!(h.free(range.start).is_err(), "double free rejected");
     }
 
     #[test]
@@ -450,20 +413,28 @@ mod tests {
         )
         .unwrap();
         assert!(!h.fits(TierId::MCDRAM, ByteSize::from_mib(8)));
-        assert!(h
+        let err = h
             .malloc(
                 ByteSize::from_mib(8),
                 TierId::MCDRAM,
                 "b",
                 None,
-                Nanos::ZERO
+                Nanos::ZERO,
             )
-            .is_err());
+            .unwrap_err();
+        // The refusal names the tier and the headroom left under the cap.
+        assert_eq!(
+            err,
+            HmError::OutOfMemory {
+                tier: "MCDRAM".to_string(),
+                requested: ByteSize::from_mib(8).bytes(),
+                available: ByteSize::from_mib(2).bytes(),
+            }
+        );
         // DDR still accepts it.
         assert!(h
             .malloc(ByteSize::from_mib(8), TierId::DDR, "b", None, Nanos::ZERO)
             .is_ok());
-        assert_eq!(h.stats(TierId::MCDRAM).unwrap().rejected, 1);
     }
 
     #[test]
@@ -616,7 +587,7 @@ mod tests {
         h.migrate_object(id, TierId::MCDRAM).unwrap();
         // The MCDRAM allocator's own arena is empty, but 24 MiB of migrated
         // residency occupies the tier: a 16 MiB native allocation must be
-        // refused (and counted as rejected), an 8 MiB one still fits.
+        // refused, an 8 MiB one still fits.
         assert!(!h.fits(TierId::MCDRAM, ByteSize::from_mib(16)));
         assert!(matches!(
             h.malloc(
@@ -628,7 +599,6 @@ mod tests {
             ),
             Err(HmError::OutOfMemory { .. })
         ));
-        assert_eq!(h.stats(TierId::MCDRAM).unwrap().rejected, 1);
         h.malloc(
             ByteSize::from_mib(8),
             TierId::MCDRAM,
@@ -638,37 +608,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::from_mib(32));
-    }
-
-    #[test]
-    fn realloc_of_a_migrated_object_rehomes_with_exact_accounting() {
-        let mut h = heap();
-        h.set_capacity_cap(TierId::MCDRAM, ByteSize::from_mib(16))
-            .unwrap();
-        let (id, range, _) = h
-            .malloc(
-                ByteSize::from_mib(8),
-                TierId::DDR,
-                "growing",
-                None,
-                Nanos::ZERO,
-            )
-            .unwrap();
-        h.migrate_object(id, TierId::MCDRAM).unwrap();
-        let (new_id, new_range, _) = h
-            .realloc(range.start, ByteSize::from_mib(12), Nanos::from_millis(1.0))
-            .unwrap();
-        // The replacement re-homes into the MCDRAM arena; the old block's
-        // migrated residency is unwound, so occupancy is exactly the new
-        // allocation — no double counting, no leak.
-        let obj = h.registry().get(new_id).unwrap();
-        assert_eq!(obj.tier, TierId::MCDRAM);
-        assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::from_mib(12));
-        assert_eq!(h.page_table().tier_of(new_range.start), TierId::MCDRAM);
-        // And a realloc that busts the cap fails instead of overcommitting.
-        assert!(h
-            .realloc(new_range.start, ByteSize::from_mib(24), Nanos::ZERO)
-            .is_err());
     }
 
     #[test]
@@ -687,44 +626,76 @@ mod tests {
             .unwrap();
         h.migrate_object(id, TierId::MCDRAM).unwrap();
         assert!(!h.migration_admits(TierId::MCDRAM, ByteSize::from_mib(8)));
-        h.free(range.start, Nanos::from_millis(1.0)).unwrap();
+        h.free(range.start).unwrap();
         assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::ZERO);
         assert!(h.migration_admits(TierId::MCDRAM, ByteSize::from_mib(8)));
-        // A freed object can no longer be migrated.
+        // A freed object is gone: migrating it finds nothing.
         assert!(matches!(
             h.migrate_object(id, TierId::DDR),
-            Err(HmError::InvalidState(_))
+            Err(HmError::NotFound(_))
         ));
     }
 
+    /// Random malloc/free/migrate on a capped MCDRAM tier: occupancy never
+    /// exceeds the cap, a refused malloc or migration changes neither the
+    /// occupancy nor the mapped bytes, and freeing everything returns every
+    /// tier to zero.
     #[test]
-    fn realloc_preserves_tier_and_identity_lineage() {
-        let mut h = heap();
-        let (_, range, _) = h
-            .malloc(
-                ByteSize::from_mib(2),
-                TierId::MCDRAM,
-                "growing",
-                Some(SiteKey::from_text("app!grow+0x4")),
-                Nanos::ZERO,
-            )
-            .unwrap();
-        let (new_id, new_range, cost) = h
-            .realloc(range.start, ByteSize::from_mib(4), Nanos::from_millis(2.0))
-            .unwrap();
-        assert!(cost.nanos() > 0.0);
-        let obj = h.registry().get(new_id).unwrap();
-        assert_eq!(obj.tier, TierId::MCDRAM);
-        assert_eq!(obj.name, "growing");
-        assert_eq!(obj.size(), ByteSize::from_mib(4));
-        assert_eq!(h.page_table().tier_of(new_range.start), TierId::MCDRAM);
-    }
-
-    #[test]
-    fn realloc_of_unknown_address_fails() {
-        let mut h = heap();
-        assert!(h
-            .realloc(Address(0xdead), ByteSize::from_kib(4), Nanos::ZERO)
-            .is_err());
+    fn occupancy_stays_under_the_cap_under_random_operations() {
+        let cap = ByteSize::from_mib(8);
+        let mut rng = DetRng::new(0x0CC0_9A7C);
+        for round in 0..10 {
+            let mut h = heap();
+            h.set_capacity_cap(TierId::MCDRAM, cap).unwrap();
+            let mut live: Vec<(ObjectId, Address)> = Vec::new();
+            for step in 0..300 {
+                let at = format!("round {round} step {step}");
+                let before = [TierId::DDR, TierId::MCDRAM]
+                    .map(|t| (h.tier_occupancy(t), h.page_table().mapped_bytes(t)));
+                let unchanged = |h: &ProcessHeap| {
+                    [TierId::DDR, TierId::MCDRAM]
+                        .map(|t| (h.tier_occupancy(t), h.page_table().mapped_bytes(t)))
+                        == before
+                };
+                let tier = if rng.chance(0.5) {
+                    TierId::MCDRAM
+                } else {
+                    TierId::DDR
+                };
+                match rng.uniform_range(0, 3) {
+                    0 => {
+                        let size = ByteSize::from_bytes(rng.uniform_range(1, 3 << 20));
+                        match h.malloc(size, tier, "obj", None, Nanos::ZERO) {
+                            Ok((id, range, _)) => live.push((id, range.start)),
+                            Err(e) => {
+                                assert!(matches!(e, HmError::OutOfMemory { .. }), "{at}: {e}");
+                                assert!(unchanged(&h), "{at}: refused malloc moved state");
+                            }
+                        }
+                    }
+                    1 if !live.is_empty() => {
+                        let i = rng.uniform_range(0, live.len() as u64) as usize;
+                        let (id, addr) = live.swap_remove(i);
+                        let (freed, _) = h.free(addr).unwrap();
+                        assert_eq!(freed.id, id, "{at}");
+                    }
+                    _ if !live.is_empty() => {
+                        let (id, _) = live[rng.uniform_range(0, live.len() as u64) as usize];
+                        if let Err(e) = h.migrate_object(id, tier) {
+                            assert!(matches!(e, HmError::OutOfMemory { .. }), "{at}: {e}");
+                            assert!(unchanged(&h), "{at}: refused migration moved state");
+                        }
+                    }
+                    _ => {}
+                }
+                assert!(h.tier_occupancy(TierId::MCDRAM) <= cap, "{at}");
+            }
+            for (_, addr) in live {
+                h.free(addr).unwrap();
+            }
+            for tier in [TierId::DDR, TierId::MCDRAM] {
+                assert_eq!(h.tier_occupancy(tier), ByteSize::ZERO, "round {round}");
+            }
+        }
     }
 }

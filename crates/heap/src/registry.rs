@@ -13,7 +13,7 @@ use std::collections::HashMap;
 /// Live-object registry with address-range lookup.
 #[derive(Clone, Debug, Default)]
 pub struct LiveObjectRegistry {
-    /// Objects by id (live and historical).
+    /// Live objects by id.
     objects: HashMap<ObjectId, DataObject>,
     /// Live objects ordered by start address (for range lookup).
     by_start: BTreeMap<u64, ObjectId>,
@@ -46,23 +46,16 @@ impl LiveObjectRegistry {
         Ok(())
     }
 
-    /// Mark the live object starting at `addr` as freed at time `freed_at`
-    /// and remove it from the address index. Returns its id and size.
-    pub fn remove_by_start(
-        &mut self,
-        addr: Address,
-        freed_at: hmsim_common::Nanos,
-    ) -> HmResult<(ObjectId, ByteSize)> {
+    /// Remove the live object starting at `addr` and return it.
+    pub fn remove_by_start(&mut self, addr: Address) -> HmResult<DataObject> {
         let id = self
             .by_start
             .remove(&addr.value())
             .ok_or(HmError::UnknownAddress(addr.value()))?;
-        let obj = self.objects.get_mut(&id).expect("indexed object exists");
-        obj.freed_at = Some(freed_at);
-        Ok((id, obj.size()))
+        Ok(self.objects.remove(&id).expect("indexed object exists"))
     }
 
-    /// Find the *live* object whose range contains `addr`.
+    /// Find the live object whose range contains `addr`.
     pub fn find_containing(&self, addr: Address) -> Option<&DataObject> {
         // Candidate: the live object with the greatest start <= addr.
         let (_, id) = self.by_start.range(..=addr.value()).next_back()?;
@@ -70,36 +63,23 @@ impl LiveObjectRegistry {
         obj.range.contains(addr).then_some(obj)
     }
 
-    /// Get an object (live or historical) by id.
+    /// Get a live object by id.
     pub fn get(&self, id: ObjectId) -> Option<&DataObject> {
         self.objects.get(&id)
     }
 
-    /// Record that the *live* object `id` now resides in `tier` (the page
+    /// Record that the live object `id` now resides in `tier` (the page
     /// migration itself is the heap's job; this keeps the metadata in sync).
     pub fn set_tier(&mut self, id: ObjectId, tier: hmsim_common::TierId) -> HmResult<()> {
         let obj = self
             .objects
             .get_mut(&id)
             .ok_or_else(|| HmError::NotFound(format!("{id:?}")))?;
-        if obj.freed_at.is_some() {
-            return Err(HmError::InvalidState(format!(
-                "object {} ({id:?}) was already freed",
-                obj.name
-            )));
-        }
         obj.tier = tier;
         Ok(())
     }
 
-    /// All objects ever registered (live and freed), in id order.
-    pub fn all(&self) -> Vec<&DataObject> {
-        let mut v: Vec<&DataObject> = self.objects.values().collect();
-        v.sort_by_key(|o| o.id);
-        v
-    }
-
-    /// All currently live objects.
+    /// All live objects, in address order.
     pub fn live(&self) -> Vec<&DataObject> {
         self.by_start
             .values()
@@ -114,7 +94,7 @@ impl LiveObjectRegistry {
 
     /// Total size of live objects.
     pub fn live_bytes(&self) -> ByteSize {
-        self.live().iter().map(|o| o.size()).sum()
+        self.objects.values().map(|o| o.size()).sum()
     }
 }
 
@@ -134,7 +114,6 @@ mod tests {
             range: AddressRange::new(Address(start), ByteSize::from_kib(size_kib)),
             tier: TierId::DDR,
             allocated_at: Nanos::ZERO,
-            freed_at: None,
         })
         .unwrap();
         id
@@ -155,35 +134,34 @@ mod tests {
     }
 
     #[test]
-    fn remove_marks_freed_and_unindexes() {
+    fn remove_returns_the_object_and_forgets_it() {
         let mut reg = LiveObjectRegistry::new();
         let a = make(&mut reg, 0x10000, 4);
-        let (removed, size) = reg
-            .remove_by_start(Address(0x10000), Nanos::from_millis(3.0))
-            .unwrap();
-        assert_eq!(removed, a);
-        assert_eq!(size, ByteSize::from_kib(4));
+        let removed = reg.remove_by_start(Address(0x10000)).unwrap();
+        assert_eq!(removed.id, a);
+        assert_eq!(removed.size(), ByteSize::from_kib(4));
         assert!(reg.find_containing(Address(0x10000)).is_none());
-        // The historical record survives with its free timestamp.
-        let hist = reg.get(a).unwrap();
-        assert_eq!(hist.freed_at, Some(Nanos::from_millis(3.0)));
-        assert_eq!(reg.all().len(), 1);
+        assert!(reg.get(a).is_none(), "freed objects are not kept");
+        assert!(matches!(
+            reg.set_tier(a, TierId::MCDRAM),
+            Err(HmError::NotFound(_))
+        ));
         assert_eq!(reg.live_count(), 0);
     }
 
     #[test]
     fn removing_unknown_address_fails() {
         let mut reg = LiveObjectRegistry::new();
-        assert!(reg.remove_by_start(Address(0x999), Nanos::ZERO).is_err());
+        assert!(reg.remove_by_start(Address(0x999)).is_err());
     }
 
     #[test]
     fn address_reuse_after_free_is_allowed() {
         let mut reg = LiveObjectRegistry::new();
         make(&mut reg, 0x10000, 4);
-        reg.remove_by_start(Address(0x10000), Nanos::ZERO).unwrap();
+        reg.remove_by_start(Address(0x10000)).unwrap();
         let b = make(&mut reg, 0x10000, 8);
         assert_eq!(reg.find_containing(Address(0x10400)).unwrap().id, b);
-        assert_eq!(reg.all().len(), 2, "history keeps both generations");
+        assert_eq!(reg.live_count(), 1);
     }
 }

@@ -214,7 +214,6 @@ mod tests {
             range: AddressRange::new(Address(start), size),
             tier: TierId::DDR,
             allocated_at: Nanos::ZERO,
-            freed_at: None,
         }
     }
 

@@ -128,23 +128,6 @@ impl NodeArbiter {
             }
         }
     }
-
-    /// The budget the *analytic* runner (one modelled process standing in
-    /// for R symmetric ranks) draws each epoch. Peers are clones of the
-    /// modelled process, so they are assumed to hold the partition share
-    /// each; with symmetric demand FCFS converges to exactly that share,
-    /// and the global knapsack degenerates to it too. The policies only
-    /// separate under *asymmetric* demand, which the trace-driven multi-rank
-    /// runner models rank by rank.
-    pub fn analytic_budget(&self, my_residency: ByteSize) -> ByteSize {
-        match self.policy {
-            ArbiterPolicy::Partition | ArbiterPolicy::Global => self.partition_share(),
-            ArbiterPolicy::Fcfs => {
-                let peers = self.partition_share() * u64::from(self.ranks - 1);
-                my_residency + self.node_budget.saturating_sub(my_residency + peers)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -200,19 +183,6 @@ mod tests {
                 ByteSize::from_kib(128)
             );
             assert_eq!(a.rank_cap(), ByteSize::from_kib(128));
-            assert_eq!(a.analytic_budget(ByteSize::ZERO), ByteSize::from_kib(128));
-        }
-    }
-
-    #[test]
-    fn analytic_budget_with_symmetric_peers_reduces_to_the_share() {
-        for policy in ArbiterPolicy::ALL {
-            let a = NodeArbiter::new(policy, ByteSize::from_kib(256), 4);
-            assert_eq!(a.analytic_budget(ByteSize::ZERO), ByteSize::from_kib(64));
-            assert_eq!(
-                a.analytic_budget(ByteSize::from_kib(64)),
-                ByteSize::from_kib(64)
-            );
         }
     }
 }

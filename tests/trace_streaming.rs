@@ -29,7 +29,6 @@ fn object(id: u32, mib: u64) -> DataObject {
         ),
         tier: TierId::DDR,
         allocated_at: Nanos::ZERO,
-        freed_at: None,
     }
 }
 
