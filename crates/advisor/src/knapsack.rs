@@ -4,8 +4,8 @@
 //! The DP runs in `O(n * capacity_pages)`: with hundreds of objects and a
 //! 16 GiB knapsack measured in 4 KiB pages (4 M pages) that is billions of
 //! cells, which is exactly why the paper resorts to greedy relaxations. The
-//! solver refuses capacities beyond a guard limit so tests and ablations can
-//! still use it on scaled-down problems.
+//! solver refuses capacities beyond a guard limit so tests can still use it
+//! on scaled-down problems.
 
 use hmsim_common::{HmError, HmResult};
 
@@ -27,7 +27,7 @@ pub struct ExactSolution {
     pub total_value: u64,
     /// Total weight of the selection.
     pub total_weight_pages: u64,
-    /// Number of DP cells evaluated (cost indicator for the ablation).
+    /// Number of DP cells evaluated (cost indicator).
     pub cells_evaluated: u64,
     /// Bytes allocated for the backtrack bitset (memory indicator; one *bit*
     /// per DP cell of each eligible item, padded to 64-bit words per row).
@@ -112,29 +112,29 @@ pub fn solve_exact(items: &[Item], capacity_pages: u64) -> HmResult<ExactSolutio
     })
 }
 
-/// Value achieved by a greedy by-value selection on the same items — helper
-/// for comparing greedy against the optimum in tests and ablations.
-pub fn greedy_by_value(items: &[Item], capacity_pages: u64) -> (Vec<usize>, u64) {
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|a, b| items[*b].value.cmp(&items[*a].value));
-    let mut remaining = capacity_pages;
-    let mut selected = Vec::new();
-    let mut value = 0;
-    for i in order {
-        if items[i].weight_pages <= remaining {
-            remaining -= items[i].weight_pages;
-            value += items[i].value;
-            selected.push(i);
-        }
-    }
-    selected.sort_unstable();
-    (selected, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hmsim_common::DetRng;
+
+    /// Value achieved by a greedy by-value selection on the same items, to
+    /// compare greedy against the optimum.
+    fn greedy_by_value(items: &[Item], capacity_pages: u64) -> (Vec<usize>, u64) {
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        order.sort_by(|a, b| items[*b].value.cmp(&items[*a].value));
+        let mut remaining = capacity_pages;
+        let mut selected = Vec::new();
+        let mut value = 0;
+        for i in order {
+            if items[i].weight_pages <= remaining {
+                remaining -= items[i].weight_pages;
+                value += items[i].value;
+                selected.push(i);
+            }
+        }
+        selected.sort_unstable();
+        (selected, value)
+    }
 
     #[test]
     fn solves_textbook_instance_optimally() {

@@ -18,8 +18,8 @@
 //!   misses-per-byte, favouring small, hot objects.
 //!
 //! An exact dynamic-programming 0/1 knapsack is also included; the paper
-//! notes it is impractical for realistic object counts and memory sizes,
-//! which the `knapsack_exact_vs_greedy` ablation bench demonstrates.
+//! notes it is impractical for realistic object counts and memory sizes, so
+//! it only serves as the optimum the tests compare greedy selection against.
 //!
 //! [`select`] is the one dispatch over these strategies: the advisor runs it
 //! per tier, and the online runtime's controller re-runs it every epoch.

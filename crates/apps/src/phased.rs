@@ -189,14 +189,36 @@ impl PhasedWorkload {
     }
 
     /// Total accesses the stream will yield (for throughput accounting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64` (see
+    /// [`checked_total_accesses`](Self::checked_total_accesses)).
     pub fn total_accesses(&self) -> u64 {
+        self.checked_total_accesses()
+            .expect("access count overflows u64")
+    }
+
+    /// [`total_accesses`](Self::total_accesses), or `None` if the count
+    /// overflows `u64`.
+    pub fn checked_total_accesses(&self) -> Option<u64> {
         let elements = self.array_size.bytes() / u64::from(ELEMENT);
+        let product = |factors: &[u64]| {
+            factors
+                .iter()
+                .try_fold(elements, |acc, &f| acc.checked_mul(f))
+        };
         match self.kind {
             Kind::RotatingTriad {
                 groups,
                 passes_per_phase,
                 rounds,
-            } => elements * 3 * u64::from(passes_per_phase) * u64::from(groups) * u64::from(rounds),
+            } => product(&[
+                3,
+                u64::from(passes_per_phase),
+                u64::from(groups),
+                u64::from(rounds),
+            ]),
             Kind::SweepingStencil {
                 planes,
                 hot_passes,
@@ -205,13 +227,13 @@ impl PhasedWorkload {
                 let neighbours: u64 = (0..planes)
                     .map(|p| u64::from(p > 0) + u64::from(p + 1 < planes))
                     .sum();
-                elements
-                    * u64::from(sweeps)
-                    * (u64::from(planes) * u64::from(hot_passes) + neighbours)
+                let per_sweep =
+                    (u64::from(planes) * u64::from(hot_passes)).checked_add(neighbours)?;
+                product(&[u64::from(sweeps), per_sweep])
             }
-            Kind::SteadyTriad { passes } => elements * 3 * u64::from(passes),
+            Kind::SteadyTriad { passes } => product(&[3, u64::from(passes)]),
             Kind::UniformScan { segments, passes } => {
-                elements * u64::from(segments) * u64::from(passes)
+                product(&[u64::from(segments), u64::from(passes)])
             }
         }
     }

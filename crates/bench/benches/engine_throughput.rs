@@ -9,17 +9,14 @@
 //! and the equivalence of their simulation results is asserted before any
 //! timing happens, so the measured ratio is pure hot-path cost.
 //!
-//! Besides the criterion benches, the target writes `BENCH_engine.json` at
-//! the repository root with accesses/sec for both paths so the perf
-//! trajectory is tracked from PR 1 onward.
+//! The target writes `BENCH_engine.json` at the repository root with
+//! accesses/sec for both paths so the perf trajectory is tracked.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hmsim_apps::TriadStream;
+use hmsim_bench::{best_of, write_artifact};
 use hmsim_common::{Address, AddressRange, ByteSize, DetRng, TierId};
 use hmsim_machine::{
     AccessPattern, AccessStream, MachineConfig, MemoryAccess, PageTable, ServiceLevel, TraceEngine,
 };
-use std::time::Instant;
 
 /// Faithful reimplementation of the seed's trace-engine hot path, kept as the
 /// "naive" baseline the acceptance criterion compares against.
@@ -262,18 +259,6 @@ fn mixed_workload(ws: AddressRange, accesses: usize) -> Vec<MemoryAccess> {
         .collect()
 }
 
-fn measure<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let misses = f();
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(misses > 0, "workload produced no LLC misses");
-        best = best.min(dt);
-    }
-    best
-}
-
 struct Measured {
     name: &'static str,
     naive_aps: f64,
@@ -287,7 +272,6 @@ impl Measured {
 }
 
 fn write_baseline(accesses: usize, results: &[Measured]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
     let mut workloads = String::new();
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -303,13 +287,10 @@ fn write_baseline(accesses: usize, results: &[Measured]) {
         "{{\n  \"bench\": \"engine_throughput\",\n  \"machine\": \"tiny_test, 8 MiB working set, 50% MCDRAM\",\n  \"threads\": 1,\n  \"accesses\": {accesses},\n  \"headline_speedup\": {:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n",
         results[0].speedup()
     );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact("BENCH_engine.json", &json);
 }
 
-fn bench_engine_throughput(c: &mut Criterion) {
+fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let n: usize = if test_mode { 100_000 } else { 4_000_000 };
     let (ws, page_table, naive_pt) = page_tables();
@@ -317,9 +298,6 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let reps = if test_mode { 1 } else { 3 };
 
     let mut results = Vec::new();
-    let mut group = c.benchmark_group("engine_throughput");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(n as u64));
     // `stream` (the Figure-1 STREAM Triad pattern, the ISSUE's motivating
     // workload) is the headline entry; the others track the miss-path and
     // irregular regimes.
@@ -336,6 +314,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
             fast.run(&accesses, &page_table);
             slow.run(&accesses, &naive_pt);
             assert_eq!(fast.stats().counters, slow.counters, "hot paths diverged");
+            assert!(
+                fast.stats().counters.llc_misses > 0,
+                "workload produced no LLC misses"
+            );
             for tier in [TierId::DDR, TierId::MCDRAM] {
                 assert_eq!(
                     fast.stats().tier_traffic.bytes(tier),
@@ -346,11 +328,11 @@ fn bench_engine_throughput(c: &mut Criterion) {
         }
 
         // Direct measurement for the JSON baseline (best of `reps` runs).
-        let t_naive = measure(reps, || {
+        let t_naive = best_of(reps, || {
             let mut e = naive::NaiveEngine::new(&config);
             e.run(&accesses, &naive_pt)
         });
-        let t_fast = measure(reps, || {
+        let t_fast = best_of(reps, || {
             let mut e = TraceEngine::new(&config);
             e.run(&accesses, &page_table)
         });
@@ -366,40 +348,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
             m.speedup()
         );
         results.push(m);
-
-        group.bench_with_input(BenchmarkId::new("naive", name), &accesses, |b, accs| {
-            b.iter(|| {
-                let mut e = naive::NaiveEngine::new(&config);
-                e.run(accs, &naive_pt)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("optimized", name), &accesses, |b, accs| {
-            b.iter(|| {
-                let mut e = TraceEngine::new(&config);
-                e.run(accs, &page_table)
-            });
-        });
     }
-    group.finish();
     if !test_mode {
         write_baseline(n, &results);
     }
-
-    // Streaming path: the same triad kernel the paper's Figure 1 uses, driven
-    // through run_stream with zero materialization.
-    let mut group = c.benchmark_group("engine_throughput_stream");
-    group.sample_size(10);
-    let triad = TriadStream::new(Address(0x8000_0000), ByteSize::from_mib(2), 8, 2);
-    group.throughput(Throughput::Elements(triad.total_accesses()));
-    let mut triad_pt = PageTable::new(TierId::DDR);
-    triad_pt.map_range(triad.array_a(), TierId::MCDRAM);
-    group.bench_function("triad_run_stream", |b| {
-        b.iter(|| {
-            let mut e = TraceEngine::new(&config);
-            e.run_stream(triad.clone(), &triad_pt)
-        });
-    });
-    group.finish();
 
     // Cheap end-to-end smoke that also runs in --test mode: a cold miss to a
     // mapped page must be served by the mapped tier.
@@ -412,10 +364,3 @@ fn bench_engine_throughput(c: &mut Criterion) {
     let level = e.access(&MemoryAccess::load(Address(0x9000_0000), 8), &pt);
     assert_eq!(level, ServiceLevel::Memory(TierId::MCDRAM));
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_engine_throughput
-}
-criterion_main!(benches);

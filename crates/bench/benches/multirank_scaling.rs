@@ -7,8 +7,8 @@
 //! small ranks while starving the dominant one. FCFS rides along as the
 //! numactl/first-touch model. Shards run serially on one thread.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hmsim_apps::{MultiRankWorkload, PhasedWorkload};
+use hmsim_bench::write_artifact;
 use hmsim_common::ByteSize;
 use hmsim_runtime::harness::{loaded_machine, provision};
 use hmsim_runtime::{
@@ -19,7 +19,7 @@ fn online_cfg() -> OnlineConfig {
     OnlineConfig::default().with_epoch_accesses(16_384)
 }
 
-/// Gate before any timing: with one rank the sharded path must reproduce
+/// Gate before any number is reported: with one rank the sharded path must reproduce
 /// the single-rank runtime bit for bit, whatever the policy.
 fn assert_single_rank_equivalence(array: ByteSize) {
     let machine = loaded_machine();
@@ -81,14 +81,10 @@ fn write_baseline(skew_budget: ByteSize, rows: &[PolicyRow], global_vs_partition
         "{{\n  \"bench\": \"multirank_scaling\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"threads\": 1,\n  \"headline_global_vs_partition\": {global_vs_partition:.3},\n  \"rank_skew\": {{\n    \"ranks\": 4,\n    \"skew\": 4,\n    \"node_budget_kib\": {},\n    \"policies\": {{\n{policies}\n    }}\n  }}\n}}\n",
         skew_budget.bytes() / 1024
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_multirank.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact("BENCH_multirank.json", &json);
 }
 
-fn bench_multirank_scaling(c: &mut Criterion) {
+fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let (array, passes) = if test_mode {
         (ByteSize::from_kib(16), 8)
@@ -138,29 +134,4 @@ fn bench_multirank_scaling(c: &mut Criterion) {
         );
         write_baseline(skew_budget, &rows, global_vs_partition);
     }
-
-    // Criterion series: the sharded runtime under each policy.
-    let mut group = c.benchmark_group("multirank_scaling");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(skew.total_accesses()));
-    for policy in ArbiterPolicy::ALL {
-        group.bench_with_input(
-            BenchmarkId::new("rank_skew", policy),
-            &policy,
-            |b, &policy| {
-                b.iter(|| {
-                    let cfg = MultiRankConfig::new(policy, skew_budget).with_online(online_cfg());
-                    run_multirank(&skew, &machine, cfg).unwrap().total_misses()
-                });
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_multirank_scaling
-}
-criterion_main!(benches);

@@ -15,13 +15,12 @@
 //!    workloads must land within 2 % of the best static placement.
 
 use auto_hbwmalloc::ApproachKind;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hmsim_apps::{phased_workloads, PhasedWorkload};
+use hmsim_bench::{best_of, write_artifact};
 use hmsim_common::ByteSize;
 use hmsim_machine::TraceEngine;
 use hmsim_runtime::harness::{best_static, loaded_machine, provision, run_online};
 use hmsim_runtime::{OnlineConfig, OnlineRuntime};
-use std::time::Instant;
 
 struct WorkloadRow {
     name: &'static str,
@@ -33,18 +32,6 @@ struct WorkloadRow {
     migrations: u64,
     bytes_moved_kib: u64,
     epochs: u64,
-}
-
-fn measure_aps<F: FnMut() -> u64>(accesses: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let misses = f();
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(misses > 0, "workload produced no LLC misses");
-        best = best.min(dt);
-    }
-    accesses as f64 / best
 }
 
 /// The epoch loop's observation overhead on the steady triad: raw streaming
@@ -65,18 +52,23 @@ fn epoch_overhead_percent(workload: &PhasedWorkload, reps: usize) -> f64 {
             rt.engine_stats().counters,
             "epoch loop diverged from the streaming engine"
         );
+        assert!(
+            engine.stats().counters.llc_misses > 0,
+            "workload produced no LLC misses"
+        );
     }
-    let accesses = workload.total_accesses();
-    let raw_aps = measure_aps(accesses, reps, || {
+    let raw_s = best_of(reps, || {
         let p = provision(workload, &machine, budget).unwrap();
         let mut engine = TraceEngine::new(&machine);
         engine.run_stream(workload.stream(&p.ranges), p.heap.page_table())
     });
-    let online_aps = measure_aps(accesses, reps, || {
+    let online_s = best_of(reps, || {
         let mut p = provision(workload, &machine, budget).unwrap();
         let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::disabled());
         rt.run(workload.stream(&p.ranges), &mut p.heap)
     });
+    let accesses = workload.total_accesses() as f64;
+    let (raw_aps, online_aps) = (accesses / raw_s, accesses / online_s);
     println!(
         "epoch overhead: raw {:.2} Macc/s, online(disabled) {:.2} Macc/s",
         raw_aps / 1e6,
@@ -147,14 +139,10 @@ fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow]) {
     let json = format!(
         "{{\n  \"bench\": \"runtime_migration\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"headline_{online}_speedup\": {headline:.3},\n  \"epoch_overhead_percent\": {overhead_percent:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n"
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact("BENCH_runtime.json", &json);
 }
 
-fn bench_runtime_migration(c: &mut Criterion) {
+fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let array = if test_mode {
         ByteSize::from_kib(32)
@@ -191,28 +179,4 @@ fn bench_runtime_migration(c: &mut Criterion) {
         }
         write_baseline(overhead, &rows);
     }
-
-    // Criterion series: the migrating runtime over each workload.
-    let machine = loaded_machine();
-    let mut group = c.benchmark_group("runtime_migration");
-    group.sample_size(10);
-    for w in &workloads {
-        group.throughput(Throughput::Elements(w.total_accesses()));
-        group.bench_with_input(BenchmarkId::new("online", w.name), w, |b, w| {
-            b.iter(|| {
-                let budget = w.hot_set_size();
-                let mut p = provision(w, &machine, budget).unwrap();
-                let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::default());
-                rt.run(w.stream(&p.ranges), &mut p.heap)
-            });
-        });
-    }
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_runtime_migration
-}
-criterion_main!(benches);

@@ -6,19 +6,18 @@
 //! reproduce the original trace exactly, and the fold is asserted to visit
 //! each event exactly once.
 //!
-//! Besides the criterion benches, the target writes `BENCH_trace.json` at
-//! the repository root (binary throughputs, folding events/sec) so the
-//! trace-path perf trajectory is tracked alongside `BENCH_engine.json`.
+//! The target writes `BENCH_trace.json` at the repository root (binary
+//! throughputs, folding events/sec) so the trace-path perf trajectory is
+//! tracked alongside `BENCH_engine.json`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hmsim_analysis::{FoldAccumulator, FoldedTimeline};
+use hmsim_bench::{best_of, write_artifact};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
     read_binary, write_binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord,
     TraceEvent, TraceFile, TraceMetadata, TraceReader,
 };
-use std::time::Instant;
 
 /// A profiler-shaped trace: a handful of hot objects, repeated iterations
 /// with nested kernels, PEBS samples and periodic counter snapshots — the
@@ -102,16 +101,6 @@ fn synthetic_trace(events_target: usize) -> TraceFile {
     t
 }
 
-fn measure<T, F: FnMut() -> T>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 struct Throughputs {
     events: usize,
     binary_bytes: usize,
@@ -121,7 +110,6 @@ struct Throughputs {
 }
 
 fn write_baseline(t: &Throughputs) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
     let json = format!(
         "{{\n  \"bench\": \"trace_io\",\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }}\n}}\n",
         t.events,
@@ -130,13 +118,10 @@ fn write_baseline(t: &Throughputs) {
         t.binary_read_eps,
         t.fold_eps,
     );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact("BENCH_trace.json", &json);
 }
 
-fn bench_trace_io(c: &mut Criterion) {
+fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let events_target = if test_mode { 5_000 } else { 400_000 };
     let reps = if test_mode { 1 } else { 5 };
@@ -158,8 +143,8 @@ fn bench_trace_io(c: &mut Criterion) {
         assert!(fold.finish().instances > 0);
     }
 
-    let binary_write = measure(reps, || write_binary(&trace));
-    let binary_read = measure(reps, || {
+    let binary_write = best_of(reps, || write_binary(&trace));
+    let binary_read = best_of(reps, || {
         let mut count = 0usize;
         for e in TraceReader::new(binary.as_slice()).unwrap() {
             std::hint::black_box(e.unwrap());
@@ -167,7 +152,7 @@ fn bench_trace_io(c: &mut Criterion) {
         }
         count
     });
-    let fold_time = measure(reps, || FoldedTimeline::fold(&trace, "iteration", 64));
+    let fold_time = best_of(reps, || FoldedTimeline::fold(&trace, "iteration", 64));
 
     let results = Throughputs {
         events: n,
@@ -188,30 +173,4 @@ fn bench_trace_io(c: &mut Criterion) {
     if !test_mode {
         write_baseline(&results);
     }
-
-    let mut group = c.benchmark_group("trace_io");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(n as u64));
-    group.bench_function("binary_serialize", |b| b.iter(|| write_binary(&trace)));
-    group.bench_function("binary_stream_read", |b| {
-        b.iter(|| {
-            TraceReader::new(binary.as_slice())
-                .unwrap()
-                .fold(0usize, |n, e| {
-                    std::hint::black_box(e.unwrap());
-                    n + 1
-                })
-        })
-    });
-    group.bench_function("fold_single_pass", |b| {
-        b.iter(|| FoldedTimeline::fold(&trace, "iteration", 64))
-    });
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_trace_io
-}
-criterion_main!(benches);

@@ -7,14 +7,11 @@
 //! offline build) or silently drops a headline metric fails the pipeline
 //! instead of shipping garbage baselines.
 //!
-//! The parser lives in [`hmsim_common::json`] (the scenario loader in
-//! `hmem-core` reads `.scn` files through the same code); this module
-//! re-exports it so existing `hmsim_bench::schema::parse_json` callers keep
-//! working.
+//! The parser is [`hmsim_common::json`], the same code the scenario loader
+//! in `hmem-core` reads `.scn` files through.
 
+use hmsim_common::json::{parse_json, Json};
 use std::path::Path;
-
-pub use hmsim_common::json::{parse_json, Json};
 
 /// The registered benchmark artifacts: file name → (expected `"bench"`
 /// value, headline keys the top-level object must carry).

@@ -5,8 +5,8 @@
 //! functions are on the stack comes from the workload model as a list of
 //! function names (outermost → innermost caller); the unwinder turns that
 //! into the raw, ASLR-shifted return addresses the interception library
-//! would actually see, and does work proportional to the depth (so that
-//! Criterion benchmarks of the unwinder reproduce the Figure-3 scaling).
+//! would actually see, and charges a cost proportional to the depth (the
+//! Figure-3 scaling).
 
 use crate::aslr::AslrLayout;
 use crate::cost::CallstackCostModel;
@@ -83,28 +83,6 @@ impl Unwinder {
         let cost = self.cost_model.unwind_cost(stack.depth());
         Ok((stack, cost))
     }
-
-    /// A pure work-loop walking `depth` synthetic frames, used by the
-    /// Criterion benchmark for Figure 3 so the measured time scales with
-    /// depth the way a frame-pointer walk does. Returns a checksum so the
-    /// optimiser cannot delete the walk.
-    pub fn walk_synthetic_frames(&self, depth: usize) -> u64 {
-        // Build a tiny linked structure on the fly and chase it; each hop is
-        // one simulated frame.
-        let mut chain: Vec<u64> = Vec::with_capacity(depth.max(1));
-        let mut acc = 0x9e3779b97f4a7c15u64;
-        for i in 0..depth.max(1) {
-            acc = acc.rotate_left(13) ^ (i as u64).wrapping_mul(0x2545F4914F6CDD1D);
-            chain.push(acc);
-        }
-        let mut checksum = 0u64;
-        let mut idx = 0usize;
-        for _ in 0..depth.max(1) {
-            checksum = checksum.wrapping_add(chain[idx]);
-            idx = (chain[idx] as usize) % chain.len();
-        }
-        checksum
-    }
 }
 
 #[cfg(test)]
@@ -167,12 +145,5 @@ mod tests {
             .unwind(&["main", "initialize", "allocate_state", "spmv", "malloc"])
             .unwrap();
         assert!(deep > shallow);
-    }
-
-    #[test]
-    fn synthetic_walk_is_deterministic_and_nonzero() {
-        let u = unwinder(5);
-        assert_eq!(u.walk_synthetic_frames(8), u.walk_synthetic_frames(8));
-        assert_ne!(u.walk_synthetic_frames(8), 0);
     }
 }

@@ -85,7 +85,7 @@ pub fn table1(iterations_override: Option<u32>) -> HmResult<Vec<Table1Row>> {
 }
 
 /// Generate one application's Table-I row.
-pub fn table1_row(spec: &AppSpec, iterations_override: Option<u32>) -> HmResult<Table1Row> {
+fn table1_row(spec: &AppSpec, iterations_override: Option<u32>) -> HmResult<Table1Row> {
     let mut cfg = RunConfig::flat(ByteSize::from_gib(16) / u64::from(spec.ranks.max(1)))
         .with_profiling(ProfilerConfig::default());
     if let Some(it) = iterations_override {

@@ -600,12 +600,16 @@ pub(crate) fn lookup_phased(
             candidates.join(", ")
         ))
     })?;
-    if workload.total_accesses() == 0 {
-        return Err(HmError::Config(format!(
+    match workload.checked_total_accesses() {
+        Some(0) => Err(HmError::Config(format!(
             "phased workload {name:?} executes no accesses at array_size {array_size}"
-        )));
+        ))),
+        None => Err(HmError::Config(format!(
+            "phased workload {name:?} at array_size {array_size} executes more than \
+             u64::MAX accesses"
+        ))),
+        Some(_) => Ok(workload),
     }
-    Ok(workload)
 }
 
 // ---------------------------------------------------------------------------

@@ -790,4 +790,37 @@ mod tests {
             "FOM should be roughly iteration-count independent ({rel})"
         );
     }
+
+    /// Sparser sampling costs less and captures fewer samples, but the
+    /// attribution stays stable: `A.coefs` is miniFE's hottest object at
+    /// every period.
+    #[test]
+    fn sampling_period_trades_samples_for_overhead_without_moving_attribution() {
+        let spec = app_by_name("miniFE").unwrap();
+        let profiled = |period| {
+            let run = AppRun::new(
+                &spec,
+                RunConfig::flat(ByteSize::from_mib(256))
+                    .with_iterations(5)
+                    .with_profiling(ProfilerConfig::dense(period)),
+            )
+            .execute(PlacementApproach::DdrOnly.router().unwrap())
+            .unwrap();
+            let trace = run.trace.expect("profiled run keeps its trace");
+            let hottest = hmsim_analysis::analyze_trace(&trace).objects[0]
+                .name
+                .clone();
+            (trace.sample_count(), run.monitoring_overhead, hottest)
+        };
+        let runs: Vec<_> = [4_001, 37_589, 300_007].map(profiled).into();
+        for pair in runs.windows(2) {
+            let ((dense_samples, dense_cost, _), (sparse_samples, sparse_cost, _)) =
+                (&pair[0], &pair[1]);
+            assert!(sparse_samples < dense_samples, "{runs:?}");
+            assert!(sparse_cost < dense_cost, "{runs:?}");
+        }
+        for (_, _, hottest) in &runs {
+            assert_eq!(hottest, "A.coefs", "{runs:?}");
+        }
+    }
 }

@@ -43,11 +43,17 @@ impl FreeListAllocator {
         self.arena
     }
 
+    /// The bytes an allocation of `size` reserves: `size` rounded up to the
+    /// allocation granularity, at least one granule.
+    pub fn reserved(size: ByteSize) -> ByteSize {
+        ByteSize::from_bytes(size.bytes().max(1).next_multiple_of(MIN_ALIGN))
+    }
+
     /// Allocate `size` bytes (first-fit), or `None` when no free block is
     /// large enough. The returned range has the requested length; the
-    /// rounding up to the allocation granularity is hidden, like malloc.
+    /// rounding up to [`reserved`](Self::reserved) is hidden, like malloc.
     pub fn alloc(&mut self, size: ByteSize) -> Option<AddressRange> {
-        let need = size.bytes().max(1).next_multiple_of(MIN_ALIGN);
+        let need = Self::reserved(size).bytes();
         let (&start, &len) = self.free.iter().find(|(_, &len)| len >= need)?;
         self.free.remove(&start);
         if len > need {

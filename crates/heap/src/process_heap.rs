@@ -106,11 +106,13 @@ impl ProcessHeap {
     /// (Algorithm 1 line 12, `alloc→FITS(size)`). A capped tier checks both
     /// its arena's allocated bytes and its resident bytes (which count
     /// objects migrated in) against the cap; an uncapped one checks the
-    /// arena's free bytes.
+    /// arena's free bytes. Both charge the bytes the arena will reserve,
+    /// `size` rounded up to its granularity.
     pub fn fits(&self, tier: TierId, size: ByteSize) -> bool {
         let Some(arena) = self.arena(tier) else {
             return false;
         };
+        let size = FreeListAllocator::reserved(size);
         match arena.cap {
             Some(cap) => {
                 arena.freelist.used_bytes() + size <= cap && self.tier_occupancy(tier) + size <= cap
@@ -608,6 +610,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::from_mib(32));
+    }
+
+    /// Migrated-in residency counts exact bytes, the arena rounds up to 16:
+    /// a malloc of exactly the remaining headroom would reserve more than
+    /// the headroom and must be refused.
+    #[test]
+    fn malloc_of_exactly_the_headroom_is_charged_its_rounded_size() {
+        let mut h = heap();
+        let cap = ByteSize::from_kib(64);
+        h.set_capacity_cap(TierId::MCDRAM, cap).unwrap();
+        let (id, _, _) = h
+            .malloc(
+                ByteSize::from_bytes(100),
+                TierId::DDR,
+                "migrant",
+                None,
+                Nanos::ZERO,
+            )
+            .unwrap();
+        h.migrate_object(id, TierId::MCDRAM).unwrap();
+        let headroom = cap - h.tier_occupancy(TierId::MCDRAM);
+        assert_eq!(headroom.bytes() % 16, 12);
+        assert!(!h.fits(TierId::MCDRAM, headroom));
+        assert!(matches!(
+            h.malloc(headroom, TierId::MCDRAM, "exact", None, Nanos::ZERO),
+            Err(HmError::OutOfMemory { .. })
+        ));
+        let largest = ByteSize::from_bytes(headroom.bytes() / 16 * 16);
+        h.malloc(largest, TierId::MCDRAM, "rounded", None, Nanos::ZERO)
+            .unwrap();
+        assert!(h.tier_occupancy(TierId::MCDRAM) <= cap);
     }
 
     #[test]

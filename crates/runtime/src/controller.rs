@@ -225,12 +225,16 @@ impl PlacementController {
         fast_tier: TierId,
         budget: ByteSize,
     ) -> Vec<ObjectId> {
+        // A huge deadband saturates the `as u64` cast; capping each value
+        // keeps every sum over the candidates (the total, the exact DP's
+        // partial sums) inside u64.
+        let cap = u64::MAX / candidates.len().max(1) as u64;
         let offered: Vec<Candidate<'_>> = candidates
             .iter()
             .map(|o| Candidate {
                 name: &o.name,
                 size: o.size,
-                value: self.effective_heat(o, fast_tier).round() as u64,
+                value: (self.effective_heat(o, fast_tier).round() as u64).min(cap),
             })
             .collect();
         let total: u64 = offered.iter().map(|c| c.value).sum();

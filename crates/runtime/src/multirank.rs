@@ -198,7 +198,7 @@ impl MultiRankRuntime {
                 )));
             }
             let mut shard_cfg = cfg.online.clone();
-            shard_cfg.seed = cfg.online.seed + u64::from(rank);
+            shard_cfg.seed = cfg.online.seed.wrapping_add(u64::from(rank));
             let rt = OnlineRuntime::new(machine, arbiter.partition_share(), shard_cfg);
             fast_tier = rt.fast_tier();
             shards.push(Shard {
