@@ -19,7 +19,7 @@ use hmsim_machine::{
 };
 
 /// Faithful reimplementation of the seed's trace-engine hot path, kept as the
-/// "naive" baseline the acceptance criterion compares against.
+/// "naive" baseline the speedup is measured against.
 mod naive {
     use hmsim_common::{Address, Nanos, Page, TierId};
     use hmsim_machine::{AccessKind, BandwidthModel, MachineConfig, MemoryAccess, PerfCounters};

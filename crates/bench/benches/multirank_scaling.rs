@@ -124,7 +124,7 @@ fn main() {
     let global_vs_partition = node_ms(ArbiterPolicy::Partition) / node_ms(ArbiterPolicy::Global);
 
     if !test_mode {
-        // Acceptance criterion, enforced at bench scale: the node-global
+        // Acceptance gate, enforced at bench scale: the node-global
         // selection must beat the static per-rank partition on rank skew.
         assert!(
             global_vs_partition > 1.0,
