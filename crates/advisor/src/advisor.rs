@@ -8,27 +8,18 @@ use hmsim_analysis::{ObjectReport, ObjectStats};
 use hmsim_common::{ByteSize, HmResult};
 
 /// The `hmem_advisor` engine.
-#[derive(Clone, Debug)]
-pub struct Advisor {
-    /// Whether hot objects that cannot be promoted automatically (static and
-    /// stack variables) should still be listed in the report as *manual*
-    /// suggestions for the developer. They never consume fast-memory budget,
-    /// because `auto-hbwmalloc` cannot place them.
-    pub list_manual_suggestions: bool,
-}
-
-impl Default for Advisor {
-    fn default() -> Self {
-        Advisor {
-            list_manual_suggestions: true,
-        }
-    }
-}
+///
+/// Hot objects that cannot be promoted automatically (static and stack
+/// variables) are listed in the report as *manual* suggestions for the
+/// developer. They never consume fast-memory budget, because
+/// `auto-hbwmalloc` cannot place them.
+#[derive(Clone, Debug, Default)]
+pub struct Advisor;
 
 impl Advisor {
-    /// Create an advisor with default settings.
+    /// Create an advisor.
     pub fn new() -> Self {
-        Self::default()
+        Advisor
     }
 
     /// Compute the object distribution for `report` under `memspec` using
@@ -96,31 +87,29 @@ impl Advisor {
 
         // Manual suggestions: hot non-promotable objects that would have
         // deserved fast memory (listed against the fastest bounded tier).
-        if self.list_manual_suggestions {
-            if let Some(fast) = memspec
-                .by_descending_performance()
-                .into_iter()
-                .find(|t| t.capacity.is_some())
-            {
-                let auto_min_misses = entries.iter().map(|e| e.llc_misses).min().unwrap_or(0);
-                let mut manual: Vec<&ObjectStats> = report
-                    .objects
-                    .iter()
-                    .filter(|o| !o.promotable() && o.llc_misses > 0)
-                    .filter(|o| o.llc_misses >= auto_min_misses)
-                    .collect();
-                manual.sort_by_key(|o| std::cmp::Reverse(o.llc_misses));
-                for o in manual {
-                    entries.push(SelectionEntry {
-                        name: o.name.clone(),
-                        site: o.site.clone(),
-                        tier: fast.tier,
-                        tier_name: fast.name.clone(),
-                        size: o.max_size,
-                        llc_misses: o.llc_misses,
-                        automatic: false,
-                    });
-                }
+        if let Some(fast) = memspec
+            .by_descending_performance()
+            .into_iter()
+            .find(|t| t.capacity.is_some())
+        {
+            let auto_min_misses = entries.iter().map(|e| e.llc_misses).min().unwrap_or(0);
+            let mut manual: Vec<&ObjectStats> = report
+                .objects
+                .iter()
+                .filter(|o| !o.promotable() && o.llc_misses > 0)
+                .filter(|o| o.llc_misses >= auto_min_misses)
+                .collect();
+            manual.sort_by_key(|o| std::cmp::Reverse(o.llc_misses));
+            for o in manual {
+                entries.push(SelectionEntry {
+                    name: o.name.clone(),
+                    site: o.site.clone(),
+                    tier: fast.tier,
+                    tier_name: fast.name.clone(),
+                    size: o.max_size,
+                    llc_misses: o.llc_misses,
+                    automatic: false,
+                });
             }
         }
 
@@ -296,13 +285,6 @@ mod tests {
             .map(|e| e.name.as_str())
             .collect();
         assert_eq!(manual, vec!["huge_static"]);
-        // Manual suggestions can be disabled.
-        let quiet = Advisor {
-            list_manual_suggestions: false,
-        }
-        .advise(&r, &spec, SelectionStrategy::Density)
-        .unwrap();
-        assert_eq!(quiet.manual_entries().count(), 0);
     }
 
     #[test]

@@ -50,21 +50,6 @@ impl TriadStream {
         }
     }
 
-    /// The destination array `a`.
-    pub fn array_a(&self) -> AddressRange {
-        self.a
-    }
-
-    /// The source array `b`.
-    pub fn array_b(&self) -> AddressRange {
-        self.b
-    }
-
-    /// The source array `c`.
-    pub fn array_c(&self) -> AddressRange {
-        self.c
-    }
-
     /// The full working set (all three arrays).
     pub fn working_set(&self) -> AddressRange {
         AddressRange::new(self.a.start, ByteSize::from_bytes(self.a.len.bytes() * 3))
@@ -141,8 +126,8 @@ mod tests {
     #[test]
     fn triad_arrays_are_disjoint_and_cover_the_working_set() {
         let s = TriadStream::new(Address(0x10_0000), ByteSize::from_kib(64), 8, 1);
-        assert!(!s.array_a().overlaps(&s.array_b()));
-        assert!(!s.array_b().overlaps(&s.array_c()));
+        assert!(!s.a.overlaps(&s.b));
+        assert!(!s.b.overlaps(&s.c));
         assert_eq!(s.working_set().len, ByteSize::from_kib(192));
         assert_eq!(s.total_accesses(), (64 * 1024 / 8) * 3);
         let hint = s.size_hint();
@@ -155,7 +140,7 @@ mod tests {
         let mut s = TriadStream::new(Address(0x1000_0000), ByteSize::from_gib(1), 8, 1);
         let first = s.next().unwrap();
         assert_eq!(first.kind, AccessKind::Load);
-        assert!(s.array_b().contains(first.address));
+        assert!(s.b.contains(first.address));
         assert_eq!(s.total_accesses(), (1u64 << 30) / 8 * 3);
     }
 }

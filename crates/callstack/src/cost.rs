@@ -54,23 +54,6 @@ impl CallstackCostModel {
         Nanos::from_micros(self.translate_base_us + self.translate_per_frame_us * depth as f64)
     }
 
-    /// Combined cost of a full inspection (unwind + translate).
-    pub fn full_cost(&self, depth: usize) -> Nanos {
-        self.unwind_cost(depth) + self.translate_cost(depth)
-    }
-
-    /// Cost of a cache-hit inspection: only the unwind plus a hash lookup.
-    pub fn cached_cost(&self, depth: usize) -> Nanos {
-        self.unwind_cost(depth) + Nanos::from_micros(0.15)
-    }
-
-    /// The smallest depth at which translation becomes more expensive than
-    /// unwinding (≈ 6 for the paper's calibration). Returns `None` if the
-    /// curves never cross within 128 frames.
-    pub fn crossover_depth(&self) -> Option<usize> {
-        (1..=128).find(|d| self.translate_cost(*d) > self.unwind_cost(*d))
-    }
-
     /// The data series of Figure 3: (depth, unwind µs, translate µs) for
     /// depths 1 through `max_depth`.
     pub fn figure3_series(&self, max_depth: usize) -> Vec<(usize, f64, f64)> {
@@ -90,13 +73,18 @@ impl CallstackCostModel {
 mod tests {
     use super::*;
 
+    /// The smallest depth at which translation becomes more expensive than
+    /// unwinding (≈ 6 for the paper's calibration). Returns `None` if the
+    /// curves never cross within 128 frames.
+    fn crossover_depth(m: &CallstackCostModel) -> Option<usize> {
+        (1..=128).find(|d| m.translate_cost(*d) > m.unwind_cost(*d))
+    }
+
     #[test]
     fn costs_grow_with_depth() {
         let m = CallstackCostModel::knl_7250();
         assert!(m.unwind_cost(2) > m.unwind_cost(1));
         assert!(m.translate_cost(9) > m.translate_cost(3));
-        assert!(m.full_cost(4) > m.unwind_cost(4));
-        assert!(m.cached_cost(4) < m.full_cost(4));
     }
 
     #[test]
@@ -109,7 +97,7 @@ mod tests {
     #[test]
     fn crossover_is_around_six_frames() {
         let m = CallstackCostModel::knl_7250();
-        let d = m.crossover_depth().unwrap();
+        let d = crossover_depth(&m).unwrap();
         assert!((5..=7).contains(&d), "crossover at {d}");
     }
 
@@ -137,6 +125,6 @@ mod tests {
             translate_base_us: 0.1,
             translate_per_frame_us: 0.1,
         };
-        assert_eq!(m.crossover_depth(), None);
+        assert_eq!(crossover_depth(&m), None);
     }
 }

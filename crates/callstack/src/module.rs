@@ -95,14 +95,6 @@ impl ProgramImage {
             .find(|(_, m)| m.name == name)
     }
 
-    /// Find the module containing a link-time address.
-    pub fn module_of_link_address(&self, addr: Address) -> Option<(usize, &Module)> {
-        self.modules
-            .iter()
-            .enumerate()
-            .find(|(_, m)| m.contains_link_address(addr))
-    }
-
     /// Find a function by name anywhere in the image; returns the module
     /// index and the link-time address of the function entry.
     pub fn find_function(&self, function: &str) -> Option<(usize, Address)> {
@@ -221,16 +213,6 @@ mod tests {
         assert_eq!(module.name, "libc.so.6");
         assert_eq!(addr, module.link_base);
         assert!(img.find_function("does_not_exist").is_none());
-    }
-
-    #[test]
-    fn module_of_link_address_finds_owner() {
-        let img = ProgramImage::synthetic_hpc_app("app", &["k"]);
-        let (_, malloc_addr) = img.find_function("malloc").unwrap();
-        let (idx, m) = img.module_of_link_address(malloc_addr).unwrap();
-        assert_eq!(m.name, "libc.so.6");
-        assert_eq!(img.module(idx).unwrap().name, "libc.so.6");
-        assert!(img.module_of_link_address(Address(0x1)).is_none());
     }
 
     #[test]

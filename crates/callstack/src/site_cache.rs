@@ -85,16 +85,6 @@ impl SiteCache {
         self.misses
     }
 
-    /// Hit ratio in `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Clear all entries and counters.
     pub fn clear(&mut self) {
         self.map.clear();
@@ -135,7 +125,6 @@ mod tests {
         assert!(d.promote);
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
-        assert!((c.hit_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(c.len(), 1);
     }
 
@@ -178,7 +167,7 @@ mod tests {
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.hits(), 0);
-        assert_eq!(c.hit_ratio(), 0.0);
+        assert_eq!(c.misses(), 0);
     }
 
     #[test]

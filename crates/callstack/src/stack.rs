@@ -168,21 +168,6 @@ impl SiteKey {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// A short human-readable label: the innermost non-allocator frame.
-    pub fn short_label(&self) -> String {
-        self.0
-            .split('|')
-            .map(|frame| frame.to_string())
-            .find(|frame| {
-                !frame.contains("!malloc")
-                    && !frame.contains("!calloc")
-                    && !frame.contains("!realloc")
-                    && !frame.contains("!posix_memalign")
-                    && !frame.contains("!kmp_malloc")
-            })
-            .unwrap_or_else(|| self.0.clone())
-    }
 }
 
 impl fmt::Debug for SiteKey {
@@ -240,16 +225,6 @@ mod tests {
         let t2 = t1.clone();
         assert_eq!(t1.site_key(), t2.site_key());
         assert!(t1.site_key().as_str().contains("allocate_state"));
-    }
-
-    #[test]
-    fn short_label_skips_allocator_frames() {
-        let t = TranslatedCallStack::new(vec![
-            tframe("libc.so.6", "malloc", 0x10),
-            tframe("app", "allocate_state", 0x40),
-        ]);
-        let label = t.site_key().short_label();
-        assert!(label.contains("allocate_state"), "label was {label}");
     }
 
     #[test]

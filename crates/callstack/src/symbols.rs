@@ -93,14 +93,6 @@ impl SymbolTable {
     pub fn by_name(&self, name: &str) -> Option<&Symbol> {
         self.by_name.get(name).map(|i| &self.symbols[*i])
     }
-
-    /// Approximate source line for an offset: the function's definition line
-    /// plus one line per 16 bytes of code, mimicking how debug line tables
-    /// interpolate within a function.
-    pub fn source_line_of(&self, offset: u64) -> Option<(String, u64)> {
-        self.by_offset(offset)
-            .map(|s| (s.source_file.clone(), s.line + (offset - s.offset) / 16))
-    }
 }
 
 #[cfg(test)]
@@ -135,15 +127,6 @@ mod tests {
         assert!(t.by_name("delta").is_none());
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn source_line_interpolates_within_function() {
-        let t = table();
-        let (file, line) = t.source_line_of(0x20).unwrap();
-        assert_eq!(file, "a.c");
-        assert_eq!(line, 10 + 2);
-        assert!(t.source_line_of(0x190).is_none());
     }
 
     #[test]

@@ -87,10 +87,13 @@ impl ByteSize {
         self.0 == 0
     }
 
-    /// Parse a human-readable size such as `"4K"`, `"64M"`, `"16G"`, `"123"`.
+    /// Parse a human-readable size such as `"4K"`, `"64M"`, `"16G"`, `"123"`
+    /// or `"1.5K"`.
     ///
     /// Suffixes are case-insensitive and use binary (1024-based) multipliers,
     /// matching the conventions of `memkind`/`autohbw` configuration strings.
+    /// Integer values are exact up to `u64::MAX` bytes; fractional values
+    /// round to the nearest byte. A size beyond `u64::MAX` bytes is an error.
     pub fn parse(s: &str) -> Result<ByteSize, String> {
         let s = s.trim();
         if s.is_empty() {
@@ -100,9 +103,6 @@ impl ByteSize {
             Some(idx) => s.split_at(idx),
             None => (s, ""),
         };
-        let value: f64 = digits
-            .parse()
-            .map_err(|e| format!("invalid size number {digits:?}: {e}"))?;
         let mult: u64 = match suffix.trim().to_ascii_lowercase().as_str() {
             "" | "b" => 1,
             "k" | "kb" | "kib" => 1024,
@@ -111,7 +111,19 @@ impl ByteSize {
             "t" | "tb" | "tib" => 1024u64.pow(4),
             other => return Err(format!("unknown size suffix {other:?}")),
         };
-        Ok(ByteSize((value * mult as f64).round() as u64))
+        let invalid = |e: &dyn fmt::Display| format!("invalid size number {digits:?}: {e}");
+        let bytes = if digits.contains('.') {
+            let value: f64 = digits.parse().map_err(|e| invalid(&e))?;
+            let bytes = (value * mult as f64).round();
+            // `u64::MAX as f64` is 2^64, the first value that does not fit.
+            (bytes < u64::MAX as f64).then_some(bytes as u64)
+        } else {
+            let value: u64 = digits.parse().map_err(|e| invalid(&e))?;
+            value.checked_mul(mult)
+        };
+        bytes
+            .map(ByteSize)
+            .ok_or_else(|| format!("size {s:?} exceeds u64::MAX bytes"))
     }
 }
 
@@ -441,6 +453,25 @@ mod tests {
         assert_eq!(ByteSize::parse("1.5K").unwrap().bytes(), 1536);
         assert!(ByteSize::parse("").is_err());
         assert!(ByteSize::parse("12Q").is_err());
+    }
+
+    #[test]
+    fn bytesize_parse_is_exact_at_u64_extremes() {
+        assert_eq!(ByteSize::parse("96KiB").unwrap(), ByteSize::from_kib(96));
+        assert_eq!(
+            ByteSize::parse("268435456").unwrap(),
+            ByteSize::from_mib(256)
+        );
+        let max = ByteSize::from_bytes(u64::MAX);
+        assert_eq!(ByteSize::parse(&max.to_string()).unwrap(), max);
+        let odd = ByteSize::from_bytes((1 << 60) + 3);
+        assert_eq!(ByteSize::parse(&odd.to_string()).unwrap(), odd);
+        assert!(ByteSize::parse("99999999999GiB").is_err(), "overflow");
+        assert!(ByteSize::parse("20000000TiB").is_err(), "overflow");
+        // A fractional size beyond u64::MAX bytes is refused like its
+        // integer spelling, not saturated to u64::MAX.
+        assert!(ByteSize::parse("20000000.5TiB").is_err());
+        assert!(ByteSize::parse("18446744073709551616.0").is_err());
     }
 
     #[test]

@@ -30,6 +30,23 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 // ---------------------------------------------------------------------------
+// Work bounds
+// ---------------------------------------------------------------------------
+
+/// Most main-loop iterations an analytic scenario may run: forty times
+/// NAS-BT's default of 250, the largest in the application registry.
+pub const MAX_ITERATIONS: u32 = 10_000;
+
+/// Most accesses a trace-driven scenario may simulate, summed over its ranks:
+/// over ten times the 7.86 M of a 256 KiB steady triad.
+pub const MAX_TRACE_ACCESSES: u64 = 100_000_000;
+
+/// Most online epochs one rank of a trace-driven scenario may run (its
+/// accesses divided by `online.epoch_accesses`, rounded up): about eighty
+/// times the 120 that the longest shipped workloads run.
+pub const MAX_EPOCHS_PER_RANK: u64 = 10_000;
+
+// ---------------------------------------------------------------------------
 // Selectors
 // ---------------------------------------------------------------------------
 
@@ -261,13 +278,6 @@ impl Scenario {
         self
     }
 
-    /// Choose the node-level arbitration policy (multi-rank workloads
-    /// only).
-    pub fn with_rank_policy(mut self, policy: ArbiterPolicy) -> Self {
-        self.rank_policy = policy;
-        self
-    }
-
     /// Attach the profiler (analytic workloads).
     pub fn with_profiling(mut self, profiling: ProfilerConfig) -> Self {
         self.profiling = Some(profiling);
@@ -315,16 +325,6 @@ impl Scenario {
                  flat-mode KNL node (machine knl-7250, memory_mode flat)"
                     .to_string(),
             );
-        }
-        if let MemoryMode::Hybrid {
-            cache_fraction_percent,
-        } = self.memory_mode
-        {
-            if cache_fraction_percent > 100 {
-                return fail(format!(
-                    "hybrid cache fraction {cache_fraction_percent}% exceeds 100%"
-                ));
-            }
         }
         if let PlacementApproach::AutoHbw { threshold } = &self.approach {
             if threshold.is_zero() {
@@ -412,12 +412,23 @@ impl Scenario {
                 );
             }
         }
-        match &self.workload {
+        // Trace-driven workloads yield (largest rank's accesses, accesses
+        // summed over ranks, or None if that sum overflows) for the work
+        // bound below.
+        let trace_work: Option<(u64, Option<u64>)> = match &self.workload {
             WorkloadSelector::App { name } => {
-                hmsim_apps::app_by_name(name)?;
+                let iterations = self
+                    .iterations
+                    .unwrap_or(hmsim_apps::app_by_name(name)?.iterations);
+                if iterations > MAX_ITERATIONS {
+                    return fail(format!(
+                        "iterations {iterations} exceed the limit of {MAX_ITERATIONS}"
+                    ));
+                }
+                None
             }
             WorkloadSelector::Phased { name, array_size } => {
-                lookup_phased(name, *array_size)?;
+                let accesses = lookup_phased(name, *array_size)?.total_accesses();
                 if !matches!(
                     self.approach,
                     PlacementApproach::Online | PlacementApproach::DdrOnly
@@ -428,6 +439,7 @@ impl Scenario {
                         self.approach
                     ));
                 }
+                Some((accesses, Some(accesses)))
             }
             WorkloadSelector::MultiRank(sel) => {
                 if !online_approach {
@@ -449,10 +461,11 @@ impl Scenario {
                         array_size,
                         ranks,
                     } => {
-                        lookup_phased(workload, *array_size)?;
+                        let accesses = lookup_phased(workload, *array_size)?.total_accesses();
                         if *ranks == 0 {
                             return fail("replicated ranks must be at least 1".to_string());
                         }
+                        Some((accesses, accesses.checked_mul(u64::from(*ranks))))
                     }
                     MultiRankSelector::RankSkewTriad {
                         array_size,
@@ -468,15 +481,58 @@ impl Scenario {
                         }
                         // Every rank but rank 0 runs this triad; rank 0's
                         // is `skew` times larger.
-                        let small_rank =
-                            hmsim_apps::PhasedWorkload::steady_triad(*array_size, *passes);
-                        if small_rank.total_accesses() == 0 {
+                        let triad = |bytes: u64| {
+                            hmsim_apps::PhasedWorkload::steady_triad(
+                                ByteSize::from_bytes(bytes),
+                                *passes,
+                            )
+                            .checked_total_accesses()
+                        };
+                        let small = triad(array_size.bytes());
+                        if small == Some(0) {
                             return fail(format!(
                                 "rank-skew array_size {array_size} holds no array element, \
                                  so ranks 1 and up would execute no accesses"
                             ));
                         }
+                        let Some(large) = array_size
+                            .bytes()
+                            .checked_mul(u64::from(*skew))
+                            .and_then(triad)
+                        else {
+                            return fail(format!(
+                                "rank 0's arrays ({skew} x {array_size}) or their access \
+                                 count overflow u64"
+                            ));
+                        };
+                        let total = small
+                            .and_then(|s| s.checked_mul(u64::from(*ranks - 1)))
+                            .and_then(|s| s.checked_add(large));
+                        Some((large, total))
                     }
+                }
+            }
+        };
+
+        // Work bound: a scenario that validates finishes in seconds.
+        if let Some((largest_rank, total)) = trace_work {
+            if total.is_none_or(|t| t > MAX_TRACE_ACCESSES) {
+                return fail(format!(
+                    "the workload executes more than the limit of {MAX_TRACE_ACCESSES} \
+                     accesses summed over ranks"
+                ));
+            }
+            if self.approach == PlacementApproach::Online {
+                let epoch = self
+                    .online
+                    .as_ref()
+                    .map_or(OnlineConfig::default().epoch_accesses, |o| o.epoch_accesses);
+                let epochs = largest_rank.div_ceil(epoch);
+                if epochs > MAX_EPOCHS_PER_RANK {
+                    return fail(format!(
+                        "{epochs} online epochs per rank ({largest_rank} accesses at \
+                         epoch_accesses {epoch}) exceed the limit of {MAX_EPOCHS_PER_RANK}"
+                    ));
                 }
             }
         }
@@ -526,8 +582,8 @@ impl Scenario {
     }
 
     /// Parse the `.scn` text form (strict: unknown or missing keys are
-    /// errors; sizes accept both exact forms like `"96KiB"`/`"98304"` and
-    /// the lenient human spellings [`ByteSize::parse`] knows).
+    /// errors; sizes go through [`ByteSize::parse`], exact for integer
+    /// forms like `"96KiB"`/`"98304"`).
     pub fn parse(text: &str) -> HmResult<Scenario> {
         let doc = parse_json(text).map_err(|e| HmError::parse(format!("scenario: {e}")))?;
         let mut map = into_object(doc, "scenario document")?;
@@ -537,7 +593,7 @@ impl Scenario {
             machine: parse_machine(&take_string(&mut map, "machine")?)?,
             memory_mode: parse_memory_mode(take(&mut map, "memory_mode")?)?,
             approach: parse_approach(take(&mut map, "approach")?)?,
-            mcdram_budget: parse_size(&take_string(&mut map, "mcdram_budget")?)?,
+            mcdram_budget: take_size(&mut map, "mcdram_budget")?,
             iterations: match map.remove("iterations") {
                 None => None,
                 Some(v) => Some(parse_u32(&v, "iterations")?),
@@ -563,13 +619,6 @@ impl Scenario {
         let text = std::fs::read_to_string(path)
             .map_err(|e| HmError::Io(format!("{}: {e}", path.display())))?;
         Scenario::parse(&text).map_err(|e| HmError::parse(format!("{}: {e}", path.display())))
-    }
-
-    /// Serialize to a `.scn` file in canonical form.
-    pub fn save(&self, path: impl AsRef<Path>) -> HmResult<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.serialize())
-            .map_err(|e| HmError::Io(format!("{}: {e}", path.display())))
     }
 }
 
@@ -647,13 +696,10 @@ fn workload_json(w: &WorkloadSelector) -> String {
     }
 }
 
-fn memory_mode_json(mode: MemoryMode) -> String {
+fn memory_mode_json(mode: MemoryMode) -> &'static str {
     match mode {
-        MemoryMode::Flat => "\"flat\"".to_string(),
-        MemoryMode::Cache => "\"cache\"".to_string(),
-        MemoryMode::Hybrid {
-            cache_fraction_percent,
-        } => format!("{{ \"hybrid_cache_percent\": {cache_fraction_percent} }}"),
+        MemoryMode::Flat => "\"flat\"",
+        MemoryMode::Cache => "\"cache\"",
     }
 }
 
@@ -755,28 +801,9 @@ fn reject_unknown(map: &BTreeMap<String, Json>, what: &str) -> HmResult<()> {
     Ok(())
 }
 
-/// Exact size parse: integer-digits + optional binary suffix go through u64
-/// arithmetic (no f64 round-off even at u64::MAX), anything else falls back
-/// to the lenient [`ByteSize::parse`].
-fn parse_size(s: &str) -> HmResult<ByteSize> {
-    let t = s.trim();
-    let split = t.find(|c: char| !c.is_ascii_digit()).unwrap_or(t.len());
-    let (digits, suffix) = t.split_at(split);
-    let mult: Option<u64> = match suffix.trim().to_ascii_lowercase().as_str() {
-        "" | "b" => Some(1),
-        "k" | "kb" | "kib" => Some(1024),
-        "m" | "mb" | "mib" => Some(1024 * 1024),
-        "g" | "gb" | "gib" => Some(1024 * 1024 * 1024),
-        "t" | "tb" | "tib" => Some(1024u64.pow(4)),
-        _ => None,
-    };
-    if let (Ok(value), Some(mult)) = (digits.parse::<u64>(), mult) {
-        return value
-            .checked_mul(mult)
-            .map(ByteSize::from_bytes)
-            .ok_or_else(|| HmError::parse(format!("size {s:?} overflows u64 bytes")));
-    }
-    ByteSize::parse(t).map_err(|e| HmError::parse(format!("size {s:?}: {e}")))
+fn take_size(map: &mut BTreeMap<String, Json>, key: &str) -> HmResult<ByteSize> {
+    let s = take_string(map, key)?;
+    ByteSize::parse(&s).map_err(|e| HmError::parse(format!("key \"{key}\": size {s:?}: {e}")))
 }
 
 fn parse_u64(v: &Json, key: &str) -> HmResult<u64> {
@@ -818,18 +845,18 @@ fn parse_workload(v: Json) -> HmResult<WorkloadSelector> {
     } else if map.contains_key("phased") {
         WorkloadSelector::Phased {
             name: take_string(&mut map, "phased")?,
-            array_size: parse_size(&take_string(&mut map, "array_size")?)?,
+            array_size: take_size(&mut map, "array_size")?,
         }
     } else if map.contains_key("multirank") {
         let family = take_string(&mut map, "multirank")?;
         match family.as_str() {
             "replicated" => WorkloadSelector::MultiRank(MultiRankSelector::Replicated {
                 workload: take_string(&mut map, "workload")?,
-                array_size: parse_size(&take_string(&mut map, "array_size")?)?,
+                array_size: take_size(&mut map, "array_size")?,
                 ranks: parse_u32(&take(&mut map, "ranks")?, "ranks")?,
             }),
             "rank-skew-triad" => WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad {
-                array_size: parse_size(&take_string(&mut map, "array_size")?)?,
+                array_size: take_size(&mut map, "array_size")?,
                 ranks: parse_u32(&take(&mut map, "ranks")?, "ranks")?,
                 skew: parse_u32(&take(&mut map, "skew")?, "skew")?,
                 passes: parse_u32(&take(&mut map, "passes")?, "passes")?,
@@ -862,28 +889,10 @@ fn parse_machine(s: &str) -> HmResult<MachineSelector> {
 
 fn parse_memory_mode(v: Json) -> HmResult<MemoryMode> {
     match v {
-        Json::Str(s) => match s.as_str() {
-            "flat" => Ok(MemoryMode::Flat),
-            "cache" => Ok(MemoryMode::Cache),
-            other => Err(HmError::parse(format!(
-                "unknown memory mode {other:?} (flat, cache, {{hybrid_cache_percent}})"
-            ))),
-        },
-        Json::Object(mut map) => {
-            let percent = parse_u32(
-                &take(&mut map, "hybrid_cache_percent")?,
-                "hybrid_cache_percent",
-            )?;
-            reject_unknown(&map, "memory_mode")?;
-            let percent = u8::try_from(percent).map_err(|_| {
-                HmError::parse(format!("hybrid_cache_percent {percent} exceeds u8"))
-            })?;
-            Ok(MemoryMode::Hybrid {
-                cache_fraction_percent: percent,
-            })
-        }
+        Json::Str(s) if s == "flat" => Ok(MemoryMode::Flat),
+        Json::Str(s) if s == "cache" => Ok(MemoryMode::Cache),
         other => Err(HmError::parse(format!(
-            "memory_mode must be a string or object, found {other:?}"
+            "unknown memory_mode {other:?} (flat, cache)"
         ))),
     }
 }
@@ -903,7 +912,7 @@ fn parse_approach(v: Json) -> HmResult<PlacementApproach> {
         Json::Object(mut map) => {
             let approach = if map.contains_key("autohbw_threshold") {
                 PlacementApproach::AutoHbw {
-                    threshold: parse_size(&take_string(&mut map, "autohbw_threshold")?)?,
+                    threshold: take_size(&mut map, "autohbw_threshold")?,
                 }
             } else if map.contains_key("framework_strategy") {
                 PlacementApproach::Framework {
@@ -989,7 +998,7 @@ fn parse_profiling(v: Json) -> HmResult<ProfilerConfig> {
     let mut map = into_object(v, "profiling")?;
     let cfg = ProfilerConfig {
         sampling_period: parse_u64(&take(&mut map, "sampling_period")?, "sampling_period")?,
-        min_alloc_size: parse_size(&take_string(&mut map, "min_alloc_size")?)?,
+        min_alloc_size: take_size(&mut map, "min_alloc_size")?,
         counter_snapshot_interval: Nanos(parse_f64(
             &take(&mut map, "counter_snapshot_interval_ns")?,
             "counter_snapshot_interval_ns",
@@ -1085,19 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn sizes_parse_exactly_even_at_u64_extremes() {
-        assert_eq!(parse_size("96KiB").unwrap(), ByteSize::from_kib(96));
-        assert_eq!(parse_size("268435456").unwrap(), ByteSize::from_mib(256));
-        let max = ByteSize::from_bytes(u64::MAX);
-        assert_eq!(parse_size(&max.to_string()).unwrap(), max);
-        let odd = ByteSize::from_bytes((1 << 60) + 3);
-        assert_eq!(parse_size(&odd.to_string()).unwrap(), odd);
-        assert!(parse_size("99999999999GiB").is_err(), "overflow detected");
-        // Lenient human spellings still work.
-        assert_eq!(parse_size("1.5K").unwrap(), ByteSize::from_bytes(1536));
-    }
-
-    #[test]
     fn cache_approach_and_mode_must_agree() {
         let mut s = Scenario::app("miniFE", PlacementApproach::CacheMode, ByteSize::ZERO);
         s.validate().unwrap();
@@ -1116,30 +1112,38 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(err.to_string().contains("online"), "{err}");
 
-        let s = Scenario::app(
-            "miniFE",
-            PlacementApproach::NumactlPreferred,
-            ByteSize::from_mib(64),
-        )
-        .with_rank_policy(ArbiterPolicy::Global);
+        let with_policy = |mut s: Scenario, policy: ArbiterPolicy| {
+            s.rank_policy = policy;
+            s
+        };
+        let s = with_policy(
+            Scenario::app(
+                "miniFE",
+                PlacementApproach::NumactlPreferred,
+                ByteSize::from_mib(64),
+            ),
+            ArbiterPolicy::Global,
+        );
         assert!(s.validate().is_err(), "rank policy without online approach");
 
         // Only the multi-rank runtime arbitrates between ranks: an online
         // analytic app or a phased workload would ignore the policy.
-        let app_online = Scenario::app("miniFE", PlacementApproach::Online, ByteSize::from_mib(64))
-            .with_rank_policy(ArbiterPolicy::Global);
-        let phased_online = Scenario::phased(
-            "rotating-triad",
-            ByteSize::from_kib(64),
-            ByteSize::from_kib(256),
-        )
-        .with_rank_policy(ArbiterPolicy::Fcfs);
+        let app_online = with_policy(
+            Scenario::app("miniFE", PlacementApproach::Online, ByteSize::from_mib(64)),
+            ArbiterPolicy::Global,
+        );
+        let phased_online = with_policy(
+            Scenario::phased(
+                "rotating-triad",
+                ByteSize::from_kib(64),
+                ByteSize::from_kib(256),
+            ),
+            ArbiterPolicy::Fcfs,
+        );
         for s in [app_online, phased_online] {
             let err = s.validate().unwrap_err();
             assert!(err.to_string().contains("multi-rank"), "{}: {err}", s.name);
-            s.with_rank_policy(ArbiterPolicy::Partition)
-                .validate()
-                .unwrap();
+            with_policy(s, ArbiterPolicy::Partition).validate().unwrap();
         }
     }
 
@@ -1280,7 +1284,7 @@ mod tests {
         let dir = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios"));
         std::fs::create_dir_all(dir).unwrap();
         for s in committed_scenarios() {
-            s.save(dir.join(format!("{}.scn", s.name))).unwrap();
+            std::fs::write(dir.join(format!("{}.scn", s.name)), s.serialize()).unwrap();
         }
     }
 

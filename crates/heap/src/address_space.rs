@@ -91,34 +91,12 @@ impl AddressSpace {
         Ok(AddressSpace { regions })
     }
 
-    /// A layout sized for the KNL node used in the paper: 2 GiB static,
-    /// 512 MiB of stacks, heap arenas matching the tier capacities.
-    pub fn knl_default() -> AddressSpace {
-        AddressSpace::new(
-            ByteSize::from_gib(2),
-            ByteSize::from_mib(512),
-            &[
-                (TierId::DDR, ByteSize::from_gib(96)),
-                (TierId::MCDRAM, ByteSize::from_gib(16)),
-            ],
-        )
-        .expect("default layout is consistent")
-    }
-
     /// The full range of a region.
     pub fn region(&self, kind: RegionKind) -> Option<AddressRange> {
         self.regions
             .iter()
             .find(|r| r.kind == kind)
             .map(|r| r.range)
-    }
-
-    /// Which region an address belongs to.
-    pub fn region_of(&self, addr: Address) -> Option<RegionKind> {
-        self.regions
-            .iter()
-            .find(|r| r.range.contains(addr))
-            .map(|r| r.kind)
     }
 
     /// Carve a new sub-range out of the static or stack region (bump
@@ -161,9 +139,31 @@ impl AddressSpace {
 mod tests {
     use super::*;
 
+    /// A layout sized for the KNL node used in the paper: 2 GiB static,
+    /// 512 MiB of stacks, heap arenas matching the tier capacities.
+    fn knl_default() -> AddressSpace {
+        AddressSpace::new(
+            ByteSize::from_gib(2),
+            ByteSize::from_mib(512),
+            &[
+                (TierId::DDR, ByteSize::from_gib(96)),
+                (TierId::MCDRAM, ByteSize::from_gib(16)),
+            ],
+        )
+        .expect("default layout is consistent")
+    }
+
+    /// Which region an address belongs to.
+    fn region_of(a: &AddressSpace, addr: Address) -> Option<RegionKind> {
+        a.regions
+            .iter()
+            .find(|r| r.range.contains(addr))
+            .map(|r| r.kind)
+    }
+
     #[test]
     fn default_layout_has_all_regions() {
-        let a = AddressSpace::knl_default();
+        let a = knl_default();
         assert!(a.region(RegionKind::Static).is_some());
         assert!(a.region(RegionKind::Stack).is_some());
         assert!(a.region(RegionKind::Heap(TierId::DDR)).is_some());
@@ -172,25 +172,28 @@ mod tests {
 
     #[test]
     fn regions_do_not_overlap_and_classify_addresses() {
-        let a = AddressSpace::knl_default();
+        let a = knl_default();
         let ddr = a.region(RegionKind::Heap(TierId::DDR)).unwrap();
         let mc = a.region(RegionKind::Heap(TierId::MCDRAM)).unwrap();
         assert!(!ddr.overlaps(&mc));
-        assert_eq!(a.region_of(ddr.start), Some(RegionKind::Heap(TierId::DDR)));
         assert_eq!(
-            a.region_of(mc.start),
+            region_of(&a, ddr.start),
+            Some(RegionKind::Heap(TierId::DDR))
+        );
+        assert_eq!(
+            region_of(&a, mc.start),
             Some(RegionKind::Heap(TierId::MCDRAM))
         );
-        assert_eq!(a.region_of(Address(0x10)), None);
+        assert_eq!(region_of(&a, Address(0x10)), None);
     }
 
     #[test]
     fn carving_static_ranges_bumps_cursor() {
-        let mut a = AddressSpace::knl_default();
+        let mut a = knl_default();
         let r1 = a.carve(RegionKind::Static, ByteSize::from_mib(1)).unwrap();
         let r2 = a.carve(RegionKind::Static, ByteSize::from_mib(2)).unwrap();
         assert!(!r1.overlaps(&r2));
-        assert_eq!(a.region_of(r1.start), Some(RegionKind::Static));
+        assert_eq!(region_of(&a, r1.start), Some(RegionKind::Static));
         assert_eq!(a.carved(RegionKind::Static), ByteSize::from_mib(3));
     }
 

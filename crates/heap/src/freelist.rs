@@ -98,13 +98,6 @@ impl FreeListAllocator {
         self.live.contains_key(&addr.value())
     }
 
-    /// The size recorded for a live allocation.
-    pub fn size_of(&self, addr: Address) -> Option<ByteSize> {
-        self.live
-            .get(&addr.value())
-            .map(|l| ByteSize::from_bytes(*l))
-    }
-
     /// Bytes currently allocated (after internal rounding).
     pub fn used_bytes(&self) -> ByteSize {
         self.hwm.current()
@@ -124,17 +117,22 @@ impl FreeListAllocator {
     pub fn live_count(&self) -> usize {
         self.live.len()
     }
-
-    /// Number of distinct free blocks (fragmentation indicator).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hmsim_common::DetRng;
+
+    /// The size recorded for a live allocation.
+    fn size_of(a: &FreeListAllocator, addr: Address) -> Option<ByteSize> {
+        a.live.get(&addr.value()).map(|l| ByteSize::from_bytes(*l))
+    }
+
+    /// Number of distinct free blocks (fragmentation indicator).
+    fn fragments(a: &FreeListAllocator) -> usize {
+        a.free.len()
+    }
 
     fn arena(size_kib: u64) -> FreeListAllocator {
         FreeListAllocator::new(AddressRange::new(
@@ -149,12 +147,12 @@ mod tests {
         let total_free = a.free_bytes();
         let r = a.alloc(ByteSize::from_kib(4)).unwrap();
         assert!(a.owns(r.start));
-        assert_eq!(a.size_of(r.start), Some(ByteSize::from_kib(4)));
+        assert_eq!(size_of(&a, r.start), Some(ByteSize::from_kib(4)));
         assert_eq!(a.live_count(), 1);
         a.free(r.start).unwrap();
         assert_eq!(a.free_bytes(), total_free);
         assert_eq!(a.live_count(), 0);
-        assert_eq!(a.fragments(), 1, "coalescing must restore a single block");
+        assert_eq!(fragments(&a), 1, "coalescing must restore a single block");
     }
 
     #[test]
@@ -181,7 +179,7 @@ mod tests {
         a.free(r3.start).unwrap();
         // Freeing the middle block must merge all three plus the tail.
         a.free(r2.start).unwrap();
-        assert_eq!(a.fragments(), 1);
+        assert_eq!(fragments(&a), 1);
     }
 
     #[test]
@@ -266,7 +264,7 @@ mod tests {
                 a.free(addr).unwrap();
             }
             assert_eq!(a.free_bytes(), len);
-            assert_eq!(a.fragments(), 1, "round {round}: everything coalesces back");
+            assert_eq!(fragments(&a), 1, "round {round}: everything coalesces back");
         }
     }
 }

@@ -330,11 +330,6 @@ impl ProcessHeap {
         &self.page_table
     }
 
-    /// Total live bytes across all tiers (dynamic allocations only).
-    pub fn live_dynamic_bytes(&self) -> ByteSize {
-        self.arenas.iter().map(|a| a.freelist.used_bytes()).sum()
-    }
-
     /// Total live bytes including static and stack objects.
     pub fn working_set(&self) -> ByteSize {
         self.registry.live_bytes()
@@ -373,7 +368,6 @@ mod tests {
                 .id,
             id
         );
-        assert_eq!(h.live_dynamic_bytes(), ByteSize::from_mib(8));
     }
 
     #[test]
@@ -463,7 +457,6 @@ mod tests {
         assert_eq!(h.page_table().tier_of(srange.start), TierId::MCDRAM);
         assert_eq!(h.page_table().tier_of(krange.start), TierId::DDR);
         assert_eq!(h.working_set(), ByteSize::from_mib(116));
-        assert_eq!(h.live_dynamic_bytes(), ByteSize::ZERO);
     }
 
     #[test]

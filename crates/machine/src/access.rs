@@ -70,29 +70,6 @@ pub enum AccessPattern {
     },
 }
 
-impl AccessPattern {
-    /// Probability that an access to an object with this pattern misses the
-    /// LLC *given* the object is much larger than the LLC. Regular patterns
-    /// benefit from hardware prefetching and spatial locality; random ones do
-    /// not.
-    pub fn llc_miss_factor(self, element_size: u32, line_size: u64) -> f64 {
-        let per_line = (line_size as f64 / f64::from(element_size.max(1))).max(1.0);
-        match self {
-            AccessPattern::Sequential => (1.0 / per_line) * 0.55, // prefetch hides misses
-            AccessPattern::Strided { stride } => {
-                let lines_per_access = (f64::from(stride) / line_size as f64).min(1.0);
-                (lines_per_access.max(1.0 / per_line)) * 0.75
-            }
-            AccessPattern::Random => 0.95,
-            AccessPattern::HotSpot { hot_fraction } => {
-                let hf = f64::from(hot_fraction).clamp(0.01, 1.0);
-                // Hot part mostly hits, cold part behaves like random.
-                0.15 * hf + 0.9 * (1.0 - hf)
-            }
-        }
-    }
-}
-
 /// Generator of concrete access streams over an address range.
 #[derive(Clone, Debug)]
 pub struct AccessStream {
@@ -123,12 +100,6 @@ impl AccessStream {
             cursor: 0,
             rng,
         }
-    }
-
-    /// Generate and materialize the next `n` accesses. For allocation-free
-    /// consumption use the [`Iterator`] impl instead.
-    pub fn take_vec(&mut self, n: usize) -> Vec<MemoryAccess> {
-        (0..n).map(|_| self.next_access()).collect()
     }
 
     /// Generate the next access in the stream.
@@ -234,14 +205,14 @@ mod tests {
 
     #[test]
     fn sequential_stream_walks_contiguously() {
-        let mut s = AccessStream::new(
+        let s = AccessStream::new(
             test_range(),
             AccessPattern::Sequential,
             8,
             0.0,
             DetRng::new(1),
         );
-        let acc = s.take_vec(10);
+        let acc: Vec<MemoryAccess> = s.take(10).collect();
         for (i, a) in acc.iter().enumerate() {
             assert_eq!(a.address.value(), 0x1000_0000 + 8 * i as u64);
             assert_eq!(a.kind, AccessKind::Load);
@@ -251,16 +222,16 @@ mod tests {
     #[test]
     fn sequential_stream_wraps_around() {
         let r = range(0, ByteSize::from_bytes(32));
-        let mut s = AccessStream::new(r, AccessPattern::Sequential, 8, 0.0, DetRng::new(1));
-        let acc = s.take_vec(10);
+        let s = AccessStream::new(r, AccessPattern::Sequential, 8, 0.0, DetRng::new(1));
+        let acc: Vec<MemoryAccess> = s.take(10).collect();
         assert!(acc.iter().all(|a| r.contains(a.address)));
     }
 
     #[test]
     fn random_stream_stays_in_range() {
         let r = test_range();
-        let mut s = AccessStream::new(r, AccessPattern::Random, 8, 0.5, DetRng::new(2));
-        let acc = s.take_vec(1000);
+        let s = AccessStream::new(r, AccessPattern::Random, 8, 0.5, DetRng::new(2));
+        let acc: Vec<MemoryAccess> = s.take(1000).collect();
         assert!(acc.iter().all(|a| r.contains(a.address)));
         let stores = acc.iter().filter(|a| a.kind == AccessKind::Store).count();
         assert!(stores > 300 && stores < 700, "store count {stores}");
@@ -269,14 +240,14 @@ mod tests {
     #[test]
     fn hotspot_concentrates_accesses() {
         let r = test_range();
-        let mut s = AccessStream::new(
+        let s = AccessStream::new(
             r,
             AccessPattern::HotSpot { hot_fraction: 0.1 },
             8,
             0.0,
             DetRng::new(3),
         );
-        let acc = s.take_vec(2000);
+        let acc: Vec<MemoryAccess> = s.take(2000).collect();
         let hot_end = r.start.value() + r.len.bytes() / 10;
         let in_hot = acc.iter().filter(|a| a.address.value() < hot_end).count();
         assert!(in_hot as f64 / 2000.0 > 0.7, "hot fraction {in_hot}");
@@ -284,27 +255,16 @@ mod tests {
 
     #[test]
     fn strided_stream_uses_stride() {
-        let mut s = AccessStream::new(
+        let s = AccessStream::new(
             test_range(),
             AccessPattern::Strided { stride: 256 },
             8,
             0.0,
             DetRng::new(4),
         );
-        let acc = s.take_vec(3);
+        let acc: Vec<MemoryAccess> = s.take(3).collect();
         assert_eq!(acc[1].address - acc[0].address, 256);
         assert_eq!(acc[2].address - acc[1].address, 256);
-    }
-
-    #[test]
-    fn miss_factor_orders_patterns() {
-        let seq = AccessPattern::Sequential.llc_miss_factor(8, 64);
-        let strided = AccessPattern::Strided { stride: 64 }.llc_miss_factor(8, 64);
-        let rand = AccessPattern::Random.llc_miss_factor(8, 64);
-        assert!(seq < strided);
-        assert!(strided < rand);
-        assert!(rand <= 1.0);
-        assert!(seq > 0.0);
     }
 
     #[test]

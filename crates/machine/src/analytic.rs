@@ -120,23 +120,6 @@ impl Placement {
     pub fn tier_of(&self, object: ObjectId) -> TierId {
         self.map.get(&object).copied().unwrap_or(self.default_tier)
     }
-
-    /// Number of explicitly placed objects.
-    pub fn placed_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Objects explicitly placed in `tier`.
-    pub fn objects_in(&self, tier: TierId) -> Vec<ObjectId> {
-        let mut v: Vec<ObjectId> = self
-            .map
-            .iter()
-            .filter(|(_, t)| **t == tier)
-            .map(|(o, _)| *o)
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 /// The analytical engine bound to one machine configuration.
@@ -174,7 +157,8 @@ impl AnalyticEngine {
         &self.config
     }
 
-    /// Cost one phase under `placement` in flat (or hybrid) mode.
+    /// Cost one phase: under `placement` in flat mode, or from `working_set`
+    /// in cache mode.
     ///
     /// `working_set` is the total live data of the process; it is only used
     /// when the machine is in cache mode, where it determines the memory-side
@@ -186,7 +170,7 @@ impl AnalyticEngine {
         working_set: ByteSize,
     ) -> PhaseCost {
         match self.config.memory_mode {
-            MemoryMode::Flat | MemoryMode::Hybrid { .. } => self.cost_flat(phase, placement),
+            MemoryMode::Flat => self.cost_flat(phase, placement),
             MemoryMode::Cache => self.cost_cache_mode(phase, working_set),
         }
     }
@@ -446,8 +430,7 @@ mod tests {
         p.place(ObjectId(5), TierId::MCDRAM);
         p.place(ObjectId(7), TierId::DDR);
         assert_eq!(p.tier_of(ObjectId(3)), TierId::MCDRAM);
+        assert_eq!(p.tier_of(ObjectId(7)), TierId::DDR);
         assert_eq!(p.tier_of(ObjectId(99)), TierId::DDR);
-        assert_eq!(p.objects_in(TierId::MCDRAM), vec![ObjectId(3), ObjectId(5)]);
-        assert_eq!(p.placed_count(), 3);
     }
 }

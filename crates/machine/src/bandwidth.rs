@@ -80,10 +80,10 @@ impl BandwidthModel {
         1.0 / mcdram_cost.max(ddr_cost)
     }
 
-    /// Average load-to-use latency of `tier`, including the clustering-mode
-    /// factor.
+    /// Average load-to-use latency of `tier` under the paper's quadrant
+    /// clustering.
     pub fn latency(&self, tier: &TierSpec) -> Nanos {
-        tier.latency * self.config.cluster_mode.latency_factor()
+        tier.latency
     }
 
     /// Average latency of an access under cache mode with the given hit rate.
@@ -117,7 +117,7 @@ impl BandwidthModel {
     ///   direct-mapped conflicts keep it below that).
     pub fn stream_bandwidth_gbs(&self, cores: u32, data_tier: TierId, hit_rate: f64) -> f64 {
         match self.config.memory_mode {
-            MemoryMode::Flat | MemoryMode::Hybrid { .. } => {
+            MemoryMode::Flat => {
                 let tier = self
                     .config
                     .tiers

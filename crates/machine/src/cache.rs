@@ -134,21 +134,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Reset statistics but keep cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// Drop all contents and statistics.
-    pub fn flush(&mut self) {
-        self.meta.fill(0);
-        self.age.fill(0);
-        self.stats = CacheStats::default();
-        self.clock = 0;
-        self.last_line = u64::MAX;
-        self.last_idx = 0;
-    }
-
     #[inline]
     fn set_range(&self, addr: Address) -> (usize, u64) {
         let line_addr = addr.value() >> self.line_shift;
@@ -403,16 +388,6 @@ mod tests {
         c.access(Address(0), false); // clean
         c.access(Address(stride), false); // evicts clean line
         assert_eq!(c.stats().writebacks, 1);
-    }
-
-    #[test]
-    fn flush_clears_contents() {
-        let mut c = small_cache(4);
-        c.access(Address(0x40), false);
-        assert!(c.probe(Address(0x40)));
-        c.flush();
-        assert!(!c.probe(Address(0x40)));
-        assert_eq!(c.stats().accesses(), 0);
     }
 
     #[test]

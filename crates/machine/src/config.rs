@@ -1,7 +1,7 @@
 //! Whole-machine configuration.
 
 use crate::tier::{TierSet, TierSpec};
-use hmsim_common::{ByteSize, HmError, HmResult, Nanos};
+use hmsim_common::{ByteSize, HmError, HmResult, Nanos, TierId};
 
 /// How the on-package MCDRAM is exposed to software.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -12,48 +12,6 @@ pub enum MemoryMode {
     /// MCDRAM acts as a direct-mapped memory-side cache in front of DDR; the
     /// placement is transparent to software.
     Cache,
-    /// A hybrid split: `cache_fraction` of the MCDRAM acts as cache, the rest
-    /// is flat-addressable.
-    Hybrid {
-        /// Fraction (0..=1) of MCDRAM used as cache.
-        cache_fraction_percent: u8,
-    },
-}
-
-impl MemoryMode {
-    /// Fraction of MCDRAM behaving as a memory-side cache.
-    pub fn cache_fraction(self) -> f64 {
-        match self {
-            MemoryMode::Flat => 0.0,
-            MemoryMode::Cache => 1.0,
-            MemoryMode::Hybrid {
-                cache_fraction_percent,
-            } => f64::from(cache_fraction_percent.min(100)) / 100.0,
-        }
-    }
-}
-
-/// On-die mesh clustering mode. The paper uses quadrant mode; the setting
-/// mainly nudges effective latencies in the model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ClusterMode {
-    /// All-to-all: no affinity between tile, tag directory and memory.
-    AllToAll,
-    /// Quadrant: directory and memory in the same quadrant (paper default).
-    Quadrant,
-    /// SNC-4: exposed as 4 NUMA domains.
-    Snc4,
-}
-
-impl ClusterMode {
-    /// Multiplicative latency factor relative to quadrant mode.
-    pub fn latency_factor(self) -> f64 {
-        match self {
-            ClusterMode::AllToAll => 1.10,
-            ClusterMode::Quadrant => 1.0,
-            ClusterMode::Snc4 => 0.97,
-        }
-    }
 }
 
 /// Complete description of the simulated node.
@@ -85,8 +43,6 @@ pub struct MachineConfig {
     pub tiers: TierSet,
     /// MCDRAM exposure mode.
     pub memory_mode: MemoryMode,
-    /// Mesh clustering mode.
-    pub cluster_mode: ClusterMode,
     /// Memory-level parallelism: outstanding misses one core can sustain,
     /// used to convert per-miss latencies into throughput.
     pub mlp: f64,
@@ -116,7 +72,6 @@ impl MachineConfig {
             l2_latency: Nanos(14.0),
             tiers: TierSet::knl(),
             memory_mode: MemoryMode::Flat,
-            cluster_mode: ClusterMode::Quadrant,
             mlp: 10.0,
             cache_mode_bw_efficiency: 0.78,
             cache_mode_miss_penalty: Nanos(115.0),
@@ -144,7 +99,6 @@ impl MachineConfig {
             l2_latency: Nanos(10.0),
             tiers: TierSet::new(vec![ddr, mc]).expect("distinct tier ids"),
             memory_mode: MemoryMode::Flat,
-            cluster_mode: ClusterMode::Quadrant,
             mlp: 8.0,
             cache_mode_bw_efficiency: 0.78,
             cache_mode_miss_penalty: Nanos(115.0),
@@ -155,11 +109,6 @@ impl MachineConfig {
     pub fn with_memory_mode(mut self, mode: MemoryMode) -> Self {
         self.memory_mode = mode;
         self
-    }
-
-    /// Total hardware threads.
-    pub fn total_threads(&self) -> u32 {
-        self.cores * self.threads_per_core
     }
 
     /// Aggregate scalar instruction throughput of `cores_used` cores, in
@@ -201,29 +150,28 @@ impl MachineConfig {
         Ok(())
     }
 
-    /// The MCDRAM capacity available for *flat-mode* allocations under the
-    /// current memory mode (cache mode consumes it all).
+    /// The MCDRAM capacity available for *flat-mode* allocations: all of it
+    /// in flat mode, none in cache mode.
     pub fn flat_mcdram_capacity(&self) -> ByteSize {
-        let mc = match self.tiers.get(hmsim_common::TierId::MCDRAM) {
-            Some(t) => t.capacity,
-            None => return ByteSize::ZERO,
-        };
-        let cache_frac = self.memory_mode.cache_fraction();
-        ByteSize::from_bytes(((mc.bytes() as f64) * (1.0 - cache_frac)).round() as u64)
+        match self.memory_mode {
+            MemoryMode::Flat => self
+                .tiers
+                .get(TierId::MCDRAM)
+                .map_or(ByteSize::ZERO, |t| t.capacity),
+            MemoryMode::Cache => ByteSize::ZERO,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmsim_common::TierId;
 
     #[test]
     fn knl_preset_is_valid() {
         let m = MachineConfig::knl_7250();
         m.validate().unwrap();
         assert_eq!(m.cores, 68);
-        assert_eq!(m.total_threads(), 272);
         assert_eq!(m.tiers.len(), 2);
         assert_eq!(m.flat_mcdram_capacity(), ByteSize::from_gib(16));
     }
@@ -232,23 +180,6 @@ mod tests {
     fn cache_mode_consumes_flat_capacity() {
         let m = MachineConfig::knl_7250().with_memory_mode(MemoryMode::Cache);
         assert_eq!(m.flat_mcdram_capacity(), ByteSize::ZERO);
-        let h = MachineConfig::knl_7250().with_memory_mode(MemoryMode::Hybrid {
-            cache_fraction_percent: 50,
-        });
-        assert_eq!(h.flat_mcdram_capacity(), ByteSize::from_gib(8));
-    }
-
-    #[test]
-    fn memory_mode_cache_fraction() {
-        assert_eq!(MemoryMode::Flat.cache_fraction(), 0.0);
-        assert_eq!(MemoryMode::Cache.cache_fraction(), 1.0);
-        assert_eq!(
-            MemoryMode::Hybrid {
-                cache_fraction_percent: 25
-            }
-            .cache_fraction(),
-            0.25
-        );
     }
 
     #[test]

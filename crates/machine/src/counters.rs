@@ -61,24 +61,6 @@ impl PerfCounters {
             self.instructions as f64 / self.cycles as f64
         }
     }
-
-    /// LLC misses per thousand instructions (MPKI).
-    pub fn llc_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.llc_misses as f64 / (self.instructions as f64 / 1000.0)
-        }
-    }
-
-    /// Fraction of cycles stalled on memory.
-    pub fn stall_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.stall_cycles as f64 / self.cycles as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,8 +98,6 @@ mod tests {
         };
         assert!((c.mips(Nanos::from_secs(1.0)) - 2.0).abs() < 1e-9);
         assert!((c.ipc() - 2000.0).abs() < 1e-9);
-        assert!((c.llc_mpki() - 2.0).abs() < 1e-9);
-        assert!((c.stall_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -125,7 +105,5 @@ mod tests {
         let c = PerfCounters::default();
         assert_eq!(c.mips(Nanos::ZERO), 0.0);
         assert_eq!(c.ipc(), 0.0);
-        assert_eq!(c.llc_mpki(), 0.0);
-        assert_eq!(c.stall_fraction(), 0.0);
     }
 }

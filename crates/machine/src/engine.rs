@@ -91,17 +91,6 @@ pub struct EngineStats {
     pub time: Nanos,
 }
 
-impl EngineStats {
-    /// LLC miss ratio.
-    pub fn llc_miss_ratio(&self) -> f64 {
-        if self.counters.llc_references == 0 {
-            0.0
-        } else {
-            self.counters.llc_misses as f64 / self.counters.llc_references as f64
-        }
-    }
-}
-
 /// Precomputed cost of one access at a given service level. Latencies are
 /// constants per level/tier, so the whole effective-time / cycle computation
 /// (MLP overlap, frequency conversion, truncation, the `max(1)` floor) runs
@@ -134,6 +123,10 @@ impl Charge {
     }
 }
 
+/// Instructions charged per memory access (models the surrounding
+/// arithmetic).
+const INSTRUCTIONS_PER_ACCESS: u64 = 2;
+
 /// The trace-driven engine simulating one core's cache hierarchy.
 pub struct TraceEngine {
     config: MachineConfig,
@@ -142,9 +135,6 @@ pub struct TraceEngine {
     l2: SetAssocCache,
     mcdram_cache: Option<SetAssocCache>,
     stats: EngineStats,
-    /// Instructions charged per memory access (models the surrounding
-    /// arithmetic); default 2.
-    pub instructions_per_access: u64,
     /// One-entry last-translation cache: (page table identity key, page
     /// extent `[lo, hi)`, tier). Invalidated whenever the page table mutates
     /// or a different table is passed in.
@@ -182,7 +172,7 @@ impl TraceEngine {
             config.line_size,
             config.l2_ways,
         ));
-        let mcdram_cache = if config.memory_mode.cache_fraction() > 0.0 {
+        let mcdram_cache = if config.memory_mode == MemoryMode::Cache {
             let full = config
                 .tiers
                 .get(TierId::MCDRAM)
@@ -232,7 +222,6 @@ impl TraceEngine {
             l2,
             mcdram_cache,
             stats: EngineStats::default(),
-            instructions_per_access: 2,
             tlb: None,
             l1_charge: cache_charge(config.l1_latency),
             l2_charge: cache_charge(config.l2_latency),
@@ -309,7 +298,7 @@ impl TraceEngine {
         // LLC miss: serve from the memory system.
         let line = self.config.line_size;
         match self.config.memory_mode {
-            MemoryMode::Flat | MemoryMode::Hybrid { .. } => {
+            MemoryMode::Flat => {
                 let tier_id = self.translate(acc.address, page_table);
                 // Per-tier latency cache: unknown tiers hold the
                 // slowest-tier fallback, so no TierSet walk on the miss path.
@@ -351,7 +340,7 @@ impl TraceEngine {
         page_table: &PageTable,
         mut on_llc_miss: F,
     ) -> ServiceLevel {
-        self.stats.counters.instructions += self.instructions_per_access;
+        self.stats.counters.instructions += INSTRUCTIONS_PER_ACCESS;
         self.stats.counters.l1_references += 1;
         let level = self.access_kernel(acc, page_table, &mut on_llc_miss);
         match level {
@@ -411,7 +400,7 @@ impl TraceEngine {
         let l1_misses = n - l1_hits;
         let llc_misses = l1_misses - llc_hits;
         let c = &mut self.stats.counters;
-        c.instructions += n * self.instructions_per_access;
+        c.instructions += n * INSTRUCTIONS_PER_ACCESS;
         c.l1_references += n;
         c.l1_misses += l1_misses;
         c.llc_references += l1_misses;
@@ -438,17 +427,6 @@ impl TraceEngine {
     /// The accumulated statistics.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Reset all statistics, flush the caches and drop cached translations.
-    pub fn reset(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        if let Some(c) = &mut self.mcdram_cache {
-            c.flush();
-        }
-        self.stats = EngineStats::default();
-        self.tlb = None;
     }
 }
 
@@ -539,11 +517,7 @@ mod tests {
         assert!(s.time.nanos() > 0.0);
         assert!(s.counters.instructions >= sweep.len() as u64);
         assert!(s.counters.cycles > 0);
-        assert!(s.llc_miss_ratio() > 0.0);
-        let mut e2 = e;
-        e2.reset();
-        assert_eq!(e2.stats().counters.instructions, 0);
-        assert_eq!(e2.stats().time, Nanos::ZERO);
+        assert!(s.counters.llc_misses > 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! 1.4 GHz, 96 GiB of DDR4 at ~90 GB/s and 16 GiB of on-package MCDRAM at
 //! ~450 GB/s, with the MCDRAM configurable in *flat* mode (separate part of
 //! the physical address space) or *cache* mode (a direct-mapped memory-side
-//! cache in front of DDR).
+//! cache in front of DDR) — the two modes the paper's node runs in. The mesh
+//! is modelled in quadrant clustering, the paper's setting; the KNL's hybrid
+//! MCDRAM split and the other clustering modes are not modelled.
 //!
 //! The crate provides two complementary execution engines:
 //!
@@ -41,7 +43,7 @@ pub use access::{AccessKind, AccessPattern, AccessStream, MemoryAccess};
 pub use analytic::{AnalyticEngine, ObjectTraffic, PhaseCost, PhaseProfile, Placement};
 pub use bandwidth::BandwidthModel;
 pub use cache::{CacheConfig, CacheStats, SetAssocCache};
-pub use config::{ClusterMode, MachineConfig, MemoryMode};
+pub use config::{MachineConfig, MemoryMode};
 pub use counters::PerfCounters;
 pub use engine::{EngineStats, ServiceLevel, TierTraffic, TraceEngine};
 pub use mcdram_cache::McdramCacheModel;

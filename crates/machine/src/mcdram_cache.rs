@@ -7,17 +7,18 @@
 //! by the phase-cost engine and a trace-driven direct-mapped simulator used
 //! by tests and ablation studies.
 
-use crate::cache::{CacheConfig, CacheStats, SetAssocCache};
-use hmsim_common::{Address, ByteSize};
+use crate::cache::{CacheConfig, SetAssocCache};
+use hmsim_common::ByteSize;
+
+/// Baseline probability that two hot lines conflict even when the working
+/// set fits (direct-mapped pathologies, page colouring effects).
+const CONFLICT_FACTOR: f64 = 0.06;
 
 /// Analytical + trace-driven model of the memory-side cache.
 #[derive(Clone, Debug)]
 pub struct McdramCacheModel {
     capacity: ByteSize,
     line_size: u64,
-    /// Baseline probability that two hot lines conflict even when the working
-    /// set fits (direct-mapped pathologies, page colouring effects).
-    conflict_factor: f64,
 }
 
 impl McdramCacheModel {
@@ -26,19 +27,12 @@ impl McdramCacheModel {
         McdramCacheModel {
             capacity,
             line_size,
-            conflict_factor: 0.06,
         }
     }
 
     /// The KNL 16 GiB MCDRAM cache.
     pub fn knl() -> Self {
         Self::new(ByteSize::from_gib(16), 64)
-    }
-
-    /// Override the conflict factor (tests, sensitivity studies).
-    pub fn with_conflict_factor(mut self, f: f64) -> Self {
-        self.conflict_factor = f.clamp(0.0, 1.0);
-        self
     }
 
     /// Cache capacity.
@@ -72,7 +66,7 @@ impl McdramCacheModel {
             let occupancy = ws / cap;
             // Conflict misses grow with occupancy and with irregularity
             // (random accesses touch more distinct sets per unit time).
-            let conflicts = self.conflict_factor * occupancy * (0.5 + 0.5 * irregularity);
+            let conflicts = CONFLICT_FACTOR * occupancy * (0.5 + 0.5 * irregularity);
             (1.0 - conflicts).clamp(0.0, 1.0)
         } else {
             let resident = cap / ws;
@@ -80,13 +74,13 @@ impl McdramCacheModel {
             // evicts lines before reuse (classic LRU/DM capacity thrash);
             // random access at least hits the resident fraction.
             let streaming_hit = resident * 0.25;
-            let random_hit = resident * (1.0 - self.conflict_factor);
+            let random_hit = resident * (1.0 - CONFLICT_FACTOR);
             let thrash = (1.0 - irregularity) * streaming_hit + irregularity * random_hit;
             // Value both regimes agree on at the capacity boundary (the
             // fitting branch evaluated at occupancy 1).
-            let at_capacity = 1.0 - self.conflict_factor * (0.5 + 0.5 * irregularity);
+            let at_capacity = 1.0 - CONFLICT_FACTOR * (0.5 + 0.5 * irregularity);
             let thrash_at_capacity =
-                (1.0 - irregularity) * 0.25 + irregularity * (1.0 - self.conflict_factor);
+                (1.0 - irregularity) * 0.25 + irregularity * (1.0 - CONFLICT_FACTOR);
             // Blend: when barely over capacity (resident → 1) most lines
             // still survive until reuse, so the rate starts at the
             // at-capacity value and decays to the thrash asymptote as the
@@ -108,21 +102,26 @@ impl McdramCacheModel {
     pub fn simulator(&self) -> SetAssocCache {
         SetAssocCache::new(CacheConfig::new(self.capacity, self.line_size, 1))
     }
-
-    /// Run an address trace through the trace-driven simulator and return its
-    /// statistics.
-    pub fn simulate_trace<'a>(&self, addrs: impl IntoIterator<Item = &'a Address>) -> CacheStats {
-        let mut sim = self.simulator();
-        for a in addrs {
-            sim.access(*a, false);
-        }
-        sim.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
+    use hmsim_common::Address;
+
+    /// Run an address trace through `m`'s trace-driven simulator and return
+    /// its statistics.
+    fn simulate_trace<'a>(
+        m: &McdramCacheModel,
+        addrs: impl IntoIterator<Item = &'a Address>,
+    ) -> CacheStats {
+        let mut sim = m.simulator();
+        for a in addrs {
+            sim.access(*a, false);
+        }
+        sim.stats()
+    }
 
     #[test]
     fn fitting_working_set_hits() {
@@ -195,11 +194,11 @@ mod tests {
     #[test]
     fn trace_driven_simulator_agrees_qualitatively() {
         // Scaled-down cache: 64 KiB direct mapped.
-        let m = McdramCacheModel::new(ByteSize::from_kib(64), 64).with_conflict_factor(0.0);
+        let m = McdramCacheModel::new(ByteSize::from_kib(64), 64);
         // Working set 32 KiB accessed twice: second pass hits.
         let addrs: Vec<Address> = (0..512u64).map(|i| Address(i * 64)).collect();
         let double: Vec<Address> = addrs.iter().chain(addrs.iter()).copied().collect();
-        let stats = m.simulate_trace(double.iter());
+        let stats = simulate_trace(&m, double.iter());
         assert_eq!(stats.misses, 512);
         assert_eq!(stats.hits, 512);
 
@@ -207,7 +206,7 @@ mod tests {
         // nothing survives until reuse.
         let big: Vec<Address> = (0..2048u64).map(|i| Address(i * 64)).collect();
         let double_big: Vec<Address> = big.iter().chain(big.iter()).copied().collect();
-        let stats_big = m.simulate_trace(double_big.iter());
+        let stats_big = simulate_trace(&m, double_big.iter());
         assert!(stats_big.miss_ratio() > 0.99);
     }
 }

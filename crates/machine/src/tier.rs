@@ -64,20 +64,6 @@ impl TierSpec {
             relative_performance: 5.0,
         }
     }
-
-    /// A hypothetical large/slow NVM tier, used by extension tests showing
-    /// that the advisor generalises beyond two tiers.
-    pub fn nvm(capacity: ByteSize) -> TierSpec {
-        TierSpec {
-            id: TierId(2),
-            name: "NVM".to_string(),
-            capacity,
-            peak_bandwidth_gbs: 30.0,
-            per_core_bandwidth_gbs: 2.0,
-            latency: Nanos(350.0),
-            relative_performance: 0.3,
-        }
-    }
 }
 
 /// An ordered collection of tiers making up the machine's memory system.
@@ -166,16 +152,25 @@ impl TierSet {
                 .expect("relative_performance must not be NaN")
         })
     }
-
-    /// Total capacity across all tiers.
-    pub fn total_capacity(&self) -> ByteSize {
-        self.tiers.iter().map(|t| t.capacity).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A hypothetical large/slow NVM tier, showing that tier sets generalise
+    /// beyond two tiers.
+    fn nvm(capacity: ByteSize) -> TierSpec {
+        TierSpec {
+            id: TierId(2),
+            name: "NVM".to_string(),
+            capacity,
+            peak_bandwidth_gbs: 30.0,
+            per_core_bandwidth_gbs: 2.0,
+            latency: Nanos(350.0),
+            relative_performance: 0.3,
+        }
+    }
 
     #[test]
     fn knl_tier_set_has_expected_shape() {
@@ -187,7 +182,6 @@ mod tests {
         assert_eq!(mc.capacity, ByteSize::from_gib(16));
         assert!(mc.peak_bandwidth_gbs > 4.0 * ddr.peak_bandwidth_gbs);
         assert!(mc.latency.nanos() > ddr.latency.nanos());
-        assert_eq!(ts.total_capacity(), ByteSize::from_gib(112));
     }
 
     #[test]
@@ -219,7 +213,7 @@ mod tests {
         let ts = TierSet::new(vec![
             TierSpec::knl_ddr(),
             TierSpec::knl_mcdram(),
-            TierSpec::nvm(ByteSize::from_gib(512)),
+            nvm(ByteSize::from_gib(512)),
         ])
         .unwrap();
         let order = ts.by_descending_performance();

@@ -1,90 +1,17 @@
-//! PEBS-capable events and per-family capabilities.
+//! The PEBS event and processor family the sampler models.
 
-/// The precise events the framework can sample.
+/// The precise event the framework samples.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PebsEvent {
     /// LLC (L2 on KNL) load misses — the event the paper's framework uses to
     /// approximate per-object access cost.
     LlcLoadMiss,
-    /// LLC load references (hits or misses), available on KNL.
-    LlcLoadReference,
-    /// Retired stores that missed L1 (Xeon only).
-    L1StoreMiss,
 }
 
-/// Processor families with different PEBS payload richness (paper §III,
-/// step 1: KNL provides only the address; Xeon additionally provides latency
-/// and the data source).
+/// The processor family whose PEBS records the sampler reproduces. On KNL a
+/// record carries only the referenced data address (paper §III, step 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ProcessorFamily {
     /// Intel Xeon Phi (Knights Landing).
     KnightsLanding,
-    /// Big-core Intel Xeon.
-    Xeon,
-}
-
-/// What a PEBS record contains for a given family/event combination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PebsCapability {
-    /// The referenced data address is captured.
-    pub captures_address: bool,
-    /// The access latency (in cycles) is captured.
-    pub captures_latency: bool,
-    /// The level of the hierarchy that served the access is captured.
-    pub captures_data_source: bool,
-    /// Store instructions can be sampled precisely.
-    pub captures_stores: bool,
-}
-
-impl ProcessorFamily {
-    /// The capability matrix of this family for the given event.
-    pub fn capability(self, event: PebsEvent) -> PebsCapability {
-        match (self, event) {
-            (ProcessorFamily::KnightsLanding, PebsEvent::LlcLoadMiss)
-            | (ProcessorFamily::KnightsLanding, PebsEvent::LlcLoadReference) => PebsCapability {
-                captures_address: true,
-                captures_latency: false,
-                captures_data_source: false,
-                captures_stores: false,
-            },
-            (ProcessorFamily::KnightsLanding, PebsEvent::L1StoreMiss) => PebsCapability {
-                captures_address: false,
-                captures_latency: false,
-                captures_data_source: false,
-                captures_stores: false,
-            },
-            (ProcessorFamily::Xeon, _) => PebsCapability {
-                captures_address: true,
-                captures_latency: true,
-                captures_data_source: true,
-                captures_stores: true,
-            },
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knl_provides_only_addresses() {
-        let cap = ProcessorFamily::KnightsLanding.capability(PebsEvent::LlcLoadMiss);
-        assert!(cap.captures_address);
-        assert!(!cap.captures_latency);
-        assert!(!cap.captures_data_source);
-    }
-
-    #[test]
-    fn xeon_is_richer() {
-        let cap = ProcessorFamily::Xeon.capability(PebsEvent::LlcLoadMiss);
-        assert!(cap.captures_address && cap.captures_latency && cap.captures_data_source);
-        assert!(cap.captures_stores);
-    }
-
-    #[test]
-    fn knl_cannot_sample_store_addresses() {
-        let cap = ProcessorFamily::KnightsLanding.capability(PebsEvent::L1StoreMiss);
-        assert!(!cap.captures_address);
-    }
 }

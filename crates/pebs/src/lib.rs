@@ -3,10 +3,9 @@
 //! A model of Intel's Precise Event-Based Sampling (PEBS) as the paper uses
 //! it: a hardware counter is armed with a *sampling period*; every time the
 //! chosen event (LLC load misses here) has occurred `period` times, the PMU
-//! captures a record containing the referenced data address (and, on
-//! big-core Xeons, the access latency and the part of the hierarchy that
-//! served the load). The sampler hands each record straight to its caller,
-//! the profiler or the online runtime.
+//! captures a record containing the referenced data address — on the Xeon
+//! Phi (KNL) modelled here, nothing else. The sampler hands each record
+//! straight to its caller, the profiler or the online runtime.
 //!
 //! The paper samples one out of every 37,589 L2 misses on the Xeon Phi,
 //! keeping the monitoring overhead "typically below 1 %".
@@ -17,5 +16,5 @@
 pub mod counter;
 pub mod sampler;
 
-pub use counter::{PebsCapability, PebsEvent, ProcessorFamily};
+pub use counter::{PebsEvent, ProcessorFamily};
 pub use sampler::{PebsSampler, RawSample};

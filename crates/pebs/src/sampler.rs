@@ -8,11 +8,8 @@ use hmsim_common::{Address, DetRng, Nanos};
 pub struct RawSample {
     /// Time the record was captured.
     pub time: Nanos,
-    /// Referenced data address (always present for the events we use on the
-    /// families we model; see [`ProcessorFamily::capability`]).
+    /// Referenced data address, the only payload of a KNL record.
     pub address: Address,
-    /// Access latency in cycles, when the family captures it.
-    pub latency_cycles: Option<u32>,
     /// Number of events represented by this sample (the period).
     pub weight: u64,
 }
@@ -20,8 +17,6 @@ pub struct RawSample {
 /// A PEBS sampler armed on one event with a fixed period.
 #[derive(Clone, Debug)]
 pub struct PebsSampler {
-    family: ProcessorFamily,
-    event: PebsEvent,
     period: u64,
     /// Events seen since the last sample fired.
     residual: u64,
@@ -35,8 +30,9 @@ pub struct PebsSampler {
 impl PebsSampler {
     /// Arm a sampler. `period` must be at least 1. The initial counter offset
     /// is randomised so that periodic access patterns do not alias with the
-    /// sampling period (standard PMU practice).
-    pub fn new(family: ProcessorFamily, event: PebsEvent, period: u64, mut rng: DetRng) -> Self {
+    /// sampling period (standard PMU practice). The family and event each
+    /// have one value, so they select nothing.
+    pub fn new(_family: ProcessorFamily, _event: PebsEvent, period: u64, mut rng: DetRng) -> Self {
         let period = period.max(1);
         let residual = if period > 1 {
             rng.uniform_range(0, period)
@@ -44,8 +40,6 @@ impl PebsSampler {
             0
         };
         PebsSampler {
-            family,
-            event,
             period,
             residual,
             total_events: 0,
@@ -82,7 +76,6 @@ impl PebsSampler {
         Some(RawSample {
             time,
             address,
-            latency_cycles: self.synthesize_latency(),
             weight: self.period,
         })
     }
@@ -127,20 +120,11 @@ impl PebsSampler {
             out.push(RawSample {
                 time,
                 address,
-                latency_cycles: self.synthesize_latency(),
                 weight: self.period,
             });
             self.total_samples += 1;
         }
         out
-    }
-
-    fn synthesize_latency(&mut self) -> Option<u32> {
-        let cap = self.family.capability(self.event);
-        cap.captures_latency.then(|| {
-            // Plausible LLC-miss latency distribution: 150–600 cycles.
-            150 + (self.rng.exponential(120.0) as u32).min(450)
-        })
     }
 }
 
@@ -240,15 +224,17 @@ mod tests {
         for case in 0..200u64 {
             let period = rng.uniform_range(1, 1_500);
             let total = rng.uniform_range(0, 12_000);
-            let family = if rng.chance(0.5) {
-                ProcessorFamily::KnightsLanding
-            } else {
-                ProcessorFamily::Xeon
-            };
             // Both samplers must start from the same randomized counter
             // offset, so they share a construction seed.
             let seed = rng.next_u64();
-            let mk = || PebsSampler::new(family, PebsEvent::LlcLoadMiss, period, DetRng::new(seed));
+            let mk = || {
+                PebsSampler::new(
+                    ProcessorFamily::KnightsLanding,
+                    PebsEvent::LlcLoadMiss,
+                    period,
+                    DetRng::new(seed),
+                )
+            };
 
             let mut scalar = mk();
             let mut scalar_samples = 0u64;
@@ -297,23 +283,6 @@ mod tests {
         // initial counter offset was already ≥ 80.
         assert!((1..=2).contains(&total), "got {total}");
         assert_eq!(s.total_events(), 120);
-    }
-
-    #[test]
-    fn knl_samples_have_no_latency_but_xeon_do() {
-        let mut knl = sampler(1);
-        let smp = knl.observe(Nanos::ZERO, Address(0x1)).unwrap();
-        assert!(smp.latency_cycles.is_none());
-
-        let mut xeon = PebsSampler::new(
-            ProcessorFamily::Xeon,
-            PebsEvent::LlcLoadMiss,
-            1,
-            DetRng::new(1),
-        );
-        let smp = xeon.observe(Nanos::ZERO, Address(0x1)).unwrap();
-        let lat = smp.latency_cycles.unwrap();
-        assert!((150..=600).contains(&lat));
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Profiler {
                     address: s.address,
                     object: Some(id),
                     weight: s.weight,
-                    latency_cycles: s.latency_cycles,
+                    latency_cycles: None,
                 }));
             }
             self.pending_misses += *misses;

