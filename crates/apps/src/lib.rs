@@ -23,14 +23,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod apps;
-pub mod kernels;
 pub mod multirank;
 pub mod phased;
 pub mod registry;
 pub mod spec;
 pub mod stream;
 
-pub use kernels::TriadStream;
 pub use multirank::MultiRankWorkload;
 pub use phased::{phased_workload_by_name, phased_workloads, PhasedWorkload};
 pub use registry::{all_apps, app_by_name};

@@ -46,8 +46,6 @@ pub struct AutoHbwMalloc {
     /// `None` lets the heap's own capacity cap decide.
     budget: Option<ByteSize>,
     stats: InterpositionStats,
-    /// Which tier the report's automatic entries target (MCDRAM on KNL).
-    fast_tier: TierId,
 }
 
 impl AutoHbwMalloc {
@@ -61,7 +59,6 @@ impl AutoHbwMalloc {
             cache: SiteCache::default(),
             budget: None,
             stats: InterpositionStats::default(),
-            fast_tier: TierId::MCDRAM,
         }
     }
 
@@ -82,7 +79,7 @@ impl AutoHbwMalloc {
     }
 
     fn fits_budget(&self, heap: &ProcessHeap, size: ByteSize) -> bool {
-        let heap_ok = heap.fits(self.fast_tier, size);
+        let heap_ok = heap.fits(TierId::MCDRAM, size);
         match self.budget {
             Some(budget) => {
                 heap_ok && ByteSize::from_bytes(self.stats.promoted_bytes) + size <= budget
@@ -106,7 +103,7 @@ impl AutoHbwMalloc {
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
         let mut overhead = Nanos::ZERO;
-        let mut promote_to: Option<TierId> = None;
+        let mut promote = false;
 
         // Line 3: size pre-filter.
         let within_size_window = (size >= self.report.lb_size && size <= self.report.ub_size)
@@ -120,9 +117,7 @@ impl AutoHbwMalloc {
                 Some(decision) => {
                     self.stats.cache_hits += 1;
                     overhead += Nanos::from_micros(0.15);
-                    if decision.promote {
-                        promote_to = Some(self.fast_tier);
-                    }
+                    promote = decision.promote;
                 }
                 None => {
                     self.stats.cache_misses += 1;
@@ -130,19 +125,15 @@ impl AutoHbwMalloc {
                     let (translated, translate_cost) = self.translator.translate(&raw_stack);
                     overhead += translate_cost;
                     // Line 8: match against the report.
-                    let site = translated.site_key();
-                    let matched = self.report.tier_for_site(&site);
+                    promote = self.report.tier_for_site(&translated.site_key()).is_some();
                     // Line 9: annotate the cache.
                     self.cache.annotate(
                         &raw_stack,
                         SiteDecision {
-                            promote: matched.is_some(),
+                            promote,
                             allocator: 0,
                         },
                     );
-                    if matched.is_some() {
-                        promote_to = Some(self.fast_tier);
-                    }
                 }
             }
         } else {
@@ -153,10 +144,11 @@ impl AutoHbwMalloc {
 
         // Lines 11-18: allocate from the alternate allocator if selected and
         // it fits; otherwise fall back to the default allocator.
-        if let Some(tier) = promote_to {
+        if promote {
             if self.fits_budget(heap, size) {
                 let site = self.site_key_of(logical_stack)?;
-                let (id, range, alloc_cost) = heap.malloc(size, tier, name, Some(site), now)?;
+                let (id, range, alloc_cost) =
+                    heap.malloc(size, TierId::MCDRAM, name, Some(site), now)?;
                 // Promoted allocations go through memkind's hbw_malloc, which
                 // is costlier than glibc (dramatically so in the 1-2 MiB
                 // anomaly window the paper reports).
@@ -183,7 +175,7 @@ impl AutoHbwMalloc {
     /// call.
     pub fn free(&mut self, heap: &mut ProcessHeap, addr: Address) -> HmResult<Nanos> {
         let (freed, cost) = heap.free(addr)?;
-        if freed.tier == self.fast_tier {
+        if freed.tier == TierId::MCDRAM {
             self.stats.promoted_bytes = self
                 .stats
                 .promoted_bytes

@@ -162,19 +162,11 @@ impl fmt::Display for ApproachKind {
 
 /// A policy that decides where every allocation goes during a run.
 pub enum AllocationRouter {
-    /// Simple tier-preference policies.
-    Simple {
-        /// Which approach this router implements.
-        approach: PlacementApproach,
-        /// Preferred tier for dynamic allocations meeting the criteria.
-        preferred: TierId,
-        /// Tier for static data.
-        static_tier_preferred: bool,
-        /// Tier for stack data.
-        stack_tier_preferred: bool,
-        /// Smallest dynamic allocation promoted (`None`: every size).
-        min_size: Option<ByteSize>,
-    },
+    /// A tier-preference policy. Where each allocation goes follows from
+    /// the approach: numactl puts every allocation in MCDRAM while it fits,
+    /// autohbw the dynamic ones of at least its threshold, and the others
+    /// keep everything in DDR.
+    Simple(PlacementApproach),
     /// The framework's interposition library.
     Interposed(Box<AutoHbwMalloc>),
 }
@@ -184,32 +176,15 @@ impl AllocationRouter {
     /// library ([`AllocationRouter::framework`]), so asking for it here is a
     /// configuration error.
     pub fn simple(approach: PlacementApproach) -> HmResult<AllocationRouter> {
-        let (preferred, static_pref, stack_pref, min_size) = match &approach {
-            // Online placement starts everything in DDR; promotion happens
-            // later through page migration, not through the allocator.
-            PlacementApproach::DdrOnly
-            | PlacementApproach::CacheMode
-            | PlacementApproach::Online => (TierId::DDR, false, false, None),
-            PlacementApproach::NumactlPreferred => (TierId::MCDRAM, true, true, None),
-            PlacementApproach::AutoHbw { threshold } => {
-                (TierId::MCDRAM, false, false, Some(*threshold))
-            }
-            PlacementApproach::Framework { .. } => {
-                return Err(hmsim_common::HmError::Config(
-                    "the Framework approach needs an advisor-configured interposition \
-                     library; run it through the Simulation facade or build it with \
-                     AllocationRouter::framework"
-                        .to_string(),
-                ))
-            }
-        };
-        Ok(AllocationRouter::Simple {
-            approach,
-            preferred,
-            static_tier_preferred: static_pref,
-            stack_tier_preferred: stack_pref,
-            min_size,
-        })
+        if matches!(approach, PlacementApproach::Framework { .. }) {
+            return Err(hmsim_common::HmError::Config(
+                "the Framework approach needs an advisor-configured interposition \
+                 library; run it through the Simulation facade or build it with \
+                 AllocationRouter::framework"
+                    .to_string(),
+            ));
+        }
+        Ok(AllocationRouter::Simple(approach))
     }
 
     /// Build the framework router from a configured interposition library.
@@ -220,7 +195,7 @@ impl AllocationRouter {
     /// The typed label of the approach this router implements.
     pub fn kind(&self) -> ApproachKind {
         match self {
-            AllocationRouter::Simple { approach, .. } => approach.kind(),
+            AllocationRouter::Simple(approach) => approach.kind(),
             AllocationRouter::Interposed(_) => ApproachKind::Framework,
         }
     }
@@ -245,14 +220,15 @@ impl AllocationRouter {
     ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
         match self {
             AllocationRouter::Interposed(lib) => lib.malloc(heap, size, name, logical_stack, now),
-            AllocationRouter::Simple {
-                approach,
-                preferred,
-                min_size,
-                ..
-            } => {
-                let wants_fast =
-                    *preferred == TierId::MCDRAM && min_size.is_none_or(|lo| size >= lo);
+            AllocationRouter::Simple(approach) => {
+                // Online placement starts everything in DDR; promotion
+                // happens later through page migration, not through the
+                // allocator.
+                let wants_fast = match approach {
+                    PlacementApproach::NumactlPreferred => true,
+                    PlacementApproach::AutoHbw { threshold } => size >= *threshold,
+                    _ => false,
+                };
                 let site = canonical_site.cloned().unwrap_or_else(|| {
                     SiteKey::from_frames(logical_stack.iter().map(|f| format!("app!{f}+0x0")))
                 });
@@ -281,37 +257,33 @@ impl AllocationRouter {
     pub fn free(&mut self, heap: &mut ProcessHeap, addr: Address) -> HmResult<Nanos> {
         match self {
             AllocationRouter::Interposed(lib) => lib.free(heap, addr),
-            AllocationRouter::Simple { .. } => Ok(heap.free(addr)?.1),
+            AllocationRouter::Simple(_) => Ok(heap.free(addr)?.1),
         }
     }
 
     /// Which tier a static variable's pages should go to, given its size and
-    /// the space remaining in MCDRAM.
+    /// the space remaining in MCDRAM: only numactl places static data in
+    /// MCDRAM.
     pub fn static_tier(&self, heap: &ProcessHeap, size: ByteSize) -> TierId {
         match self {
-            AllocationRouter::Simple {
-                static_tier_preferred: true,
-                ..
-            } if heap.fits(TierId::MCDRAM, size) => TierId::MCDRAM,
+            AllocationRouter::Simple(PlacementApproach::NumactlPreferred)
+                if heap.fits(TierId::MCDRAM, size) =>
+            {
+                TierId::MCDRAM
+            }
             _ => TierId::DDR,
         }
     }
 
-    /// Which tier stack pages should go to.
+    /// Which tier stack pages should go to: the same rule as static data.
     pub fn stack_tier(&self, heap: &ProcessHeap, size: ByteSize) -> TierId {
-        match self {
-            AllocationRouter::Simple {
-                stack_tier_preferred: true,
-                ..
-            } if heap.fits(TierId::MCDRAM, size) => TierId::MCDRAM,
-            _ => TierId::DDR,
-        }
+        self.static_tier(heap, size)
     }
 
     /// The interposition overhead accumulated by this router.
     pub fn interposition_overhead(&self) -> Nanos {
         match self {
-            AllocationRouter::Simple { .. } => Nanos::ZERO,
+            AllocationRouter::Simple(_) => Nanos::ZERO,
             AllocationRouter::Interposed(lib) => lib.stats().overhead(),
         }
     }

@@ -25,12 +25,6 @@ pub struct CallstackCostModel {
     pub translate_per_frame_us: f64,
 }
 
-impl Default for CallstackCostModel {
-    fn default() -> Self {
-        Self::knl_7250()
-    }
-}
-
 impl CallstackCostModel {
     /// Calibration matching Figure 3: unwind starts higher (~7 µs at depth 1)
     /// with a shallow slope; translation starts lower (~3 µs) but grows ~2.6

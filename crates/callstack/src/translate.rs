@@ -19,28 +19,12 @@ use hmsim_common::Nanos;
 pub struct Translator {
     image: ProgramImage,
     aslr: AslrLayout,
-    cost_model: CallstackCostModel,
 }
 
 impl Translator {
     /// Create a translator.
     pub fn new(image: ProgramImage, aslr: AslrLayout) -> Self {
-        Translator {
-            image,
-            aslr,
-            cost_model: CallstackCostModel::default(),
-        }
-    }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, model: CallstackCostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CallstackCostModel {
-        &self.cost_model
+        Translator { image, aslr }
     }
 
     /// Translate one raw call-stack. Frames whose address cannot be resolved
@@ -87,7 +71,7 @@ impl Translator {
             })
             .collect();
         let translated = TranslatedCallStack::new(frames);
-        let cost = self.cost_model.translate_cost(stack.depth());
+        let cost = CallstackCostModel::knl_7250().translate_cost(stack.depth());
         (translated, cost)
     }
 }

@@ -19,23 +19,12 @@ use hmsim_common::{HmError, HmResult, Nanos};
 pub struct Unwinder {
     image: ProgramImage,
     aslr: AslrLayout,
-    cost_model: CallstackCostModel,
 }
 
 impl Unwinder {
     /// Create an unwinder for a process image under an ASLR layout.
     pub fn new(image: ProgramImage, aslr: AslrLayout) -> Self {
-        Unwinder {
-            image,
-            aslr,
-            cost_model: CallstackCostModel::default(),
-        }
-    }
-
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, model: CallstackCostModel) -> Self {
-        self.cost_model = model;
-        self
+        Unwinder { image, aslr }
     }
 
     /// The program image.
@@ -46,11 +35,6 @@ impl Unwinder {
     /// The ASLR layout in effect.
     pub fn aslr(&self) -> &AslrLayout {
         &self.aslr
-    }
-
-    /// The cost model in effect.
-    pub fn cost_model(&self) -> &CallstackCostModel {
-        &self.cost_model
     }
 
     /// Produce the raw call-stack for an allocation whose logical stack is
@@ -80,7 +64,7 @@ impl Unwinder {
             frames.push(Frame::new(self.aslr.to_runtime(module_idx, link_ret)));
         }
         let stack = CallStack::new(frames);
-        let cost = self.cost_model.unwind_cost(stack.depth());
+        let cost = CallstackCostModel::knl_7250().unwind_cost(stack.depth());
         Ok((stack, cost))
     }
 }

@@ -51,32 +51,6 @@ id_type!(
     "obj"
 );
 
-id_type!(
-    /// Identifier of an allocation *site*: a distinct (translated) call-stack
-    /// leading to an allocation call. The paper keys all placement decisions
-    /// by allocation site.
-    SiteId,
-    "site"
-);
-
-id_type!(
-    /// Identifier of one MPI rank (simulated process).
-    RankId,
-    "rank"
-);
-
-id_type!(
-    /// Identifier of one physical core of the simulated processor.
-    CoreId,
-    "core"
-);
-
-id_type!(
-    /// Identifier of one hardware thread (SMT context).
-    ThreadId,
-    "thr"
-);
-
 impl TierId {
     /// Conventional id of the slow, large DDR tier.
     pub const DDR: TierId = TierId(0);
@@ -107,9 +81,9 @@ mod tests {
     #[test]
     fn ids_usable_in_hash_sets() {
         let mut s = HashSet::new();
-        s.insert(SiteId(1));
-        s.insert(SiteId(2));
-        s.insert(SiteId(1));
+        s.insert(ObjectId(1));
+        s.insert(ObjectId(2));
+        s.insert(ObjectId(1));
         assert_eq!(s.len(), 2);
     }
 }

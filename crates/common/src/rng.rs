@@ -98,13 +98,6 @@ impl DetRng {
         self.uniform() < p
     }
 
-    /// Approximately normally distributed value (Irwin–Hall sum of 12
-    /// uniforms), mean `mean`, standard deviation `std`.
-    pub fn normal(&mut self, mean: f64, std: f64) -> f64 {
-        let sum: f64 = (0..12).map(|_| self.uniform()).sum();
-        mean + (sum - 6.0) * std
-    }
-
     /// Exponentially distributed value with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = self.uniform();
@@ -162,14 +155,6 @@ mod tests {
         let mut r = DetRng::new(3);
         assert!(!(0..100).any(|_| r.chance(0.0)));
         assert!((0..100).all(|_| r.chance(1.0)));
-    }
-
-    #[test]
-    fn normal_is_centered() {
-        let mut r = DetRng::new(5);
-        let n = 10_000;
-        let mean: f64 = (0..n).map(|_| r.normal(10.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "mean was {mean}");
     }
 
     #[test]

@@ -55,18 +55,19 @@ pub const MAX_EPOCHS_PER_RANK: u64 = 10_000;
 pub enum MachineSelector {
     /// The paper's Intel Xeon Phi 7250 node ([`MachineConfig::knl_7250`]).
     Knl7250,
-    /// The small unit-test machine ([`MachineConfig::tiny_test`]).
-    TinyTest,
     /// The tiny machine with *loaded* memory latencies the trace-driven
     /// placement studies use ([`hmsim_runtime::harness::loaded_machine`]).
     LoadedTinyTest,
 }
 
 impl MachineSelector {
+    /// Every selector, in the order parse errors list them.
+    pub const ALL: [MachineSelector; 2] =
+        [MachineSelector::Knl7250, MachineSelector::LoadedTinyTest];
+
     fn key(self) -> &'static str {
         match self {
             MachineSelector::Knl7250 => "knl-7250",
-            MachineSelector::TinyTest => "tiny-test",
             MachineSelector::LoadedTinyTest => "loaded-tiny-test",
         }
     }
@@ -76,7 +77,6 @@ impl MachineSelector {
     pub fn config(self) -> MachineConfig {
         match self {
             MachineSelector::Knl7250 => MachineConfig::knl_7250(),
-            MachineSelector::TinyTest => MachineConfig::tiny_test(),
             MachineSelector::LoadedTinyTest => hmsim_runtime::harness::loaded_machine(),
         }
     }
@@ -362,29 +362,12 @@ impl Scenario {
             ));
         }
         if let Some(online) = &self.online {
-            if !(0.0..=1.0).contains(&online.heat_decay) {
-                return fail(format!(
-                    "online.heat_decay {} outside [0, 1]",
-                    online.heat_decay
-                ));
-            }
-            if !online.heat_deadband.is_finite() || online.heat_deadband < 0.0 {
-                return fail(format!(
-                    "online.heat_deadband {} must be finite and non-negative",
-                    online.heat_deadband
-                ));
-            }
             if online.epoch_accesses == 0 {
                 return fail("online.epoch_accesses must be at least 1".to_string());
             }
             if online.pebs_period == 0 {
                 return fail("online.pebs_period must be at least 1".to_string());
             }
-            if online.migration_streams == 0 {
-                return fail("online.migration_streams must be at least 1".to_string());
-            }
-            validate_strategy(&online.strategy, "online.strategy")
-                .map_err(|e| HmError::Config(format!("scenario {:?}: {e}", self.name)))?;
         }
         if let Some(profiling) = &self.profiling {
             if !profiling.counter_snapshot_interval.nanos().is_finite() {
@@ -734,27 +717,16 @@ fn strategy_json(strategy: SelectionStrategy) -> String {
 fn online_json(cfg: &OnlineConfig) -> String {
     format!(
         "{{\n    \"epoch_accesses\": \"{}\",\n    \"max_moves_per_epoch\": {},\n    \
-         \"min_residency_epochs\": \"{}\",\n    \"heat_deadband\": {},\n    \
-         \"heat_decay\": {},\n    \"strategy\": {},\n    \"pebs_period\": \"{}\",\n    \
-         \"migration_streams\": {},\n    \"seed\": \"{}\"\n  }}",
-        cfg.epoch_accesses,
-        cfg.max_moves_per_epoch,
-        cfg.min_residency_epochs,
-        fmt_f64(cfg.heat_deadband),
-        fmt_f64(cfg.heat_decay),
-        strategy_json(cfg.strategy),
-        cfg.pebs_period,
-        cfg.migration_streams,
-        cfg.seed,
+         \"pebs_period\": \"{}\",\n    \"seed\": \"{}\"\n  }}",
+        cfg.epoch_accesses, cfg.max_moves_per_epoch, cfg.pebs_period, cfg.seed,
     )
 }
 
 fn profiling_json(cfg: &ProfilerConfig) -> String {
     format!(
-        "{{\n    \"sampling_period\": \"{}\",\n    \"min_alloc_size\": \"{}\",\n    \
+        "{{\n    \"sampling_period\": \"{}\",\n    \
          \"counter_snapshot_interval_ns\": {},\n    \"seed\": \"{}\"\n  }}",
         cfg.sampling_period,
-        cfg.min_alloc_size,
         fmt_f64(cfg.counter_snapshot_interval.nanos()),
         cfg.seed,
     )
@@ -876,15 +848,37 @@ fn parse_workload(v: Json) -> HmResult<WorkloadSelector> {
     Ok(selector)
 }
 
-fn parse_machine(s: &str) -> HmResult<MachineSelector> {
-    match s {
-        "knl-7250" => Ok(MachineSelector::Knl7250),
-        "tiny-test" => Ok(MachineSelector::TinyTest),
-        "loaded-tiny-test" => Ok(MachineSelector::LoadedTinyTest),
-        other => Err(HmError::parse(format!(
-            "unknown machine {other:?} (knl-7250, tiny-test, loaded-tiny-test)"
-        ))),
+/// The entry of `table` whose canonical name (`name_of`, the spelling the
+/// serializer writes) is `name`. The error lists every name in the table,
+/// then `more`.
+fn by_name<T: Clone, N: std::fmt::Display>(
+    what: &str,
+    name: &str,
+    table: &[T],
+    name_of: impl Fn(&T) -> N,
+    more: &str,
+) -> HmResult<T> {
+    if let Some(entry) = table.iter().find(|e| name_of(e).to_string() == name) {
+        return Ok(entry.clone());
     }
+    let names: Vec<String> = table.iter().map(|e| name_of(e).to_string()).collect();
+    Err(HmError::parse(format!(
+        "unknown {what} {name:?} ({}{more})",
+        names.join(", ")
+    )))
+}
+
+/// The approaches without payload, written as their bare
+/// [`ApproachKind::key`](auto_hbwmalloc::ApproachKind::key).
+const BARE_APPROACHES: [PlacementApproach; 4] = [
+    PlacementApproach::DdrOnly,
+    PlacementApproach::NumactlPreferred,
+    PlacementApproach::CacheMode,
+    PlacementApproach::Online,
+];
+
+fn parse_machine(s: &str) -> HmResult<MachineSelector> {
+    by_name("machine", s, &MachineSelector::ALL, |m| m.key(), "")
 }
 
 fn parse_memory_mode(v: Json) -> HmResult<MemoryMode> {
@@ -899,16 +893,13 @@ fn parse_memory_mode(v: Json) -> HmResult<MemoryMode> {
 
 fn parse_approach(v: Json) -> HmResult<PlacementApproach> {
     match v {
-        Json::Str(s) => match s.as_str() {
-            "ddr" => Ok(PlacementApproach::DdrOnly),
-            "numactl" => Ok(PlacementApproach::NumactlPreferred),
-            "cache" => Ok(PlacementApproach::CacheMode),
-            "online" => Ok(PlacementApproach::Online),
-            other => Err(HmError::parse(format!(
-                "unknown approach {other:?} (ddr, numactl, cache, online, \
-                 {{autohbw_threshold}}, {{framework_strategy}})"
-            ))),
-        },
+        Json::Str(s) => by_name(
+            "approach",
+            &s,
+            &BARE_APPROACHES,
+            |a| a.kind().key(),
+            ", {autohbw_threshold}, {framework_strategy}",
+        ),
         Json::Object(mut map) => {
             let approach = if map.contains_key("autohbw_threshold") {
                 PlacementApproach::AutoHbw {
@@ -961,14 +952,7 @@ fn parse_strategy(v: Json) -> HmResult<SelectionStrategy> {
 }
 
 fn parse_rank_policy(s: &str) -> HmResult<ArbiterPolicy> {
-    match s {
-        "fcfs" => Ok(ArbiterPolicy::Fcfs),
-        "partition" => Ok(ArbiterPolicy::Partition),
-        "global" => Ok(ArbiterPolicy::Global),
-        other => Err(HmError::parse(format!(
-            "unknown rank policy {other:?} (fcfs, partition, global)"
-        ))),
-    }
+    by_name("rank policy", s, &ArbiterPolicy::ALL, |p| *p, "")
 }
 
 fn parse_online(v: Json) -> HmResult<OnlineConfig> {
@@ -979,15 +963,7 @@ fn parse_online(v: Json) -> HmResult<OnlineConfig> {
             &take(&mut map, "max_moves_per_epoch")?,
             "max_moves_per_epoch",
         )?,
-        min_residency_epochs: parse_u64(
-            &take(&mut map, "min_residency_epochs")?,
-            "min_residency_epochs",
-        )?,
-        heat_deadband: parse_f64(&take(&mut map, "heat_deadband")?, "heat_deadband")?,
-        heat_decay: parse_f64(&take(&mut map, "heat_decay")?, "heat_decay")?,
-        strategy: parse_strategy(take(&mut map, "strategy")?)?,
         pebs_period: parse_u64(&take(&mut map, "pebs_period")?, "pebs_period")?,
-        migration_streams: parse_u32(&take(&mut map, "migration_streams")?, "migration_streams")?,
         seed: parse_u64(&take(&mut map, "seed")?, "seed")?,
     };
     reject_unknown(&map, "online")?;
@@ -998,7 +974,6 @@ fn parse_profiling(v: Json) -> HmResult<ProfilerConfig> {
     let mut map = into_object(v, "profiling")?;
     let cfg = ProfilerConfig {
         sampling_period: parse_u64(&take(&mut map, "sampling_period")?, "sampling_period")?,
-        min_alloc_size: take_size(&mut map, "min_alloc_size")?,
         counter_snapshot_interval: Nanos(parse_f64(
             &take(&mut map, "counter_snapshot_interval_ns")?,
             "counter_snapshot_interval_ns",
@@ -1168,9 +1143,6 @@ mod tests {
         let mut s = base.clone();
         s.online.as_mut().unwrap().pebs_period = 0;
         rejects(&s, "pebs_period");
-        let mut s = base.clone();
-        s.online.as_mut().unwrap().migration_streams = 0;
-        rejects(&s, "migration_streams");
 
         let mut s = base.clone();
         let WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad { ranks, .. }) =
@@ -1229,16 +1201,6 @@ mod tests {
         let err = s.validate().unwrap_err();
         assert!(err.to_string().contains("finite"), "{err}");
 
-        let online = OnlineConfig {
-            strategy: SelectionStrategy::Misses {
-                threshold_percent: f64::INFINITY,
-            },
-            ..OnlineConfig::default()
-        };
-        let s = Scenario::app("miniFE", PlacementApproach::Online, ByteSize::from_mib(64))
-            .with_online(online);
-        assert!(s.validate().is_err(), "infinite strategy threshold");
-
         let profiling = ProfilerConfig {
             counter_snapshot_interval: Nanos(f64::NAN),
             ..ProfilerConfig::default()
@@ -1273,6 +1235,34 @@ mod tests {
 
         let without_seed = text.replace("  \"seed\": \"12648430\"\n", "  \"seed2\": \"1\"\n");
         assert!(Scenario::parse(&without_seed).is_err());
+
+        // Settings that are constants now, written as older `.scn` files
+        // wrote them, and the removed tiny-test machine: each is a parse
+        // error naming it.
+        let text = base
+            .with_online(OnlineConfig::default())
+            .with_profiling(ProfilerConfig::default())
+            .serialize();
+        let parse_error = |text: &str, what: &str| match Scenario::parse(text) {
+            Err(HmError::Parse { message, .. }) => {
+                assert!(message.contains(what), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a parse error, got {other:?}"),
+        };
+        for (block, key, value) in [
+            ("online", "min_residency_epochs", "\"3\""),
+            ("online", "heat_deadband", "2.5"),
+            ("online", "heat_decay", "0.6"),
+            ("online", "strategy", "\"density\""),
+            ("online", "migration_streams", "2"),
+            ("profiling", "min_alloc_size", "\"4KiB\""),
+        ] {
+            let open = format!("\"{block}\": {{");
+            let with_key = text.replacen(&open, &format!("{open}\n    \"{key}\": {value},"), 1);
+            parse_error(&with_key, key);
+        }
+        let tiny = text.replacen("\"knl-7250\"", "\"tiny-test\"", 1);
+        parse_error(&tiny, "\"tiny-test\" (knl-7250, loaded-tiny-test)");
     }
 
     /// Maintenance helper, not a check: rewrites the committed

@@ -361,15 +361,13 @@ impl<'a> Run<'a> {
         // epoch) against the per-rank budget `mcdram_capacity`, and every
         // move is charged bytes × per-tier bandwidth.
         let online = (router.kind() == ApproachKind::Online).then(|| {
-            let cfg = config.online.clone().unwrap_or_default();
-            let cost = MigrationCostModel::with_streams(machine, cfg.migration_streams);
             let mut heat = vec![0; spec.objects.len()];
             for &(object, node, ..) in kernels.iter().flat_map(|k| &k.traffic) {
                 heat[object] += node;
             }
             (
-                PlacementController::new(cfg),
-                cost,
+                PlacementController::new(config.online.clone().unwrap_or_default()),
+                MigrationCostModel::new(machine),
                 config.mcdram_capacity,
                 heat,
             )
@@ -550,11 +548,11 @@ impl<'a> Run<'a> {
             }
         }
         let live = ObjectPlacement::snapshot_live(&self.heap);
-        let plan = controller.end_epoch(&live, TierId::MCDRAM, *budget);
+        let plan = controller.end_epoch(&live, *budget);
         // The controller plans against the same occupancy the heap enforces,
         // so rejects are a should-not-happen path — but they must stay
         // observable.
-        let exec = execute_plan(&mut self.heap, &plan, TierId::MCDRAM, TierId::DDR, cost);
+        let exec = execute_plan(&mut self.heap, &plan, cost);
         self.migrations += exec.moves();
         self.migrations_rejected += exec.rejected;
         self.now += exec.time;

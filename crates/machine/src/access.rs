@@ -6,7 +6,7 @@
 //! (structured grids), and irregular gathers (sparse matrices, particle
 //! codes).
 
-use hmsim_common::{Address, AddressRange, ByteSize, DetRng};
+use hmsim_common::{Address, AddressRange, DetRng};
 
 /// Whether an access reads or writes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -160,44 +160,14 @@ impl Iterator for AccessStream {
     }
 }
 
-/// Streaming equivalent of [`sequential_sweep`]: one access per element over
-/// the range, generated lazily so paper-scale sweeps never materialize a
-/// vector. Feed it straight into
-/// [`TraceEngine::run_stream`](crate::engine::TraceEngine::run_stream).
-pub fn sequential_sweep_iter(
-    range: AddressRange,
-    element_size: u16,
-    kind: AccessKind,
-) -> impl Iterator<Item = MemoryAccess> {
-    let element_size = element_size.max(1);
-    let n = range.len.bytes() / u64::from(element_size);
-    (0..n).map(move |i| MemoryAccess {
-        address: range.start.offset(i * u64::from(element_size)),
-        size: element_size,
-        kind,
-    })
-}
-
-/// Convenience: generate a full sequential sweep over a range (one access per
-/// element), e.g. one STREAM kernel pass over an array. Materializes the
-/// stream; prefer [`sequential_sweep_iter`] for anything large.
-pub fn sequential_sweep(
-    range: AddressRange,
-    element_size: u16,
-    kind: AccessKind,
-) -> Vec<MemoryAccess> {
-    sequential_sweep_iter(range, element_size, kind).collect()
-}
-
-/// Convenience: build an address range starting at `start` covering `size`.
-pub fn range(start: u64, size: ByteSize) -> AddressRange {
-    AddressRange::new(Address(start), size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmsim_common::DetRng;
+    use hmsim_common::ByteSize;
+
+    fn range(start: u64, size: ByteSize) -> AddressRange {
+        AddressRange::new(Address(start), size)
+    }
 
     fn test_range() -> AddressRange {
         range(0x1000_0000, ByteSize::from_kib(64))
@@ -283,29 +253,5 @@ mod tests {
         let explicit: Vec<MemoryAccess> = (0..100).map(|_| a.next_access()).collect();
         let iterated: Vec<MemoryAccess> = b.into_iter().take(100).collect();
         assert_eq!(explicit, iterated);
-    }
-
-    #[test]
-    fn sweep_iter_is_lazy_and_equal_to_sweep() {
-        let r = range(0x4000, ByteSize::from_kib(4));
-        let materialized = sequential_sweep(r, 8, AccessKind::Load);
-        let streamed: Vec<MemoryAccess> = sequential_sweep_iter(r, 8, AccessKind::Load).collect();
-        assert_eq!(materialized, streamed);
-        // Lazy: taking 3 from a sweep over a huge range must be instant.
-        let huge = range(0, ByteSize::from_gib(64));
-        let first3: Vec<MemoryAccess> = sequential_sweep_iter(huge, 8, AccessKind::Store)
-            .take(3)
-            .collect();
-        assert_eq!(first3.len(), 3);
-        assert_eq!(first3[2].address.value(), 16);
-    }
-
-    #[test]
-    fn sweep_covers_whole_range() {
-        let r = range(0, ByteSize::from_bytes(64 * 4));
-        let acc = sequential_sweep(r, 8, AccessKind::Store);
-        assert_eq!(acc.len(), 32);
-        assert_eq!(acc.last().unwrap().address.value(), 64 * 4 - 8);
-        assert!(acc.iter().all(|a| a.kind == AccessKind::Store));
     }
 }

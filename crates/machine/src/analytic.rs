@@ -89,9 +89,6 @@ pub struct PhaseCost {
     pub latency_time: Nanos,
     /// Performance counters implied by the phase.
     pub counters: PerfCounters,
-    /// Per-object LLC misses (placement independent, repeated here so callers
-    /// can attribute samples without holding on to the profile).
-    pub object_misses: Vec<(ObjectId, u64)>,
 }
 
 /// A placement assigns each object to a memory tier. Objects missing from the
@@ -281,11 +278,6 @@ impl AnalyticEngine {
             bandwidth_time,
             latency_time,
             counters,
-            object_misses: phase
-                .traffic
-                .iter()
-                .map(|t| (t.object, t.llc_misses))
-                .collect(),
         }
     }
 }
@@ -362,7 +354,6 @@ mod tests {
         pl.place(ObjectId(0), TierId::MCDRAM);
         let b = e.cost_phase(&p, &pl, ByteSize::from_gib(8));
         assert_eq!(a.counters.llc_misses, b.counters.llc_misses);
-        assert_eq!(a.object_misses, b.object_misses);
     }
 
     #[test]

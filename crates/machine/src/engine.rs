@@ -433,8 +433,25 @@ impl TraceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{sequential_sweep, AccessKind};
+    use crate::access::AccessKind;
     use hmsim_common::{AddressRange, ByteSize, PAGE_SIZE};
+
+    /// One access per element over the range, e.g. one STREAM kernel pass
+    /// over an array.
+    fn sequential_sweep(
+        range: AddressRange,
+        element_size: u16,
+        kind: AccessKind,
+    ) -> Vec<MemoryAccess> {
+        let n = range.len.bytes() / u64::from(element_size);
+        (0..n)
+            .map(|i| MemoryAccess {
+                address: range.start.offset(i * u64::from(element_size)),
+                size: element_size,
+                kind,
+            })
+            .collect()
+    }
 
     fn flat_engine() -> (TraceEngine, PageTable) {
         let cfg = MachineConfig::tiny_test();

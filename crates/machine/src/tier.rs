@@ -143,15 +143,6 @@ impl TierSet {
                 .expect("relative_performance must not be NaN")
         })
     }
-
-    /// The fastest tier.
-    pub fn fastest(&self) -> Option<&TierSpec> {
-        self.tiers.iter().max_by(|a, b| {
-            a.relative_performance
-                .partial_cmp(&b.relative_performance)
-                .expect("relative_performance must not be NaN")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +181,6 @@ mod tests {
         let order = ts.by_descending_performance();
         assert_eq!(order[0].id, TierId::MCDRAM);
         assert_eq!(order[1].id, TierId::DDR);
-        assert_eq!(ts.fastest().unwrap().id, TierId::MCDRAM);
         assert_eq!(ts.slowest().unwrap().id, TierId::DDR);
     }
 

@@ -5,8 +5,8 @@
 //! The profiler observes a simulated application run and produces a
 //! Paraver-like trace containing
 //!
-//! * allocation/deallocation events for every dynamic allocation larger than
-//!   the configured threshold (4 KiB in the paper), identified by their
+//! * allocation/deallocation events for every dynamic allocation of at
+//!   least [`MIN_ALLOC_SIZE`] (the paper's 4 KiB), identified by their
 //!   allocation call-stack, plus static/stack definitions;
 //! * PEBS samples of LLC misses (one out of every 37,589 by default), each
 //!   carrying the referenced address and the data object it falls in;
@@ -23,6 +23,6 @@ pub mod config;
 pub mod overhead;
 pub mod profiler;
 
-pub use config::ProfilerConfig;
+pub use config::{ProfilerConfig, MIN_ALLOC_SIZE};
 pub use overhead::OverheadModel;
 pub use profiler::Profiler;

@@ -1,6 +1,6 @@
 //! The profiler itself: allocation hooks, PEBS wiring and trace emission.
 
-use crate::config::ProfilerConfig;
+use crate::config::{ProfilerConfig, MIN_ALLOC_SIZE};
 use crate::overhead::OverheadModel;
 use hmsim_common::{Address, DetRng, Nanos, ObjectId};
 use hmsim_heap::{DataObject, ObjectKind};
@@ -31,7 +31,7 @@ impl Profiler {
     /// Attach a profiler for an application run described by `metadata`.
     pub fn new(mut metadata: TraceMetadata, config: ProfilerConfig) -> Self {
         metadata.sampling_period = config.sampling_period;
-        metadata.min_alloc_size = config.min_alloc_size.bytes();
+        metadata.min_alloc_size = MIN_ALLOC_SIZE.bytes();
         let rng = DetRng::new(config.seed).derive(&format!(
             "profiler/{}/{}",
             metadata.application, metadata.rank
@@ -64,7 +64,7 @@ impl Profiler {
     /// allocations below the minimum size are skipped, exactly like Extrae's
     /// size filter. Returns whether the event was recorded.
     pub fn record_alloc(&mut self, object: &DataObject, time: Nanos) -> bool {
-        if object.kind == ObjectKind::Dynamic && object.size() < self.config.min_alloc_size {
+        if object.kind == ObjectKind::Dynamic && object.size() < MIN_ALLOC_SIZE {
             return false;
         }
         let class = match object.kind {

@@ -5,6 +5,13 @@
 //! [`OnlineRuntime`](crate::OnlineRuntime) feeds it PEBS sample weights, the
 //! analytic runner in `hmem-core` feeds it per-iteration object miss counts,
 //! and both execute the same plans through [`execute_plan`].
+//!
+//! Every plan moves objects between MCDRAM (the fast tier) and DDR (the
+//! slow tier). Each epoch re-runs the advisor's density selection, the
+//! paper's hmem_advisor ranking, over the decayed heat. Three constants keep
+//! the control loop from thrashing: [`MIN_RESIDENCY_EPOCHS`] forbids moving
+//! an object again right after it moved, and [`HEAT_DEADBAND`] with
+//! [`HEAT_DECAY`] make incumbents sticky.
 
 use crate::config::OnlineConfig;
 use crate::cost::MigrationCostModel;
@@ -12,6 +19,24 @@ use hmem_advisor::{Candidate, SelectionStrategy};
 use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use std::collections::{HashMap, HashSet};
+
+/// An object that migrated must stay put for this many epochs before it
+/// may move again.
+pub const MIN_RESIDENCY_EPOCHS: u64 = 3;
+
+/// Fractional heat bonus granted to current fast-tier residents when the
+/// selection re-ranks objects (2.5 = a challenger needs 3.5× the heat of
+/// the incumbent it would displace). Together with a fast [`HEAT_DECAY`]
+/// this is what separates a *phase change* (the old hot set stops missing
+/// entirely, so its decayed heat collapses within ~3 epochs and any real
+/// challenger overtakes it) from *scan aliasing* (a uniform scan sliced by
+/// epoch windows keeps re-touching every object, so incumbents never decay
+/// far enough to be displaced and the placement stays put).
+pub const HEAT_DEADBAND: f64 = 2.5;
+
+/// Per-epoch exponential decay of accumulated heat (0 = only the last
+/// epoch counts, 1 = infinite memory).
+pub const HEAT_DECAY: f64 = 0.6;
 
 /// Where one live object currently sits, as the controller sees it.
 #[derive(Clone, Debug)]
@@ -90,25 +115,23 @@ impl PlanExecution {
     }
 }
 
-/// Execute `plan` on `heap`: the demotions to `slow` first, freeing the
-/// capacity the promotions to `fast` consume. Every move is charged through
+/// Execute `plan` on `heap`: the demotions to DDR first, freeing the
+/// capacity the promotions to MCDRAM consume. Every move is charged through
 /// `cost`; a move the heap rejects is counted, not fatal.
 pub fn execute_plan(
     heap: &mut ProcessHeap,
     plan: &EpochPlan,
-    fast: TierId,
-    slow: TierId,
     cost: &MigrationCostModel,
 ) -> PlanExecution {
     let mut exec = PlanExecution::default();
     for (ids, from, to) in [
-        (&plan.demotions, fast, slow),
-        (&plan.promotions, slow, fast),
+        (&plan.demotions, TierId::MCDRAM, TierId::DDR),
+        (&plan.promotions, TierId::DDR, TierId::MCDRAM),
     ] {
         for id in ids {
             match heap.migrate_object(*id, to) {
                 Ok(bytes) => {
-                    if to == fast {
+                    if to == TierId::MCDRAM {
                         exec.promotions += 1;
                     } else {
                         exec.demotions += 1;
@@ -172,13 +195,8 @@ impl PlacementController {
     /// Close the current epoch: re-run the advisor's selection over the
     /// accumulated heat, derive the migration delta against the placement in
     /// `live`, apply hysteresis and the per-epoch move budget, decay the heat
-    /// and return the plan. `fast_budget` is the fast tier's byte budget.
-    pub fn end_epoch(
-        &mut self,
-        live: &[ObjectPlacement],
-        fast_tier: TierId,
-        fast_budget: ByteSize,
-    ) -> EpochPlan {
+    /// and return the plan. `fast_budget` is MCDRAM's byte budget.
+    pub fn end_epoch(&mut self, live: &[ObjectPlacement], fast_budget: ByteSize) -> EpochPlan {
         self.epoch += 1;
         // Heat and pinning state for objects that died stops mattering.
         let live_ids: HashSet<ObjectId> = live.iter().map(|o| o.id).collect();
@@ -186,79 +204,71 @@ impl PlacementController {
         self.moved_at.retain(|id, _| live_ids.contains(id));
 
         let plan = if self.cfg.migrations_enabled() {
-            self.plan(live, fast_tier, fast_budget)
+            self.plan(live, fast_budget)
         } else {
             EpochPlan::default()
         };
 
         for h in self.heat.values_mut() {
-            *h *= self.cfg.heat_decay;
+            *h *= HEAT_DECAY;
         }
         plan
     }
 
-    /// An object that moved less than `min_residency_epochs` ago is pinned
-    /// to the tier it is in.
+    /// An object that moved less than [`MIN_RESIDENCY_EPOCHS`] ago is
+    /// pinned to the tier it is in.
     fn pinned(&self, id: ObjectId) -> bool {
         self.moved_at
             .get(&id)
-            .map(|at| self.epoch - at < self.cfg.min_residency_epochs)
-            .unwrap_or(false)
+            .is_some_and(|at| self.epoch - at < MIN_RESIDENCY_EPOCHS)
     }
 
-    /// Effective heat used for ranking: incumbents of the fast tier get the
-    /// deadband bonus, so a challenger must out-heat them by that margin.
-    fn effective_heat(&self, obj: &ObjectPlacement, fast_tier: TierId) -> f64 {
+    /// Effective heat used for ranking: MCDRAM incumbents get the deadband
+    /// bonus, so a challenger must out-heat them by that margin.
+    fn effective_heat(&self, obj: &ObjectPlacement) -> f64 {
         let h = self.heat_of(obj.id);
-        if obj.tier == fast_tier {
-            h * (1.0 + self.cfg.heat_deadband.max(0.0))
+        if obj.tier == TierId::MCDRAM {
+            h * (1.0 + HEAT_DEADBAND)
         } else {
             h
         }
     }
 
-    /// Run the advisor's selection over the unpinned candidates and pack the
-    /// winners into the budget left after pinned fast-tier residents.
-    fn select_target(
-        &self,
-        candidates: &[&ObjectPlacement],
-        fast_tier: TierId,
-        budget: ByteSize,
-    ) -> Vec<ObjectId> {
-        // A huge deadband saturates the `as u64` cast; capping each value
-        // keeps every sum over the candidates (the total, the exact DP's
-        // partial sums) inside u64.
+    /// Run the advisor's density selection over the unpinned candidates and
+    /// pack the winners into the budget left after pinned MCDRAM residents.
+    fn select_target(&self, candidates: &[&ObjectPlacement], budget: ByteSize) -> Vec<ObjectId> {
+        // Heat sums sample weights, and the user sets the weight through
+        // `pebs_period`, so a huge period saturates the `as u64` cast;
+        // capping each value keeps the sum over the candidates inside u64.
         let cap = u64::MAX / candidates.len().max(1) as u64;
         let offered: Vec<Candidate<'_>> = candidates
             .iter()
             .map(|o| Candidate {
                 name: &o.name,
                 size: o.size,
-                value: (self.effective_heat(o, fast_tier).round() as u64).min(cap),
+                value: (self.effective_heat(o).round() as u64).min(cap),
             })
             .collect();
         let total: u64 = offered.iter().map(|c| c.value).sum();
-        let select = |strategy| hmem_advisor::select(strategy, &offered, total, Some(budget));
-        // The exact DP refuses oversized instances; the density greedy is
-        // the controller's fallback for that regime.
-        let selected = select(self.cfg.strategy)
-            .or_else(|_| select(SelectionStrategy::Density))
-            .expect("greedy selection never fails");
-        selected.into_iter().map(|i| candidates[i].id).collect()
+        hmem_advisor::select(SelectionStrategy::Density, &offered, total, Some(budget))
+            .expect("density selection never fails")
+            .into_iter()
+            .map(|i| candidates[i].id)
+            .collect()
     }
 
-    fn plan(&mut self, live: &[ObjectPlacement], fast_tier: TierId, budget: ByteSize) -> EpochPlan {
-        // Pinned fast-tier residents consume budget no matter what.
+    fn plan(&mut self, live: &[ObjectPlacement], budget: ByteSize) -> EpochPlan {
+        // Pinned MCDRAM residents consume budget no matter what.
         let pinned_fast: u64 = live
             .iter()
-            .filter(|o| o.tier == fast_tier && self.pinned(o.id))
+            .filter(|o| o.tier == TierId::MCDRAM && self.pinned(o.id))
             .map(|o| o.size.page_aligned().bytes())
             .sum();
         let free_budget = budget.saturating_sub(ByteSize::from_bytes(pinned_fast));
         let candidates: Vec<&ObjectPlacement> =
             live.iter().filter(|o| !self.pinned(o.id)).collect();
         let target: HashSet<ObjectId> = self
-            .select_target(&candidates, fast_tier, free_budget)
+            .select_target(&candidates, free_budget)
             .into_iter()
             .collect();
 
@@ -266,7 +276,7 @@ impl PlacementController {
         // Names break ties so plans are deterministic across runs.
         let mut promote: Vec<&&ObjectPlacement> = candidates
             .iter()
-            .filter(|o| target.contains(&o.id) && o.tier != fast_tier)
+            .filter(|o| target.contains(&o.id) && o.tier != TierId::MCDRAM)
             .collect();
         promote.sort_by(|a, b| {
             self.heat_of(b.id)
@@ -276,7 +286,7 @@ impl PlacementController {
         });
         let mut demote: Vec<&&ObjectPlacement> = candidates
             .iter()
-            .filter(|o| !target.contains(&o.id) && o.tier == fast_tier)
+            .filter(|o| !target.contains(&o.id) && o.tier == TierId::MCDRAM)
             .collect();
         demote.sort_by(|a, b| {
             self.heat_of(a.id)
@@ -285,11 +295,11 @@ impl PlacementController {
                 .then_with(|| a.name.cmp(&b.name))
         });
 
-        // Fast-tier bytes currently in use (everything resident, pinned or
+        // MCDRAM bytes currently in use (everything resident, pinned or
         // not); demotions hand bytes back as they are committed.
         let used: u64 = live
             .iter()
-            .filter(|o| o.tier == fast_tier)
+            .filter(|o| o.tier == TierId::MCDRAM)
             .map(|o| o.size.page_aligned().bytes())
             .sum();
         let mut avail = budget.bytes() as i64 - used as i64;
@@ -339,6 +349,7 @@ impl PlacementController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmsim_common::DetRng;
 
     fn obj(id: u32, name: &str, kib: u64, tier: TierId) -> ObjectPlacement {
         ObjectPlacement {
@@ -350,13 +361,24 @@ mod tests {
     }
 
     fn controller() -> PlacementController {
-        PlacementController::new(OnlineConfig {
-            min_residency_epochs: 2,
-            heat_deadband: 0.25,
-            heat_decay: 0.5,
-            max_moves_per_epoch: 8,
-            ..OnlineConfig::default()
-        })
+        PlacementController::new(OnlineConfig::default())
+    }
+
+    fn apply(live: &mut [ObjectPlacement], plan: &EpochPlan) {
+        for o in live.iter_mut() {
+            if plan.promotions.contains(&o.id) {
+                o.tier = TierId::MCDRAM;
+            } else if plan.demotions.contains(&o.id) {
+                o.tier = TierId::DDR;
+            }
+        }
+    }
+
+    fn fast_bytes(live: &[ObjectPlacement]) -> u64 {
+        live.iter()
+            .filter(|o| o.tier == TierId::MCDRAM)
+            .map(|o| o.size.page_aligned().bytes())
+            .sum()
     }
 
     #[test]
@@ -368,7 +390,7 @@ mod tests {
         ];
         c.record(ObjectId(1), 1000.0);
         c.record(ObjectId(2), 10.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(1)]);
         assert!(plan.demotions.is_empty());
     }
@@ -379,28 +401,28 @@ mod tests {
         let live = vec![obj(1, "hot", 64, TierId::DDR)];
         c.record(ObjectId(1), 1e6);
         for _ in 0..5 {
-            assert!(c
-                .end_epoch(&live, TierId::MCDRAM, ByteSize::from_mib(1))
-                .is_empty());
+            assert!(c.end_epoch(&live, ByteSize::from_mib(1)).is_empty());
         }
     }
 
     #[test]
     fn deadband_keeps_marginally_colder_incumbents() {
-        let mut c = controller();
         let live = vec![
             obj(1, "incumbent", 64, TierId::MCDRAM),
             obj(2, "challenger", 64, TierId::DDR),
         ];
-        // Challenger is 10% hotter — inside the 25% deadband.
-        c.record(ObjectId(1), 1000.0);
-        c.record(ObjectId(2), 1100.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
+        let margin = 1.0 + HEAT_DEADBAND;
+        let plan_with = |challenger: f64| {
+            let mut c = controller();
+            c.record(ObjectId(1), 1000.0);
+            c.record(ObjectId(2), challenger);
+            c.end_epoch(&live, ByteSize::from_kib(64))
+        };
+        // Just inside the deadband: the incumbent stays.
+        let plan = plan_with(0.95 * margin * 1000.0);
         assert!(plan.is_empty(), "deadband should protect the incumbent");
-        // 50% hotter beats the deadband.
-        c.record(ObjectId(1), 1000.0);
-        c.record(ObjectId(2), 1500.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
+        // Just beyond it: the challenger displaces the incumbent.
+        let plan = plan_with(1.05 * margin * 1000.0);
         assert_eq!(plan.demotions, vec![ObjectId(1)]);
         assert_eq!(plan.promotions, vec![ObjectId(2)]);
     }
@@ -414,18 +436,21 @@ mod tests {
         ];
         c.record(ObjectId(1), 5000.0);
         c.record(ObjectId(2), 10.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(1)]);
-        live[0].tier = TierId::MCDRAM;
-        live[1].tier = TierId::DDR;
-        // Next epoch the old incumbent is suddenly hot again — but both just
-        // moved, so the plan must stay empty until residency expires.
+        assert_eq!(plan.demotions, vec![ObjectId(2)]);
+        apply(&mut live, &plan);
+        // From the next epoch on the old incumbent is suddenly hot again —
+        // but both just moved, so the plan must stay empty until residency
+        // expires.
+        for _ in 1..MIN_RESIDENCY_EPOCHS {
+            c.record(ObjectId(2), 50_000.0);
+            let plan = c.end_epoch(&live, ByteSize::from_kib(64));
+            assert!(plan.is_empty(), "residency must pin fresh movers");
+        }
+        // Once the residency has run out the swap is allowed.
         c.record(ObjectId(2), 50_000.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
-        assert!(plan.is_empty(), "residency must pin fresh movers");
-        // One epoch later the swap is allowed.
-        c.record(ObjectId(2), 50_000.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(2)]);
         assert_eq!(plan.demotions, vec![ObjectId(1)]);
     }
@@ -442,7 +467,7 @@ mod tests {
         for i in 0..6 {
             c.record(ObjectId(i), 1000.0 + f64::from(i));
         }
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_mib(1));
+        let plan = c.end_epoch(&live, ByteSize::from_mib(1));
         assert!(plan.moves() <= 2, "moves {:?}", plan);
         assert_eq!(plan.promotions.len(), 2);
     }
@@ -459,13 +484,8 @@ mod tests {
             for i in 0..4 {
                 c.record(ObjectId(i), 100.0);
             }
-            let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(128));
-            for id in &plan.promotions {
-                live.iter_mut().find(|o| o.id == *id).unwrap().tier = TierId::MCDRAM;
-            }
-            for id in &plan.demotions {
-                live.iter_mut().find(|o| o.id == *id).unwrap().tier = TierId::DDR;
-            }
+            let plan = c.end_epoch(&live, ByteSize::from_kib(128));
+            apply(&mut live, &plan);
             if epoch > 0 {
                 assert!(plan.is_empty(), "epoch {epoch} churned: {plan:?}");
             }
@@ -474,38 +494,98 @@ mod tests {
     }
 
     #[test]
-    fn exact_knapsack_strategy_plans_optimally() {
-        let mut c = PlacementController::new(OnlineConfig {
-            strategy: SelectionStrategy::ExactKnapsack,
-            ..OnlineConfig::default()
-        });
-        // Greedy-by-density takes the dense 12 KiB object (920) and can fit
-        // nothing else in the 16 KiB budget; exact packs the two 8 KiB
-        // objects instead (600 + 500 = 1100).
-        let live = vec![
-            obj(1, "dense", 12, TierId::DDR),
-            obj(2, "mid1", 8, TierId::DDR),
-            obj(3, "mid2", 8, TierId::DDR),
-        ];
-        c.record(ObjectId(1), 920.0);
-        c.record(ObjectId(2), 600.0);
-        c.record(ObjectId(3), 500.0);
-        let plan = c.end_epoch(&live, TierId::MCDRAM, ByteSize::from_kib(16));
-        assert_eq!(plan.promotions.len(), 2);
-        assert!(plan.promotions.contains(&ObjectId(2)));
-        assert!(plan.promotions.contains(&ObjectId(3)));
-    }
-
-    #[test]
     fn heat_decays_and_dead_objects_are_pruned() {
         let mut c = controller();
         c.record(ObjectId(1), 100.0);
         let live = vec![obj(1, "x", 64, TierId::DDR)];
-        c.end_epoch(&live, TierId::MCDRAM, ByteSize::ZERO);
-        assert!((c.heat_of(ObjectId(1)) - 50.0).abs() < 1e-9);
+        c.end_epoch(&live, ByteSize::ZERO);
+        assert!((c.heat_of(ObjectId(1)) - 100.0 * HEAT_DECAY).abs() < 1e-9);
         // Object 1 died: its state disappears on the next epoch close.
-        c.end_epoch(&[], TierId::MCDRAM, ByteSize::ZERO);
+        c.end_epoch(&[], ByteSize::ZERO);
         assert_eq!(c.heat_of(ObjectId(1)), 0.0);
         assert_eq!(c.epochs(), 2);
+    }
+
+    /// Drive the controller over many epochs of random live sets (objects
+    /// born and dying, in either tier, with sizes that are not page
+    /// multiples), random heat, budgets and move caps, applying every plan,
+    /// and check each plan against the controller's invariants.
+    #[test]
+    fn random_epochs_keep_every_plan_invariant() {
+        let mut rng = DetRng::new(0xC0_47_80_11);
+        let (mut promotions, mut demotions, mut capped) = (0usize, 0usize, 0usize);
+        for trial in 0..40 {
+            let max_moves = rng.uniform_range(1, 9) as u32;
+            let mut c = PlacementController::new(OnlineConfig {
+                max_moves_per_epoch: max_moves,
+                ..OnlineConfig::default()
+            });
+            let mut live: Vec<ObjectPlacement> = Vec::new();
+            let mut last_move: HashMap<ObjectId, u64> = HashMap::new();
+            let mut next_id = 0u32;
+            for epoch in 1..=60u64 {
+                live.retain(|_| !rng.chance(0.05));
+                for _ in 0..rng.uniform_range(0, 4) {
+                    let tier = if rng.chance(0.3) {
+                        TierId::MCDRAM
+                    } else {
+                        TierId::DDR
+                    };
+                    live.push(ObjectPlacement {
+                        id: ObjectId(next_id),
+                        name: format!("o{next_id}"),
+                        size: ByteSize::from_bytes(rng.uniform_range(1, 256 << 10)),
+                        tier,
+                    });
+                    next_id += 1;
+                }
+                for o in &live {
+                    if rng.chance(0.7) {
+                        c.record(o.id, rng.uniform().powi(4) * 1e5);
+                    }
+                }
+                let budget = ByteSize::from_bytes(rng.uniform_range(0, 2 << 20));
+                let before = fast_bytes(&live);
+                let plan = c.end_epoch(&live, budget);
+                let at = format!("trial {trial} epoch {epoch}: {plan:?}");
+
+                assert!(plan.moves() <= max_moves as usize, "{at}");
+                assert!(
+                    plan.demotions.is_empty() || !plan.promotions.is_empty(),
+                    "demotions without a promotion, {at}"
+                );
+                let mut seen = HashSet::new();
+                for (ids, from) in [
+                    (&plan.promotions, TierId::DDR),
+                    (&plan.demotions, TierId::MCDRAM),
+                ] {
+                    for id in ids {
+                        assert!(seen.insert(*id), "{id} planned twice, {at}");
+                        let o = live
+                            .iter()
+                            .find(|o| o.id == *id)
+                            .expect("planned id is live");
+                        assert_eq!(o.tier, from, "{id} moves from the wrong tier, {at}");
+                        if let Some(moved) = last_move.insert(*id, epoch) {
+                            assert!(
+                                epoch - moved >= MIN_RESIDENCY_EPOCHS,
+                                "{id} moved at epoch {moved} and again, {at}"
+                            );
+                        }
+                    }
+                }
+                apply(&mut live, &plan);
+                let after = fast_bytes(&live);
+                assert!(
+                    after <= budget.bytes().max(before),
+                    "MCDRAM {after} B over budget {budget} (was {before} B), {at}"
+                );
+                promotions += plan.promotions.len();
+                demotions += plan.demotions.len();
+                capped += usize::from(plan.moves() == max_moves as usize);
+            }
+        }
+        // The inputs exercise every path the invariants speak about.
+        assert!(promotions > 0 && demotions > 0 && capped > 0);
     }
 }

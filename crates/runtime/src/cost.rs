@@ -3,12 +3,16 @@
 //! A migration reads every page from the source tier and writes it to the
 //! destination tier, so the charge is `bytes/bw(src) + bytes/bw(dst)`. The
 //! per-tier migration bandwidth is the tier's *per-core* streaming bandwidth
-//! times the number of migration threads: page migration (`move_pages`-style)
-//! is a memcpy performed by a handful of kernel threads, not the whole
-//! machine, and must not be credited with the tier's aggregate peak.
+//! times [`MIGRATION_STREAMS`]: page migration (`move_pages`-style) is a
+//! memcpy performed by a handful of kernel threads, not the whole machine,
+//! and must not be credited with the tier's aggregate peak.
 
 use hmsim_common::{ByteSize, Nanos, TierId};
 use hmsim_machine::{BandwidthModel, MachineConfig, MAX_TIERS};
+
+/// Parallel copy streams the migration cost model credits to each move
+/// (page migration is a handful of helper threads, not the whole machine).
+pub const MIGRATION_STREAMS: u32 = 2;
 
 /// Per-tier bandwidth charges for object migration.
 #[derive(Clone, Debug)]
@@ -20,14 +24,10 @@ pub struct MigrationCostModel {
 }
 
 impl MigrationCostModel {
-    /// Build the model for a machine, with one migration thread.
+    /// Build the model for a machine, with [`MIGRATION_STREAMS`] parallel
+    /// migration threads.
     pub fn new(machine: &MachineConfig) -> Self {
-        Self::with_streams(machine, 1)
-    }
-
-    /// Build the model with `streams` parallel migration threads.
-    pub fn with_streams(machine: &MachineConfig, streams: u32) -> Self {
-        let streams = f64::from(streams.max(1));
+        let streams = f64::from(MIGRATION_STREAMS);
         let slowest = machine
             .tiers
             .slowest()
@@ -86,20 +86,22 @@ mod tests {
     }
 
     #[test]
-    fn more_streams_move_faster_but_saturate_at_peak() {
+    fn each_leg_runs_at_the_streams_per_core_bandwidth_below_peak() {
         let machine = MachineConfig::knl_7250();
-        let one = MigrationCostModel::with_streams(&machine, 1);
-        let four = MigrationCostModel::with_streams(&machine, 4);
-        let huge = MigrationCostModel::with_streams(&machine, 10_000);
+        let m = MigrationCostModel::new(&machine);
         let b = ByteSize::from_mib(64);
-        let t1 = one.charge(b, TierId::DDR, TierId::MCDRAM);
-        let t4 = four.charge(b, TierId::DDR, TierId::MCDRAM);
-        let tmax = huge.charge(b, TierId::DDR, TierId::MCDRAM);
-        assert!(t4 < t1);
-        assert!(tmax < t4);
-        // Saturation: the DDR leg alone cannot beat DDR peak bandwidth.
-        let floor = BandwidthModel::transfer_time(b.bytes() as f64, 90.0);
-        assert!(tmax >= floor);
+        let leg = |tier: TierId| {
+            let spec = machine.tiers.get(tier).unwrap();
+            let gbs = (spec.per_core_bandwidth_gbs * f64::from(MIGRATION_STREAMS))
+                .min(spec.peak_bandwidth_gbs);
+            BandwidthModel::transfer_time(b.bytes() as f64, gbs)
+        };
+        let t = m.charge(b, TierId::DDR, TierId::MCDRAM);
+        let expected = leg(TierId::DDR) + leg(TierId::MCDRAM);
+        assert!((t.nanos() - expected.nanos()).abs() < 1e-6 * expected.nanos());
+        // A couple of copy threads draw far less than the tier's peak.
+        let peak = BandwidthModel::transfer_time(b.bytes() as f64, 90.0);
+        assert!(leg(TierId::DDR) > peak);
     }
 
     #[test]

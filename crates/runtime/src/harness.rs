@@ -141,17 +141,15 @@ pub fn profile_heat(
     Ok(heat)
 }
 
-/// The advisor's offline selection over profiled heat: run `strategy`'s
+/// The advisor's offline selection over profiled heat: the density
 /// selection of `objects` (name and size, heat per object in `heat`)
 /// against the budget — the same [`hmem_advisor::select`] the online
-/// controller re-runs each epoch. Fails only when the exact DP refuses an
-/// oversized instance.
+/// controller re-runs each epoch.
 pub fn select_static(
     objects: &[(String, ByteSize)],
     heat: &[u64],
     fast_budget: ByteSize,
-    strategy: SelectionStrategy,
-) -> HmResult<Vec<usize>> {
+) -> Vec<usize> {
     let candidates: Vec<Candidate<'_>> = objects
         .iter()
         .zip(heat)
@@ -162,7 +160,13 @@ pub fn select_static(
         })
         .collect();
     let total: u64 = heat.iter().sum();
-    hmem_advisor::select(strategy, &candidates, total, Some(fast_budget))
+    hmem_advisor::select(
+        SelectionStrategy::Density,
+        &candidates,
+        total,
+        Some(fast_budget),
+    )
+    .expect("density selection never fails")
 }
 
 /// The best static placement the offline pipeline can produce: the better of
@@ -175,13 +179,13 @@ pub fn best_static(
 ) -> HmResult<StaticOutcome> {
     let ddr = run_static(workload, machine, fast_budget, &[], "DDR")?;
     let heat = profile_heat(workload, machine, cfg)?;
-    let promoted = select_static(&workload.objects(), &heat, fast_budget, cfg.strategy)?;
+    let promoted = select_static(&workload.objects(), &heat, fast_budget);
     let profiled = run_static(
         workload,
         machine,
         fast_budget,
         &promoted,
-        format!("profiled/{}", cfg.strategy),
+        format!("profiled/{}", SelectionStrategy::Density),
     )?;
     Ok(if profiled.time < ddr.time {
         profiled
@@ -235,7 +239,7 @@ mod tests {
             ddr.latency > mc.latency,
             "loaded DDR must be slower than loaded MCDRAM"
         );
-        assert_eq!(m.tiers.fastest().unwrap().id, TierId::MCDRAM);
+        assert_eq!(m.tiers.by_descending_performance()[0].id, TierId::MCDRAM);
     }
 
     #[test]
@@ -257,27 +261,11 @@ mod tests {
         let cfg = OnlineConfig::default();
         let heat = profile_heat(&w, &m, &cfg).unwrap();
         assert!(heat.iter().all(|&h| h > 0), "all three arrays are hot");
-        let sel = select_static(&w.objects(), &heat, w.hot_set_size(), cfg.strategy).unwrap();
+        let sel = select_static(&w.objects(), &heat, w.hot_set_size());
         assert_eq!(sel.len(), 3, "the whole triad fits the budget");
         let best = best_static(&w, &m, w.hot_set_size(), &cfg).unwrap();
         assert!(best.label.starts_with("profiled/"));
         assert_eq!(best.promoted.len(), 3);
-    }
-
-    /// The harness runs the strategy it is given: density greedy takes the
-    /// densest object and can fit nothing else, the exact DP packs the two
-    /// others for more heat.
-    #[test]
-    fn select_static_honours_the_exact_knapsack() {
-        let objects: Vec<(String, ByteSize)> = [("dense", 12), ("mid1", 8), ("mid2", 8)]
-            .iter()
-            .map(|(name, kib)| (name.to_string(), ByteSize::from_kib(*kib)))
-            .collect();
-        let heat = [920, 600, 500];
-        let budget = ByteSize::from_kib(16);
-        let select = |strategy| select_static(&objects, &heat, budget, strategy).unwrap();
-        assert_eq!(select(SelectionStrategy::Density), vec![0]);
-        assert_eq!(select(SelectionStrategy::ExactKnapsack), vec![1, 2]);
     }
 
     #[test]

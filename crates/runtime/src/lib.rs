@@ -9,12 +9,14 @@
 //!    PEBS sampler watches the LLC-miss stream;
 //! 2. **aggregate** — samples resolve to live data objects through the heap
 //!    registry and accumulate into exponentially-decayed per-object heat;
-//! 3. **decide** — the advisor's knapsack/greedy selection re-runs against
-//!    the fast-tier budget, with hysteresis (minimum residency, a heat
-//!    deadband protecting incumbents) so phase noise cannot thrash;
+//! 3. **decide** — the advisor's density selection re-runs against the
+//!    MCDRAM budget, with fixed hysteresis (a minimum residency, a heat
+//!    deadband protecting incumbents, see [`controller`]) so phase noise
+//!    cannot thrash;
 //! 4. **act** — the placement delta executes as `ProcessHeap::migrate_object`
-//!    calls, each charged as bytes moved × per-tier bandwidth through the
-//!    [`MigrationCostModel`] and added to the run's latency.
+//!    calls between MCDRAM and DDR, each charged as bytes moved × per-tier
+//!    bandwidth through the [`MigrationCostModel`] and added to the run's
+//!    latency.
 //!
 //! With the per-epoch move budget set to zero the runtime degenerates to the
 //! static engine — bit-for-bit, which is what the equivalence tests pin.

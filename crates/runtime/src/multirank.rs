@@ -165,7 +165,6 @@ pub struct MultiRankRuntime {
     /// The node-spanning controller (global policy only).
     global: Option<PlacementController>,
     epoch_len: u64,
-    fast_tier: TierId,
     node_epochs: u64,
 }
 
@@ -188,7 +187,6 @@ impl MultiRankRuntime {
         }
         let arbiter = NodeArbiter::new(cfg.policy, cfg.node_fast_budget, ranks);
         let mut shards = Vec::with_capacity(ranks as usize);
-        let mut fast_tier = TierId::MCDRAM;
         for rank in 0..ranks {
             let w = workload.rank(rank);
             let p = provision_prefixed(w, machine, arbiter.rank_cap(), &format!("r{rank:04}/"))?;
@@ -201,7 +199,6 @@ impl MultiRankRuntime {
             let mut shard_cfg = cfg.online.clone();
             shard_cfg.seed = cfg.online.seed.wrapping_add(u64::from(rank));
             let rt = OnlineRuntime::new(machine, arbiter.partition_share(), shard_cfg);
-            fast_tier = rt.fast_tier();
             shards.push(Shard {
                 rank,
                 rt,
@@ -218,7 +215,6 @@ impl MultiRankRuntime {
             arbiter,
             global,
             epoch_len: cfg.online.epoch_accesses,
-            fast_tier,
             node_epochs: 0,
         })
     }
@@ -233,7 +229,6 @@ impl MultiRankRuntime {
     pub fn run(mut self) -> MultiRankOutcome {
         while self.step() {}
         let policy = self.arbiter.policy();
-        let fast_tier = self.fast_tier;
         let per_rank = self
             .shards
             .into_iter()
@@ -242,7 +237,7 @@ impl MultiRankRuntime {
                 time: s.rt.total_time(),
                 engine: s.rt.engine_stats().clone(),
                 stats: s.rt.stats().clone(),
-                fast_residency: s.heap.tier_occupancy(fast_tier),
+                fast_residency: s.heap.tier_occupancy(TierId::MCDRAM),
             })
             .collect();
         MultiRankOutcome {
@@ -307,7 +302,7 @@ impl MultiRankRuntime {
             let residencies: Vec<ByteSize> = if fcfs {
                 self.shards
                     .iter()
-                    .map(|s| s.heap.tier_occupancy(self.fast_tier))
+                    .map(|s| s.heap.tier_occupancy(TierId::MCDRAM))
                     .collect()
             } else {
                 Vec::new()
@@ -350,7 +345,7 @@ impl MultiRankRuntime {
                 live.push(o);
             }
         }
-        let plan = controller.end_epoch(&live, self.fast_tier, self.arbiter.node_budget());
+        let plan = controller.end_epoch(&live, self.arbiter.node_budget());
 
         // Slice the node plan per rank, preserving the planner's order.
         let ranks = self.shards.len();

@@ -77,21 +77,14 @@ pub struct OnlineRuntime {
     sampler: PebsSampler,
     controller: PlacementController,
     cost: MigrationCostModel,
-    fast_tier: TierId,
     fast_budget: ByteSize,
     stats: RuntimeStats,
 }
 
 impl OnlineRuntime {
-    /// Build a runtime for `machine` with `fast_budget` bytes of fast-tier
-    /// capacity at its disposal. The fast tier is the machine's
-    /// highest-performance tier (MCDRAM on KNL).
+    /// Build a runtime for `machine` with `fast_budget` bytes of MCDRAM at
+    /// its disposal; plans promote into MCDRAM and demote to DDR.
     pub fn new(machine: &MachineConfig, fast_budget: ByteSize, cfg: OnlineConfig) -> Self {
-        let fast_tier = machine
-            .tiers
-            .fastest()
-            .map(|t| t.id)
-            .unwrap_or(TierId::MCDRAM);
         let sampler = PebsSampler::new(
             ProcessorFamily::KnightsLanding,
             PebsEvent::LlcLoadMiss,
@@ -101,17 +94,11 @@ impl OnlineRuntime {
         OnlineRuntime {
             engine: TraceEngine::new(machine),
             sampler,
-            cost: MigrationCostModel::with_streams(machine, cfg.migration_streams),
+            cost: MigrationCostModel::new(machine),
             controller: PlacementController::new(cfg),
-            fast_tier,
             fast_budget,
             stats: RuntimeStats::default(),
         }
-    }
-
-    /// The fast tier this runtime promotes into.
-    pub fn fast_tier(&self) -> TierId {
-        self.fast_tier
     }
 
     /// The fast-tier budget the next epoch's selection packs against.
@@ -218,9 +205,7 @@ impl OnlineRuntime {
             }
         }
         let live = ObjectPlacement::snapshot_live(heap);
-        let plan = self
-            .controller
-            .end_epoch(&live, self.fast_tier, self.fast_budget);
+        let plan = self.controller.end_epoch(&live, self.fast_budget);
         self.commit_epoch_with_plan(heap, consumed, sampled.len() as u64, &plan);
     }
 
@@ -262,16 +247,15 @@ impl OnlineRuntime {
         self.stats.background_migration_time += exec.time;
     }
 
-    /// Execute a plan between the fast tier and the heap's default tier,
-    /// booking rejects and the fast-tier residency peak.
+    /// Execute a plan between MCDRAM and DDR, booking rejects and the
+    /// MCDRAM residency peak.
     fn execute(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) -> PlanExecution {
-        let slow_tier = heap.page_table().default_tier();
-        let exec = execute_plan(heap, plan, self.fast_tier, slow_tier, &self.cost);
+        let exec = execute_plan(heap, plan, &self.cost);
         self.stats.rejected_moves += exec.rejected;
         self.stats.fast_residency_peak = self
             .stats
             .fast_residency_peak
-            .max(heap.tier_occupancy(self.fast_tier));
+            .max(heap.tier_occupancy(TierId::MCDRAM));
         exec
     }
 }
@@ -324,7 +308,6 @@ mod tests {
         let (mut heap, hot, _) = two_object_heap(&m);
         let cfg = OnlineConfig::default().with_epoch_accesses(16_384);
         let mut rt = OnlineRuntime::new(&m, ByteSize::from_kib(128), cfg);
-        assert_eq!(rt.fast_tier(), TierId::MCDRAM);
         let misses = rt.run(hammer(hot, 20), &mut heap);
         assert!(misses > 0);
         assert_eq!(heap.page_table().tier_of(hot.start), TierId::MCDRAM);

@@ -30,14 +30,6 @@ fn max_online_seed_runs_on_a_multi_rank_scenario() {
 }
 
 #[test]
-fn huge_heat_deadband_runs() {
-    for name in ["rotating-triad-online.scn", "rank-skew-triad-global.scn"] {
-        let scenario = mutated(name, "\"heat_deadband\": 2.5", "\"heat_deadband\": 1e308");
-        Simulation::new().run(&scenario).expect("runs");
-    }
-}
-
-#[test]
 fn phased_array_size_whose_access_count_overflows_is_a_config_error() {
     let scenario = mutated(
         "rotating-triad-online.scn",

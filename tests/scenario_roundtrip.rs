@@ -105,11 +105,8 @@ fn random_scenario(rng: &mut DetRng) -> Scenario {
     Scenario {
         name: random_name(rng),
         workload: random_workload(rng),
-        machine: match rng.uniform_range(0, 3) {
-            0 => MachineSelector::Knl7250,
-            1 => MachineSelector::TinyTest,
-            _ => MachineSelector::LoadedTinyTest,
-        },
+        machine: MachineSelector::ALL
+            [rng.uniform_range(0, MachineSelector::ALL.len() as u64) as usize],
         memory_mode: match rng.uniform_range(0, 2) {
             0 => MemoryMode::Flat,
             _ => MemoryMode::Cache,
@@ -120,22 +117,13 @@ fn random_scenario(rng: &mut DetRng) -> Scenario {
         online: rng.chance(0.5).then(|| OnlineConfig {
             epoch_accesses: rng.next_u64(),
             max_moves_per_epoch: rng.next_u32(),
-            min_residency_epochs: rng.next_u64(),
-            heat_deadband: rng.normal(2.0, 10.0),
-            heat_decay: rng.uniform(),
-            strategy: random_strategy(rng),
             pebs_period: rng.next_u64(),
-            migration_streams: rng.next_u32(),
             seed: rng.next_u64(),
         }),
-        rank_policy: match rng.uniform_range(0, 3) {
-            0 => ArbiterPolicy::Fcfs,
-            1 => ArbiterPolicy::Partition,
-            _ => ArbiterPolicy::Global,
-        },
+        rank_policy: ArbiterPolicy::ALL
+            [rng.uniform_range(0, ArbiterPolicy::ALL.len() as u64) as usize],
         profiling: rng.chance(0.5).then(|| ProfilerConfig {
             sampling_period: rng.next_u64(),
-            min_alloc_size: random_size(rng),
             counter_snapshot_interval: hmsim_common::Nanos(rng.exponential(1e6)),
             seed: rng.next_u64(),
         }),
