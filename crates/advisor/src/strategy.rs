@@ -61,8 +61,9 @@ impl fmt::Display for SelectionStrategy {
 /// Select which `candidates` go into a knapsack of `capacity` bytes
 /// (`None` = unlimited) under `strategy`, returning their indices.
 ///
-/// This is the advisor's step 3 and the only strategy dispatch: the offline
-/// advisor, the online controller and the static harness all run it.
+/// This is the advisor's step 3 and the only strategy dispatch; the offline
+/// advisor runs it. The online controller and the static harness always use
+/// density, so they call [`rank_by_density`] and [`pack`] directly.
 /// `total` is what the `Misses(t%)` threshold is a share of. Every strategy
 /// charges each candidate its page-aligned size; the exact DP sizes the
 /// knapsack as whole pages (`floor(capacity / PAGE_SIZE)`), so it never

@@ -1,7 +1,7 @@
 //! Algorithm 1: the interposed `malloc`.
 
 use hmem_advisor::PlacementReport;
-use hmsim_callstack::{SiteCache, SiteDecision, Translator, Unwinder};
+use hmsim_callstack::{SiteCache, Translator, Unwinder};
 use hmsim_common::{Address, AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::{AllocCostModel, ProcessHeap};
 
@@ -117,7 +117,7 @@ impl AutoHbwMalloc {
                 Some(decision) => {
                     self.stats.cache_hits += 1;
                     overhead += Nanos::from_micros(0.15);
-                    promote = decision.promote;
+                    promote = decision;
                 }
                 None => {
                     self.stats.cache_misses += 1;
@@ -127,13 +127,7 @@ impl AutoHbwMalloc {
                     // Line 8: match against the report.
                     promote = self.report.tier_for_site(&translated.site_key()).is_some();
                     // Line 9: annotate the cache.
-                    self.cache.annotate(
-                        &raw_stack,
-                        SiteDecision {
-                            promote,
-                            allocator: 0,
-                        },
-                    );
+                    self.cache.annotate(&raw_stack, promote);
                 }
             }
         } else {

@@ -4,8 +4,8 @@
 //! The `naive` module below preserves the pre-refactor hot path exactly as
 //! the seed shipped it — `HashMap<Page, TierId>` page translation with
 //! SipHash, `HashMap::entry` per-miss tier-traffic updates, per-probe
-//! division/modulo set indexing and a `TierSet` walk + bandwidth-model call
-//! per LLC miss. Both paths consume the *same* pre-generated access stream,
+//! division/modulo set indexing and a linear search over the machine's
+//! `(TierId, TierSpec)` pairs + bandwidth-model call per LLC miss. Both paths consume the *same* pre-generated access stream,
 //! and the equivalence of their simulation results is asserted before any
 //! timing happens, so the measured ratio is pure hot-path cost.
 //!
@@ -183,12 +183,14 @@ mod naive {
             }
             self.counters.llc_misses += 1;
             let tier_id = page_table.tier_of(acc.address);
-            let tier = self
-                .config
-                .tiers
-                .get(tier_id)
-                .unwrap_or_else(|| self.config.tiers.slowest().expect("tiers non-empty"));
-            let served_by = tier.id;
+            let tiers = [
+                (TierId::DDR, &self.config.ddr),
+                (TierId::MCDRAM, &self.config.mcdram),
+            ];
+            let (served_by, tier) = tiers
+                .into_iter()
+                .find(|(id, _)| *id == tier_id)
+                .unwrap_or(tiers[0]);
             let latency = self.bandwidth.latency(tier);
             *self.tier_traffic.entry(served_by).or_insert(0) += self.config.line_size;
             self.charge_time(latency, true);
@@ -232,7 +234,7 @@ fn stream_workload(ws: AddressRange, accesses: usize) -> Vec<MemoryAccess> {
 /// new cache line and, with the working set far beyond the L2, misses all the
 /// way to memory. This is the page-translation / tier-traffic stress case the
 /// tentpole targeted: the pre-refactor path paid a SipHash page lookup, a
-/// `HashMap::entry` traffic update, a `TierSet` walk and floating-point
+/// `HashMap::entry` traffic update, a tier search and floating-point
 /// latency math on *every* access here.
 fn miss_stream_workload(ws: AddressRange, accesses: usize) -> Vec<MemoryAccess> {
     AccessStream::new(

@@ -40,7 +40,7 @@ pub mod unwind;
 pub use aslr::AslrLayout;
 pub use cost::CallstackCostModel;
 pub use module::{Module, ProgramImage};
-pub use site_cache::{SiteCache, SiteDecision};
+pub use site_cache::SiteCache;
 pub use stack::{CallStack, Frame, SiteKey, TranslatedCallStack, TranslatedFrame};
 pub use symbols::{Symbol, SymbolTable};
 pub use translate::Translator;

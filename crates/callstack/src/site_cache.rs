@@ -8,96 +8,34 @@
 use crate::stack::CallStack;
 use std::collections::HashMap;
 
-/// The cached decision for one raw call-stack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteDecision {
-    /// Whether the site was selected by the advisor (should go to the
-    /// alternate, fast-memory allocator).
-    pub promote: bool,
-    /// Index of the allocator object to use when `promote` is true.
-    pub allocator: usize,
-}
+/// Most sites the cache holds. Applications have at most a few hundred
+/// allocation sites (Table I reports 6–312 allocation statements); 4096
+/// entries is generous.
+const CAPACITY: usize = 4096;
 
-/// A bounded cache mapping raw call-stack hashes to decisions.
-#[derive(Clone, Debug)]
+/// A bounded cache mapping raw call-stack hashes to whether the site was
+/// selected by the advisor (should go to the alternate, fast-memory
+/// allocator).
+#[derive(Clone, Debug, Default)]
 pub struct SiteCache {
-    map: HashMap<u64, SiteDecision>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
+    map: HashMap<u64, bool>,
 }
 
 impl SiteCache {
-    /// Create a cache bounded to `capacity` entries (0 means unbounded).
-    pub fn new(capacity: usize) -> Self {
-        SiteCache {
-            map: HashMap::new(),
-            capacity,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Look up the decision for a raw call-stack, updating hit/miss counters.
-    pub fn lookup(&mut self, stack: &CallStack) -> Option<SiteDecision> {
-        match self.map.get(&stack.raw_hash()) {
-            Some(d) => {
-                self.hits += 1;
-                Some(*d)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+    /// Look up the decision for a raw call-stack (Algorithm 1 line 5).
+    pub fn lookup(&self, stack: &CallStack) -> Option<bool> {
+        self.map.get(&stack.raw_hash()).copied()
     }
 
     /// Record a decision for a raw call-stack (Algorithm 1 line 9). When the
-    /// cache is full the insertion is dropped — allocation sites are few and
-    /// stable, so simple is fine; the capacity exists only to bound memory.
-    pub fn annotate(&mut self, stack: &CallStack, decision: SiteDecision) {
-        if self.capacity > 0
-            && self.map.len() >= self.capacity
-            && !self.map.contains_key(&stack.raw_hash())
-        {
+    /// cache holds 4096 sites the insertion is dropped — allocation sites are
+    /// few and stable, so simple is fine; the capacity exists only to bound
+    /// memory.
+    pub fn annotate(&mut self, stack: &CallStack, promote: bool) {
+        if self.map.len() >= CAPACITY && !self.map.contains_key(&stack.raw_hash()) {
             return;
         }
-        self.map.insert(stack.raw_hash(), decision);
-    }
-
-    /// Number of cached sites.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Clear all entries and counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
-}
-
-impl Default for SiteCache {
-    fn default() -> Self {
-        // Applications have at most a few hundred allocation sites (Table I
-        // reports 6–312 allocation statements); 4096 entries is generous.
-        SiteCache::new(4096)
+        self.map.insert(stack.raw_hash(), promote);
     }
 }
 
@@ -114,72 +52,33 @@ mod tests {
         let mut c = SiteCache::default();
         let s = stack(1);
         assert_eq!(c.lookup(&s), None);
-        c.annotate(
-            &s,
-            SiteDecision {
-                promote: true,
-                allocator: 0,
-            },
-        );
-        let d = c.lookup(&s).unwrap();
-        assert!(d.promote);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.len(), 1);
+        c.annotate(&s, true);
+        assert_eq!(c.lookup(&s), Some(true));
     }
 
     #[test]
     fn capacity_bounds_insertions() {
-        let mut c = SiteCache::new(2);
-        for i in 0..5 {
-            c.annotate(
-                &stack(i),
-                SiteDecision {
-                    promote: false,
-                    allocator: 0,
-                },
-            );
-        }
-        assert_eq!(c.len(), 2);
-        // Existing entries can still be refreshed when at capacity.
-        c.annotate(
-            &stack(0),
-            SiteDecision {
-                promote: true,
-                allocator: 1,
-            },
-        );
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(&stack(0)).unwrap().allocator, 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
         let mut c = SiteCache::default();
-        c.annotate(
-            &stack(1),
-            SiteDecision {
-                promote: true,
-                allocator: 0,
-            },
+        let n = CAPACITY as u64;
+        for i in 0..=n {
+            c.annotate(&stack(i), false);
+        }
+        assert_eq!(c.map.len(), CAPACITY);
+        assert_eq!(
+            c.lookup(&stack(n)),
+            None,
+            "the insertion past capacity is dropped"
         );
-        c.lookup(&stack(1));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
+        // Existing entries can still be refreshed when at capacity.
+        c.annotate(&stack(0), true);
+        assert_eq!(c.map.len(), CAPACITY);
+        assert_eq!(c.lookup(&stack(0)), Some(true));
     }
 
     #[test]
     fn distinct_stacks_do_not_collide() {
         let mut c = SiteCache::default();
-        c.annotate(
-            &stack(1),
-            SiteDecision {
-                promote: true,
-                allocator: 0,
-            },
-        );
+        c.annotate(&stack(1), true);
         assert_eq!(c.lookup(&stack(2)), None);
     }
 }

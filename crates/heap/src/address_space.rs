@@ -2,9 +2,9 @@
 //!
 //! The space is carved into fixed, non-overlapping regions mirroring a Linux
 //! process image: static data (`.data`/`.bss`), the thread stacks, and one
-//! heap arena per memory tier (glibc's DDR heap and memkind's MCDRAM heap
-//! live in different parts of the address space, which is how the profiler
-//! can tell them apart by address alone).
+//! heap arena for each of the two memory tiers (glibc's DDR heap and
+//! memkind's MCDRAM heap live in different parts of the address space, which
+//! is how the profiler can tell them apart by address alone).
 
 use hmsim_common::{Address, AddressRange, ByteSize, HmError, HmResult, TierId};
 
@@ -32,7 +32,8 @@ struct Region {
 /// The full address-space layout of one simulated process.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
-    regions: Vec<Region>,
+    /// Static, stack, DDR heap and MCDRAM heap, in that order.
+    regions: [Region; 4],
 }
 
 impl AddressSpace {
@@ -44,40 +45,35 @@ impl AddressSpace {
     pub const DDR_HEAP_BASE: u64 = 0x7f10_0000_0000;
     /// Base of the MCDRAM (memkind) heap arena.
     pub const MCDRAM_HEAP_BASE: u64 = 0x7e10_0000_0000;
-    /// Base used for heaps of additional tiers (NVM, …), spaced 1 TiB apart.
-    pub const EXTRA_HEAP_BASE: u64 = 0x7c10_0000_0000;
-
-    /// Create a layout with the given region capacities.
+    /// Create a layout with the given region capacities; the two heap
+    /// arenas are sized like their tiers.
     pub fn new(
         static_size: ByteSize,
         stack_size: ByteSize,
-        heap_tiers: &[(TierId, ByteSize)],
+        ddr_heap_size: ByteSize,
+        mcdram_heap_size: ByteSize,
     ) -> HmResult<AddressSpace> {
-        let mut regions = vec![
-            Region {
-                kind: RegionKind::Static,
-                range: AddressRange::new(Address(Self::STATIC_BASE), static_size),
-                cursor: 0,
-            },
-            Region {
-                kind: RegionKind::Stack,
-                range: AddressRange::new(Address(Self::STACK_BASE), stack_size),
-                cursor: 0,
-            },
+        let region = |kind, base, size| Region {
+            kind,
+            range: AddressRange::new(Address(base), size),
+            cursor: 0,
+        };
+        let regions = [
+            region(RegionKind::Static, Self::STATIC_BASE, static_size),
+            region(RegionKind::Stack, Self::STACK_BASE, stack_size),
+            region(
+                RegionKind::Heap(TierId::DDR),
+                Self::DDR_HEAP_BASE,
+                ddr_heap_size,
+            ),
+            region(
+                RegionKind::Heap(TierId::MCDRAM),
+                Self::MCDRAM_HEAP_BASE,
+                mcdram_heap_size,
+            ),
         ];
-        for (i, (tier, size)) in heap_tiers.iter().enumerate() {
-            let base = match *tier {
-                TierId::DDR => Self::DDR_HEAP_BASE,
-                TierId::MCDRAM => Self::MCDRAM_HEAP_BASE,
-                _ => Self::EXTRA_HEAP_BASE + (i as u64) * (1 << 40),
-            };
-            regions.push(Region {
-                kind: RegionKind::Heap(*tier),
-                range: AddressRange::new(Address(base), *size),
-                cursor: 0,
-            });
-        }
-        // Verify no overlaps.
+        // Verify no overlaps: the sizes are the machine's public tier
+        // capacities.
         for (i, a) in regions.iter().enumerate() {
             for b in &regions[i + 1..] {
                 if a.range.overlaps(&b.range) {
@@ -97,6 +93,12 @@ impl AddressSpace {
             .iter()
             .find(|r| r.kind == kind)
             .map(|r| r.range)
+    }
+
+    /// The ranges of the two heap arenas, indexed by [`TierId`] (DDR,
+    /// MCDRAM).
+    pub fn heap_regions(&self) -> [AddressRange; 2] {
+        [self.regions[2].range, self.regions[3].range]
     }
 
     /// Carve a new sub-range out of the static or stack region (bump
@@ -145,10 +147,8 @@ mod tests {
         AddressSpace::new(
             ByteSize::from_gib(2),
             ByteSize::from_mib(512),
-            &[
-                (TierId::DDR, ByteSize::from_gib(96)),
-                (TierId::MCDRAM, ByteSize::from_gib(16)),
-            ],
+            ByteSize::from_gib(96),
+            ByteSize::from_gib(16),
         )
         .expect("default layout is consistent")
     }
@@ -168,6 +168,11 @@ mod tests {
         assert!(a.region(RegionKind::Stack).is_some());
         assert!(a.region(RegionKind::Heap(TierId::DDR)).is_some());
         assert!(a.region(RegionKind::Heap(TierId::MCDRAM)).is_some());
+        assert!(a.region(RegionKind::Heap(TierId(2))).is_none());
+        assert_eq!(
+            a.heap_regions(),
+            [TierId::DDR, TierId::MCDRAM].map(|t| a.region(RegionKind::Heap(t)).unwrap())
+        );
     }
 
     #[test]
@@ -202,7 +207,8 @@ mod tests {
         let mut a = AddressSpace::new(
             ByteSize::from_mib(1),
             ByteSize::from_mib(1),
-            &[(TierId::DDR, ByteSize::from_mib(8))],
+            ByteSize::from_mib(8),
+            ByteSize::ZERO,
         )
         .unwrap();
         assert!(a.carve(RegionKind::Static, ByteSize::from_mib(2)).is_err());

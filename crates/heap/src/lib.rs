@@ -1,12 +1,13 @@
 //! # hmsim-heap
 //!
 //! The simulated process memory substrate: a virtual address space carved
-//! into static/stack/per-tier-heap regions, a first-fit free-list allocator
-//! per tier arena, a registry of live data objects (what Extrae's
-//! allocation instrumentation sees), the allocation-cost models of glibc and
-//! memkind's `hbw_malloc`, and the process-level heap façade that
-//! `auto-hbwmalloc` interposes on. [`ProcessHeap`] is the single owner of
-//! per-tier residency: capacity caps, occupancy and admission live there.
+//! into static/stack regions and one heap region for each of the machine's
+//! two tiers (DDR, MCDRAM), a first-fit free-list allocator per heap arena,
+//! a registry of live data objects (what Extrae's allocation instrumentation
+//! sees), the allocation-cost models of glibc and memkind's `hbw_malloc`,
+//! and the process-level heap façade that `auto-hbwmalloc` interposes on.
+//! [`ProcessHeap`] is the single owner of per-tier residency: capacity caps,
+//! occupancy and admission live there.
 //!
 //! Everything placement-related is reflected into an `hmsim-machine`
 //! [`hmsim_machine::PageTable`] so that both execution engines know which

@@ -2,11 +2,12 @@
 //! residency.
 //!
 //! `ProcessHeap` glues together the address-space layout, one private arena
-//! per memory tier (a [`FreeListAllocator`] plus an optional capacity cap),
-//! the live-object registry and a machine-level page table. It is the thing
-//! `auto-hbwmalloc` interposes on: every simulated `malloc`/`free` flows
-//! through here, and placement is reflected into the page table so the
-//! execution engines charge the right tier. Admission — Algorithm 1's
+//! for each of the two memory tiers, DDR and MCDRAM (a [`FreeListAllocator`]
+//! plus an optional capacity cap), the live-object registry and a
+//! machine-level page table. It is the thing `auto-hbwmalloc` interposes on:
+//! every simulated `malloc`/`free` flows through here, and placement is
+//! reflected into the page table so the execution engines charge the right
+//! tier. Admission — Algorithm 1's
 //! `alloc→FITS(size)` and its migration counterpart — is answered here and
 //! nowhere else.
 
@@ -17,13 +18,12 @@ use crate::registry::LiveObjectRegistry;
 use crate::tier_alloc::AllocCostModel;
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
-use hmsim_machine::{MachineConfig, PageTable};
+use hmsim_machine::{MachineConfig, PageTable, TierSpec};
 
 /// One tier's heap arena: the free list that hands out its addresses and
 /// the optional cap on bytes resident in the tier.
 #[derive(Clone, Debug)]
 struct Arena {
-    tier: TierId,
     /// The machine's name for the tier (error messages).
     name: String,
     freelist: FreeListAllocator,
@@ -36,20 +36,22 @@ struct Arena {
 #[derive(Clone, Debug)]
 pub struct ProcessHeap {
     address_space: AddressSpace,
-    arenas: Vec<Arena>,
+    /// The DDR and MCDRAM arenas, indexed by tier id.
+    arenas: [Arena; 2],
     registry: LiveObjectRegistry,
     page_table: PageTable,
     /// Net bytes migrated into (positive) or out of (negative) each tier,
-    /// indexed by tier id. An arena's used bytes track where objects were
-    /// *allocated*; this overlay tracks where their pages currently
-    /// *reside* after [`migrate_object`](Self::migrate_object) calls, so
-    /// capacity enforcement sees the physical occupancy.
-    migration_delta: Vec<i64>,
+    /// indexed by tier id like the arenas. An arena's used bytes track where
+    /// objects were *allocated*; this overlay tracks where their pages
+    /// currently *reside* after [`migrate_object`](Self::migrate_object)
+    /// calls, so capacity enforcement sees the physical occupancy.
+    migration_delta: [i64; 2],
 }
 
 impl ProcessHeap {
-    /// Build a heap for the given machine: one uncapped arena per tier,
-    /// over that tier's heap region.
+    /// Build a heap for the given machine: an uncapped DDR arena and an
+    /// uncapped MCDRAM arena, each over its tier's heap region. An id other
+    /// than DDR or MCDRAM has no arena: nothing fits or migrates there.
     ///
     /// Every allocation is charged glibc's cost. Page placement (where the
     /// object lands) is orthogonal to which allocator *API* served the call:
@@ -58,36 +60,29 @@ impl ProcessHeap {
     /// memkind/hbw_malloc is charged by the interposition layers
     /// (auto-hbwmalloc, autohbw) on top.
     pub fn new(machine: &MachineConfig) -> HmResult<ProcessHeap> {
-        let tiers: Vec<(TierId, ByteSize)> =
-            machine.tiers.iter().map(|t| (t.id, t.capacity)).collect();
-        let address_space =
-            AddressSpace::new(ByteSize::from_gib(2), ByteSize::from_mib(512), &tiers)?;
-        let arenas = machine
-            .tiers
-            .iter()
-            .map(|t| {
-                let region = address_space
-                    .region(RegionKind::Heap(t.id))
-                    .ok_or_else(|| HmError::NotFound(format!("heap region for {:?}", t.id)))?;
-                Ok(Arena {
-                    tier: t.id,
-                    name: t.name.clone(),
-                    freelist: FreeListAllocator::new(region),
-                    cap: None,
-                })
-            })
-            .collect::<HmResult<_>>()?;
+        let address_space = AddressSpace::new(
+            ByteSize::from_gib(2),
+            ByteSize::from_mib(512),
+            machine.ddr.capacity,
+            machine.mcdram.capacity,
+        )?;
+        let [ddr, mcdram] = address_space.heap_regions();
+        let arena = |spec: &TierSpec, region| Arena {
+            name: spec.name.clone(),
+            freelist: FreeListAllocator::new(region),
+            cap: None,
+        };
         Ok(ProcessHeap {
+            arenas: [arena(&machine.ddr, ddr), arena(&machine.mcdram, mcdram)],
             address_space,
-            arenas,
             registry: LiveObjectRegistry::new(),
             page_table: PageTable::new(TierId::DDR),
-            migration_delta: Vec::new(),
+            migration_delta: [0; 2],
         })
     }
 
     fn arena(&self, tier: TierId) -> Option<&Arena> {
-        self.arenas.iter().find(|a| a.tier == tier)
+        self.arenas.get(tier.index())
     }
 
     /// Cap the bytes resident in `tier` (the per-rank MCDRAM budget of the
@@ -95,8 +90,7 @@ impl ProcessHeap {
     pub fn set_capacity_cap(&mut self, tier: TierId, cap: ByteSize) -> HmResult<()> {
         let arena = self
             .arenas
-            .iter_mut()
-            .find(|a| a.tier == tier)
+            .get_mut(tier.index())
             .ok_or_else(|| HmError::NotFound(format!("heap arena for {tier:?}")))?;
         arena.cap = Some(cap);
         Ok(())
@@ -168,8 +162,7 @@ impl ProcessHeap {
         // Refused when the tier is full, or when no free block of its arena
         // is large enough.
         let range = if self.fits(tier, size) {
-            let arena = self.arenas.iter_mut().find(|a| a.tier == tier);
-            arena.and_then(|a| a.freelist.alloc(size))
+            self.arenas[tier.index()].freelist.alloc(size)
         } else {
             None
         };
@@ -193,12 +186,13 @@ impl ProcessHeap {
     pub fn free(&mut self, addr: Address) -> HmResult<(DataObject, Nanos)> {
         // The owning arena identifies the object's home tier (migration moves
         // pages, never addresses).
-        let arena = self
+        let (home, arena) = self
             .arenas
             .iter_mut()
-            .find(|a| a.freelist.owns(addr))
+            .enumerate()
+            .find(|(_, a)| a.freelist.owns(addr))
             .ok_or(HmError::UnknownAddress(addr.value()))?;
-        let home = arena.tier;
+        let home = TierId::from_index(home);
         arena.freelist.free(addr)?;
         let obj = self.registry.remove_by_start(addr)?;
         // If the object had been migrated away from its home tier, unwind the
@@ -266,12 +260,12 @@ impl ProcessHeap {
         Ok((id, range))
     }
 
+    /// Move `size` resident bytes from `from` to `to` in the overlay. A
+    /// static placed in an id without an arena has no slot to leave.
     fn shift_migration_delta(&mut self, from: TierId, to: TierId, size: ByteSize) {
-        let slots = from.index().max(to.index()) + 1;
-        if self.migration_delta.len() < slots {
-            self.migration_delta.resize(slots, 0);
+        if let Some(d) = self.migration_delta.get_mut(from.index()) {
+            *d -= size.bytes() as i64;
         }
-        self.migration_delta[from.index()] -= size.bytes() as i64;
         self.migration_delta[to.index()] += size.bytes() as i64;
     }
 

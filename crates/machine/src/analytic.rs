@@ -130,11 +130,7 @@ pub struct AnalyticEngine {
 impl AnalyticEngine {
     /// Create an engine for a machine.
     pub fn new(config: &MachineConfig) -> Self {
-        let capacity = config
-            .tiers
-            .get(TierId::MCDRAM)
-            .map(|t| t.capacity)
-            .unwrap_or(ByteSize::ZERO);
+        let capacity = config.mcdram.capacity;
         AnalyticEngine {
             config: config.clone(),
             bandwidth: BandwidthModel::new(config),
@@ -181,40 +177,33 @@ impl AnalyticEngine {
         let line = self.config.line_size;
         let cores = phase.cores_used.max(1);
 
-        // Aggregate traffic and latency-bound misses per tier.
-        let mut tier_traffic: HashMap<TierId, f64> = HashMap::new();
-        let mut tier_irregular_misses: HashMap<TierId, f64> = HashMap::new();
+        // Aggregate traffic and latency-bound misses per serving tier,
+        // indexed by `TierId` (DDR, MCDRAM).
+        let mut tier_traffic = [0.0; 2];
+        let mut tier_irregular_misses = [0.0; 2];
         for t in &phase.traffic {
-            let tier = placement.tier_of(t.object);
-            *tier_traffic.entry(tier).or_insert(0.0) += t.traffic_bytes(line);
-            *tier_irregular_misses.entry(tier).or_insert(0.0) +=
-                t.llc_misses as f64 * t.irregular_fraction;
+            let slot = MachineConfig::serving_tier(placement.tier_of(t.object)).index();
+            tier_traffic[slot] += t.traffic_bytes(line);
+            tier_irregular_misses[slot] += t.llc_misses as f64 * t.irregular_fraction;
         }
 
         // Bandwidth roof: tiers stream in parallel, so the roof is the
-        // slowest tier's drain time.
+        // slowest tier's drain time. Latency roof: irregular misses expose
+        // latency / MLP per core. A tier without traffic adds a zero roof.
+        let per_core_parallel = f64::from(cores) * self.config.mlp;
         let mut bandwidth_time = Nanos::ZERO;
-        for (tier_id, bytes) in &tier_traffic {
-            let tier = self
-                .config
-                .tiers
-                .get(*tier_id)
-                .unwrap_or_else(|| self.config.tiers.slowest().expect("tiers non-empty"));
-            let bw = self.bandwidth.effective_bandwidth_gbs(tier, cores);
-            bandwidth_time = bandwidth_time.max(BandwidthModel::transfer_time(*bytes, bw));
-        }
-
-        // Latency roof: irregular misses expose latency / MLP per core.
         let mut latency_time = Nanos::ZERO;
-        for (tier_id, misses) in &tier_irregular_misses {
-            let tier = self
-                .config
-                .tiers
-                .get(*tier_id)
-                .unwrap_or_else(|| self.config.tiers.slowest().expect("tiers non-empty"));
+        for (slot, tier) in [&self.config.ddr, &self.config.mcdram]
+            .into_iter()
+            .enumerate()
+        {
+            let bw = self.bandwidth.effective_bandwidth_gbs(tier, cores);
+            bandwidth_time =
+                bandwidth_time.max(BandwidthModel::transfer_time(tier_traffic[slot], bw));
             let lat = self.bandwidth.latency(tier);
-            let per_core_parallel = f64::from(cores) * self.config.mlp;
-            latency_time = latency_time.max(Nanos(misses * lat.nanos() / per_core_parallel));
+            latency_time = latency_time.max(Nanos(
+                tier_irregular_misses[slot] * lat.nanos() / per_core_parallel,
+            ));
         }
 
         let compute_time = self.compute_roof(phase);
@@ -326,6 +315,23 @@ mod tests {
         cold_in_fast.place(ObjectId(1), TierId::MCDRAM);
         let still_slow = e.cost_phase(&p, &cold_in_fast, ByteSize::from_gib(8));
         assert!(still_slow.time > fast.time);
+    }
+
+    #[test]
+    fn an_id_the_machine_lacks_shares_the_ddr_roof() {
+        let e = engine();
+        let p = phase(80_000_000, 40_000_000, 0.0);
+        let ws = ByteSize::from_gib(8);
+        let ddr = e.cost_phase(&p, &Placement::all_in(TierId::DDR), ws);
+        assert!(
+            ddr.bandwidth_time > ddr.compute_time,
+            "phase is bandwidth-bound"
+        );
+        let mut split = Placement::all_in(TierId::DDR);
+        split.place(ObjectId(1), TierId(2));
+        let cost = e.cost_phase(&p, &split, ws);
+        assert_eq!(cost.bandwidth_time, ddr.bandwidth_time);
+        assert_eq!(cost.time, ddr.time);
     }
 
     #[test]

@@ -47,12 +47,8 @@ impl BandwidthModel {
     /// Effective bandwidth of the MCDRAM when it operates as a memory-side
     /// cache and the working set *hits* in it.
     pub fn cache_mode_hit_bandwidth_gbs(&self, cores: u32) -> f64 {
-        let mcdram = self
-            .config
-            .tiers
-            .get(TierId::MCDRAM)
-            .expect("cache mode requires an MCDRAM tier");
-        self.effective_bandwidth_gbs(mcdram, cores) * self.config.cache_mode_bw_efficiency
+        self.effective_bandwidth_gbs(&self.config.mcdram, cores)
+            * self.config.cache_mode_bw_efficiency
     }
 
     /// Effective bandwidth observed by a kernel whose traffic hits in the
@@ -63,12 +59,7 @@ impl BandwidthModel {
     pub fn cache_mode_bandwidth_gbs(&self, cores: u32, hit_rate: f64) -> f64 {
         let hit_rate = hit_rate.clamp(0.0, 1.0);
         let hit_bw = self.cache_mode_hit_bandwidth_gbs(cores);
-        let ddr = self
-            .config
-            .tiers
-            .get(TierId::DDR)
-            .expect("cache mode requires a DDR tier");
-        let ddr_bw = self.effective_bandwidth_gbs(ddr, cores);
+        let ddr_bw = self.effective_bandwidth_gbs(&self.config.ddr, cores);
         if hit_rate >= 1.0 {
             return hit_bw;
         }
@@ -89,13 +80,8 @@ impl BandwidthModel {
     /// Average latency of an access under cache mode with the given hit rate.
     pub fn cache_mode_latency(&self, hit_rate: f64) -> Nanos {
         let hit_rate = hit_rate.clamp(0.0, 1.0);
-        let mcdram = self
-            .config
-            .tiers
-            .get(TierId::MCDRAM)
-            .expect("cache mode requires an MCDRAM tier");
-        let hit = self.latency(mcdram);
-        let miss = self.latency(mcdram) + self.config.cache_mode_miss_penalty;
+        let hit = self.latency(&self.config.mcdram);
+        let miss = hit + self.config.cache_mode_miss_penalty;
         hit * hit_rate + miss * (1.0 - hit_rate)
     }
 
@@ -117,14 +103,7 @@ impl BandwidthModel {
     ///   direct-mapped conflicts keep it below that).
     pub fn stream_bandwidth_gbs(&self, cores: u32, data_tier: TierId, hit_rate: f64) -> f64 {
         match self.config.memory_mode {
-            MemoryMode::Flat => {
-                let tier = self
-                    .config
-                    .tiers
-                    .get(data_tier)
-                    .expect("unknown tier in stream_bandwidth_gbs");
-                self.effective_bandwidth_gbs(tier, cores)
-            }
+            MemoryMode::Flat => self.effective_bandwidth_gbs(self.config.tier(data_tier), cores),
             MemoryMode::Cache => self.cache_mode_bandwidth_gbs(cores, hit_rate),
         }
     }

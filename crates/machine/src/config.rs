@@ -1,6 +1,6 @@
 //! Whole-machine configuration.
 
-use crate::tier::{TierSet, TierSpec};
+use crate::tier::TierSpec;
 use hmsim_common::{ByteSize, HmError, HmResult, Nanos, TierId};
 
 /// How the on-package MCDRAM is exposed to software.
@@ -39,8 +39,10 @@ pub struct MachineConfig {
     pub l2_ways: u32,
     /// L2 hit latency.
     pub l2_latency: Nanos,
-    /// Memory tiers.
-    pub tiers: TierSet,
+    /// The large, slow DDR tier ([`TierId::DDR`]).
+    pub ddr: TierSpec,
+    /// The small, fast on-package MCDRAM tier ([`TierId::MCDRAM`]).
+    pub mcdram: TierSpec,
     /// MCDRAM exposure mode.
     pub memory_mode: MemoryMode,
     /// Memory-level parallelism: outstanding misses one core can sustain,
@@ -70,7 +72,8 @@ impl MachineConfig {
             l2_size: ByteSize::from_kib(512),
             l2_ways: 16,
             l2_latency: Nanos(14.0),
-            tiers: TierSet::knl(),
+            ddr: TierSpec::knl_ddr(),
+            mcdram: TierSpec::knl_mcdram(),
             memory_mode: MemoryMode::Flat,
             mlp: 10.0,
             cache_mode_bw_efficiency: 0.78,
@@ -81,10 +84,6 @@ impl MachineConfig {
     /// A small machine useful for fast unit tests: 4 cores, tiny caches,
     /// 1 GiB DDR + 64 MiB MCDRAM.
     pub fn tiny_test() -> MachineConfig {
-        let mut ddr = TierSpec::knl_ddr();
-        ddr.capacity = ByteSize::from_gib(1);
-        let mut mc = TierSpec::knl_mcdram();
-        mc.capacity = ByteSize::from_mib(64);
         MachineConfig {
             cores: 4,
             threads_per_core: 1,
@@ -97,11 +96,40 @@ impl MachineConfig {
             l2_size: ByteSize::from_kib(64),
             l2_ways: 8,
             l2_latency: Nanos(10.0),
-            tiers: TierSet::new(vec![ddr, mc]).expect("distinct tier ids"),
+            ddr: TierSpec {
+                capacity: ByteSize::from_gib(1),
+                ..TierSpec::knl_ddr()
+            },
+            mcdram: TierSpec {
+                capacity: ByteSize::from_mib(64),
+                ..TierSpec::knl_mcdram()
+            },
             memory_mode: MemoryMode::Flat,
             mlp: 8.0,
             cache_mode_bw_efficiency: 0.78,
             cache_mode_miss_penalty: Nanos(115.0),
+        }
+    }
+
+    /// The tier that serves a page mapped to `id`: MCDRAM for
+    /// [`TierId::MCDRAM`], DDR for any other id, so a page mapped to an id
+    /// the machine lacks is served by DDR.
+    #[inline]
+    pub fn serving_tier(id: TierId) -> TierId {
+        if id == TierId::MCDRAM {
+            TierId::MCDRAM
+        } else {
+            TierId::DDR
+        }
+    }
+
+    /// The spec of the tier that serves `id` (see
+    /// [`serving_tier`](Self::serving_tier)).
+    pub fn tier(&self, id: TierId) -> &TierSpec {
+        if Self::serving_tier(id) == TierId::MCDRAM {
+            &self.mcdram
+        } else {
+            &self.ddr
         }
     }
 
@@ -122,11 +150,6 @@ impl MachineConfig {
         if self.cores == 0 {
             return Err(HmError::Config(
                 "machine must have at least one core".into(),
-            ));
-        }
-        if self.tiers.is_empty() {
-            return Err(HmError::Config(
-                "machine must have at least one memory tier".into(),
             ));
         }
         if self.ipc <= 0.0
@@ -154,10 +177,7 @@ impl MachineConfig {
     /// in flat mode, none in cache mode.
     pub fn flat_mcdram_capacity(&self) -> ByteSize {
         match self.memory_mode {
-            MemoryMode::Flat => self
-                .tiers
-                .get(TierId::MCDRAM)
-                .map_or(ByteSize::ZERO, |t| t.capacity),
+            MemoryMode::Flat => self.mcdram.capacity,
             MemoryMode::Cache => ByteSize::ZERO,
         }
     }
@@ -172,7 +192,6 @@ mod tests {
         let m = MachineConfig::knl_7250();
         m.validate().unwrap();
         assert_eq!(m.cores, 68);
-        assert_eq!(m.tiers.len(), 2);
         assert_eq!(m.flat_mcdram_capacity(), ByteSize::from_gib(16));
     }
 
@@ -210,9 +229,16 @@ mod tests {
     #[test]
     fn tiny_config_tiers_are_shrunk() {
         let m = MachineConfig::tiny_test();
-        assert_eq!(
-            m.tiers.get(TierId::MCDRAM).unwrap().capacity,
-            ByteSize::from_mib(64)
-        );
+        assert_eq!(m.ddr.capacity, ByteSize::from_gib(1));
+        assert_eq!(m.mcdram.capacity, ByteSize::from_mib(64));
+    }
+
+    #[test]
+    fn tier_lookup_maps_unknown_ids_to_ddr() {
+        let m = MachineConfig::knl_7250();
+        assert_eq!(m.tier(TierId::DDR).name, "DDR");
+        assert_eq!(m.tier(TierId::MCDRAM).name, "MCDRAM");
+        assert_eq!(m.tier(TierId(2)), &m.ddr);
+        assert_eq!(MachineConfig::serving_tier(TierId(2)), TierId::DDR);
     }
 }

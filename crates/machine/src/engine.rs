@@ -17,11 +17,11 @@
 //!   TLB analogue, validated against [`PageTable::translation_key`]) holding
 //!   the whole page extent around the last miss, before falling back to the
 //!   page table's binary search;
-//! * per-tier traffic lives in a fixed [`TierTraffic`] array indexed by
-//!   [`TierId`], not a `HashMap`;
-//! * the tier/bandwidth lookup for miss latencies is precomputed at engine
-//!   construction into a per-tier latency cache, as are the cache-mode hit
-//!   and miss latencies and the reciprocal MLP/frequency factors.
+//! * per-tier traffic lives in a fixed two-entry [`TierTraffic`] array
+//!   indexed by [`TierId`], not a `HashMap`;
+//! * the miss charges of the two tiers are precomputed at engine
+//!   construction into a two-entry table, as are the cache-mode hit and miss
+//!   latencies and the reciprocal MLP/frequency factors.
 
 use crate::access::{AccessKind, MemoryAccess};
 use crate::bandwidth::BandwidthModel;
@@ -30,7 +30,6 @@ use crate::config::{MachineConfig, MemoryMode};
 use crate::counters::PerfCounters;
 use crate::mcdram_cache::McdramCacheModel;
 use crate::page_table::PageTable;
-use crate::tier::MAX_TIERS;
 use hmsim_common::{Address, Nanos, Page, TierId};
 
 /// Where an access was ultimately served from.
@@ -46,20 +45,20 @@ pub enum ServiceLevel {
     Memory(TierId),
 }
 
-/// Bytes of traffic served by each memory tier, held in a fixed array so the
-/// per-miss update is a single indexed add.
+/// Bytes of traffic served by each memory tier, held in a fixed array indexed
+/// by [`TierId`] (DDR, MCDRAM) so the per-miss update is a single indexed add.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierTraffic {
-    bytes: [u64; MAX_TIERS],
+    bytes: [u64; 2],
 }
 
 impl TierTraffic {
-    /// Bytes served by `tier` so far.
+    /// Bytes served by `tier` so far (0 for an id other than DDR or MCDRAM).
     pub fn bytes(&self, tier: TierId) -> u64 {
         self.bytes.get(tier.index()).copied().unwrap_or(0)
     }
 
-    /// Record `bytes` of traffic to `tier`.
+    /// Record `bytes` of traffic to `tier`, which is DDR or MCDRAM.
     #[inline]
     pub fn add(&mut self, tier: TierId, bytes: u64) {
         self.bytes[tier.index()] += bytes;
@@ -143,12 +142,9 @@ pub struct TraceEngine {
     l1_charge: Charge,
     /// LLC-hit charge, precomputed.
     l2_charge: Charge,
-    /// Per-tier (owning tier, miss charge) cache indexed by `TierId`;
-    /// entries for ids absent from the machine hold the slowest-tier
-    /// fallback, mirroring the page-table fallback semantics.
-    mem_charge: [(TierId, Charge); MAX_TIERS],
-    /// Fallback for tier ids beyond [`MAX_TIERS`]: the slowest tier.
-    mem_fallback: (TierId, Charge),
+    /// Flat-mode miss charge of the serving tier, indexed by `TierId`
+    /// (DDR, MCDRAM), precomputed.
+    mem_charge: [Charge; 2],
     /// Cache-mode MCDRAM-hit charge, precomputed.
     cm_hit_charge: Charge,
     /// Cache-mode DDR-miss charge, precomputed.
@@ -173,12 +169,10 @@ impl TraceEngine {
             config.l2_ways,
         ));
         let mcdram_cache = if config.memory_mode == MemoryMode::Cache {
-            let full = config
-                .tiers
-                .get(TierId::MCDRAM)
-                .map(|t| t.capacity)
-                .unwrap_or(hmsim_common::ByteSize::from_mib(16));
-            let capped = full.min(hmsim_common::ByteSize::from_mib(16));
+            let capped = config
+                .mcdram
+                .capacity
+                .min(hmsim_common::ByteSize::from_mib(16));
             Some(McdramCacheModel::new(capped, config.line_size).simulator())
         } else {
             None
@@ -191,31 +185,6 @@ impl TraceEngine {
         let cache_charge = |l: Nanos| Charge::new(l, 4.0, config.frequency_hz);
         let mem_charge_of = |l: Nanos| Charge::new(l, config.mlp, config.frequency_hz);
 
-        let slowest = config
-            .tiers
-            .slowest()
-            .expect("machine has at least one tier");
-        let fallback = (slowest.id, mem_charge_of(bandwidth.latency(slowest)));
-        let mut mem_charge = [fallback; MAX_TIERS];
-        for tier in config.tiers.iter() {
-            let idx = tier.id.index();
-            assert!(
-                idx < MAX_TIERS,
-                "tier id {:?} exceeds the engine's MAX_TIERS ({MAX_TIERS})",
-                tier.id
-            );
-            mem_charge[idx] = (tier.id, mem_charge_of(bandwidth.latency(tier)));
-        }
-        let has_mcdram = config.tiers.get(TierId::MCDRAM).is_some();
-        let (cm_hit_charge, cm_miss_charge) = if has_mcdram {
-            (
-                mem_charge_of(bandwidth.cache_mode_latency(1.0)),
-                mem_charge_of(bandwidth.cache_mode_latency(0.0)),
-            )
-        } else {
-            (fallback.1, fallback.1)
-        };
-
         TraceEngine {
             config: config.clone(),
             l1,
@@ -225,10 +194,12 @@ impl TraceEngine {
             tlb: None,
             l1_charge: cache_charge(config.l1_latency),
             l2_charge: cache_charge(config.l2_latency),
-            mem_charge,
-            mem_fallback: fallback,
-            cm_hit_charge,
-            cm_miss_charge,
+            mem_charge: [
+                mem_charge_of(bandwidth.latency(&config.ddr)),
+                mem_charge_of(bandwidth.latency(&config.mcdram)),
+            ],
+            cm_hit_charge: mem_charge_of(bandwidth.cache_mode_latency(1.0)),
+            cm_miss_charge: mem_charge_of(bandwidth.cache_mode_latency(0.0)),
             bandwidth,
         }
     }
@@ -299,16 +270,10 @@ impl TraceEngine {
         let line = self.config.line_size;
         match self.config.memory_mode {
             MemoryMode::Flat => {
-                let tier_id = self.translate(acc.address, page_table);
-                // Per-tier latency cache: unknown tiers hold the
-                // slowest-tier fallback, so no TierSet walk on the miss path.
-                let (served_by, charge) = self
-                    .mem_charge
-                    .get(tier_id.index())
-                    .copied()
-                    .unwrap_or(self.mem_fallback);
+                let served_by =
+                    MachineConfig::serving_tier(self.translate(acc.address, page_table));
                 self.stats.tier_traffic.add(served_by, line);
-                self.charge_memory(charge);
+                self.charge_memory(self.mem_charge[served_by.index()]);
                 ServiceLevel::Memory(served_by)
             }
             MemoryMode::Cache => {
@@ -608,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tier_falls_back_to_slowest() {
+    fn unknown_tier_is_served_by_ddr() {
         let (mut e, mut pt) = flat_engine();
         // Map a page to a tier id the tiny machine does not have.
         let page = Page(0x5000);

@@ -9,6 +9,14 @@
 //! is modelled in quadrant clustering, the paper's setting; the KNL's hybrid
 //! MCDRAM split and the other clustering modes are not modelled.
 //!
+//! The node has exactly two memory tiers, held by
+//! [`config::MachineConfig`] as its `ddr` and `mcdram` fields
+//! ([`TierId::DDR`](hmsim_common::TierId::DDR) and
+//! [`TierId::MCDRAM`](hmsim_common::TierId::MCDRAM)). A page mapped to any
+//! other id is served by DDR
+//! ([`MachineConfig::serving_tier`](config::MachineConfig::serving_tier)),
+//! in both engines, the bandwidth model and the migration cost model.
+//!
 //! The crate provides two complementary execution engines:
 //!
 //! * a **trace-driven engine** ([`engine::TraceEngine`]) that pushes every
@@ -48,4 +56,4 @@ pub use counters::PerfCounters;
 pub use engine::{EngineStats, ServiceLevel, TierTraffic, TraceEngine};
 pub use mcdram_cache::McdramCacheModel;
 pub use page_table::PageTable;
-pub use tier::{TierSet, TierSpec, MAX_TIERS};
+pub use tier::TierSpec;

@@ -15,7 +15,8 @@
 
 use crate::config::OnlineConfig;
 use crate::cost::MigrationCostModel;
-use hmem_advisor::{Candidate, SelectionStrategy};
+use hmem_advisor::greedy::{pack, rank_by_density};
+use hmem_advisor::Candidate;
 use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use std::collections::{HashMap, HashSet};
@@ -237,21 +238,16 @@ impl PlacementController {
     /// Run the advisor's density selection over the unpinned candidates and
     /// pack the winners into the budget left after pinned MCDRAM residents.
     fn select_target(&self, candidates: &[&ObjectPlacement], budget: ByteSize) -> Vec<ObjectId> {
-        // Heat sums sample weights, and the user sets the weight through
-        // `pebs_period`, so a huge period saturates the `as u64` cast;
-        // capping each value keeps the sum over the candidates inside u64.
-        let cap = u64::MAX / candidates.len().max(1) as u64;
         let offered: Vec<Candidate<'_>> = candidates
             .iter()
             .map(|o| Candidate {
                 name: &o.name,
                 size: o.size,
-                value: (self.effective_heat(o).round() as u64).min(cap),
+                value: self.effective_heat(o).round() as u64,
             })
             .collect();
-        let total: u64 = offered.iter().map(|c| c.value).sum();
-        hmem_advisor::select(SelectionStrategy::Density, &offered, total, Some(budget))
-            .expect("density selection never fails")
+        pack(&offered, &rank_by_density(&offered), Some(budget))
+            .0
             .into_iter()
             .map(|i| candidates[i].id)
             .collect()
@@ -393,6 +389,26 @@ mod tests {
         let plan = c.end_epoch(&live, ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(1)]);
         assert!(plan.demotions.is_empty());
+    }
+
+    /// Heat far beyond `u64` saturates each candidate's value; ranking
+    /// and packing sum nothing, so planning cannot overflow.
+    #[test]
+    fn huge_heat_plans_within_the_budget() {
+        let mut c = controller();
+        let mut live = vec![
+            obj(1, "a", 64, TierId::DDR),
+            obj(2, "b", 64, TierId::DDR),
+            obj(3, "c", 64, TierId::MCDRAM),
+        ];
+        for o in &live {
+            c.record(o.id, 1e300);
+        }
+        let budget = ByteSize::from_kib(128);
+        let plan = c.end_epoch(&live, budget);
+        assert!(!plan.promotions.is_empty(), "{plan:?}");
+        apply(&mut live, &plan);
+        assert!(fast_bytes(&live) <= budget.bytes(), "{plan:?}");
     }
 
     #[test]

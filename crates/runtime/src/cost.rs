@@ -1,14 +1,14 @@
 //! The migration cost model: bytes moved × per-tier bandwidth charge.
 //!
 //! A migration reads every page from the source tier and writes it to the
-//! destination tier, so the charge is `bytes/bw(src) + bytes/bw(dst)`. The
-//! per-tier migration bandwidth is the tier's *per-core* streaming bandwidth
+//! destination tier, so the charge is `bytes/bw(src) + bytes/bw(dst)`, with
+//! DDR's bandwidth for every id but MCDRAM. The per-tier migration bandwidth is the tier's *per-core* streaming bandwidth
 //! times [`MIGRATION_STREAMS`]: page migration (`move_pages`-style) is a
 //! memcpy performed by a handful of kernel threads, not the whole machine,
 //! and must not be credited with the tier's aggregate peak.
 
 use hmsim_common::{ByteSize, Nanos, TierId};
-use hmsim_machine::{BandwidthModel, MachineConfig, MAX_TIERS};
+use hmsim_machine::{BandwidthModel, MachineConfig, TierSpec};
 
 /// Parallel copy streams the migration cost model credits to each move
 /// (page migration is a handful of helper threads, not the whole machine).
@@ -17,43 +17,27 @@ pub const MIGRATION_STREAMS: u32 = 2;
 /// Per-tier bandwidth charges for object migration.
 #[derive(Clone, Debug)]
 pub struct MigrationCostModel {
-    /// Migration bandwidth per tier id, GB/s.
-    bw_gbs: [f64; MAX_TIERS],
-    /// Fallback for tier ids beyond the table (slowest tier's bandwidth).
-    fallback_gbs: f64,
+    /// Migration bandwidth of DDR and MCDRAM, indexed by tier id, GB/s.
+    bw_gbs: [f64; 2],
 }
 
 impl MigrationCostModel {
     /// Build the model for a machine, with [`MIGRATION_STREAMS`] parallel
     /// migration threads.
     pub fn new(machine: &MachineConfig) -> Self {
-        let streams = f64::from(MIGRATION_STREAMS);
-        let slowest = machine
-            .tiers
-            .slowest()
-            .map(|t| t.per_core_bandwidth_gbs)
-            .unwrap_or(1.0);
-        let fallback_gbs = slowest * streams;
-        let mut bw_gbs = [fallback_gbs; MAX_TIERS];
-        for tier in machine.tiers.iter() {
-            if tier.id.index() < MAX_TIERS {
-                // Cap at the tier's aggregate peak: many streams cannot draw
-                // more than the memory system provides.
-                bw_gbs[tier.id.index()] =
-                    (tier.per_core_bandwidth_gbs * streams).min(tier.peak_bandwidth_gbs);
-            }
-        }
+        // Cap at the tier's aggregate peak: many streams cannot draw more
+        // than the memory system provides.
+        let gbs = |tier: &TierSpec| {
+            (tier.per_core_bandwidth_gbs * f64::from(MIGRATION_STREAMS))
+                .min(tier.peak_bandwidth_gbs)
+        };
         MigrationCostModel {
-            bw_gbs,
-            fallback_gbs,
+            bw_gbs: [gbs(&machine.ddr), gbs(&machine.mcdram)],
         }
     }
 
     fn bandwidth(&self, tier: TierId) -> f64 {
-        self.bw_gbs
-            .get(tier.index())
-            .copied()
-            .unwrap_or(self.fallback_gbs)
+        self.bw_gbs[MachineConfig::serving_tier(tier).index()]
     }
 
     /// Latency charged for moving `bytes` from `from` to `to`: the read leg
@@ -91,7 +75,7 @@ mod tests {
         let m = MigrationCostModel::new(&machine);
         let b = ByteSize::from_mib(64);
         let leg = |tier: TierId| {
-            let spec = machine.tiers.get(tier).unwrap();
+            let spec = machine.tier(tier);
             let gbs = (spec.per_core_bandwidth_gbs * f64::from(MIGRATION_STREAMS))
                 .min(spec.peak_bandwidth_gbs);
             BandwidthModel::transfer_time(b.bytes() as f64, gbs)

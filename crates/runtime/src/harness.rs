@@ -8,11 +8,12 @@
 //! [`OnlineRuntime`] migrate while the stream executes.
 
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
+use hmem_advisor::greedy::{pack, rank_by_density};
 use hmem_advisor::{Candidate, SelectionStrategy};
 use hmsim_apps::PhasedWorkload;
 use hmsim_common::{AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
-use hmsim_machine::{MachineConfig, TierSet, TraceEngine};
+use hmsim_machine::{MachineConfig, TraceEngine};
 use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 
 /// A machine for trace-driven placement studies, with *loaded* memory
@@ -21,16 +22,14 @@ use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 /// runtime targets, KNL's DDR latency climbs past 300 ns while MCDRAM
 /// sustains below 200 ns — that loaded gap is exactly the effect that makes
 /// fast-tier placement pay, and the single-stream trace engine has to carry
-/// it in its latency constants.
+/// it in its latency constants. The capacities are the small machine's,
+/// 1 GiB of DDR and 64 MiB of MCDRAM.
 pub fn loaded_machine() -> MachineConfig {
     let mut m = MachineConfig::tiny_test();
-    let mut ddr = hmsim_machine::TierSpec::knl_ddr();
-    ddr.capacity = ByteSize::from_gib(1);
-    ddr.latency = Nanos(320.0);
-    let mut mc = hmsim_machine::TierSpec::knl_mcdram();
-    mc.capacity = ByteSize::from_mib(64);
-    mc.latency = Nanos(180.0);
-    m.tiers = TierSet::new(vec![ddr, mc]).expect("distinct tier ids");
+    m.ddr.capacity = ByteSize::from_gib(1);
+    m.ddr.latency = Nanos(320.0);
+    m.mcdram.capacity = ByteSize::from_mib(64);
+    m.mcdram.latency = Nanos(180.0);
     m
 }
 
@@ -143,8 +142,8 @@ pub fn profile_heat(
 
 /// The advisor's offline selection over profiled heat: the density
 /// selection of `objects` (name and size, heat per object in `heat`)
-/// against the budget — the same [`hmem_advisor::select`] the online
-/// controller re-runs each epoch.
+/// against the budget: the same density ranking and greedy packing the
+/// online controller re-runs each epoch.
 pub fn select_static(
     objects: &[(String, ByteSize)],
     heat: &[u64],
@@ -159,14 +158,12 @@ pub fn select_static(
             value: *h,
         })
         .collect();
-    let total: u64 = heat.iter().sum();
-    hmem_advisor::select(
-        SelectionStrategy::Density,
+    pack(
         &candidates,
-        total,
+        &rank_by_density(&candidates),
         Some(fast_budget),
     )
-    .expect("density selection never fails")
+    .0
 }
 
 /// The best static placement the offline pipeline can produce: the better of
@@ -233,13 +230,11 @@ mod tests {
     fn loaded_machine_carries_the_loaded_latency_gap() {
         let m = loaded_machine();
         m.validate().unwrap();
-        let ddr = m.tiers.get(TierId::DDR).unwrap();
-        let mc = m.tiers.get(TierId::MCDRAM).unwrap();
         assert!(
-            ddr.latency > mc.latency,
+            m.ddr.latency > m.mcdram.latency,
             "loaded DDR must be slower than loaded MCDRAM"
         );
-        assert_eq!(m.tiers.by_descending_performance()[0].id, TierId::MCDRAM);
+        assert!(m.mcdram.peak_bandwidth_gbs > m.ddr.peak_bandwidth_gbs);
     }
 
     #[test]

@@ -155,7 +155,6 @@ pub struct BinaryWriter<W: Write> {
     chunk: Vec<u8>,
     chunk_events: u32,
     chunk_capacity: usize,
-    events_written: u64,
 }
 
 impl<W: Write> BinaryWriter<W> {
@@ -186,7 +185,6 @@ impl<W: Write> BinaryWriter<W> {
             chunk: Vec::with_capacity(chunk_capacity + 256),
             chunk_events: 0,
             chunk_capacity: chunk_capacity.max(1),
-            events_written: 0,
         })
     }
 
@@ -194,16 +192,10 @@ impl<W: Write> BinaryWriter<W> {
     pub fn push(&mut self, event: &TraceEvent) -> HmResult<()> {
         encode_event(&mut self.chunk, event);
         self.chunk_events += 1;
-        self.events_written += 1;
         if self.chunk.len() >= self.chunk_capacity {
             self.flush_chunk()?;
         }
         Ok(())
-    }
-
-    /// Events pushed so far.
-    pub fn events_written(&self) -> u64 {
-        self.events_written
     }
 
     fn flush_chunk(&mut self) -> HmResult<()> {
@@ -265,7 +257,6 @@ pub struct TraceReader<R: Read> {
     cursor: usize,
     chunk_events_left: u32,
     done: bool,
-    events_read: u64,
 }
 
 impl TraceReader<std::io::BufReader<std::fs::File>> {
@@ -312,18 +303,12 @@ impl<R: Read> TraceReader<R> {
             cursor: 0,
             chunk_events_left: 0,
             done: false,
-            events_read: 0,
         })
     }
 
     /// The trace metadata from the header.
     pub fn metadata(&self) -> &TraceMetadata {
         &self.metadata
-    }
-
-    /// Events decoded so far.
-    pub fn events_read(&self) -> u64 {
-        self.events_read
     }
 
     fn load_next_chunk(&mut self) -> HmResult<bool> {
@@ -480,16 +465,9 @@ impl<R: Read> Iterator for TraceReader<R> {
             }
         }
         self.chunk_events_left -= 1;
-        match self.decode_event() {
-            Ok(e) => {
-                self.events_read += 1;
-                Some(Ok(e))
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
+        let event = self.decode_event();
+        self.done = event.is_err();
+        Some(event)
     }
 }
 
@@ -565,7 +543,6 @@ mod tests {
         assert_eq!(reader.metadata().rank, 5);
         let events: Vec<TraceEvent> = reader.by_ref().map(|e| e.unwrap()).collect();
         assert_eq!(events.as_slice(), original.events());
-        assert_eq!(reader.events_read(), original.len() as u64);
         // At any point the reader held at most one (tiny) chunk.
         assert!(reader.chunk.capacity() < 1024);
     }
@@ -587,16 +564,5 @@ mod tests {
         let back = read_binary(&write_binary(&t)).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.metadata, t.metadata);
-    }
-
-    #[test]
-    fn writer_counts_events() {
-        let t = sample_trace();
-        let mut w = BinaryWriter::new(Vec::new(), &t.metadata).unwrap();
-        for e in t.events() {
-            w.push(e).unwrap();
-        }
-        assert_eq!(w.events_written(), t.len() as u64);
-        w.finish().unwrap();
     }
 }
