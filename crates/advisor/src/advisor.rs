@@ -57,7 +57,7 @@ impl Advisor {
                 .map(|o| Candidate {
                     name: &o.name,
                     size: o.max_size,
-                    value: o.llc_misses,
+                    value: o.llc_misses as f64,
                 })
                 .collect();
             let selected_idx = select(strategy, &candidates, report.total_misses, tier.capacity)?;

@@ -14,8 +14,9 @@ pub struct Candidate<'a> {
     pub name: &'a str,
     /// The object's size; selections charge it page-aligned.
     pub size: ByteSize,
-    /// What promoting the object is worth: LLC misses offline, heat online.
-    pub value: u64,
+    /// What promoting the object is worth: LLC misses offline (exact below
+    /// 2^53), heat online. Never NaN.
+    pub value: f64,
 }
 
 impl Candidate<'_> {
@@ -24,7 +25,7 @@ impl Candidate<'_> {
         if self.size.is_zero() {
             0.0
         } else {
-            self.value as f64 / self.size.bytes() as f64
+            self.value / self.size.bytes() as f64
         }
     }
 }
@@ -39,14 +40,14 @@ pub fn rank_by_misses(
     let threshold = (threshold_percent.max(0.0) / 100.0) * total as f64;
     let mut order: Vec<usize> = (0..candidates.len())
         .filter(|i| {
-            let value = candidates[*i].value as f64;
+            let value = candidates[*i].value;
             value > 0.0 && value >= threshold
         })
         .collect();
     order.sort_by(|a, b| {
         let (a, b) = (&candidates[*a], &candidates[*b]);
         b.value
-            .cmp(&a.value)
+            .total_cmp(&a.value)
             .then_with(|| a.size.cmp(&b.size))
             .then_with(|| a.name.cmp(b.name))
     });
@@ -56,14 +57,14 @@ pub fn rank_by_misses(
 /// Rank candidate indices by descending density (value per byte).
 pub fn rank_by_density(candidates: &[Candidate<'_>]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..candidates.len())
-        .filter(|i| candidates[*i].value > 0)
+        .filter(|i| candidates[*i].value > 0.0)
         .collect();
     order.sort_by(|a, b| {
         let (a, b) = (&candidates[*a], &candidates[*b]);
         b.density()
             .partial_cmp(&a.density())
             .expect("density is never NaN")
-            .then_with(|| b.value.cmp(&a.value))
+            .then_with(|| b.value.total_cmp(&a.value))
             .then_with(|| a.name.cmp(b.name))
     });
     order
@@ -104,7 +105,7 @@ mod tests {
         Candidate {
             name,
             size: ByteSize::from_mib(mib),
-            value,
+            value: value as f64,
         }
     }
 
@@ -116,7 +117,7 @@ mod tests {
             obj("rare", 5_000, 1),
             obj("untouched", 0, 50),
         ];
-        let total: u64 = objects.iter().map(|o| o.value).sum();
+        let total = objects.iter().map(|o| o.value as u64).sum();
 
         let no_threshold = rank_by_misses(&objects, total, 0.0);
         assert_eq!(

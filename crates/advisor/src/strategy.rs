@@ -87,7 +87,8 @@ pub fn select(
                 .iter()
                 .map(|c| Item {
                     weight_pages: c.size.pages(),
-                    value: c.value,
+                    // The offline advisor's values are whole miss counts.
+                    value: c.value as u64,
                 })
                 .collect();
             let capacity_pages = capacity.map_or(u64::MAX / 2, |c| c.bytes() / PAGE_SIZE);

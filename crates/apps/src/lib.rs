@@ -30,7 +30,7 @@ pub mod spec;
 pub mod stream;
 
 pub use multirank::MultiRankWorkload;
-pub use phased::{phased_workload_by_name, phased_workloads, PhasedWorkload};
+pub use phased::{phased_workload_by_name, phased_workloads, PhasedStream, PhasedWorkload};
 pub use registry::{all_apps, app_by_name};
 pub use spec::{AllocTiming, AppSpec, KernelSpec, ObjectSpec};
 pub use stream::{StreamBenchmark, StreamResult};

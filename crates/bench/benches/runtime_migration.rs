@@ -13,6 +13,11 @@
 //!    DDR-only and the offline profile → advise → re-run placement.
 //! 3. **Does it stay out of the way where it can't help?** Stationary
 //!    workloads must land within 2 % of the best static placement.
+//!
+//! Per workload it also records two software timings on one thread: the
+//! access generator iterated alone (`stream_ns_per_access`) and the online
+//! runtime's end-to-end rate (`online_accesses_per_sec`). They are wall-clock
+//! measurements, kept apart from the simulated times above.
 
 use auto_hbwmalloc::ApproachKind;
 use hmsim_apps::{phased_workloads, PhasedWorkload};
@@ -32,6 +37,8 @@ struct WorkloadRow {
     migrations: u64,
     bytes_moved_kib: u64,
     epochs: u64,
+    stream_ns_per_access: f64,
+    online_accesses_per_sec: f64,
 }
 
 /// The epoch loop's observation overhead on the steady triad: raw streaming
@@ -77,12 +84,22 @@ fn epoch_overhead_percent(workload: &PhasedWorkload, reps: usize) -> f64 {
     (raw_aps / online_aps - 1.0) * 100.0
 }
 
-fn run_workload_row(workload: &PhasedWorkload) -> WorkloadRow {
+fn run_workload_row(workload: &PhasedWorkload, reps: usize) -> WorkloadRow {
     let machine = loaded_machine();
     let budget = workload.hot_set_size();
     let cfg = OnlineConfig::default();
     let stat = best_static(workload, &machine, budget, &cfg).unwrap();
-    let online = run_online(workload, &machine, budget, cfg).unwrap();
+    let online = run_online(workload, &machine, budget, cfg.clone()).unwrap();
+    let accesses = workload.total_accesses() as f64;
+    let ranges = provision(workload, &machine, budget).unwrap().ranges;
+    let stream_s = best_of(reps, || {
+        workload
+            .stream(&ranges)
+            .fold(0u64, |sum, a| sum.wrapping_add(a.address.value()))
+    });
+    let online_s = best_of(reps, || {
+        run_online(workload, &machine, budget, cfg.clone()).unwrap()
+    });
     let row = WorkloadRow {
         name: workload.name,
         stationary: workload.stationary,
@@ -93,9 +110,12 @@ fn run_workload_row(workload: &PhasedWorkload) -> WorkloadRow {
         migrations: online.stats.migrations,
         bytes_moved_kib: online.stats.bytes_migrated.bytes() / 1024,
         epochs: online.stats.epochs,
+        stream_ns_per_access: stream_s * 1e9 / accesses,
+        online_accesses_per_sec: accesses / online_s,
     };
     println!(
-        "{:>16}: online {:.3} ms vs static[{}] {:.3} ms -> {:.2}x ({} moves, {} KiB, {} epochs)",
+        "{:>16}: online {:.3} ms vs static[{}] {:.3} ms -> {:.2}x ({} moves, {} KiB, {} epochs); \
+         stream {:.2} ns/access, online {:.2} Macc/s",
         row.name,
         row.online_ms,
         row.static_label,
@@ -103,7 +123,9 @@ fn run_workload_row(workload: &PhasedWorkload) -> WorkloadRow {
         row.speedup,
         row.migrations,
         row.bytes_moved_kib,
-        row.epochs
+        row.epochs,
+        row.stream_ns_per_access,
+        row.online_accesses_per_sec / 1e6
     );
     row
 }
@@ -123,7 +145,7 @@ fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow]) {
         // the same `ApproachKind` the figure legends use.
         let online = ApproachKind::Online.key();
         workloads.push_str(&format!(
-            "    \"{}\": {{\n      \"stationary\": {},\n      \"{online}_ms\": {:.3},\n      \"best_static_ms\": {:.3},\n      \"best_static\": \"{}\",\n      \"{online}_vs_static_speedup\": {:.3},\n      \"migrations\": {},\n      \"bytes_moved_kib\": {},\n      \"epochs\": {}\n    }}",
+            "    \"{}\": {{\n      \"stationary\": {},\n      \"{online}_ms\": {:.3},\n      \"best_static_ms\": {:.3},\n      \"best_static\": \"{}\",\n      \"{online}_vs_static_speedup\": {:.3},\n      \"migrations\": {},\n      \"bytes_moved_kib\": {},\n      \"epochs\": {},\n      \"stream_ns_per_access\": {:.2},\n      \"{online}_accesses_per_sec\": {:.0}\n    }}",
             r.name,
             r.stationary,
             r.online_ms,
@@ -132,12 +154,14 @@ fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow]) {
             r.speedup,
             r.migrations,
             r.bytes_moved_kib,
-            r.epochs
+            r.epochs,
+            r.stream_ns_per_access,
+            r.online_accesses_per_sec
         ));
     }
     let online = ApproachKind::Online.key();
     let json = format!(
-        "{{\n  \"bench\": \"runtime_migration\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"headline_{online}_speedup\": {headline:.3},\n  \"epoch_overhead_percent\": {overhead_percent:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"runtime_migration\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"threads\": 1,\n  \"headline_{online}_speedup\": {headline:.3},\n  \"epoch_overhead_percent\": {overhead_percent:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n"
     );
     write_artifact("BENCH_runtime.json", &json);
 }
@@ -159,7 +183,10 @@ fn main() {
     let overhead = epoch_overhead_percent(steady, reps);
     println!("epoch-loop observation overhead: {overhead:.2}%");
 
-    let rows: Vec<WorkloadRow> = workloads.iter().map(run_workload_row).collect();
+    let rows: Vec<WorkloadRow> = workloads
+        .iter()
+        .map(|w| run_workload_row(w, reps))
+        .collect();
     if !test_mode {
         // The acceptance criteria of the online runtime, enforced at bench
         // scale: win on at least one phase-shifting workload, stay within

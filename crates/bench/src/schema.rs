@@ -14,33 +14,43 @@ use hmsim_common::json::{parse_json, Json};
 use std::path::Path;
 
 /// The registered benchmark artifacts: file name → (expected `"bench"`
-/// value, headline keys the top-level object must carry).
-pub const EXPECTED: &[(&str, &str, &[&str])] = &[
+/// value, headline keys the top-level object must carry, keys every entry
+/// of its `"workloads"` object must carry).
+pub const EXPECTED: &[(&str, &str, &[&str], &[&str])] = &[
     (
         "BENCH_engine.json",
         "engine_throughput",
         &["threads", "headline_speedup", "workloads"],
+        &[],
     ),
-    ("BENCH_trace.json", "trace_io", &["binary", "folding"]),
+    ("BENCH_trace.json", "trace_io", &["binary", "folding"], &[]),
     (
         "BENCH_runtime.json",
         "runtime_migration",
         &[
+            "threads",
             "headline_online_speedup",
             "epoch_overhead_percent",
             "workloads",
+        ],
+        &[
+            "online_ms",
+            "best_static_ms",
+            "stream_ns_per_access",
+            "online_accesses_per_sec",
         ],
     ),
     (
         "BENCH_multirank.json",
         "multirank_scaling",
         &["threads", "headline_global_vs_partition", "rank_skew"],
+        &[],
     ),
 ];
 
 /// Validate one artifact's parsed document against its registration.
 pub fn validate_document(name: &str, doc: &Json) -> Result<(), String> {
-    let Some((_, bench, keys)) = EXPECTED.iter().find(|(n, _, _)| *n == name) else {
+    let Some((_, bench, keys, workload_keys)) = EXPECTED.iter().find(|(n, ..)| *n == name) else {
         return Err(format!(
             "{name}: unregistered bench artifact — add its headline keys to \
              hmsim_bench::schema::EXPECTED"
@@ -57,6 +67,13 @@ pub fn validate_document(name: &str, doc: &Json) -> Result<(), String> {
     for key in *keys {
         if doc.get(key).is_none() {
             return Err(format!("{name}: missing headline key \"{key}\""));
+        }
+    }
+    if let Some(Json::Object(workloads)) = doc.get("workloads") {
+        for (workload, entry) in workloads {
+            if let Some(key) = workload_keys.iter().find(|k| entry.get(k).is_none()) {
+                return Err(format!("{name}: workload \"{workload}\" lacks \"{key}\""));
+            }
         }
     }
     Ok(())
@@ -81,7 +98,7 @@ pub fn validate_bench_dir(dir: &Path) -> Result<Vec<String>, String> {
         validated.push(name);
     }
     validated.sort();
-    for (name, _, _) in EXPECTED {
+    for (name, ..) in EXPECTED {
         if !validated.iter().any(|v| v == name) {
             return Err(format!(
                 "registered artifact {name} is missing from {dir:?}"
@@ -119,6 +136,24 @@ mod tests {
 
         let unregistered = parse_json("{\"bench\": \"new\"}").unwrap();
         assert!(validate_document("BENCH_new.json", &unregistered).is_err());
+    }
+
+    #[test]
+    fn validation_requires_the_per_workload_keys() {
+        let doc = |entry: &str| {
+            parse_json(&format!(
+                "{{\"bench\": \"runtime_migration\", \"threads\": 1, \
+                 \"headline_online_speedup\": 1, \"epoch_overhead_percent\": 1, \
+                 \"workloads\": {{\"triad\": {entry}}}}}"
+            ))
+            .unwrap()
+        };
+        let full = "{\"online_ms\": 1, \"best_static_ms\": 1, \
+                    \"stream_ns_per_access\": 1, \"online_accesses_per_sec\": 1}";
+        validate_document("BENCH_runtime.json", &doc(full)).unwrap();
+        let partial = "{\"online_ms\": 1, \"best_static_ms\": 1}";
+        let err = validate_document("BENCH_runtime.json", &doc(partial)).unwrap_err();
+        assert!(err.contains("stream_ns_per_access"), "{err}");
     }
 
     /// The committed artifacts at the workspace root must always validate —

@@ -19,6 +19,7 @@ use crate::tier_alloc::AllocCostModel;
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_machine::{MachineConfig, PageTable, TierSpec};
+use std::collections::HashMap;
 
 /// One tier's heap arena: the free list that hands out its addresses and
 /// the optional cap on bytes resident in the tier.
@@ -40,12 +41,13 @@ pub struct ProcessHeap {
     arenas: [Arena; 2],
     registry: LiveObjectRegistry,
     page_table: PageTable,
-    /// Net bytes migrated into (positive) or out of (negative) each tier,
-    /// indexed by tier id like the arenas. An arena's used bytes track where
-    /// objects were *allocated*; this overlay tracks where their pages
-    /// currently *reside* after [`migrate_object`](Self::migrate_object)
-    /// calls, so capacity enforcement sees the physical occupancy.
-    migration_delta: [i64; 2],
+    /// Reserved bytes resident in each tier, indexed by tier id like the
+    /// arenas: see [`tier_occupancy`](Self::tier_occupancy).
+    resident: [u64; 2],
+    /// The tier each static or stack region was defined in. These regions
+    /// sit outside the arenas, so they count toward a tier only while
+    /// migrated away from this one.
+    defined_in: HashMap<ObjectId, TierId>,
 }
 
 impl ProcessHeap {
@@ -77,7 +79,8 @@ impl ProcessHeap {
             address_space,
             registry: LiveObjectRegistry::new(),
             page_table: PageTable::new(TierId::DDR),
-            migration_delta: [0; 2],
+            resident: [0; 2],
+            defined_in: HashMap::new(),
         })
     }
 
@@ -120,7 +123,9 @@ impl ProcessHeap {
     /// move consumes no arena address space, only physical residency.
     pub fn migration_admits(&self, tier: TierId, size: ByteSize) -> bool {
         match self.arena(tier) {
-            Some(Arena { cap: Some(cap), .. }) => self.tier_occupancy(tier) + size <= *cap,
+            Some(Arena { cap: Some(cap), .. }) => {
+                self.tier_occupancy(tier) + FreeListAllocator::reserved(size) <= *cap
+            }
             Some(_) => true,
             None => false,
         }
@@ -178,28 +183,23 @@ impl ProcessHeap {
             allocated_at: now,
         })?;
         self.page_table.map_range(range, tier);
+        self.resident[tier.index()] += FreeListAllocator::reserved(size).bytes();
         Ok((id, range, AllocCostModel::glibc().alloc_cost(size)))
     }
 
     /// Free the dynamic allocation starting at `addr`. Returns the freed
     /// object and the CPU cost of the call.
     pub fn free(&mut self, addr: Address) -> HmResult<(DataObject, Nanos)> {
-        // The owning arena identifies the object's home tier (migration moves
-        // pages, never addresses).
-        let (home, arena) = self
+        // The owning arena returns the addresses (migration moves pages,
+        // never addresses); the tier the pages reside in releases them.
+        let arena = self
             .arenas
             .iter_mut()
-            .enumerate()
-            .find(|(_, a)| a.freelist.owns(addr))
+            .find(|a| a.freelist.owns(addr))
             .ok_or(HmError::UnknownAddress(addr.value()))?;
-        let home = TierId::from_index(home);
         arena.freelist.free(addr)?;
         let obj = self.registry.remove_by_start(addr)?;
-        // If the object had been migrated away from its home tier, unwind the
-        // residency overlay so the destination tier's capacity is released.
-        if obj.tier != home {
-            self.shift_migration_delta(obj.tier, home, obj.size());
-        }
+        self.resident[obj.tier.index()] -= FreeListAllocator::reserved(obj.size()).bytes();
         self.page_table.unmap_range(obj.range);
         Ok((obj, AllocCostModel::glibc().free_cost()))
     }
@@ -257,29 +257,19 @@ impl ProcessHeap {
             allocated_at: now,
         })?;
         self.page_table.map_range(range, tier);
+        self.defined_in.insert(id, tier);
         Ok((id, range))
     }
 
-    /// Move `size` resident bytes from `from` to `to` in the overlay. A
-    /// static placed in an id without an arena has no slot to leave.
-    fn shift_migration_delta(&mut self, from: TierId, to: TierId, size: ByteSize) {
-        if let Some(d) = self.migration_delta.get_mut(from.index()) {
-            *d -= size.bytes() as i64;
-        }
-        self.migration_delta[to.index()] += size.bytes() as i64;
-    }
-
-    /// Bytes physically resident in `tier` right now: what its arena handed
-    /// out, adjusted by the net effect of object migrations. (Objects placed
-    /// in a tier without going through its arena — statics under
-    /// `numactl -p 1` — are outside both terms, mirroring how the capacity
-    /// cap has always been enforced.)
+    /// Bytes physically resident in `tier` right now, in the arenas' unit:
+    /// the sum of [`FreeListAllocator::reserved`]`(size)` over the live
+    /// objects whose pages reside in `tier`, wherever they were allocated.
+    /// A static or stack region counts only while migrated away from the
+    /// tier it was defined in: regions placed without going through an arena
+    /// (statics under `numactl -p 1`) stay outside, mirroring how the
+    /// capacity cap has always been enforced.
     pub fn tier_occupancy(&self, tier: TierId) -> ByteSize {
-        let allocated = self
-            .arena(tier)
-            .map_or(0, |a| a.freelist.used_bytes().bytes() as i64);
-        let delta = self.migration_delta.get(tier.index()).copied().unwrap_or(0);
-        ByteSize::from_bytes((allocated + delta).max(0) as u64)
+        ByteSize::from_bytes(self.resident.get(tier.index()).copied().unwrap_or(0))
     }
 
     /// Peak bytes ever allocated from `tier`'s arena (after internal
@@ -310,7 +300,14 @@ impl ProcessHeap {
         }
         self.page_table.map_range(range, tier);
         self.registry.set_tier(id, tier)?;
-        self.shift_migration_delta(from, tier, size);
+        let reserved = FreeListAllocator::reserved(size).bytes();
+        let defined_in = self.defined_in.get(&id).copied();
+        if defined_in != Some(from) {
+            self.resident[from.index()] -= reserved;
+        }
+        if defined_in != Some(tier) {
+            self.resident[tier.index()] += reserved;
+        }
         Ok(size)
     }
 
@@ -599,9 +596,9 @@ mod tests {
         assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::from_mib(32));
     }
 
-    /// Migrated-in residency counts exact bytes, the arena rounds up to 16:
-    /// a malloc of exactly the remaining headroom would reserve more than
-    /// the headroom and must be refused.
+    /// Migrated-in residency is charged in the arena's unit, rounded up to
+    /// 16 bytes: the headroom stays a whole number of granules, a malloc of
+    /// exactly the headroom fills the cap, and one byte more is refused.
     #[test]
     fn malloc_of_exactly_the_headroom_is_charged_its_rounded_size() {
         let mut h = heap();
@@ -617,17 +614,17 @@ mod tests {
             )
             .unwrap();
         h.migrate_object(id, TierId::MCDRAM).unwrap();
+        assert_eq!(h.tier_occupancy(TierId::MCDRAM), ByteSize::from_bytes(112));
         let headroom = cap - h.tier_occupancy(TierId::MCDRAM);
-        assert_eq!(headroom.bytes() % 16, 12);
-        assert!(!h.fits(TierId::MCDRAM, headroom));
+        let over = headroom + ByteSize::from_bytes(1);
+        assert!(!h.fits(TierId::MCDRAM, over));
         assert!(matches!(
-            h.malloc(headroom, TierId::MCDRAM, "exact", None, Nanos::ZERO),
+            h.malloc(over, TierId::MCDRAM, "over", None, Nanos::ZERO),
             Err(HmError::OutOfMemory { .. })
         ));
-        let largest = ByteSize::from_bytes(headroom.bytes() / 16 * 16);
-        h.malloc(largest, TierId::MCDRAM, "rounded", None, Nanos::ZERO)
+        h.malloc(headroom, TierId::MCDRAM, "exact", None, Nanos::ZERO)
             .unwrap();
-        assert!(h.tier_occupancy(TierId::MCDRAM) <= cap);
+        assert_eq!(h.tier_occupancy(TierId::MCDRAM), cap);
     }
 
     #[test]
@@ -667,6 +664,12 @@ mod tests {
         for round in 0..10 {
             let mut h = heap();
             h.set_capacity_cap(TierId::MCDRAM, cap).unwrap();
+            // A static region defined in DDR: it joins the migrations and
+            // counts only while it sits in MCDRAM.
+            let size = ByteSize::from_bytes(rng.uniform_range(1, 1 << 20));
+            let (region, _) = h
+                .define_static("region", size, TierId::DDR, Nanos::ZERO)
+                .unwrap();
             let mut live: Vec<(ObjectId, Address)> = Vec::new();
             for step in 0..300 {
                 let at = format!("round {round} step {step}");
@@ -684,7 +687,9 @@ mod tests {
                 };
                 match rng.uniform_range(0, 3) {
                     0 => {
-                        let size = ByteSize::from_bytes(rng.uniform_range(1, 3 << 20));
+                        // Small sizes are mostly not multiples of 16.
+                        let max = if rng.chance(0.5) { 100 } else { 3 << 20 };
+                        let size = ByteSize::from_bytes(rng.uniform_range(1, max));
                         match h.malloc(size, tier, "obj", None, Nanos::ZERO) {
                             Ok((id, range, _)) => live.push((id, range.start)),
                             Err(e) => {
@@ -699,20 +704,33 @@ mod tests {
                         let (freed, _) = h.free(addr).unwrap();
                         assert_eq!(freed.id, id, "{at}");
                     }
-                    _ if !live.is_empty() => {
-                        let (id, _) = live[rng.uniform_range(0, live.len() as u64) as usize];
+                    _ => {
+                        let id = match rng.uniform_range(0, live.len() as u64 + 1) as usize {
+                            i if i < live.len() => live[i].0,
+                            _ => region,
+                        };
                         if let Err(e) = h.migrate_object(id, tier) {
                             assert!(matches!(e, HmError::OutOfMemory { .. }), "{at}: {e}");
                             assert!(unchanged(&h), "{at}: refused migration moved state");
                         }
                     }
-                    _ => {}
                 }
                 assert!(h.tier_occupancy(TierId::MCDRAM) <= cap, "{at}");
+                for t in [TierId::DDR, TierId::MCDRAM] {
+                    let resident: u64 = h
+                        .registry()
+                        .live()
+                        .into_iter()
+                        .filter(|o| o.tier == t && !(o.id == region && t == TierId::DDR))
+                        .map(|o| FreeListAllocator::reserved(o.size()).bytes())
+                        .sum();
+                    assert_eq!(h.tier_occupancy(t).bytes(), resident, "{at}: {t:?}");
+                }
             }
             for (_, addr) in live {
                 h.free(addr).unwrap();
             }
+            h.migrate_object(region, TierId::DDR).unwrap();
             for tier in [TierId::DDR, TierId::MCDRAM] {
                 assert_eq!(h.tier_occupancy(tier), ByteSize::ZERO, "round {round}");
             }

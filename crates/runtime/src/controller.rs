@@ -243,7 +243,7 @@ impl PlacementController {
             .map(|o| Candidate {
                 name: &o.name,
                 size: o.size,
-                value: self.effective_heat(o).round() as u64,
+                value: self.effective_heat(o),
             })
             .collect();
         pack(&offered, &rank_by_density(&offered), Some(budget))
@@ -391,8 +391,8 @@ mod tests {
         assert!(plan.demotions.is_empty());
     }
 
-    /// Heat far beyond `u64` saturates each candidate's value; ranking
-    /// and packing sum nothing, so planning cannot overflow.
+    /// Heat far beyond `u64` is ranked as `f64`: packing sums nothing, so
+    /// planning cannot overflow, and the incumbent keeps its deadband bonus.
     #[test]
     fn huge_heat_plans_within_the_budget() {
         let mut c = controller();
@@ -407,8 +407,11 @@ mod tests {
         let budget = ByteSize::from_kib(128);
         let plan = c.end_epoch(&live, budget);
         assert!(!plan.promotions.is_empty(), "{plan:?}");
+        // Equal heat: the deadband keeps the MCDRAM incumbent in place.
+        assert!(!plan.demotions.contains(&ObjectId(3)), "{plan:?}");
         apply(&mut live, &plan);
         assert!(fast_bytes(&live) <= budget.bytes(), "{plan:?}");
+        assert_eq!(live[2].tier, TierId::MCDRAM, "{plan:?}");
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn select_static(
         .map(|((name, size), h)| Candidate {
             name,
             size: *size,
-            value: *h,
+            value: *h as f64,
         })
         .collect();
     pack(

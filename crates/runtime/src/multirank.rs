@@ -33,10 +33,10 @@ use crate::arbiter::{ArbiterPolicy, NodeArbiter};
 use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
 use crate::harness::provision_prefixed;
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
-use hmsim_apps::MultiRankWorkload;
+use hmsim_apps::{MultiRankWorkload, PhasedStream};
 use hmsim_common::{ByteSize, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
-use hmsim_machine::{EngineStats, MachineConfig, MemoryAccess};
+use hmsim_machine::{EngineStats, MachineConfig};
 use hmsim_pebs::RawSample;
 
 /// Per-rank object ids are globalized by offsetting with the rank so one
@@ -152,7 +152,7 @@ struct Shard {
     rank: u32,
     rt: OnlineRuntime,
     heap: ProcessHeap,
-    stream: Box<dyn Iterator<Item = MemoryAccess>>,
+    stream: PhasedStream,
     /// Scratch buffer holding the current epoch's samples (reused).
     samples: Vec<RawSample>,
     done: bool,
@@ -256,17 +256,12 @@ impl MultiRankRuntime {
             .iter_mut()
             .filter(|s| !s.done)
             .map(|s| {
-                let consumed = s.rt.observe_epoch(&mut *s.stream, &s.heap, &mut s.samples);
+                let consumed = s.rt.observe_epoch(&mut s.stream, &s.heap, &mut s.samples);
                 (s.rank, consumed)
             })
             .collect();
-        if observed.is_empty() {
-            return false;
-        }
+        // Also true when every shard is already done.
         if observed.iter().all(|(_, consumed)| *consumed == 0) {
-            for s in &mut self.shards {
-                s.done = true;
-            }
             return false;
         }
         self.node_epochs += 1;

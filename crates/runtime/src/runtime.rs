@@ -174,7 +174,7 @@ impl OnlineRuntime {
         sampled: &mut Vec<RawSample>,
     ) -> u64
     where
-        I: Iterator<Item = MemoryAccess> + ?Sized,
+        I: Iterator<Item = MemoryAccess>,
     {
         let epoch_len = self.controller.config().epoch_accesses;
         sampled.clear();
