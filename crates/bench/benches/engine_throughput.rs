@@ -313,7 +313,7 @@ fn main() {
         {
             let mut fast = TraceEngine::new(&config);
             let mut slow = naive::NaiveEngine::new(&config);
-            fast.run(&accesses, &page_table);
+            fast.run_stream(accesses.iter().copied(), &page_table);
             slow.run(&accesses, &naive_pt);
             assert_eq!(fast.stats().counters, slow.counters, "hot paths diverged");
             assert!(
@@ -336,7 +336,7 @@ fn main() {
         });
         let t_fast = best_of(reps, || {
             let mut e = TraceEngine::new(&config);
-            e.run(&accesses, &page_table)
+            e.run_stream(accesses.iter().copied(), &page_table)
         });
         let m = Measured {
             name,
@@ -363,6 +363,6 @@ fn main() {
         AddressRange::new(Address(0x9000_0000), ByteSize::from_kib(4)),
         TierId::MCDRAM,
     );
-    let level = e.access(&MemoryAccess::load(Address(0x9000_0000), 8), &pt);
+    let level = e.access_with(&MemoryAccess::load(Address(0x9000_0000), 8), &pt, |_| {});
     assert_eq!(level, ServiceLevel::Memory(TierId::MCDRAM));
 }

@@ -3,10 +3,12 @@
 //! Three questions, answered with numbers written to `BENCH_runtime.json`:
 //!
 //! 1. **What does the epoch loop cost?** The same access stream is driven
-//!    through the raw `TraceEngine::run_stream` fast path and through the
-//!    `OnlineRuntime` with migrations disabled (identical simulation results,
-//!    asserted bitwise before timing); the throughput ratio is the pure
-//!    observation overhead of the epoch loop + PEBS sampler.
+//!    through `TraceEngine::run_stream` (a plain loop over the engine's
+//!    per-access `access_with`) and through the `OnlineRuntime` with
+//!    migrations disabled (identical counters, traffic and time, asserted
+//!    bitwise before timing). Both run the same per-access loop, so the
+//!    median ratio of interleaved timing pairs is the observation overhead of
+//!    the epoch bookkeeping + PEBS sampler.
 //! 2. **Does migrating online beat the best static placement where it
 //!    should?** For every registered phase-shifting workload the simulated
 //!    time under the online runtime is compared against the better of
@@ -41,9 +43,10 @@ struct WorkloadRow {
     online_accesses_per_sec: f64,
 }
 
-/// The epoch loop's observation overhead on the steady triad: raw streaming
-/// engine vs disabled online runtime over the identical stream.
-fn epoch_overhead_percent(workload: &PhasedWorkload, reps: usize) -> f64 {
+/// The epoch loop's observation overhead on the steady triad, in percent:
+/// the median over `pairs` interleaved timings of the streaming engine and
+/// the disabled online runtime over the identical stream.
+fn epoch_overhead_percent(workload: &PhasedWorkload, pairs: usize) -> f64 {
     let machine = loaded_machine();
     let budget = workload.hot_set_size();
     // Equivalence gate before any timing.
@@ -59,29 +62,41 @@ fn epoch_overhead_percent(workload: &PhasedWorkload, reps: usize) -> f64 {
             rt.engine_stats().counters,
             "epoch loop diverged from the streaming engine"
         );
+        assert_eq!(
+            engine.stats().time.nanos().to_bits(),
+            rt.total_time().nanos().to_bits(),
+            "epoch loop's time diverged from the streaming engine's"
+        );
         assert!(
             engine.stats().counters.llc_misses > 0,
             "workload produced no LLC misses"
         );
     }
-    let raw_s = best_of(reps, || {
-        let p = provision(workload, &machine, budget).unwrap();
-        let mut engine = TraceEngine::new(&machine);
-        engine.run_stream(workload.stream(&p.ranges), p.heap.page_table())
-    });
-    let online_s = best_of(reps, || {
-        let mut p = provision(workload, &machine, budget).unwrap();
-        let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::disabled());
-        rt.run(workload.stream(&p.ranges), &mut p.heap)
-    });
-    let accesses = workload.total_accesses() as f64;
-    let (raw_aps, online_aps) = (accesses / raw_s, accesses / online_s);
+    // Provisioning stays outside the timed closures; raw and online
+    // alternate so drift on a shared host hits both sides alike.
+    let mut ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let p = provision(workload, &machine, budget).unwrap();
+            let raw_s = best_of(1, || {
+                let mut engine = TraceEngine::new(&machine);
+                engine.run_stream(workload.stream(&p.ranges), p.heap.page_table())
+            });
+            let mut q = provision(workload, &machine, budget).unwrap();
+            let online_s = best_of(1, || {
+                let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::disabled());
+                rt.run(workload.stream(&q.ranges), &mut q.heap)
+            });
+            online_s / raw_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
     println!(
-        "epoch overhead: raw {:.2} Macc/s, online(disabled) {:.2} Macc/s",
-        raw_aps / 1e6,
-        online_aps / 1e6
+        "epoch overhead: online/raw time ratio over {pairs} pairs: min {:.3}, median {:.3}, max {:.3}",
+        ratios[0],
+        ratios[pairs / 2],
+        ratios[pairs - 1]
     );
-    (raw_aps / online_aps - 1.0) * 100.0
+    (ratios[pairs / 2] - 1.0) * 100.0
 }
 
 fn run_workload_row(workload: &PhasedWorkload, reps: usize) -> WorkloadRow {
@@ -174,13 +189,14 @@ fn main() {
         ByteSize::from_kib(256)
     };
     let reps = if test_mode { 1 } else { 3 };
+    let pairs = if test_mode { 1 } else { 15 };
     let workloads = phased_workloads(array);
 
     let steady = workloads
         .iter()
         .find(|w| w.name == "steady-triad")
         .expect("steady-triad registered");
-    let overhead = epoch_overhead_percent(steady, reps);
+    let overhead = epoch_overhead_percent(steady, pairs);
     println!("epoch-loop observation overhead: {overhead:.2}%");
 
     let rows: Vec<WorkloadRow> = workloads

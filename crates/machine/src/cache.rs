@@ -163,22 +163,6 @@ impl SetAssocCache {
         self.access_uncached(line_addr, is_store)
     }
 
-    /// Line-buffer-only probe: returns `true` (and accounts the hit) iff the
-    /// access falls on the most recently touched line. This is exactly the
-    /// fast path of [`access`](Self::access), exposed so batch drivers can
-    /// take it without paying the full dispatch.
-    #[inline(always)]
-    pub fn buffered_hit(&mut self, addr: Address, is_store: bool) -> bool {
-        let line_addr = addr.value() >> self.line_shift;
-        if line_addr == self.last_line {
-            self.stats.hits += 1;
-            self.meta[self.last_idx as usize] |= u64::from(is_store) << 1;
-            true
-        } else {
-            false
-        }
-    }
-
     #[inline]
     fn access_uncached(&mut self, line_addr: u64, is_store: bool) -> bool {
         // Monomorphize the set scan over the common associativities so the

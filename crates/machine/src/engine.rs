@@ -10,9 +10,13 @@
 //! # Hot path
 //!
 //! `access_with` runs once per simulated memory access — billions of times in
-//! a paper-scale sweep — so everything it touches is allocation-free and
-//! array-indexed:
+//! a paper-scale sweep. It is the engine's one per-access path: it books
+//! each access's counters and charges as it goes, and `run_stream` is a
+//! plain loop over it, so every caller accumulates bit-identical statistics.
+//! Everything it touches is allocation-free and array-indexed:
 //!
+//! * consecutive touches of one cache line (the common case of a sweep)
+//!   short-circuit through each cache's one-line buffer;
 //! * page→tier translation goes through a one-entry last-translation cache (a
 //!   TLB analogue, validated against [`PageTable::translation_key`]) holding
 //!   the whole page extent around the last miss, before falling back to the
@@ -214,13 +218,6 @@ impl TraceEngine {
         &self.bandwidth
     }
 
-    /// Process one access. `page_table` supplies the flat-mode placement.
-    /// Returns the level that served the access.
-    #[inline]
-    pub fn access(&mut self, acc: &MemoryAccess, page_table: &PageTable) -> ServiceLevel {
-        self.access_with(acc, page_table, |_| {})
-    }
-
     /// Translate `addr` through the one-entry TLB, falling back to the page
     /// table's extent lookup.
     #[inline]
@@ -245,25 +242,36 @@ impl TraceEngine {
         tier
     }
 
-    /// The cache/memory walk shared by the scalar and streaming drivers.
-    /// Deliberately touches **no** unconditional counters and charges
-    /// **no** cache-hit costs — the callers account for those, per access
-    /// ([`access_with`](Self::access_with)) or in bulk
-    /// ([`run_stream`](Self::run_stream)).
-    #[inline(always)]
-    fn access_kernel<F: FnMut(Address)>(
+    /// Process one access, invoking `on_llc_miss` with the address whenever
+    /// the access misses the LLC (this is the hook the PEBS sampler uses).
+    /// `page_table` supplies the flat-mode placement. Returns the level that
+    /// served the access.
+    ///
+    /// This is the engine's only per-access path: every counter and charge
+    /// of an access is booked here, as it happens, so any loop over it (see
+    /// [`run_stream`](Self::run_stream)) accumulates identical statistics.
+    #[inline]
+    pub fn access_with<F: FnMut(Address)>(
         &mut self,
         acc: &MemoryAccess,
         page_table: &PageTable,
-        on_llc_miss: &mut F,
+        mut on_llc_miss: F,
     ) -> ServiceLevel {
         let is_store = acc.kind == AccessKind::Store;
+        let c = &mut self.stats.counters;
+        c.instructions += INSTRUCTIONS_PER_ACCESS;
+        c.l1_references += 1;
         if self.l1.access(acc.address, is_store) {
+            self.charge_cache(self.l1_charge);
             return ServiceLevel::L1;
         }
+        c.l1_misses += 1;
+        c.llc_references += 1;
         if self.l2.access(acc.address, is_store) {
+            self.charge_cache(self.l2_charge);
             return ServiceLevel::Llc;
         }
+        c.llc_misses += 1;
         on_llc_miss(acc.address);
 
         // LLC miss: serve from the memory system.
@@ -296,84 +304,19 @@ impl TraceEngine {
         }
     }
 
-    /// Process one access, invoking `on_llc_miss` with the address whenever
-    /// the access misses the LLC (this is the hook the PEBS sampler uses).
-    #[inline]
-    pub fn access_with<F: FnMut(Address)>(
-        &mut self,
-        acc: &MemoryAccess,
-        page_table: &PageTable,
-        mut on_llc_miss: F,
-    ) -> ServiceLevel {
-        self.stats.counters.instructions += INSTRUCTIONS_PER_ACCESS;
-        self.stats.counters.l1_references += 1;
-        let level = self.access_kernel(acc, page_table, &mut on_llc_miss);
-        match level {
-            ServiceLevel::L1 => self.charge_cache(self.l1_charge),
-            ServiceLevel::Llc => {
-                self.stats.counters.l1_misses += 1;
-                self.stats.counters.llc_references += 1;
-                self.charge_cache(self.l2_charge);
-            }
-            ServiceLevel::McdramCache | ServiceLevel::Memory(_) => {
-                self.stats.counters.l1_misses += 1;
-                self.stats.counters.llc_references += 1;
-                self.stats.counters.llc_misses += 1;
-            }
-        }
-        level
-    }
-
-    /// Run a whole materialized access stream, returning the number of LLC
-    /// misses it produced.
-    pub fn run(&mut self, accesses: &[MemoryAccess], page_table: &PageTable) -> u64 {
-        self.run_stream(accesses.iter().copied(), page_table)
-    }
-
-    /// Run a streaming access sequence without materializing it, returning
-    /// the number of LLC misses it produced. This is the preferred driver for
-    /// paper-scale sweeps: generators (see `hmsim_apps`) yield accesses one
-    /// at a time, so a billion-access run needs no multi-GiB vector.
-    ///
-    /// Unconditional counters and the constant cache-hit charges are
-    /// accumulated in bulk after the loop; the resulting [`PerfCounters`] are
-    /// integer-for-integer identical to the scalar [`access`](Self::access)
-    /// path (the `time` estimate can differ in the last floating-point ulps
-    /// because constant charges are multiplied rather than summed).
+    /// Run an access sequence through [`access_with`](Self::access_with),
+    /// returning the number of LLC misses it produced. Generators (see
+    /// `hmsim_apps`) yield accesses one at a time, so a billion-access run
+    /// needs no multi-GiB vector.
     pub fn run_stream<I>(&mut self, accesses: I, page_table: &PageTable) -> u64
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
-        let mut n = 0u64;
-        let mut l1_hits = 0u64;
-        let mut llc_hits = 0u64;
+        let before = self.stats.counters.llc_misses;
         for a in accesses {
-            n += 1;
-            // Inline L1 line-buffer check: the dominant case of a sweep
-            // (several element touches per cache line) takes two compares
-            // and two adds, no dispatch.
-            if self.l1.buffered_hit(a.address, a.kind == AccessKind::Store) {
-                l1_hits += 1;
-                continue;
-            }
-            match self.access_kernel(&a, page_table, &mut |_| {}) {
-                ServiceLevel::L1 => l1_hits += 1,
-                ServiceLevel::Llc => llc_hits += 1,
-                ServiceLevel::McdramCache | ServiceLevel::Memory(_) => {}
-            }
+            self.access_with(&a, page_table, |_| {});
         }
-        let l1_misses = n - l1_hits;
-        let llc_misses = l1_misses - llc_hits;
-        let c = &mut self.stats.counters;
-        c.instructions += n * INSTRUCTIONS_PER_ACCESS;
-        c.l1_references += n;
-        c.l1_misses += l1_misses;
-        c.llc_references += l1_misses;
-        c.llc_misses += llc_misses;
-        c.cycles += l1_hits * self.l1_charge.cycles + llc_hits * self.l2_charge.cycles;
-        self.stats.time.0 +=
-            l1_hits as f64 * self.l1_charge.time_ns + llc_hits as f64 * self.l2_charge.time_ns;
-        llc_misses
+        self.stats.counters.llc_misses - before
     }
 
     #[inline]
@@ -428,9 +371,9 @@ mod tests {
         let (mut e, pt) = flat_engine();
         let range = AddressRange::new(Address(0x1000), ByteSize::from_kib(2));
         let sweep = sequential_sweep(range, 8, AccessKind::Load);
-        e.run(&sweep, &pt);
+        e.run_stream(sweep.iter().copied(), &pt);
         let first_pass_misses = e.stats().counters.llc_misses;
-        e.run(&sweep, &pt);
+        e.run_stream(sweep.iter().copied(), &pt);
         // Second pass: everything fits in the 4 KiB L1 -> no new LLC misses.
         assert_eq!(e.stats().counters.llc_misses, first_pass_misses);
     }
@@ -442,7 +385,7 @@ mod tests {
         let range = AddressRange::new(Address(0x10_0000), ByteSize::from_mib(1));
         pt.map_range(range, TierId::MCDRAM);
         let sweep = sequential_sweep(range, 8, AccessKind::Load);
-        let misses = e.run(&sweep, &pt);
+        let misses = e.run_stream(sweep.iter().copied(), &pt);
         assert!(misses > 0);
         let traffic = e.stats().tier_traffic.bytes(TierId::MCDRAM);
         assert_eq!(traffic, misses * 64);
@@ -470,18 +413,18 @@ mod tests {
         let range = AddressRange::new(Address(0x40_0000), ByteSize::from_kib(512));
         let sweep = sequential_sweep(range, 8, AccessKind::Load);
         // First pass: cold misses go to DDR (and install in the MCDRAM cache).
-        e.run(&sweep, &pt);
+        e.run_stream(sweep.iter().copied(), &pt);
         let ddr_first = e.stats().tier_traffic.bytes(TierId::DDR);
         assert!(ddr_first > 0);
         // Second pass: the 512 KiB working set fits in the scaled MCDRAM
         // cache, so DDR traffic must not grow much.
-        e.run(&sweep, &pt);
+        e.run_stream(sweep.iter().copied(), &pt);
         let ddr_second = e.stats().tier_traffic.bytes(TierId::DDR);
         assert!(
             ddr_second < ddr_first * 2,
             "DDR traffic kept growing: {ddr_first} -> {ddr_second}"
         );
-        let service = e.access(&MemoryAccess::load(Address(0x40_0000), 8), &pt);
+        let service = e.access_with(&MemoryAccess::load(Address(0x40_0000), 8), &pt, |_| {});
         // The line was just re-installed; L1 or LLC or MCDRAM cache must own it.
         assert!(matches!(
             service,
@@ -494,7 +437,7 @@ mod tests {
         let (mut e, pt) = flat_engine();
         let range = AddressRange::new(Address(0x80_0000), ByteSize::from_kib(128));
         let sweep = sequential_sweep(range, 8, AccessKind::Store);
-        e.run(&sweep, &pt);
+        e.run_stream(sweep.iter().copied(), &pt);
         let s = e.stats();
         assert!(s.time.nanos() > 0.0);
         assert!(s.counters.instructions >= sweep.len() as u64);
@@ -517,8 +460,8 @@ mod tests {
                 8,
                 AccessKind::Load,
             );
-            e.run(&evict, pt);
-            e.access(&MemoryAccess::load(probe, 8), pt)
+            e.run_stream(evict.iter().copied(), pt);
+            e.access_with(&MemoryAccess::load(probe, 8), pt, |_| {})
         };
         assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::MCDRAM));
         // Mutate the placement: the cached translation must be dropped.
@@ -545,31 +488,9 @@ mod tests {
             (Page(0x2003).base(), TierId::MCDRAM),
             (Page(0x1fff).base(), TierId::DDR),
         ] {
-            let level = e.access(&MemoryAccess::load(addr, 8), &pt);
+            let level = e.access_with(&MemoryAccess::load(addr, 8), &pt, |_| {});
             assert_eq!(level, ServiceLevel::Memory(tier), "access at {addr:?}");
         }
-    }
-
-    #[test]
-    fn run_stream_matches_run_on_same_accesses() {
-        let cfg = MachineConfig::tiny_test();
-        let mut scalar = TraceEngine::new(&cfg);
-        let mut streaming = TraceEngine::new(&cfg);
-        let mut pt = PageTable::new(TierId::DDR);
-        pt.map_range(
-            AddressRange::new(Address(0x10_0000), ByteSize::from_kib(256)),
-            TierId::MCDRAM,
-        );
-        let sweep = sequential_sweep(
-            AddressRange::new(Address(0x10_0000), ByteSize::from_kib(512)),
-            8,
-            AccessKind::Load,
-        );
-        let a = scalar.run(&sweep, &pt);
-        let b = streaming.run_stream(sweep.iter().copied(), &pt);
-        assert_eq!(a, b);
-        assert_eq!(scalar.stats().counters, streaming.stats().counters);
-        assert_eq!(scalar.stats().tier_traffic, streaming.stats().tier_traffic);
     }
 
     #[test]
@@ -580,7 +501,7 @@ mod tests {
         pt.map_range(AddressRange::new(page.base(), ByteSize::ZERO), TierId(3));
         let acc = MemoryAccess::load(page.base(), 8);
         // Force an LLC miss by touching it cold.
-        let level = e.access(&acc, &pt);
+        let level = e.access_with(&acc, &pt, |_| {});
         assert_eq!(level, ServiceLevel::Memory(TierId::DDR));
         assert!(e.stats().tier_traffic.bytes(TierId::DDR) > 0);
     }

@@ -165,8 +165,8 @@ impl OnlineRuntime {
     /// engine, with the PEBS sampler observing the LLC-miss stream into
     /// `sampled` (cleared first, so callers can reuse one buffer across
     /// epochs). Returns how many accesses were consumed. Pure observation:
-    /// placement is untouched, so the multi-rank runner can fan this out
-    /// over shards before arbitrating serially.
+    /// placement is untouched, so the multi-rank runner observes each
+    /// shard's epoch in turn, serially, and only then arbitrates.
     pub fn observe_epoch<I>(
         &mut self,
         it: &mut I,

@@ -1,15 +1,15 @@
-//! Equivalence regression tests for the trace-engine hot-path overhaul.
+//! Equivalence regression tests for the trace-engine hot path.
 //!
 //! The engine's translation path (sorted page extents + a one-entry TLB that
-//! caches a whole extent), counter storage (fixed per-tier arrays) and
-//! streaming driver (bulk counter accumulation) are all performance rewrites
-//! of straightforward code. These tests pin the invariant that made those
-//! rewrites safe: the *simulation results are identical* — same
-//! [`PerfCounters`], same per-tier traffic, same [`ServiceLevel`] sequence —
-//! across the scalar path, the streaming path, and a naive per-page
-//! `HashMap` page-table mirror, for deterministic `DetRng`-seeded access
-//! streams and random map/unmap/remap sequences, including the PEBS
-//! bulk-observation residual carry-over.
+//! caches a whole extent) and counter storage (fixed per-tier arrays) are
+//! performance rewrites of straightforward code, and `run_stream` is a loop
+//! over the per-access `access_with`. These tests pin the invariant that
+//! makes that safe: the *simulation results are identical* — same
+//! [`PerfCounters`], same per-tier traffic, same time bits, same
+//! [`ServiceLevel`] sequence — between per-access calls, `run_stream` and a
+//! naive per-page `HashMap` page-table mirror, for deterministic
+//! `DetRng`-seeded access streams and random map/unmap/remap sequences,
+//! including the PEBS bulk-observation residual carry-over.
 
 use hmem_repro::machine::{
     AccessPattern, AccessStream, MachineConfig, MemoryAccess, MemoryMode, PageTable, PerfCounters,
@@ -90,7 +90,10 @@ fn scalar_run(
     pt: &PageTable,
 ) -> (Vec<ServiceLevel>, PerfCounters, Vec<(TierId, u64)>, Nanos) {
     let mut engine = TraceEngine::new(config);
-    let levels: Vec<ServiceLevel> = accesses.iter().map(|a| engine.access(a, pt)).collect();
+    let levels: Vec<ServiceLevel> = accesses
+        .iter()
+        .map(|a| engine.access_with(a, pt, |_| {}))
+        .collect();
     let stats = engine.stats();
     (
         levels,
@@ -211,41 +214,49 @@ fn extent_table_agrees_with_per_page_mirror_under_random_operations() {
 
 #[test]
 fn scalar_and_streaming_paths_produce_identical_results() {
-    let config = MachineConfig::tiny_test();
     let (pt, _) = placements();
     let accesses = mixed_stream(0xE0_02, 60_000);
+    // The knl machine's charges are not dyadic, so summing them in another
+    // order than access by access would show in the time bits.
+    for (name, config) in [
+        ("tiny_test", MachineConfig::tiny_test()),
+        ("knl_7250", MachineConfig::knl_7250()),
+    ] {
+        let (levels, counters, traffic, time) = scalar_run(&config, &accesses, &pt);
 
-    let (levels, counters, traffic, time) = scalar_run(&config, &accesses, &pt);
+        let mut streaming = TraceEngine::new(&config);
+        let misses = streaming.run_stream(accesses.iter().copied(), &pt);
 
-    // Streaming path over the same accesses.
-    let mut streaming = TraceEngine::new(&config);
-    let misses = streaming.run_stream(accesses.iter().copied(), &pt);
+        assert_eq!(
+            streaming.stats().counters,
+            counters,
+            "{name}: PerfCounters diverged"
+        );
+        assert_eq!(
+            streaming.stats().tier_traffic.iter().collect::<Vec<_>>(),
+            traffic,
+            "{name}: tier traffic diverged"
+        );
+        assert_eq!(misses, counters.llc_misses, "{name}");
+        assert_eq!(
+            streaming.stats().time.nanos().to_bits(),
+            time.nanos().to_bits(),
+            "{name}: time diverged: {} against {}",
+            streaming.stats().time.nanos(),
+            time.nanos()
+        );
 
-    assert_eq!(
-        streaming.stats().counters,
-        counters,
-        "PerfCounters diverged"
-    );
-    assert_eq!(
-        streaming.stats().tier_traffic.iter().collect::<Vec<_>>(),
-        traffic,
-        "tier traffic diverged"
-    );
-    assert_eq!(misses, counters.llc_misses);
-    // The streaming path multiplies constant charges instead of summing them;
-    // the time estimate may differ only in floating-point rounding.
-    let dt = (streaming.stats().time.nanos() - time.nanos()).abs();
-    assert!(dt <= time.nanos().abs() * 1e-9, "time diverged by {dt} ns");
-
-    // And the slice driver (`run`) matches too.
-    let mut sliced = TraceEngine::new(&config);
-    sliced.run(&accesses, &pt);
-    assert_eq!(sliced.stats().counters, counters);
-
-    // Service levels must contain real memory hits on both tiers for this to
-    // be a meaningful equivalence.
-    assert!(levels.contains(&ServiceLevel::Memory(TierId::MCDRAM)));
-    assert!(levels.contains(&ServiceLevel::Memory(TierId::DDR)));
+        // Service levels must contain real memory hits on both tiers for
+        // this to be a meaningful equivalence.
+        assert!(
+            levels.contains(&ServiceLevel::Memory(TierId::MCDRAM)),
+            "{name}"
+        );
+        assert!(
+            levels.contains(&ServiceLevel::Memory(TierId::DDR)),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -293,7 +304,7 @@ fn mutating_the_page_table_mid_run_keeps_paths_equivalent() {
     let mut streaming = TraceEngine::new(&config);
     for chunk in accesses.chunks(5_000) {
         for a in chunk {
-            scalar.access(a, &pt);
+            scalar.access_with(a, &pt, |_| {});
         }
         streaming.run_stream(chunk.iter().copied(), &pt);
         // Flip one stripe's placement between chunks.

@@ -1,8 +1,9 @@
 //! Acceptance gates of the online placement runtime.
 //!
 //! 1. **Equivalence** — with the per-epoch move budget at zero, the online
-//!    runtime's hardware counters bitwise-match a static
-//!    `TraceEngine::run_stream` pass on *every* registered phased workload:
+//!    runtime's hardware counters, tier traffic and total time bitwise-match
+//!    a static `TraceEngine::run_stream` pass on *every* registered phased
+//!    workload:
 //!    the epoch loop, the PEBS observer and the controller must be pure
 //!    observers until they decide to move something.
 //! 2. **Wins where it should** — with migrations enabled the runtime beats
@@ -47,6 +48,14 @@ fn disabled_runtime_counters_bitwise_match_static_engine_on_every_workload() {
             engine.stats().tier_traffic,
             "{}: tier traffic diverged",
             workload.name
+        );
+        assert_eq!(
+            rt.total_time().nanos().to_bits(),
+            engine.stats().time.nanos().to_bits(),
+            "{}: time diverged: {} against {}",
+            workload.name,
+            rt.total_time().nanos(),
+            engine.stats().time.nanos()
         );
         assert_eq!(rt.stats().migrations, 0, "{}", workload.name);
         // Placement untouched: every object still lives where it started.
