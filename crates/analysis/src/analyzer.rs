@@ -6,6 +6,11 @@
 //! [`TraceFile`] or a [`TraceReader`](hmsim_trace::TraceReader) streaming
 //! an on-disk binary trace, with identical results. [`analyze_trace`] and
 //! [`analyze_stream`] are thin wrappers.
+//!
+//! Groups live in a vector in order of first allocation. The group key (a
+//! call-stack string or a name) is hashed only when an `Alloc` event
+//! arrives; live objects and address ranges carry the group's index, so a
+//! sample costs one object-id lookup and one indexed add.
 
 use crate::object_stats::{ObjectReport, ObjectStats, ReportedKind};
 use hmsim_callstack::SiteKey;
@@ -14,16 +19,15 @@ use hmsim_trace::{ObjectClass, TraceEvent, TraceFile};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
-#[derive(Clone)]
 struct LiveObject {
-    key: GroupKey,
+    group: usize,
     range: AddressRange,
 }
 
 /// Objects are grouped by allocation site (dynamic) or by name (static and
 /// stack), matching Paramedir's behaviour of collapsing repeated allocations
 /// from the same call-stack into one reported object.
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 enum GroupKey {
     Site(SiteKey),
     Name(String),
@@ -49,11 +53,14 @@ struct Group {
 /// since PEBS only reports an address).
 pub struct ObjectStatsBuilder {
     application: String,
-    groups: HashMap<GroupKey, Group>,
+    /// Groups in order of first allocation.
+    groups: Vec<Group>,
+    /// Index into `groups` of each key, consulted only on allocation.
+    group_of: HashMap<GroupKey, usize>,
     by_id: HashMap<ObjectId, LiveObject>,
     // Live address index (linear scan on fallback attribution is fine at the
     // trace sizes the paper reports: tens of thousands of samples).
-    live: Vec<(AddressRange, GroupKey)>,
+    live: Vec<(AddressRange, usize)>,
     total_misses: u64,
     unattributed: u64,
     events_seen: u64,
@@ -64,7 +71,8 @@ impl ObjectStatsBuilder {
     pub fn new(application: impl Into<String>) -> Self {
         ObjectStatsBuilder {
             application: application.into(),
-            groups: HashMap::new(),
+            groups: Vec::new(),
+            group_of: HashMap::new(),
             by_id: HashMap::new(),
             live: Vec::new(),
             total_misses: 0,
@@ -92,28 +100,33 @@ impl ObjectStatsBuilder {
                         (GroupKey::Name(a.name.clone()), ReportedKind::Stack)
                     }
                 };
-                let range = AddressRange::new(a.address, a.size);
-                let group = self.groups.entry(key.clone()).or_insert_with(|| Group {
-                    name: a.name.clone(),
-                    site: a.site.clone(),
-                    kind,
-                    max_size: ByteSize::ZERO,
-                    min_size: ByteSize::from_bytes(u64::MAX),
-                    llc_misses: 0,
-                    samples: 0,
-                    allocation_count: 0,
+                let groups = &mut self.groups;
+                let index = *self.group_of.entry(key).or_insert_with(|| {
+                    groups.push(Group {
+                        name: a.name.clone(),
+                        site: a.site.clone(),
+                        kind,
+                        max_size: ByteSize::ZERO,
+                        min_size: ByteSize::from_bytes(u64::MAX),
+                        llc_misses: 0,
+                        samples: 0,
+                        allocation_count: 0,
+                    });
+                    groups.len() - 1
                 });
+                let group = &mut self.groups[index];
                 group.allocation_count += 1;
                 group.max_size = group.max_size.max(a.size);
                 group.min_size = group.min_size.min(a.size);
+                let range = AddressRange::new(a.address, a.size);
                 self.by_id.insert(
                     a.object,
                     LiveObject {
-                        key: key.clone(),
+                        group: index,
                         range,
                     },
                 );
-                self.live.push((range, key));
+                self.live.push((range, index));
             }
             TraceEvent::Free { object, .. } => {
                 if let Some(obj) = self.by_id.remove(object) {
@@ -122,18 +135,15 @@ impl ObjectStatsBuilder {
             }
             TraceEvent::Sample(s) => {
                 self.total_misses += s.weight;
-                let key = match s.object.and_then(|id| self.by_id.get(&id)) {
-                    Some(obj) => Some(obj.key.clone()),
+                let index = match s.object.and_then(|id| self.by_id.get(&id)) {
+                    Some(obj) => Some(obj.group),
                     None => lookup_by_address(&self.live, s.address),
                 };
-                match key {
-                    Some(key) => {
-                        if let Some(group) = self.groups.get_mut(&key) {
-                            group.llc_misses += s.weight;
-                            group.samples += 1;
-                        } else {
-                            self.unattributed += s.weight;
-                        }
+                match index {
+                    Some(index) => {
+                        let group = &mut self.groups[index];
+                        group.llc_misses += s.weight;
+                        group.samples += 1;
                     }
                     None => self.unattributed += s.weight,
                 }
@@ -147,13 +157,14 @@ impl ObjectStatsBuilder {
         self.events_seen
     }
 
-    /// Finalise the per-object report (sorted by descending miss count).
+    /// Finalise the per-object report, sorted by descending miss count;
+    /// objects tied on misses and name keep their order of first allocation.
     pub fn finish(self) -> ObjectReport {
         let mut report = ObjectReport {
             application: self.application,
             objects: self
                 .groups
-                .into_values()
+                .into_iter()
                 .map(|g| ObjectStats {
                     name: g.name,
                     site: g.site,
@@ -211,10 +222,10 @@ pub fn analyze_try_stream(
     Ok(builder.finish())
 }
 
-fn lookup_by_address(live: &[(AddressRange, GroupKey)], addr: Address) -> Option<GroupKey> {
+fn lookup_by_address(live: &[(AddressRange, usize)], addr: Address) -> Option<usize> {
     live.iter()
         .find(|(range, _)| range.contains(addr))
-        .map(|(_, key)| key.clone())
+        .map(|&(_, index)| index)
 }
 
 #[cfg(test)]
@@ -392,5 +403,36 @@ mod tests {
         let report = analyze_trace(&TraceFile::new(TraceMetadata::default()));
         assert!(report.objects.is_empty());
         assert_eq!(report.total_misses, 0);
+    }
+
+    #[test]
+    fn ties_on_misses_and_name_keep_allocation_order() {
+        // Two call sites allocate objects of one name and draw equal misses,
+        // so only the order of first allocation can separate them.
+        let sites = ["app!solve+0x20", "app!setup+0x10", "app!halo+0x30"];
+        let mut t = TraceFile::new(TraceMetadata::default());
+        for (i, site) in sites.iter().enumerate() {
+            let start = 0x100_0000 * (i as u64 + 1);
+            alloc(
+                &mut t,
+                i as u32,
+                "buffer",
+                ObjectClass::Dynamic,
+                Some(site),
+                start,
+                ByteSize::from_mib(1),
+                0.0,
+            );
+            sample(&mut t, start + 64, Some(i as u32), 1000, 1.0);
+        }
+        for _ in 0..50 {
+            let report = analyze_trace(&t);
+            let order: Vec<_> = report
+                .objects
+                .iter()
+                .map(|o| o.site.as_ref().unwrap().as_str())
+                .collect();
+            assert_eq!(order, sites);
+        }
     }
 }

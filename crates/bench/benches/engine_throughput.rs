@@ -12,7 +12,7 @@
 //! The target writes `BENCH_engine.json` at the repository root with
 //! accesses/sec for both paths so the perf trajectory is tracked.
 
-use hmsim_bench::{best_of, write_artifact};
+use hmsim_bench::{median_of_pairs, write_artifact};
 use hmsim_common::{Address, AddressRange, ByteSize, DetRng, TierId};
 use hmsim_machine::{
     AccessPattern, AccessStream, MachineConfig, MemoryAccess, PageTable, ServiceLevel, TraceEngine,
@@ -265,12 +265,8 @@ struct Measured {
     name: &'static str,
     naive_aps: f64,
     optimized_aps: f64,
-}
-
-impl Measured {
-    fn speedup(&self) -> f64 {
-        self.optimized_aps / self.naive_aps
-    }
+    /// Median over the timing pairs of naive time / optimized time.
+    speedup: f64,
 }
 
 fn write_baseline(accesses: usize, results: &[Measured]) {
@@ -281,13 +277,13 @@ fn write_baseline(accesses: usize, results: &[Measured]) {
         }
         workloads.push_str(&format!(
             "    \"{}\": {{\n      \"naive_accesses_per_sec\": {:.0},\n      \"optimized_accesses_per_sec\": {:.0},\n      \"speedup\": {:.2}\n    }}",
-            m.name, m.naive_aps, m.optimized_aps, m.speedup()
+            m.name, m.naive_aps, m.optimized_aps, m.speedup
         ));
     }
     // Both engines are driven on the calling thread only.
     let json = format!(
         "{{\n  \"bench\": \"engine_throughput\",\n  \"machine\": \"tiny_test, 8 MiB working set, 50% MCDRAM\",\n  \"threads\": 1,\n  \"accesses\": {accesses},\n  \"headline_speedup\": {:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n",
-        results[0].speedup()
+        results[0].speedup
     );
     write_artifact("BENCH_engine.json", &json);
 }
@@ -297,7 +293,7 @@ fn main() {
     let n: usize = if test_mode { 100_000 } else { 4_000_000 };
     let (ws, page_table, naive_pt) = page_tables();
     let config = MachineConfig::tiny_test();
-    let reps = if test_mode { 1 } else { 3 };
+    let pairs = if test_mode { 1 } else { 5 };
 
     let mut results = Vec::new();
     // `stream` (the Figure-1 STREAM Triad pattern, the ISSUE's motivating
@@ -329,25 +325,30 @@ fn main() {
             }
         }
 
-        // Direct measurement for the JSON baseline (best of `reps` runs).
-        let t_naive = best_of(reps, || {
-            let mut e = naive::NaiveEngine::new(&config);
-            e.run(&accesses, &naive_pt)
-        });
-        let t_fast = best_of(reps, || {
-            let mut e = TraceEngine::new(&config);
-            e.run_stream(accesses.iter().copied(), &page_table)
-        });
+        // Direct measurement for the JSON baseline: medians of interleaved
+        // naive/optimized pairs.
+        let timed = median_of_pairs(
+            pairs,
+            || {
+                let mut e = naive::NaiveEngine::new(&config);
+                e.run(&accesses, &naive_pt)
+            },
+            || {
+                let mut e = TraceEngine::new(&config);
+                e.run_stream(accesses.iter().copied(), &page_table)
+            },
+        );
         let m = Measured {
             name,
-            naive_aps: n as f64 / t_naive,
-            optimized_aps: n as f64 / t_fast,
+            naive_aps: n as f64 / timed.first_s,
+            optimized_aps: n as f64 / timed.second_s,
+            speedup: timed.ratio,
         };
         println!(
             "engine throughput [{name}]: naive {:.2} Macc/s, optimized {:.2} Macc/s, speedup {:.2}x",
             m.naive_aps / 1e6,
             m.optimized_aps / 1e6,
-            m.speedup()
+            m.speedup
         );
         results.push(m);
     }

@@ -16,14 +16,15 @@
 //! 3. **Does it stay out of the way where it can't help?** Stationary
 //!    workloads must land within 2 % of the best static placement.
 //!
-//! Per workload it also records two software timings on one thread: the
-//! access generator iterated alone (`stream_ns_per_access`) and the online
-//! runtime's end-to-end rate (`online_accesses_per_sec`). They are wall-clock
-//! measurements, kept apart from the simulated times above.
+//! Per workload it also records two software timings on one thread, the
+//! medians of interleaved pairs: the access generator iterated alone
+//! (`stream_ns_per_access`) and the online runtime's end-to-end rate
+//! (`online_accesses_per_sec`). They are wall-clock measurements, kept apart
+//! from the simulated times above.
 
 use auto_hbwmalloc::ApproachKind;
 use hmsim_apps::{phased_workloads, PhasedWorkload};
-use hmsim_bench::{best_of, write_artifact};
+use hmsim_bench::{median_of_pairs, write_artifact};
 use hmsim_common::ByteSize;
 use hmsim_machine::TraceEngine;
 use hmsim_runtime::harness::{best_static, loaded_machine, provision, run_online};
@@ -72,34 +73,29 @@ fn epoch_overhead_percent(workload: &PhasedWorkload, pairs: usize) -> f64 {
             "workload produced no LLC misses"
         );
     }
-    // Provisioning stays outside the timed closures; raw and online
-    // alternate so drift on a shared host hits both sides alike.
-    let mut ratios: Vec<f64> = (0..pairs)
-        .map(|_| {
-            let p = provision(workload, &machine, budget).unwrap();
-            let raw_s = best_of(1, || {
-                let mut engine = TraceEngine::new(&machine);
-                engine.run_stream(workload.stream(&p.ranges), p.heap.page_table())
-            });
-            let mut q = provision(workload, &machine, budget).unwrap();
-            let online_s = best_of(1, || {
-                let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::disabled());
-                rt.run(workload.stream(&q.ranges), &mut q.heap)
-            });
-            online_s / raw_s
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    println!(
-        "epoch overhead: online/raw time ratio over {pairs} pairs: min {:.3}, median {:.3}, max {:.3}",
-        ratios[0],
-        ratios[pairs / 2],
-        ratios[pairs - 1]
+    // Provisioning stays outside the timed closures. A disabled runtime
+    // never moves an object, so both sides reuse one provisioned heap.
+    let p = provision(workload, &machine, budget).unwrap();
+    let mut q = provision(workload, &machine, budget).unwrap();
+    let timed = median_of_pairs(
+        pairs,
+        || {
+            let mut rt = OnlineRuntime::new(&machine, budget, OnlineConfig::disabled());
+            rt.run(workload.stream(&q.ranges), &mut q.heap)
+        },
+        || {
+            let mut engine = TraceEngine::new(&machine);
+            engine.run_stream(workload.stream(&p.ranges), p.heap.page_table())
+        },
     );
-    (ratios[pairs / 2] - 1.0) * 100.0
+    println!(
+        "epoch overhead: median online/raw time ratio over {pairs} pairs: {:.3}",
+        timed.ratio
+    );
+    (timed.ratio - 1.0) * 100.0
 }
 
-fn run_workload_row(workload: &PhasedWorkload, reps: usize) -> WorkloadRow {
+fn run_workload_row(workload: &PhasedWorkload, pairs: usize) -> WorkloadRow {
     let machine = loaded_machine();
     let budget = workload.hot_set_size();
     let cfg = OnlineConfig::default();
@@ -107,14 +103,15 @@ fn run_workload_row(workload: &PhasedWorkload, reps: usize) -> WorkloadRow {
     let online = run_online(workload, &machine, budget, cfg.clone()).unwrap();
     let accesses = workload.total_accesses() as f64;
     let ranges = provision(workload, &machine, budget).unwrap().ranges;
-    let stream_s = best_of(reps, || {
-        workload
-            .stream(&ranges)
-            .fold(0u64, |sum, a| sum.wrapping_add(a.address.value()))
-    });
-    let online_s = best_of(reps, || {
-        run_online(workload, &machine, budget, cfg.clone()).unwrap()
-    });
+    let timed = median_of_pairs(
+        pairs,
+        || {
+            workload
+                .stream(&ranges)
+                .fold(0u64, |sum, a| sum.wrapping_add(a.address.value()))
+        },
+        || run_online(workload, &machine, budget, cfg.clone()).unwrap(),
+    );
     let row = WorkloadRow {
         name: workload.name,
         stationary: workload.stationary,
@@ -125,8 +122,8 @@ fn run_workload_row(workload: &PhasedWorkload, reps: usize) -> WorkloadRow {
         migrations: online.stats.migrations,
         bytes_moved_kib: online.stats.bytes_migrated.bytes() / 1024,
         epochs: online.stats.epochs,
-        stream_ns_per_access: stream_s * 1e9 / accesses,
-        online_accesses_per_sec: accesses / online_s,
+        stream_ns_per_access: timed.first_s * 1e9 / accesses,
+        online_accesses_per_sec: accesses / timed.second_s,
     };
     println!(
         "{:>16}: online {:.3} ms vs static[{}] {:.3} ms -> {:.2}x ({} moves, {} KiB, {} epochs); \
@@ -188,7 +185,6 @@ fn main() {
     } else {
         ByteSize::from_kib(256)
     };
-    let reps = if test_mode { 1 } else { 3 };
     let pairs = if test_mode { 1 } else { 15 };
     let workloads = phased_workloads(array);
 
@@ -201,7 +197,7 @@ fn main() {
 
     let rows: Vec<WorkloadRow> = workloads
         .iter()
-        .map(|w| run_workload_row(w, reps))
+        .map(|w| run_workload_row(w, pairs))
         .collect();
     if !test_mode {
         // The acceptance criteria of the online runtime, enforced at bench

@@ -1,16 +1,20 @@
-//! Trace I/O throughput: binary serialise/parse, and streamed folding.
+//! Trace I/O throughput: binary serialise/parse, streamed folding and
+//! streamed object analysis.
 //!
 //! This bench serialises a profiler-shaped trace through the chunked binary
-//! format, times both directions, and times the single-pass folding of the
-//! event stream. Before any timing, the binary round-trip is asserted to
-//! reproduce the original trace exactly, and the fold is asserted to visit
-//! each event exactly once.
+//! format, times both directions, and times the single-pass folding and
+//! per-object analysis of the event stream. Before any timing, the binary
+//! round-trip is asserted to reproduce the original trace exactly, the fold
+//! is asserted to visit each event exactly once, and the streamed analysis
+//! is asserted to equal the in-memory one.
 //!
 //! The target writes `BENCH_trace.json` at the repository root (binary
-//! throughputs, folding events/sec) so the trace-path perf trajectory is
-//! tracked alongside `BENCH_engine.json`.
+//! throughputs, folding and analysis events/sec, all on one thread) so the
+//! trace-path perf trajectory is tracked alongside `BENCH_engine.json`.
 
-use hmsim_analysis::{FoldAccumulator, FoldedTimeline};
+use hmsim_analysis::{
+    analyze_stream, analyze_trace, analyze_try_stream, FoldAccumulator, FoldedTimeline,
+};
 use hmsim_bench::{best_of, write_artifact};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
@@ -107,16 +111,18 @@ struct Throughputs {
     binary_write_eps: f64,
     binary_read_eps: f64,
     fold_eps: f64,
+    analyze_eps: f64,
 }
 
 fn write_baseline(t: &Throughputs) {
     let json = format!(
-        "{{\n  \"bench\": \"trace_io\",\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }}\n}}\n",
+        "{{\n  \"bench\": \"trace_io\",\n  \"threads\": 1,\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }},\n  \"analysis\": {{\n    \"events_per_sec\": {:.0}\n  }}\n}}\n",
         t.events,
         t.binary_bytes,
         t.binary_write_eps,
         t.binary_read_eps,
         t.fold_eps,
+        t.analyze_eps,
     );
     write_artifact("BENCH_trace.json", &json);
 }
@@ -141,6 +147,20 @@ fn main() {
         }
         assert_eq!(fold.events_visited(), n as u64, "fold is not single-pass");
         assert!(fold.finish().instances > 0);
+        let report = analyze_trace(&trace);
+        assert!(!report.objects.is_empty());
+        let app = &trace.metadata.application;
+        assert_eq!(
+            analyze_stream(app, trace.events()),
+            report,
+            "streamed analysis diverged"
+        );
+        let reader = TraceReader::new(binary.as_slice()).unwrap();
+        assert_eq!(
+            analyze_try_stream(app, reader).unwrap(),
+            report,
+            "analysis of the binary trace diverged"
+        );
     }
 
     let binary_write = best_of(reps, || write_binary(&trace));
@@ -153,6 +173,9 @@ fn main() {
         count
     });
     let fold_time = best_of(reps, || FoldedTimeline::fold(&trace, "iteration", 64));
+    let analyze_time = best_of(reps, || {
+        analyze_stream(trace.metadata.application.as_str(), trace.events())
+    });
 
     let results = Throughputs {
         events: n,
@@ -160,15 +183,17 @@ fn main() {
         binary_write_eps: n as f64 / binary_write,
         binary_read_eps: n as f64 / binary_read,
         fold_eps: n as f64 / fold_time,
+        analyze_eps: n as f64 / analyze_time,
     };
     println!(
         "trace_io: {} events | binary {:.1} MiB | write {:.2} Mev/s, parse {:.2} Mev/s | \
-         fold {:.2} Mev/s",
+         fold {:.2} Mev/s | analyze {:.2} Mev/s",
         n,
         results.binary_bytes as f64 / (1 << 20) as f64,
         results.binary_write_eps / 1e6,
         results.binary_read_eps / 1e6,
         results.fold_eps / 1e6,
+        results.analyze_eps / 1e6,
     );
     if !test_mode {
         write_baseline(&results);

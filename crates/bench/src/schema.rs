@@ -23,7 +23,12 @@ pub const EXPECTED: &[(&str, &str, &[&str], &[&str])] = &[
         &["threads", "headline_speedup", "workloads"],
         &[],
     ),
-    ("BENCH_trace.json", "trace_io", &["binary", "folding"], &[]),
+    (
+        "BENCH_trace.json",
+        "trace_io",
+        &["threads", "binary", "folding", "analysis"],
+        &[],
+    ),
     (
         "BENCH_runtime.json",
         "runtime_migration",
@@ -123,14 +128,18 @@ mod tests {
 
     #[test]
     fn validation_requires_the_headline_keys() {
-        let good =
-            parse_json("{\"bench\": \"trace_io\", \"binary\": {}, \"folding\": {}}").unwrap();
+        let good = parse_json(
+            "{\"bench\": \"trace_io\", \"threads\": 1, \"binary\": {}, \"folding\": {}, \
+             \"analysis\": {}}",
+        )
+        .unwrap();
         validate_document("BENCH_trace.json", &good).unwrap();
 
         let wrong_bench = parse_json("{\"bench\": \"oops\", \"binary\": {}}").unwrap();
         assert!(validate_document("BENCH_trace.json", &wrong_bench).is_err());
 
-        let missing = parse_json("{\"bench\": \"trace_io\", \"folding\": {}}").unwrap();
+        let missing =
+            parse_json("{\"bench\": \"trace_io\", \"threads\": 1, \"folding\": {}}").unwrap();
         let err = validate_document("BENCH_trace.json", &missing).unwrap_err();
         assert!(err.contains("binary"), "{err}");
 

@@ -1,10 +1,16 @@
 //! The profiler itself: allocation hooks, PEBS wiring and trace emission.
+//!
+//! Events are emitted in time order: [`Profiler::record_interval`] merges
+//! one interval's samples from all objects by timestamp before pushing
+//! them, so when the caller records allocations, phases and intervals as
+//! simulated time advances, the trace is already sorted and the final sort
+//! in [`Profiler::finish`] is a single linear pass.
 
 use crate::config::{ProfilerConfig, MIN_ALLOC_SIZE};
 use crate::overhead::OverheadModel;
 use hmsim_common::{Address, DetRng, Nanos, ObjectId};
 use hmsim_heap::{DataObject, ObjectKind};
-use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
+use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily, RawSample};
 use hmsim_trace::{
     AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent, TraceFile,
     TraceMetadata,
@@ -25,6 +31,8 @@ pub struct Profiler {
     pending_instructions: u64,
     pending_misses: u64,
     last_snapshot: Nanos,
+    /// One interval's samples from all objects, reused across intervals.
+    batch: Vec<(ObjectId, RawSample)>,
 }
 
 impl Profiler {
@@ -52,6 +60,7 @@ impl Profiler {
             pending_instructions: 0,
             pending_misses: 0,
             last_snapshot: Nanos::ZERO,
+            batch: Vec::new(),
         }
     }
 
@@ -128,21 +137,27 @@ impl Profiler {
                 continue;
             }
             let range = object.range;
-            let id = object.id;
             let samples = self.sampler.observe_bulk(start, duration, *misses, |rng| {
                 let span = range.len.bytes().max(1);
                 range.start.offset(rng.uniform_range(0, span))
             });
-            for s in samples {
-                self.trace.push(TraceEvent::Sample(SampleRecord {
-                    time: s.time,
-                    address: s.address,
-                    object: Some(id),
-                    weight: s.weight,
-                    latency_cycles: None,
-                }));
-            }
+            self.batch
+                .extend(samples.into_iter().map(|s| (object.id, s)));
             self.pending_misses += *misses;
+        }
+        // Each object's samples are already in time order; the stable sort
+        // merges those runs and keeps same-instant samples in object order,
+        // exactly where a stable sort of the whole trace would put them.
+        self.batch
+            .sort_by(|a, b| a.1.time.partial_cmp(&b.1.time).expect("no NaN timestamps"));
+        for (id, s) in self.batch.drain(..) {
+            self.trace.push(TraceEvent::Sample(SampleRecord {
+                time: s.time,
+                address: s.address,
+                object: Some(id),
+                weight: s.weight,
+                latency_cycles: None,
+            }));
         }
         self.pending_instructions += instructions;
 
@@ -202,6 +217,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmsim_apps::{all_apps, AllocTiming, AppSpec, KernelSpec, ObjectSpec};
     use hmsim_callstack::SiteKey;
     use hmsim_common::{AddressRange, ByteSize, TierId};
 
@@ -346,5 +362,220 @@ mod tests {
         let trace = p.finish();
         assert_eq!(trace.events().len(), 1);
         assert!(matches!(trace.events()[0], TraceEvent::Free { .. }));
+    }
+
+    /// The emission that `record_interval` replaced, kept as the oracle:
+    /// each object's samples pushed one object after another, leaving the
+    /// interval out of time order for `finish`'s sort of the whole trace.
+    fn oracle_record_interval(
+        p: &mut Profiler,
+        start: Nanos,
+        duration: Nanos,
+        instructions: u64,
+        object_misses: &[(&DataObject, u64)],
+    ) {
+        for (object, misses) in object_misses {
+            if *misses == 0 {
+                continue;
+            }
+            let range = object.range;
+            let id = object.id;
+            let samples = p.sampler.observe_bulk(start, duration, *misses, |rng| {
+                let span = range.len.bytes().max(1);
+                range.start.offset(rng.uniform_range(0, span))
+            });
+            for s in samples {
+                p.trace.push(TraceEvent::Sample(SampleRecord {
+                    time: s.time,
+                    address: s.address,
+                    object: Some(id),
+                    weight: s.weight,
+                    latency_cycles: None,
+                }));
+            }
+            p.pending_misses += *misses;
+        }
+        p.pending_instructions += instructions;
+        let end = start + duration;
+        let interval = p.config.counter_snapshot_interval;
+        if interval.nanos() > 0.0 && end - p.last_snapshot >= interval {
+            p.trace.push(TraceEvent::Counters(CounterSnapshot {
+                time: end,
+                instructions: p.pending_instructions,
+                llc_misses: p.pending_misses,
+            }));
+            p.snapshots += 1;
+            p.pending_instructions = 0;
+            p.pending_misses = 0;
+            p.last_snapshot = end;
+        }
+    }
+
+    type RecordInterval = fn(&mut Profiler, Nanos, Nanos, u64, &[(&DataObject, u64)]);
+
+    /// Profile `iterations` of `spec` in the order the analytic run records
+    /// them: definitions and init allocations, then per iteration the churn
+    /// allocations, every kernel as one interval over its objects' share of
+    /// the monitored thread's misses, and the churn frees. A kernel lasts in
+    /// proportion to its instructions; the emission only needs time to
+    /// advance. Returns the profiler before `finish`.
+    fn profile_app(
+        spec: &AppSpec,
+        iterations: u32,
+        config: ProfilerConfig,
+        record_interval: RecordInterval,
+    ) -> Profiler {
+        let metadata = TraceMetadata {
+            application: spec.name.to_string(),
+            ..Default::default()
+        };
+        let mut p = Profiler::new(metadata, config);
+        let mut next_id = 0u32;
+        let mut allocate = |o: &ObjectSpec, size: ByteSize| {
+            next_id += 1;
+            DataObject {
+                id: ObjectId(next_id),
+                name: o.name.to_string(),
+                kind: o.kind,
+                site: (!o.site.is_empty()).then(|| SiteKey::from_text(o.site.join("|"))),
+                range: AddressRange::new(Address(u64::from(next_id) << 36), size),
+                tier: TierId::DDR,
+                allocated_at: Nanos::ZERO,
+            }
+        };
+        let mut now = Nanos::ZERO;
+        let mut live: Vec<Option<DataObject>> = spec
+            .objects
+            .iter()
+            .map(|o| {
+                (o.timing == AllocTiming::Init || o.kind != ObjectKind::Dynamic).then(|| {
+                    let obj = allocate(o, o.size);
+                    // Stack storage is defined without an allocation event.
+                    if o.kind != ObjectKind::Stack {
+                        p.record_alloc(&obj, now);
+                    }
+                    obj
+                })
+            })
+            .collect();
+        now += spec.init_time;
+        let whole = [KernelSpec {
+            name: "iteration",
+            instruction_share: 1.0,
+            miss_share: 1.0,
+            object_weights: &[],
+        }];
+        let kernels = if spec.kernels.is_empty() {
+            &whole[..]
+        } else {
+            &spec.kernels[..]
+        };
+        for _ in 0..iterations {
+            p.phase_begin("iteration", now);
+            let mut churn = Vec::new();
+            for (slot, o) in spec.objects.iter().enumerate() {
+                if let AllocTiming::PerIteration {
+                    allocs_per_iteration,
+                } = o.timing
+                {
+                    for i in 0..allocs_per_iteration {
+                        let obj = allocate(o, if i == 0 { o.size } else { o.min_size });
+                        p.record_alloc(&obj, now);
+                        churn.push((obj.id, obj.range.start));
+                        if i == 0 {
+                            live[slot] = Some(obj);
+                        }
+                    }
+                }
+            }
+            for k in kernels {
+                let misses = (spec.misses_per_iteration as f64 * k.miss_share
+                    / f64::from(spec.threads_per_rank.max(1))) as u64;
+                let weights: Vec<(usize, f64)> = if k.object_weights.is_empty() {
+                    spec.objects
+                        .iter()
+                        .map(|o| o.miss_share)
+                        .enumerate()
+                        .collect()
+                } else {
+                    k.object_weights
+                        .iter()
+                        .filter_map(|&(n, w)| {
+                            Some((spec.objects.iter().position(|o| o.name == n)?, w))
+                        })
+                        .collect()
+                };
+                let total: f64 = weights.iter().map(|(_, w)| w).sum();
+                let refs: Vec<(&DataObject, u64)> = weights
+                    .iter()
+                    .filter_map(|&(slot, w)| {
+                        let share = (misses as f64 * w / total.max(1e-12)) as u64;
+                        Some((live[slot].as_ref()?, share))
+                    })
+                    .collect();
+                let instructions =
+                    (spec.instructions_per_iteration as f64 * k.instruction_share) as u64;
+                let duration = Nanos(instructions as f64 * 0.3);
+                p.phase_begin(k.name, now);
+                record_interval(&mut p, now, duration, instructions, &refs);
+                p.phase_end(k.name, now + duration);
+                now += duration;
+            }
+            for (id, address) in churn {
+                p.record_free(id, address, now);
+            }
+            p.phase_end("iteration", now);
+        }
+        p
+    }
+
+    #[test]
+    fn time_ordered_emission_matches_the_sorted_per_object_oracle_on_every_app() {
+        let apps = all_apps();
+        assert_eq!(apps.len(), 8);
+        for spec in &apps {
+            for config in [ProfilerConfig::default(), ProfilerConfig::dense(2_000)] {
+                let p = profile_app(spec, 10, config.clone(), Profiler::record_interval);
+                assert!(
+                    p.trace
+                        .events()
+                        .windows(2)
+                        .all(|w| w[0].time() <= w[1].time()),
+                    "{}: emission out of time order before finish",
+                    spec.name
+                );
+                let oracle = profile_app(spec, 10, config, oracle_record_interval);
+                assert_eq!(p.samples(), oracle.samples());
+                assert!(p.samples() > 0, "{}: no samples", spec.name);
+                let (trace, expected) = (p.finish(), oracle.finish());
+                assert_eq!(trace.events(), expected.events(), "{}", spec.name);
+                assert_eq!(trace.metadata, expected.metadata);
+            }
+        }
+    }
+
+    #[test]
+    fn samples_sharing_an_instant_keep_object_order() {
+        // An interval a few ulps long stamps hundreds of samples on a handful
+        // of instants, so the merge must break every tie by the order the
+        // objects were passed in, as the stable sort of the whole trace did.
+        let a = object(0, 0x10_0000, ByteSize::from_mib(1), ObjectKind::Dynamic);
+        let b = object(1, 0x90_0000, ByteSize::from_mib(1), ObjectKind::Dynamic);
+        let interval: &[(&DataObject, u64)] = &[(&b, 300_000), (&a, 200_000)];
+        let start = Nanos::from_millis(1.0);
+        let duration = Nanos(4.0 * f64::EPSILON * start.nanos());
+        let mut p = profiler(1000);
+        p.record_interval(start, duration, 10, interval);
+        let mut oracle = profiler(1000);
+        oracle_record_interval(&mut oracle, start, duration, 10, interval);
+        let mut instants: Vec<u64> = p
+            .trace
+            .events()
+            .iter()
+            .map(|e| e.time().nanos().to_bits())
+            .collect();
+        instants.dedup();
+        assert!(instants.len() < 10, "{} instants", instants.len());
+        assert_eq!(p.finish().events(), oracle.finish().events());
     }
 }
