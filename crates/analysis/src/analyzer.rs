@@ -7,15 +7,24 @@
 //! an on-disk binary trace, with identical results. [`analyze_trace`] and
 //! [`analyze_stream`] are thin wrappers.
 //!
+//! It is also an [`EventSink`], so the profiler can emit straight into it
+//! and the framework pipeline never materialises the trace. The profiler
+//! hands over an interval's samples object by object rather than in time
+//! order; that order does not change the report, because a sample is
+//! attributed by the object id the profiler recorded (or by address among
+//! the objects live at the time, which no event inside an interval
+//! changes) and its weight is summed as an integer.
+//!
 //! Groups live in a vector in order of first allocation. The group key (a
 //! call-stack string or a name) is hashed only when an `Alloc` event
 //! arrives; live objects and address ranges carry the group's index, so a
-//! sample costs one object-id lookup and one indexed add.
+//! sample costs one object-id lookup (a multiply, through [`IdMap`]) and
+//! one indexed add.
 
 use crate::object_stats::{ObjectReport, ObjectStats, ReportedKind};
 use hmsim_callstack::SiteKey;
-use hmsim_common::{Address, AddressRange, ByteSize, HmResult, ObjectId};
-use hmsim_trace::{ObjectClass, TraceEvent, TraceFile};
+use hmsim_common::{Address, AddressRange, ByteSize, HmResult, IdMap, ObjectId};
+use hmsim_trace::{EventSink, ObjectClass, SampleRecord, TraceEvent, TraceFile};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 
@@ -57,7 +66,7 @@ pub struct ObjectStatsBuilder {
     groups: Vec<Group>,
     /// Index into `groups` of each key, consulted only on allocation.
     group_of: HashMap<GroupKey, usize>,
-    by_id: HashMap<ObjectId, LiveObject>,
+    by_id: IdMap<ObjectId, LiveObject>,
     // Live address index (linear scan on fallback attribution is fine at the
     // trace sizes the paper reports: tens of thousands of samples).
     live: Vec<(AddressRange, usize)>,
@@ -73,7 +82,7 @@ impl ObjectStatsBuilder {
             application: application.into(),
             groups: Vec::new(),
             group_of: HashMap::new(),
-            by_id: HashMap::new(),
+            by_id: IdMap::default(),
             live: Vec::new(),
             total_misses: 0,
             unattributed: 0,
@@ -133,22 +142,24 @@ impl ObjectStatsBuilder {
                     self.live.retain(|(range, _)| *range != obj.range);
                 }
             }
-            TraceEvent::Sample(s) => {
-                self.total_misses += s.weight;
-                let index = match s.object.and_then(|id| self.by_id.get(&id)) {
-                    Some(obj) => Some(obj.group),
-                    None => lookup_by_address(&self.live, s.address),
-                };
-                match index {
-                    Some(index) => {
-                        let group = &mut self.groups[index];
-                        group.llc_misses += s.weight;
-                        group.samples += 1;
-                    }
-                    None => self.unattributed += s.weight,
-                }
-            }
+            TraceEvent::Sample(s) => self.sample(s),
             _ => {}
+        }
+    }
+
+    fn sample(&mut self, s: &SampleRecord) {
+        self.total_misses += s.weight;
+        let index = match s.object.and_then(|id| self.by_id.get(&id)) {
+            Some(obj) => Some(obj.group),
+            None => lookup_by_address(&self.live, s.address),
+        };
+        match index {
+            Some(index) => {
+                let group = &mut self.groups[index];
+                group.llc_misses += s.weight;
+                group.samples += 1;
+            }
+            None => self.unattributed += s.weight,
         }
     }
 
@@ -185,6 +196,19 @@ impl ObjectStatsBuilder {
         };
         report.sort_by_misses();
         report
+    }
+}
+
+impl EventSink for ObjectStatsBuilder {
+    fn event(&mut self, event: TraceEvent) {
+        self.push(&event);
+    }
+
+    fn samples(&mut self, samples: &[SampleRecord]) {
+        self.events_seen += samples.len() as u64;
+        for s in samples {
+            self.sample(s);
+        }
     }
 }
 

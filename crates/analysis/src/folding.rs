@@ -677,7 +677,7 @@ mod tests {
                 name: "iteration".to_string(),
             });
             // The boundary snapshot: stamped at `end`, pushed before the
-            // markers (what Profiler::record_interval + sort_by_time yield).
+            // markers (the order Profiler::record_interval emits them in).
             t.push(TraceEvent::Counters(CounterSnapshot {
                 time: end,
                 instructions: 8_000_000,

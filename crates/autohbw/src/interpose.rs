@@ -1,7 +1,7 @@
 //! Algorithm 1: the interposed `malloc`.
 
 use hmem_advisor::PlacementReport;
-use hmsim_callstack::{SiteCache, Translator, Unwinder};
+use hmsim_callstack::{SiteCache, SiteKey, Translator, Unwinder};
 use hmsim_common::{Address, AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::{AllocCostModel, ProcessHeap};
 
@@ -92,6 +92,13 @@ impl AutoHbwMalloc {
     /// application's call-path to the allocation call (outermost first),
     /// which the simulated unwinder converts into raw return addresses.
     ///
+    /// `canonical_site` is the ASLR-independent site key of that call-path
+    /// when the caller already knows it; the object records it as its site.
+    /// Without one, the library derives the key with a second unwind and
+    /// translate. Either way the placement decision and the modelled
+    /// overhead come from Algorithm 1's own unwind, cache lookup and
+    /// on-miss translate.
+    ///
     /// Returns the object id, its address range, and the *total* CPU cost of
     /// the call (allocator cost plus interposition overhead).
     pub fn malloc(
@@ -100,6 +107,7 @@ impl AutoHbwMalloc {
         size: ByteSize,
         name: &str,
         logical_stack: &[&str],
+        canonical_site: Option<&SiteKey>,
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
         let mut overhead = Nanos::ZERO;
@@ -138,9 +146,12 @@ impl AutoHbwMalloc {
 
         // Lines 11-18: allocate from the alternate allocator if selected and
         // it fits; otherwise fall back to the default allocator.
+        let site = match canonical_site {
+            Some(site) => site.clone(),
+            None => self.site_key_of(logical_stack)?,
+        };
         if promote {
             if self.fits_budget(heap, size) {
-                let site = self.site_key_of(logical_stack)?;
                 let (id, range, alloc_cost) =
                     heap.malloc(size, TierId::MCDRAM, name, Some(site), now)?;
                 // Promoted allocations go through memkind's hbw_malloc, which
@@ -157,7 +168,6 @@ impl AutoHbwMalloc {
         }
 
         // Lines 20-23: default (DDR) path.
-        let site = self.site_key_of(logical_stack)?;
         let (id, range, alloc_cost) = heap.malloc(size, TierId::DDR, name, Some(site), now)?;
         self.stats.default_allocations += 1;
         Ok((id, range, alloc_cost + overhead))
@@ -178,7 +188,7 @@ impl AutoHbwMalloc {
         Ok(cost)
     }
 
-    fn site_key_of(&self, logical_stack: &[&str]) -> HmResult<hmsim_callstack::SiteKey> {
+    fn site_key_of(&self, logical_stack: &[&str]) -> HmResult<SiteKey> {
         let (raw, _) = self.unwinder.unwind(logical_stack)?;
         let (translated, _) = self.translator.translate(&raw);
         Ok(translated.site_key())
@@ -189,7 +199,7 @@ impl AutoHbwMalloc {
 mod tests {
     use super::*;
     use hmem_advisor::{MemorySpec, PlacementReport, SelectionEntry, SelectionStrategy};
-    use hmsim_callstack::{AslrLayout, ProgramImage, SiteKey};
+    use hmsim_callstack::{AslrLayout, ProgramImage};
     use hmsim_common::DetRng;
     use hmsim_heap::ProcessHeap;
     use hmsim_machine::MachineConfig;
@@ -246,6 +256,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "matrix",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -257,6 +268,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "other",
                 &["main", "alloc_vectors", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -269,6 +281,41 @@ mod tests {
     }
 
     #[test]
+    fn a_given_site_key_is_recorded_and_the_decision_cost_is_unchanged() {
+        let stack = &["main", "alloc_matrix", "malloc"];
+        let (mut derived, mut heap) = setup(&[("alloc_matrix", 8)], 1024);
+        let (id, ..) = derived
+            .malloc(
+                &mut heap,
+                ByteSize::from_mib(8),
+                "m",
+                stack,
+                None,
+                Nanos::ZERO,
+            )
+            .unwrap();
+        let key = heap.registry().get(id).unwrap().site.clone().unwrap();
+        assert_eq!(key, derived.report().entries[0].site.clone().unwrap());
+
+        let (mut given, mut heap) = setup(&[("alloc_matrix", 8)], 1024);
+        let label = SiteKey::from_text("caller!label+0x1");
+        let (id, ..) = given
+            .malloc(
+                &mut heap,
+                ByteSize::from_mib(8),
+                "m",
+                stack,
+                Some(&label),
+                Nanos::ZERO,
+            )
+            .unwrap();
+        assert_eq!(heap.registry().get(id).unwrap().site.as_ref(), Some(&label));
+        // The placement and its modelled cost still come from Algorithm 1.
+        assert_eq!(given.stats(), derived.stats());
+        assert_eq!(given.stats().promoted_allocations, 1);
+    }
+
+    #[test]
     fn decision_cache_avoids_repeated_translation() {
         let (mut lib, mut heap) = setup(&[("alloc_matrix", 8)], 1024);
         for i in 0..10 {
@@ -277,6 +324,7 @@ mod tests {
                 ByteSize::from_mib(8),
                 &format!("m{i}"),
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -298,6 +346,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "a",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -307,6 +356,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "b",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -325,6 +375,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "a",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -336,6 +387,7 @@ mod tests {
                 ByteSize::from_mib(64),
                 "b",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::from_millis(2.0),
             )
             .unwrap();
@@ -353,6 +405,7 @@ mod tests {
                 ByteSize::from_kib(4),
                 "tiny",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -369,6 +422,7 @@ mod tests {
             ByteSize::from_mib(8),
             "a",
             &["main", "alloc_matrix", "malloc"],
+            None,
             Nanos::ZERO,
         )
         .unwrap();
@@ -378,6 +432,7 @@ mod tests {
             ByteSize::from_mib(8),
             "b",
             &["main", "alloc_matrix", "malloc"],
+            None,
             Nanos::ZERO,
         )
         .unwrap();
@@ -398,6 +453,7 @@ mod tests {
                 ByteSize::from_mib(16),
                 "x",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();
@@ -448,6 +504,7 @@ mod tests {
                 ByteSize::from_mib(32),
                 "matrix",
                 &["main", "alloc_matrix", "malloc"],
+                None,
                 Nanos::ZERO,
             )
             .unwrap();

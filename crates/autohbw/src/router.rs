@@ -205,10 +205,11 @@ impl AllocationRouter {
     /// `canonical_site` is the ASLR-independent allocation-site key the
     /// caller already knows for this logical stack (the simulation runner
     /// derives it through the same unwind/translate machinery the framework
-    /// uses); simple routers record it on the allocated object so that the
+    /// uses); every router records it on the allocated object so that the
     /// profiling trace and the advisor's report speak the same site language.
-    /// The interposed framework router ignores it and derives the site itself
-    /// (Algorithm 1).
+    /// The interposed framework router still unwinds the stack itself to
+    /// decide the placement (Algorithm 1), but takes the recorded key from
+    /// the caller rather than deriving it a second time.
     pub fn malloc(
         &mut self,
         heap: &mut ProcessHeap,
@@ -219,7 +220,9 @@ impl AllocationRouter {
         now: Nanos,
     ) -> HmResult<(ObjectId, AddressRange, Nanos)> {
         match self {
-            AllocationRouter::Interposed(lib) => lib.malloc(heap, size, name, logical_stack, now),
+            AllocationRouter::Interposed(lib) => {
+                lib.malloc(heap, size, name, logical_stack, canonical_site, now)
+            }
             AllocationRouter::Simple(approach) => {
                 // Online placement starts everything in DDR; promotion
                 // happens later through page migration, not through the

@@ -1,5 +1,5 @@
-//! Trace I/O throughput: binary serialise/parse, streamed folding and
-//! streamed object analysis.
+//! Trace I/O throughput: binary serialise/parse, streamed folding, streamed
+//! object analysis, and the framework's profile → analysis hand-off.
 //!
 //! This bench serialises a profiler-shaped trace through the chunked binary
 //! format, times both directions, and times the single-pass folding and
@@ -8,19 +8,32 @@
 //! is asserted to visit each event exactly once, and the streamed analysis
 //! is asserted to equal the in-memory one.
 //!
+//! The hand-off rows time stages 1 and 2 of the framework pipeline on every
+//! application at the paper's sampling period, both ways: with the trace
+//! materialised (recorded, then summarised and analysed) and streamed (the
+//! profiler emitting straight into the analysis, as `FrameworkPipeline`
+//! does). Both include the profiled run itself; the two results are
+//! asserted equal before the sides are timed in interleaved pairs.
+//!
 //! The target writes `BENCH_trace.json` at the repository root (binary
-//! throughputs, folding and analysis events/sec, all on one thread) so the
-//! trace-path perf trajectory is tracked alongside `BENCH_engine.json`.
+//! throughputs, folding and analysis events/sec, hand-off ns per sample, all
+//! on one thread) so the trace-path perf trajectory is tracked alongside
+//! `BENCH_engine.json`.
 
+use auto_hbwmalloc::PlacementApproach;
+use hmem_advisor::SelectionStrategy;
+use hmem_core::pipeline::FrameworkPipeline;
+use hmem_core::simrun::{AppRun, RunConfig};
 use hmsim_analysis::{
     analyze_stream, analyze_trace, analyze_try_stream, FoldAccumulator, FoldedTimeline,
+    ObjectReport,
 };
-use hmsim_bench::{best_of, write_artifact};
+use hmsim_bench::{best_of, median_of_pairs, write_artifact};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
     read_binary, write_binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord,
-    TraceEvent, TraceFile, TraceMetadata, TraceReader,
+    TraceEvent, TraceFile, TraceMetadata, TraceReader, TraceSummary,
 };
 
 /// A profiler-shaped trace: a handful of hot objects, repeated iterations
@@ -112,17 +125,80 @@ struct Throughputs {
     binary_read_eps: f64,
     fold_eps: f64,
     analyze_eps: f64,
+    handoff: Handoff,
+}
+
+/// Stages 1 and 2 over every application, both ways.
+struct Handoff {
+    samples: usize,
+    materialized_ns_per_sample: f64,
+    streamed_ns_per_sample: f64,
+    /// Median over the pairs of materialised / streamed time.
+    speedup: f64,
+}
+
+/// What stages 1 and 2 produce for one application.
+type Stage2Output = (TraceSummary, ObjectReport, u64);
+
+fn handoff(iterations: Option<u32>, pairs: usize) -> Handoff {
+    let apps = hmsim_apps::all_apps();
+    let mut pipeline = FrameworkPipeline::new(ByteSize::from_mib(128), SelectionStrategy::Density);
+    pipeline.iterations_override = iterations;
+    let materialized = || -> Vec<Stage2Output> {
+        apps.iter()
+            .map(|spec| {
+                let mut cfg = RunConfig::flat(pipeline.mcdram_budget);
+                cfg.seed = pipeline.seed;
+                cfg.iterations_override = pipeline.iterations_override;
+                let cfg = cfg.with_profiling(pipeline.profiler.clone());
+                let mut run = AppRun::new(spec, cfg)
+                    .execute(PlacementApproach::DdrOnly.router().unwrap())
+                    .unwrap();
+                let trace = run.trace.take().expect("profiled run keeps its trace");
+                let summary = TraceSummary::of(&trace);
+                let report = analyze_trace(&trace);
+                (summary, report, run.monitoring_overhead.to_bits())
+            })
+            .collect()
+    };
+    let streamed = || -> Vec<Stage2Output> {
+        apps.iter()
+            .map(|spec| {
+                let p = pipeline.profile(spec).unwrap();
+                (
+                    p.trace_summary,
+                    p.object_report,
+                    p.profiling_overhead.to_bits(),
+                )
+            })
+            .collect()
+    };
+    let expected = materialized();
+    assert_eq!(streamed(), expected, "streamed hand-off diverged");
+    let samples: usize = expected.iter().map(|(s, ..)| s.samples).sum();
+    let paired = median_of_pairs(pairs, materialized, streamed);
+    let per_sample = |s: f64| s * 1e9 / samples as f64;
+    Handoff {
+        samples,
+        materialized_ns_per_sample: per_sample(paired.first_s),
+        streamed_ns_per_sample: per_sample(paired.second_s),
+        speedup: paired.ratio,
+    }
 }
 
 fn write_baseline(t: &Throughputs) {
     let json = format!(
-        "{{\n  \"bench\": \"trace_io\",\n  \"threads\": 1,\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }},\n  \"analysis\": {{\n    \"events_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"trace_io\",\n  \"threads\": 1,\n  \"events\": {},\n  \"binary_bytes\": {},\n  \"binary\": {{\n    \"serialize_events_per_sec\": {:.0},\n    \"parse_events_per_sec\": {:.0}\n  }},\n  \"folding\": {{\n    \"events_per_sec\": {:.0},\n    \"single_pass\": true\n  }},\n  \"analysis\": {{\n    \"events_per_sec\": {:.0}\n  }},\n  \"handoff\": {{\n    \"samples\": {},\n    \"materialized_ns_per_sample\": {:.1},\n    \"streamed_ns_per_sample\": {:.1},\n    \"speedup\": {:.3}\n  }}\n}}\n",
         t.events,
         t.binary_bytes,
         t.binary_write_eps,
         t.binary_read_eps,
         t.fold_eps,
         t.analyze_eps,
+        t.handoff.samples,
+        t.handoff.materialized_ns_per_sample,
+        t.handoff.streamed_ns_per_sample,
+        t.handoff.speedup,
     );
     write_artifact("BENCH_trace.json", &json);
 }
@@ -177,6 +253,12 @@ fn main() {
         analyze_stream(trace.metadata.application.as_str(), trace.events())
     });
 
+    let handoff = if test_mode {
+        handoff(Some(2), 1)
+    } else {
+        handoff(None, 15)
+    };
+
     let results = Throughputs {
         events: n,
         binary_bytes: binary.len(),
@@ -184,16 +266,20 @@ fn main() {
         binary_read_eps: n as f64 / binary_read,
         fold_eps: n as f64 / fold_time,
         analyze_eps: n as f64 / analyze_time,
+        handoff,
     };
     println!(
         "trace_io: {} events | binary {:.1} MiB | write {:.2} Mev/s, parse {:.2} Mev/s | \
-         fold {:.2} Mev/s | analyze {:.2} Mev/s",
+         fold {:.2} Mev/s | analyze {:.2} Mev/s | hand-off {:.0} ns/sample materialised, \
+         {:.0} streamed",
         n,
         results.binary_bytes as f64 / (1 << 20) as f64,
         results.binary_write_eps / 1e6,
         results.binary_read_eps / 1e6,
         results.fold_eps / 1e6,
         results.analyze_eps / 1e6,
+        results.handoff.materialized_ns_per_sample,
+        results.handoff.streamed_ns_per_sample,
     );
     if !test_mode {
         write_baseline(&results);

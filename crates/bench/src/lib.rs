@@ -9,7 +9,7 @@
 //! | bench target | artifact | measures |
 //! |---|---|---|
 //! | `engine_throughput` | `BENCH_engine.json` | trace-engine hot path, naive vs optimized |
-//! | `trace_io` | `BENCH_trace.json` | binary trace write/parse and folding throughput |
+//! | `trace_io` | `BENCH_trace.json` | binary trace write/parse, folding and the profile → analysis hand-off |
 //! | `runtime_migration` | `BENCH_runtime.json` | online migration runtime vs best static placement |
 //! | `multirank_scaling` | `BENCH_multirank.json` | arbitration policies on a rank-skewed node |
 //!

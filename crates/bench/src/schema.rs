@@ -26,7 +26,7 @@ pub const EXPECTED: &[(&str, &str, &[&str], &[&str])] = &[
     (
         "BENCH_trace.json",
         "trace_io",
-        &["threads", "binary", "folding", "analysis"],
+        &["threads", "binary", "folding", "analysis", "handoff"],
         &[],
     ),
     (
@@ -130,7 +130,7 @@ mod tests {
     fn validation_requires_the_headline_keys() {
         let good = parse_json(
             "{\"bench\": \"trace_io\", \"threads\": 1, \"binary\": {}, \"folding\": {}, \
-             \"analysis\": {}}",
+             \"analysis\": {}, \"handoff\": {}}",
         )
         .unwrap();
         validate_document("BENCH_trace.json", &good).unwrap();

@@ -4,7 +4,9 @@
 //! type level prevents, for example, indexing the per-tier statistics table
 //! with an object id.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:expr) => {
@@ -58,6 +60,39 @@ impl TierId {
     pub const MCDRAM: TierId = TierId(1);
 }
 
+/// A hash map keyed by one of these ids, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A multiplicative (Fibonacci) hasher for the small integer ids above: one
+/// multiply per key where SipHash runs its rounds. The product's low bits
+/// are a bijection of the id's low bits, so dense ids spread evenly over
+/// the table's buckets, and its high bits mix the whole id.
+///
+/// It does not resist keys crafted to collide, which only costs lookup time
+/// (a trace file read from disk can name any ids). Keep the default hasher
+/// for keys that are not ids.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+/// 2^64 divided by the golden ratio, rounded to odd.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(FIBONACCI);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,6 +104,24 @@ mod tests {
         assert_eq!(o.index(), 42);
         assert_eq!(format!("{o}"), "obj42");
         assert_eq!(format!("{o:?}"), "obj42");
+    }
+
+    #[test]
+    fn id_map_spreads_dense_ids_over_distinct_buckets() {
+        let hash = |id: ObjectId| {
+            let mut h = IdHasher::default();
+            std::hash::Hash::hash(&id, &mut h);
+            h.finish()
+        };
+        // The low bits pick the bucket: dense ids never share one.
+        let buckets: HashSet<u64> = (0..1024).map(|i| hash(ObjectId(i)) & 1023).collect();
+        assert_eq!(buckets.len(), 1024);
+        let mut map: IdMap<ObjectId, u32> = IdMap::default();
+        for i in 0..1000 {
+            map.insert(ObjectId(i * 7), i);
+        }
+        assert!((0..1000).all(|i| map[&ObjectId(i * 7)] == i));
+        assert_eq!(map.get(&ObjectId(1)), None);
     }
 
     #[test]

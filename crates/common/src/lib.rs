@@ -8,7 +8,8 @@
 //! vocabulary the rest of the workspace speaks:
 //!
 //! * [`units`] — strongly-typed byte sizes, addresses, pages, times and rates;
-//! * [`ids`] — opaque identifiers for tiers and data objects;
+//! * [`ids`] — opaque identifiers for tiers and data objects, and the
+//!   [`IdMap`] keyed by them;
 //! * [`rng`] — deterministic, seed-derivable random number generation so every
 //!   experiment in the evaluation is reproducible bit-for-bit;
 //! * [`stats`] — high-water-mark tracking used by the allocators;
@@ -34,7 +35,7 @@ pub mod table;
 pub mod units;
 
 pub use error::{HmError, HmResult};
-pub use ids::{ObjectId, TierId};
+pub use ids::{IdHasher, IdMap, ObjectId, TierId};
 pub use par::parallel_map;
 pub use rng::DetRng;
 pub use stats::HighWaterMark;

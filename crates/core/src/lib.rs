@@ -42,7 +42,7 @@ pub use experiment::{
     run_app_experiment, run_full_evaluation, AppExperiment, ApproachResult, ExperimentConfig,
 };
 pub use metrics::delta_fom_per_mbyte;
-pub use pipeline::{FrameworkOutcome, FrameworkPipeline};
+pub use pipeline::{FrameworkOutcome, FrameworkPipeline, Profile};
 pub use scenario::{
     committed_scenarios, MachineSelector, MultiRankSelector, Scenario, WorkloadSelector,
 };

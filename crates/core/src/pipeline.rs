@@ -1,22 +1,35 @@
 //! The four-stage framework pipeline (Figure 2 of the paper).
 //!
 //! 1. **Profile** the application with the Extrae-analogue profiler on a
-//!    DDR-resident run, producing a trace of allocations and PEBS samples.
-//! 2. **Analyse** the trace with the Paramedir analogue, producing the
+//!    DDR-resident run.
+//! 2. **Analyse** the profile with the Paramedir analogue, producing the
 //!    per-object LLC-miss/size report.
 //! 3. **Advise**: `hmem_advisor` selects the objects to promote for the given
 //!    MCDRAM budget and strategy.
 //! 4. **Re-run** the unmodified application with `auto-hbwmalloc` interposed,
 //!    honouring the advisor's report.
+//!
+//! Stages 1 and 2 hand over in one of two ways. In memory, the profiler
+//! emits straight into stage 2 (an [`EventSink`] that feeds the per-object
+//! analysis and the trace summary as each event is emitted), so no trace is
+//! built, sorted or walked again; stage 2 takes each interval's samples in
+//! the per-object order the profiler emits them, which does not change the
+//! report. With a spill path, stage 1 records a [`TraceFile`], which keeps
+//! time order by merging each interval's samples as it stores them, writes
+//! it through the chunked binary writer and drops it, and stage 2 streams
+//! the file back from disk.
 
 use crate::simrun::{AppRun, RunConfig, RunResult};
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
 use hmem_advisor::{Advisor, MemorySpec, PlacementReport, SelectionStrategy};
-use hmsim_analysis::{analyze_trace, analyze_try_stream, ObjectReport};
+use hmsim_analysis::{analyze_try_stream, ObjectReport, ObjectStatsBuilder};
 use hmsim_apps::AppSpec;
 use hmsim_common::{ByteSize, HmError, HmResult};
 use hmsim_profiler::ProfilerConfig;
-use hmsim_trace::{write_binary_to, TraceFile, TraceReader, TraceSummary};
+use hmsim_trace::{
+    write_binary_to, EventSink, SampleRecord, TraceEvent, TraceFile, TraceReader, TraceSummary,
+    TraceSummaryBuilder,
+};
 use std::path::PathBuf;
 
 /// Configuration of one end-to-end pipeline execution.
@@ -84,35 +97,14 @@ impl FrameworkPipeline {
 
     /// Execute the four stages for one application.
     pub fn run(&self, spec: &AppSpec) -> HmResult<FrameworkOutcome> {
-        // Stage 1: profiling run (data in DDR, Extrae attached).
-        let profile_cfg = self
-            .run_config(self.mcdram_budget)
-            .with_profiling(self.profiler.clone());
-        let mut profile_run =
-            AppRun::new(spec, profile_cfg).execute(PlacementApproach::DdrOnly.router()?)?;
-        let trace = profile_run
-            .trace
-            .take()
-            .ok_or_else(|| HmError::InvalidState("profiling run produced no trace".into()))?;
-        let trace_summary = TraceSummary::of(&trace);
-
-        // Stage 2: Paramedir-style analysis. In spill mode the trace goes to
-        // disk through the chunked binary writer and is dropped before the
-        // analysis streams it back, so events and report never coexist in
-        // memory.
-        let object_report: ObjectReport = match &self.trace_spill {
-            None => analyze_trace(&trace),
-            Some(path) => {
-                Self::write_trace(&trace, path)?;
-                drop(trace);
-                Self::analyze_spilled(path)?
-            }
-        };
+        // Stages 1 and 2: profiling run (data in DDR, Extrae attached) and
+        // Paramedir-style analysis.
+        let profile = self.profile(spec)?;
 
         // Stage 3: hmem_advisor.
         let memspec = MemorySpec::knl_budget(self.mcdram_budget);
         let placement: PlacementReport =
-            Advisor::new().advise(&object_report, &memspec, self.strategy)?;
+            Advisor::new().advise(&profile.object_report, &memspec, self.strategy)?;
 
         // Stage 4: re-run with auto-hbwmalloc interposed, under a different
         // ASLR layout (different process instance).
@@ -123,11 +115,51 @@ impl FrameworkPipeline {
         let result = AppRun::new(spec, final_cfg).execute(AllocationRouter::framework(library))?;
 
         Ok(FrameworkOutcome {
+            trace_summary: profile.trace_summary,
+            object_report: profile.object_report,
+            placement,
+            profiling_overhead: profile.profiling_overhead,
+            result,
+        })
+    }
+
+    /// Stages 1 and 2 for one application: profile it on a DDR-resident run
+    /// and analyse the profile into the per-object report. In memory the
+    /// profile streams into the analysis as it is emitted. In spill mode
+    /// the trace goes to disk through the chunked binary writer and is
+    /// dropped before the analysis streams it back, so events and report
+    /// never coexist in memory.
+    pub fn profile(&self, spec: &AppSpec) -> HmResult<Profile> {
+        let run = AppRun::new(
+            spec,
+            self.run_config(self.mcdram_budget)
+                .with_profiling(self.profiler.clone()),
+        );
+        let router = PlacementApproach::DdrOnly.router()?;
+        let (trace_summary, object_report, result) = match &self.trace_spill {
+            None => {
+                let stage2 = Stage2 {
+                    report: ObjectStatsBuilder::new(spec.name),
+                    summary: TraceSummaryBuilder::default(),
+                };
+                let (result, stage2) = run.execute_into(router, stage2)?;
+                (stage2.summary.finish(), stage2.report.finish(), result)
+            }
+            Some(path) => {
+                let mut result = run.execute(router)?;
+                let trace = result.trace.take().ok_or_else(|| {
+                    HmError::InvalidState("profiling run produced no trace".into())
+                })?;
+                let trace_summary = TraceSummary::of(&trace);
+                Self::write_trace(&trace, path)?;
+                drop(trace);
+                (trace_summary, Self::analyze_spilled(path)?, result)
+            }
+        };
+        Ok(Profile {
             trace_summary,
             object_report,
-            placement,
-            profiling_overhead: profile_run.monitoring_overhead,
-            result,
+            profiling_overhead: result.monitoring_overhead,
         })
     }
 
@@ -144,6 +176,36 @@ impl FrameworkPipeline {
         let application = reader.metadata().application.clone();
         analyze_try_stream(application, reader)
     }
+}
+
+/// Stage 2 as the profiler's sink: the per-object analysis and the trace
+/// summary, both fed as events are emitted.
+struct Stage2 {
+    report: ObjectStatsBuilder,
+    summary: TraceSummaryBuilder,
+}
+
+impl EventSink for Stage2 {
+    fn event(&mut self, event: TraceEvent) {
+        self.summary.push(&event);
+        self.report.push(&event);
+    }
+
+    fn samples(&mut self, samples: &[SampleRecord]) {
+        self.summary.samples(samples);
+        self.report.samples(samples);
+    }
+}
+
+/// What stages 1 and 2 hand to the advisor.
+#[derive(Clone, Debug)]
+pub struct Profile {
+    /// Summary of the profile (sample counts, allocation counts, …).
+    pub trace_summary: TraceSummary,
+    /// The per-object report.
+    pub object_report: ObjectReport,
+    /// Monitoring overhead of the profiling run (fraction).
+    pub profiling_overhead: f64,
 }
 
 /// Everything the pipeline produces for one application.

@@ -4,14 +4,15 @@
 //! program image with ASLR), performs every allocation the application model
 //! prescribes through the chosen [`AllocationRouter`], costs each kernel of
 //! each iteration with the analytical machine engine, and optionally attaches
-//! the Extrae-style profiler to produce a trace. It is used both for the
+//! the Extrae-style profiler, which keeps a trace or streams into any
+//! [`EventSink`]. It is used both for the
 //! profiling run (step 1) and for the final, placement-honouring run (step 4)
 //! as well as for every baseline.
 
 use auto_hbwmalloc::{AllocationRouter, ApproachKind};
 use hmsim_apps::{AllocTiming, AppSpec, KernelSpec, ObjectSpec};
 use hmsim_callstack::{AslrLayout, ProgramImage, SiteKey, Translator, Unwinder};
-use hmsim_common::{Address, ByteSize, DetRng, HmResult, Nanos, ObjectId, TierId};
+use hmsim_common::{Address, ByteSize, DetRng, HmError, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::{DataObject, ObjectKind, ProcessHeap};
 use hmsim_machine::{
     AnalyticEngine, MachineConfig, MemoryMode, ObjectTraffic, PerfCounters, PhaseProfile, Placement,
@@ -21,7 +22,7 @@ use hmsim_runtime::{
     execute_plan, ArbiterPolicy, MigrationCostModel, ObjectPlacement, OnlineConfig,
     PlacementController,
 };
-use hmsim_trace::{TraceFile, TraceMetadata};
+use hmsim_trace::{EventSink, TraceFile, TraceMetadata};
 
 /// Configuration of one run.
 #[derive(Clone, Debug)]
@@ -204,14 +205,55 @@ impl<'a> AppRun<'a> {
 
     /// Execute the run with the given router: initialise the process, run
     /// every main-loop iteration (one online epoch each), then total up.
+    /// A profiled run keeps its trace in [`RunResult::trace`].
     pub fn execute(&self, router: AllocationRouter) -> HmResult<RunResult> {
+        let profiler = self.config.profile.clone();
+        let profiler = profiler.map(|cfg| Profiler::new(self.trace_metadata(), cfg));
+        let (mut result, trace) = self.run(router, profiler)?;
+        result.trace = trace;
+        Ok(result)
+    }
+
+    /// Execute a profiled run whose profile streams into `sink` as it is
+    /// emitted instead of being kept: the result carries no trace, and the
+    /// sink comes back holding whatever it made of the events. The run must
+    /// be configured with profiling ([`RunConfig::with_profiling`]).
+    pub fn execute_into<S: EventSink>(
+        &self,
+        router: AllocationRouter,
+        sink: S,
+    ) -> HmResult<(RunResult, S)> {
+        let config = self.config.profile.clone().ok_or_else(|| {
+            HmError::InvalidState("a run streaming its profile needs a profiler".into())
+        })?;
+        let profiler = Profiler::with_sink(&self.trace_metadata(), config, sink);
+        let (result, sink) = self.run(router, Some(profiler))?;
+        Ok((result, sink.expect("a profiled run hands back its sink")))
+    }
+
+    /// The process a profile of this run describes.
+    fn trace_metadata(&self) -> TraceMetadata {
+        TraceMetadata {
+            application: self.spec.name.to_string(),
+            ranks: self.spec.ranks,
+            threads_per_rank: self.spec.threads_per_rank,
+            rank: 0,
+            ..Default::default()
+        }
+    }
+
+    fn run<S: EventSink>(
+        &self,
+        router: AllocationRouter,
+        profiler: Option<Profiler<S>>,
+    ) -> HmResult<(RunResult, Option<S>)> {
         self.spec.validate()?;
         let iterations = self
             .config
             .iterations_override
             .unwrap_or(self.spec.iterations)
             .max(1);
-        let mut run = Run::new(self.spec, &self.config, self.cores_used(), router)?;
+        let mut run = Run::new(self.spec, &self.config, self.cores_used(), router, profiler)?;
         run.init()?;
         for _ in 0..iterations {
             run.iteration()?;
@@ -296,19 +338,31 @@ fn kernel_table(spec: &AppSpec, cores_used: u32) -> Vec<Kernel> {
     table.collect()
 }
 
+/// The canonical (ASLR-independent) site key of a dynamic spec object with
+/// a call-path, derived through one process instance's unwinder and
+/// translator.
+fn canonical_site(unwinder: &Unwinder, translator: &Translator, o: &ObjectSpec) -> Option<SiteKey> {
+    if o.kind != ObjectKind::Dynamic || o.site.is_empty() {
+        return None;
+    }
+    let (raw, _) = unwinder.unwind(o.site).ok()?;
+    Some(translator.translate(&raw).0.site_key())
+}
+
 /// The online runtime of an analytic run, its per-epoch fast-tier budget,
 /// and each spec object's node misses per epoch: the heat the controller
 /// consumes at every boundary.
 type Online = (PlacementController, MigrationCostModel, ByteSize, Vec<u64>);
 
-/// Everything one run carries from initialisation to wrap-up.
-struct Run<'a> {
+/// Everything one run carries from initialisation to wrap-up; a profiled
+/// run emits into `S`.
+struct Run<'a, S> {
     spec: &'a AppSpec,
     engine: AnalyticEngine,
     working_set: ByteSize,
     router: AllocationRouter,
     heap: ProcessHeap,
-    profiler: Option<Profiler>,
+    profiler: Option<Profiler<S>>,
     online: Option<Online>,
     kernels: Vec<Kernel>,
     /// Canonical (ASLR-independent) site key of each dynamic spec object.
@@ -325,14 +379,16 @@ struct Run<'a> {
     mcdram_migrated_peak: ByteSize,
 }
 
-impl<'a> Run<'a> {
-    /// Build the simulated process: heap, profiler, online runtime, kernel
-    /// table and canonical allocation sites. Nothing is allocated yet.
+impl<'a, S: EventSink> Run<'a, S> {
+    /// Build the simulated process: heap, online runtime, kernel table and
+    /// canonical allocation sites, around `profiler`. Nothing is allocated
+    /// yet.
     fn new(
         spec: &'a AppSpec,
         config: &RunConfig,
         cores_used: u32,
         router: AllocationRouter,
+        profiler: Option<Profiler<S>>,
     ) -> HmResult<Self> {
         let machine = &config.machine;
         let mut heap = ProcessHeap::new(machine)?;
@@ -341,19 +397,6 @@ impl<'a> Run<'a> {
         } else if machine.memory_mode != MemoryMode::Flat {
             heap.set_capacity_cap(TierId::MCDRAM, machine.flat_mcdram_capacity())?;
         }
-
-        let profiler = config.profile.clone().map(|cfg| {
-            Profiler::new(
-                TraceMetadata {
-                    application: spec.name.to_string(),
-                    ranks: spec.ranks,
-                    threads_per_rank: spec.threads_per_rank,
-                    rank: 0,
-                    ..Default::default()
-                },
-                cfg,
-            )
-        });
 
         let kernels = kernel_table(spec, cores_used);
         // The online migration runtime: the controller re-plans placement
@@ -377,13 +420,7 @@ impl<'a> Run<'a> {
         // framework uses, so the profiling trace, the advisor report and the
         // interposition library all speak the same site language.
         let (unwinder, translator) = AppRun::callstack_machinery(spec, config.seed);
-        let site = |o: &ObjectSpec| {
-            if o.kind != ObjectKind::Dynamic || o.site.is_empty() {
-                return None;
-            }
-            let (raw, _) = unwinder.unwind(o.site).ok()?;
-            Some(translator.translate(&raw).0.site_key())
-        };
+        let site = |o: &ObjectSpec| canonical_site(&unwinder, &translator, o);
 
         Ok(Run {
             spec,
@@ -562,8 +599,9 @@ impl<'a> Run<'a> {
         self.mcdram_migrated_peak = self.mcdram_migrated_peak.max(occupancy);
     }
 
-    /// Wrap-up: totals, FOM, overheads.
-    fn finish(self, iterations: u32) -> RunResult {
+    /// Wrap-up: totals, FOM, overheads, and the profiler's sink (the
+    /// result's `trace` is left empty).
+    fn finish(self, iterations: u32) -> (RunResult, Option<S>) {
         // Allocator/interposition CPU time is serial per process.
         let allocator_time = self.allocator_time + self.router.interposition_overhead();
         let loop_time = self.loop_time + allocator_time;
@@ -578,7 +616,7 @@ impl<'a> Run<'a> {
         // as migrated residency rather than allocator HWM.
         let allocator_hwm = self.heap.allocated_hwm(TierId::MCDRAM);
         let per_iteration = |k: Kernel| (k.phase.name, k.time / f64::from(iterations));
-        RunResult {
+        let result = RunResult {
             fom,
             total_time: self.spec.init_time + monitored_loop_time,
             loop_time: monitored_loop_time,
@@ -590,9 +628,10 @@ impl<'a> Run<'a> {
             migration_time: self.migration_time,
             migrations: self.migrations,
             migrations_rejected: self.migrations_rejected,
-            trace: self.profiler.map(|p| p.finish()),
+            trace: None,
             approach: self.router.kind(),
-        }
+        };
+        (result, self.profiler.map(Profiler::finish))
     }
 }
 
@@ -751,6 +790,46 @@ mod tests {
         .execute(PlacementApproach::DdrOnly.router().unwrap())
         .unwrap_err();
         assert!(matches!(err, hmsim_common::HmError::Config(_)), "{err}");
+    }
+
+    /// The runner hands the framework's interposition library the site key
+    /// it derived under its own ASLR layout, and the library records it
+    /// instead of deriving one under the re-run's layout: the two must agree
+    /// for every allocation site of every application.
+    #[test]
+    fn canonical_site_keys_agree_across_aslr_layouts() {
+        let (seed, rerun_seed) = (0xBA5E, 0xBA5E ^ 0x5a5a_5a5a);
+        let (mut matched, mut moved) = (0, 0);
+        for spec in hmsim_apps::all_apps() {
+            let (unwinder, translator) = AppRun::callstack_machinery(&spec, seed);
+            let (rerun_unwinder, rerun_translator) = AppRun::callstack_machinery(&spec, rerun_seed);
+            for o in spec
+                .objects
+                .iter()
+                .filter(|o| o.kind == ObjectKind::Dynamic)
+            {
+                let key = canonical_site(&unwinder, &translator, o);
+                let rerun_key = canonical_site(&rerun_unwinder, &rerun_translator, o);
+                assert_eq!(key, rerun_key, "{}/{}", spec.name, o.name);
+                assert_eq!(
+                    key.is_some(),
+                    !o.site.is_empty(),
+                    "{}/{}",
+                    spec.name,
+                    o.name
+                );
+                if key.is_some() {
+                    matched += 1;
+                    let raw = |u: &Unwinder| u.unwind(o.site).unwrap().0;
+                    moved += usize::from(raw(&unwinder) != raw(&rerun_unwinder));
+                }
+            }
+        }
+        assert_eq!(matched, 48, "dynamic sites across the 8 applications");
+        assert_eq!(
+            moved, matched,
+            "each layout places every call-path elsewhere"
+        );
     }
 
     #[test]

@@ -81,29 +81,51 @@ impl PebsSampler {
     }
 
     /// Observe `count` events spread uniformly over the interval
-    /// `[start, start+duration)`, drawing sampled addresses from
-    /// `address_of`, which receives a uniform value in `[0, 1)` locating the
-    /// sample within the interval. This is the bulk path used by the
-    /// analytical profiler, where individual misses are not enumerated.
+    /// `[start, start+duration)` and return the samples that fire, in time
+    /// order. See [`observe_bulk_with`](Self::observe_bulk_with), which
+    /// hands each sample to a callback instead of collecting them.
     pub fn observe_bulk<F>(
         &mut self,
         start: Nanos,
         duration: Nanos,
         count: u64,
-        mut address_of: F,
+        address_of: F,
     ) -> Vec<RawSample>
     where
         F: FnMut(&mut DetRng) -> Address,
     {
+        let mut out = Vec::new();
+        self.observe_bulk_with(start, duration, count, address_of, |s| out.push(s));
+        out
+    }
+
+    /// Observe `count` events spread uniformly over the interval
+    /// `[start, start+duration)` and pass each sample that fires to `emit`,
+    /// in time order, so the caller can append it to a buffer it reuses.
+    /// `address_of` draws each sample's address and receives the sampler's
+    /// own random stream (which also jitters the timestamps), so a run's
+    /// addresses and times are one deterministic sequence. This is the bulk
+    /// path used by the analytical profiler, where individual misses are
+    /// not enumerated.
+    pub fn observe_bulk_with<F, E>(
+        &mut self,
+        start: Nanos,
+        duration: Nanos,
+        count: u64,
+        mut address_of: F,
+        mut emit: E,
+    ) where
+        F: FnMut(&mut DetRng) -> Address,
+        E: FnMut(RawSample),
+    {
         if count == 0 {
-            return Vec::new();
+            return;
         }
         self.total_events += count;
         let available = self.residual + count;
         let fires = available / self.period;
         self.residual = available % self.period;
         let end = start + duration;
-        let mut out = Vec::with_capacity(fires as usize);
         for i in 0..fires {
             // Spread sample timestamps across the interval in event order,
             // with a little jitter.
@@ -117,14 +139,13 @@ impl PebsSampler {
                 time = Nanos(f64::from_bits(end.nanos().to_bits().saturating_sub(1))).max(start);
             }
             let address = address_of(&mut self.rng);
-            out.push(RawSample {
+            emit(RawSample {
                 time,
                 address,
                 weight: self.period,
             });
             self.total_samples += 1;
         }
-        out
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The Extrae analogue: step 1 of the paper's framework.
 //!
-//! The profiler observes a simulated application run and produces a
-//! Paraver-like trace containing
+//! The profiler observes a simulated application run and emits, into an
+//! [`EventSink`](hmsim_trace::EventSink) (by default a Paraver-like trace),
 //!
 //! * allocation/deallocation events for every dynamic allocation of at
 //!   least [`MIN_ALLOC_SIZE`] (the paper's 4 KiB), identified by their

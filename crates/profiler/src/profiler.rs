@@ -1,26 +1,30 @@
-//! The profiler itself: allocation hooks, PEBS wiring and trace emission.
+//! The profiler itself: allocation hooks, PEBS wiring and event emission.
 //!
-//! Events are emitted in time order: [`Profiler::record_interval`] merges
-//! one interval's samples from all objects by timestamp before pushing
-//! them, so when the caller records allocations, phases and intervals as
-//! simulated time advances, the trace is already sorted and the final sort
-//! in [`Profiler::finish`] is a single linear pass.
+//! The profiler writes to an [`EventSink`], by default a [`TraceFile`]. It
+//! emits events in time order as long as the caller records allocations,
+//! phases and intervals as simulated time advances. One interval's samples
+//! go to the sink in a single batch, object after object, each object's
+//! samples in time order; putting them in time order is the sink's business.
+//! The trace merges them as it stores them, so a finished trace is sorted
+//! without a final sort, while the framework's analysis stage counts them
+//! in the order they come (see `hmsim_analysis::analyzer`).
 
 use crate::config::{ProfilerConfig, MIN_ALLOC_SIZE};
 use crate::overhead::OverheadModel;
 use hmsim_common::{Address, DetRng, Nanos, ObjectId};
 use hmsim_heap::{DataObject, ObjectKind};
-use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily, RawSample};
+use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 use hmsim_trace::{
-    AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent, TraceFile,
+    AllocationRecord, CounterSnapshot, EventSink, ObjectClass, SampleRecord, TraceEvent, TraceFile,
     TraceMetadata,
 };
 
-/// The Extrae-like profiler attached to one simulated process.
+/// The Extrae-like profiler attached to one simulated process, emitting
+/// into the sink `S`.
 #[derive(Clone, Debug)]
-pub struct Profiler {
+pub struct Profiler<S = TraceFile> {
     config: ProfilerConfig,
-    trace: TraceFile,
+    sink: S,
     sampler: PebsSampler,
     overhead_model: OverheadModel,
     /// Allocation/deallocation events actually instrumented.
@@ -31,15 +35,28 @@ pub struct Profiler {
     pending_instructions: u64,
     pending_misses: u64,
     last_snapshot: Nanos,
-    /// One interval's samples from all objects, reused across intervals.
-    batch: Vec<(ObjectId, RawSample)>,
+    /// The latest timestamp emitted so far.
+    last_time: Nanos,
+    /// One interval's samples, object after object, reused across intervals.
+    batch: Vec<SampleRecord>,
 }
 
 impl Profiler {
-    /// Attach a profiler for an application run described by `metadata`.
+    /// Attach a profiler for an application run described by `metadata`,
+    /// recording a trace.
     pub fn new(mut metadata: TraceMetadata, config: ProfilerConfig) -> Self {
         metadata.sampling_period = config.sampling_period;
         metadata.min_alloc_size = MIN_ALLOC_SIZE.bytes();
+        let trace = TraceFile::new(metadata.clone());
+        Profiler::with_sink(&metadata, config, trace)
+    }
+}
+
+impl<S: EventSink> Profiler<S> {
+    /// Attach a profiler for the process `metadata` names, emitting into
+    /// `sink`. The application and rank seed the sampler, so every sink
+    /// receives the same events.
+    pub fn with_sink(metadata: &TraceMetadata, config: ProfilerConfig, sink: S) -> Self {
         let rng = DetRng::new(config.seed).derive(&format!(
             "profiler/{}/{}",
             metadata.application, metadata.rank
@@ -52,7 +69,7 @@ impl Profiler {
         );
         Profiler {
             config,
-            trace: TraceFile::new(metadata),
+            sink,
             sampler,
             overhead_model: OverheadModel::default(),
             alloc_events: 0,
@@ -60,6 +77,7 @@ impl Profiler {
             pending_instructions: 0,
             pending_misses: 0,
             last_snapshot: Nanos::ZERO,
+            last_time: Nanos::ZERO,
             batch: Vec::new(),
         }
     }
@@ -67,6 +85,11 @@ impl Profiler {
     /// The profiler configuration.
     pub fn config(&self) -> &ProfilerConfig {
         &self.config
+    }
+
+    fn emit(&mut self, event: TraceEvent) {
+        self.last_time = self.last_time.max(event.time());
+        self.sink.event(event);
     }
 
     /// Record an allocation (or a static/stack definition). Dynamic
@@ -81,7 +104,7 @@ impl Profiler {
             ObjectKind::Dynamic => ObjectClass::Dynamic,
             ObjectKind::Stack => ObjectClass::Stack,
         };
-        self.trace.push(TraceEvent::Alloc(AllocationRecord {
+        self.emit(TraceEvent::Alloc(AllocationRecord {
             time,
             object: object.id,
             class,
@@ -96,7 +119,7 @@ impl Profiler {
 
     /// Record a deallocation.
     pub fn record_free(&mut self, object: ObjectId, address: Address, time: Nanos) {
-        self.trace.push(TraceEvent::Free {
+        self.emit(TraceEvent::Free {
             time,
             object,
             address,
@@ -106,7 +129,7 @@ impl Profiler {
 
     /// Record entry into a named phase.
     pub fn phase_begin(&mut self, name: impl Into<String>, time: Nanos) {
-        self.trace.push(TraceEvent::PhaseBegin {
+        self.emit(TraceEvent::PhaseBegin {
             time,
             name: name.into(),
         });
@@ -114,7 +137,7 @@ impl Profiler {
 
     /// Record exit from a named phase.
     pub fn phase_end(&mut self, name: impl Into<String>, time: Nanos) {
-        self.trace.push(TraceEvent::PhaseEnd {
+        self.emit(TraceEvent::PhaseEnd {
             time,
             name: name.into(),
         });
@@ -136,28 +159,32 @@ impl Profiler {
             if *misses == 0 {
                 continue;
             }
-            let range = object.range;
-            let samples = self.sampler.observe_bulk(start, duration, *misses, |rng| {
-                let span = range.len.bytes().max(1);
-                range.start.offset(rng.uniform_range(0, span))
-            });
-            self.batch
-                .extend(samples.into_iter().map(|s| (object.id, s)));
+            let (range, id) = (object.range, object.id);
+            let (batch, last_time) = (&mut self.batch, &mut self.last_time);
+            self.sampler.observe_bulk_with(
+                start,
+                duration,
+                *misses,
+                |rng| {
+                    let span = range.len.bytes().max(1);
+                    range.start.offset(rng.uniform_range(0, span))
+                },
+                |s| {
+                    *last_time = last_time.max(s.time);
+                    batch.push(SampleRecord {
+                        time: s.time,
+                        address: s.address,
+                        object: Some(id),
+                        weight: s.weight,
+                        latency_cycles: None,
+                    })
+                },
+            );
             self.pending_misses += *misses;
         }
-        // Each object's samples are already in time order; the stable sort
-        // merges those runs and keeps same-instant samples in object order,
-        // exactly where a stable sort of the whole trace would put them.
-        self.batch
-            .sort_by(|a, b| a.1.time.partial_cmp(&b.1.time).expect("no NaN timestamps"));
-        for (id, s) in self.batch.drain(..) {
-            self.trace.push(TraceEvent::Sample(SampleRecord {
-                time: s.time,
-                address: s.address,
-                object: Some(id),
-                weight: s.weight,
-                latency_cycles: None,
-            }));
+        if !self.batch.is_empty() {
+            self.sink.samples(&self.batch);
+            self.batch.clear();
         }
         self.pending_instructions += instructions;
 
@@ -165,7 +192,7 @@ impl Profiler {
         let end = start + duration;
         let interval = self.config.counter_snapshot_interval;
         if interval.nanos() > 0.0 && end - self.last_snapshot >= interval {
-            self.trace.push(TraceEvent::Counters(CounterSnapshot {
+            self.emit(TraceEvent::Counters(CounterSnapshot {
                 time: end,
                 instructions: self.pending_instructions,
                 llc_misses: self.pending_misses,
@@ -198,19 +225,17 @@ impl Profiler {
         )
     }
 
-    /// Finish profiling and hand over the trace.
-    pub fn finish(mut self) -> TraceFile {
+    /// Finish profiling and hand over the sink.
+    pub fn finish(mut self) -> S {
         // Flush a final counter snapshot if anything is pending.
         if self.pending_instructions > 0 || self.pending_misses > 0 {
-            let time = self.trace.duration();
-            self.trace.push(TraceEvent::Counters(CounterSnapshot {
-                time,
+            self.emit(TraceEvent::Counters(CounterSnapshot {
+                time: self.last_time,
                 instructions: self.pending_instructions,
                 llc_misses: self.pending_misses,
             }));
         }
-        self.trace.sort_by_time();
-        self.trace
+        self.sink
     }
 }
 
@@ -365,8 +390,9 @@ mod tests {
     }
 
     /// The emission that `record_interval` replaced, kept as the oracle:
-    /// each object's samples pushed one object after another, leaving the
-    /// interval out of time order for `finish`'s sort of the whole trace.
+    /// each object's samples emitted as single events one object after
+    /// another, leaving the interval out of time order for a stable sort of
+    /// the whole trace after `finish` (`sorted_finish`).
     fn oracle_record_interval(
         p: &mut Profiler,
         start: Nanos,
@@ -385,7 +411,7 @@ mod tests {
                 range.start.offset(rng.uniform_range(0, span))
             });
             for s in samples {
-                p.trace.push(TraceEvent::Sample(SampleRecord {
+                p.emit(TraceEvent::Sample(SampleRecord {
                     time: s.time,
                     address: s.address,
                     object: Some(id),
@@ -399,7 +425,7 @@ mod tests {
         let end = start + duration;
         let interval = p.config.counter_snapshot_interval;
         if interval.nanos() > 0.0 && end - p.last_snapshot >= interval {
-            p.trace.push(TraceEvent::Counters(CounterSnapshot {
+            p.emit(TraceEvent::Counters(CounterSnapshot {
                 time: end,
                 instructions: p.pending_instructions,
                 llc_misses: p.pending_misses,
@@ -409,6 +435,13 @@ mod tests {
             p.pending_misses = 0;
             p.last_snapshot = end;
         }
+    }
+
+    /// The oracle's trace: finished, then stably sorted by time.
+    fn sorted_finish(oracle: Profiler) -> TraceFile {
+        let mut trace = oracle.finish();
+        trace.sort_by_time();
+        trace
     }
 
     type RecordInterval = fn(&mut Profiler, Nanos, Nanos, u64, &[(&DataObject, u64)]);
@@ -537,7 +570,7 @@ mod tests {
             for config in [ProfilerConfig::default(), ProfilerConfig::dense(2_000)] {
                 let p = profile_app(spec, 10, config.clone(), Profiler::record_interval);
                 assert!(
-                    p.trace
+                    p.sink
                         .events()
                         .windows(2)
                         .all(|w| w[0].time() <= w[1].time()),
@@ -547,7 +580,7 @@ mod tests {
                 let oracle = profile_app(spec, 10, config, oracle_record_interval);
                 assert_eq!(p.samples(), oracle.samples());
                 assert!(p.samples() > 0, "{}: no samples", spec.name);
-                let (trace, expected) = (p.finish(), oracle.finish());
+                let (trace, expected) = (p.finish(), sorted_finish(oracle));
                 assert_eq!(trace.events(), expected.events(), "{}", spec.name);
                 assert_eq!(trace.metadata, expected.metadata);
             }
@@ -569,13 +602,13 @@ mod tests {
         let mut oracle = profiler(1000);
         oracle_record_interval(&mut oracle, start, duration, 10, interval);
         let mut instants: Vec<u64> = p
-            .trace
+            .sink
             .events()
             .iter()
             .map(|e| e.time().nanos().to_bits())
             .collect();
         instants.dedup();
         assert!(instants.len() < 10, "{} instants", instants.len());
-        assert_eq!(p.finish().events(), oracle.finish().events());
+        assert_eq!(p.finish().events(), sorted_finish(oracle).events());
     }
 }

@@ -14,6 +14,9 @@
 //! Traces exist in two representations:
 //!
 //! * **In memory** as a [`TraceFile`] — convenient for tests and small runs.
+//!   It is one [`EventSink`], the interface the profiler emits through; a
+//!   consumer that needs only aggregates (the framework's analysis stage)
+//!   takes the events as they are emitted and keeps no trace.
 //! * **Binary** ([`binary`]): a compact chunked record format with a
 //!   buffered [`BinaryWriter`] and a streaming [`TraceReader`] that iterates
 //!   events while holding one chunk in memory — the out-of-core capture
@@ -28,10 +31,12 @@
 
 pub mod binary;
 pub mod event;
+pub mod sink;
 pub mod summary;
 pub mod trace_file;
 
 pub use binary::{read_binary, write_binary, write_binary_to, BinaryWriter, TraceReader};
 pub use event::{AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent};
-pub use summary::TraceSummary;
+pub use sink::EventSink;
+pub use summary::{TraceSummary, TraceSummaryBuilder};
 pub use trace_file::{TraceFile, TraceMetadata};

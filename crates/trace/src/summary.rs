@@ -1,7 +1,8 @@
 //! Whole-trace summary statistics (the numbers reported per application in
 //! Table I of the paper: allocations per second, samples per process, …).
 
-use crate::event::TraceEvent;
+use crate::event::{SampleRecord, TraceEvent};
+use crate::sink::EventSink;
 use crate::trace_file::TraceFile;
 use hmsim_common::{ByteSize, Nanos};
 
@@ -31,39 +32,78 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Compute the summary of a trace.
     pub fn of(trace: &TraceFile) -> TraceSummary {
-        let mut allocations = 0usize;
-        let mut frees = 0usize;
-        let mut samples = 0usize;
-        let mut allocated_bytes = ByteSize::ZERO;
-        let mut sampled_misses = 0u64;
+        let mut builder = TraceSummaryBuilder::default();
         for e in trace.events() {
-            match e {
-                TraceEvent::Alloc(a) => {
-                    allocations += 1;
-                    allocated_bytes += a.size;
-                }
-                TraceEvent::Free { .. } => frees += 1,
-                TraceEvent::Sample(s) => {
-                    samples += 1;
-                    sampled_misses += s.weight;
-                }
-                _ => {}
-            }
+            builder.push(e);
         }
-        let duration = trace.duration();
-        let secs = duration.secs();
+        builder.finish()
+    }
+}
+
+/// Streaming form of [`TraceSummary::of`]: push events one at a time (or
+/// emit a profile into it as an [`EventSink`]), then
+/// [`finish`](Self::finish).
+#[derive(Clone, Debug, Default)]
+pub struct TraceSummaryBuilder {
+    events: usize,
+    allocations: usize,
+    frees: usize,
+    samples: usize,
+    duration: Nanos,
+    allocated_bytes: ByteSize,
+    sampled_misses: u64,
+}
+
+impl TraceSummaryBuilder {
+    /// Consume one event.
+    pub fn push(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Alloc(a) => {
+                self.allocations += 1;
+                self.allocated_bytes += a.size;
+            }
+            TraceEvent::Free { .. } => self.frees += 1,
+            TraceEvent::Sample(s) => self.sample(s),
+            _ => {}
+        }
+        self.events += 1;
+        self.duration = self.duration.max(event.time());
+    }
+
+    fn sample(&mut self, s: &SampleRecord) {
+        self.samples += 1;
+        self.sampled_misses += s.weight;
+    }
+
+    /// The summary of the events consumed.
+    pub fn finish(self) -> TraceSummary {
+        let secs = self.duration.secs();
         let rate = |count: usize| if secs > 0.0 { count as f64 / secs } else { 0.0 };
         TraceSummary {
-            events: trace.len(),
-            allocations,
-            frees,
-            samples,
-            duration,
-            allocations_per_second: rate(allocations),
-            samples_per_second: rate(samples),
-            allocated_bytes,
-            sampled_misses,
+            events: self.events,
+            allocations: self.allocations,
+            frees: self.frees,
+            samples: self.samples,
+            duration: self.duration,
+            allocations_per_second: rate(self.allocations),
+            samples_per_second: rate(self.samples),
+            allocated_bytes: self.allocated_bytes,
+            sampled_misses: self.sampled_misses,
         }
+    }
+}
+
+impl EventSink for TraceSummaryBuilder {
+    fn event(&mut self, event: TraceEvent) {
+        self.push(&event);
+    }
+
+    fn samples(&mut self, samples: &[SampleRecord]) {
+        for s in samples {
+            self.sample(s);
+            self.duration = self.duration.max(s.time);
+        }
+        self.events += samples.len();
     }
 }
 

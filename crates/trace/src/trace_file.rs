@@ -1,7 +1,7 @@
 //! In-memory trace container with metadata.
 
-use crate::event::TraceEvent;
-use hmsim_common::Nanos;
+use crate::event::{SampleRecord, TraceEvent};
+use crate::sink::EventSink;
 
 /// Metadata describing how a trace was captured.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,14 +79,6 @@ impl TraceFile {
         self.events.is_empty()
     }
 
-    /// The timestamp of the last event (trace duration).
-    pub fn duration(&self) -> Nanos {
-        self.events
-            .iter()
-            .map(TraceEvent::time)
-            .fold(Nanos::ZERO, Nanos::max)
-    }
-
     /// Count of sample events.
     pub fn sample_count(&self) -> usize {
         self.events.iter().filter(|e| e.is_sample()).count()
@@ -99,16 +91,37 @@ impl TraceFile {
 
     /// Sort events by timestamp (stable), for traces assembled out of order.
     pub fn sort_by_time(&mut self) {
-        self.events
-            .sort_by(|a, b| a.time().partial_cmp(&b.time()).expect("no NaN timestamps"));
+        sort_by_time(&mut self.events);
     }
+}
+
+/// The trace stores time order, so it merges each interval's per-object
+/// sample runs as they arrive.
+impl EventSink for TraceFile {
+    fn event(&mut self, event: TraceEvent) {
+        self.push(event);
+    }
+
+    fn samples(&mut self, samples: &[SampleRecord]) {
+        let start = self.events.len();
+        self.events
+            .extend(samples.iter().cloned().map(TraceEvent::Sample));
+        // Each object's samples are already in time order; the stable sort
+        // merges those runs and keeps same-instant samples in object order,
+        // exactly where a stable sort of the whole trace would put them.
+        sort_by_time(&mut self.events[start..]);
+    }
+}
+
+fn sort_by_time(events: &mut [TraceEvent]) {
+    events.sort_by(|a, b| a.time().partial_cmp(&b.time()).expect("no NaN timestamps"));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{CounterSnapshot, SampleRecord};
-    use hmsim_common::Address;
+    use hmsim_common::{Address, Nanos};
 
     #[test]
     fn push_and_query() {
@@ -133,7 +146,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.sample_count(), 1);
         assert_eq!(t.alloc_count(), 0);
-        assert_eq!(t.duration(), Nanos::from_millis(3.0));
     }
 
     #[test]
