@@ -12,6 +12,7 @@
 //! | `trace_io` | `BENCH_trace.json` | binary trace write/parse, folding and the profile → analysis hand-off |
 //! | `runtime_migration` | `BENCH_runtime.json` | online migration runtime vs best static placement |
 //! | `multirank_scaling` | `BENCH_multirank.json` | arbitration policies on a rank-skewed node |
+//! | `grid` | `BENCH_grid.json` | the Figure-4 grid from one profile per app vs every scenario alone |
 //!
 //! `cargo bench -p hmsim-bench --benches -- --test` runs every target once at
 //! smoke scale and writes nothing. The paper's figures and tables are printed
@@ -70,15 +71,17 @@ pub fn median_of_pairs<A, B>(
         b.push(second_s);
         ratios.push(first_s / second_s);
     }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     Paired {
         first_s: median(a),
         second_s: median(b),
         ratio: median(ratios),
     }
+}
+
+/// The median of `v` (the upper middle value of an even count).
+pub fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// Write `json` to `file` at the repository root and echo it.

@@ -51,6 +51,12 @@ pub const EXPECTED: &[(&str, &str, &[&str], &[&str])] = &[
         &["threads", "headline_global_vs_partition", "rank_skew"],
         &[],
     ),
+    (
+        "BENCH_grid.json",
+        "grid",
+        &["threads", "headline_speedup", "workloads"],
+        &["shared_ms", "per_scenario_ms", "profile_ms", "place_ms"],
+    ),
 ];
 
 /// Validate one artifact's parsed document against its registration.

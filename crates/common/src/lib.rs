@@ -17,8 +17,6 @@
 //! * [`json`] — the minimal recursive-descent JSON reader shared by the
 //!   bench schema check and the scenario loader (no serde in the offline
 //!   build);
-//! * [`par`] — the scoped-thread work-sharing fan-out used by the experiment
-//!   grid;
 //! * [`table`] — plain-text table rendering used to print the paper's
 //!   tables and figure series.
 
@@ -28,7 +26,6 @@
 pub mod error;
 pub mod ids;
 pub mod json;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -36,7 +33,6 @@ pub mod units;
 
 pub use error::{HmError, HmResult};
 pub use ids::{IdHasher, IdMap, ObjectId, TierId};
-pub use par::parallel_map;
 pub use rng::DetRng;
 pub use stats::HighWaterMark;
 pub use units::{Address, AddressRange, ByteSize, Nanos, Page, PAGE_SIZE};

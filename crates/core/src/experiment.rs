@@ -7,14 +7,19 @@
 //! that grid and computes, per configuration, the figure of merit, the MCDRAM
 //! high-water mark and the ΔFOM/MByte efficiency metric — the three columns
 //! of Figure 4.
+//!
+//! The grid runs on one thread, one configuration after the other, and
+//! profiles each application once, as the paper does: the framework's
+//! strategy × budget rows are all placed from that one profile.
 
 use crate::metrics::delta_fom_per_mbyte;
+use crate::pipeline::FrameworkPipeline;
 use crate::scenario::Scenario;
 use crate::session::Simulation;
 use auto_hbwmalloc::{ApproachKind, PlacementApproach};
 use hmem_advisor::SelectionStrategy;
 use hmsim_apps::{all_apps, AppSpec};
-use hmsim_common::{parallel_map, ByteSize, HmResult};
+use hmsim_common::{ByteSize, HmResult};
 
 /// Grid configuration.
 #[derive(Clone, Debug)]
@@ -69,6 +74,68 @@ impl ExperimentConfig {
     pub fn fcfs_share(&self, spec: &AppSpec) -> ByteSize {
         ByteSize::from_gib(16) / u64::from(spec.ranks.max(1))
     }
+
+    /// Every configuration of one application's grid, in the order its
+    /// results list them: the framework's strategy × budget rows, the online
+    /// rows, numactl, autohbw, cache mode, and the DDR reference last.
+    pub fn rows(&self, spec: &AppSpec) -> Vec<GridRow> {
+        use ApproachKind as Kind;
+        use PlacementApproach::{CacheMode, DdrOnly, NumactlPreferred, Online};
+        let (share, budgets) = (self.fcfs_share(spec), self.budgets_for(spec));
+        let framework = self.strategies.iter().flat_map(|s| {
+            let approach = PlacementApproach::framework(*s);
+            budgets
+                .iter()
+                .map(move |b| (format!("{s}/{b}"), approach.clone(), *b))
+        });
+        let online = budgets
+            .iter()
+            .map(|b| (format!("{}/{b}", Kind::Online), Online, *b));
+        let autohbw = PlacementApproach::autohbw_1m();
+        let baselines = [
+            (Kind::Numactl.to_string(), NumactlPreferred, share),
+            (format!("{}/1m", Kind::AutoHbw), autohbw, share),
+            (Kind::Cache.to_string(), CacheMode, ByteSize::ZERO),
+            (Kind::Ddr.to_string(), DdrOnly, share),
+        ];
+        let rows = framework.chain(online).chain(baselines);
+        rows.map(|(label, approach, budget)| {
+            let mut scenario = Scenario::app(spec.name, approach, budget).with_seed(self.seed);
+            scenario.iterations = self.iterations_override;
+            GridRow { label, scenario }
+        })
+        .collect()
+    }
+}
+
+/// One configuration of an application's grid.
+#[derive(Clone, Debug)]
+pub struct GridRow {
+    /// Label as it appears in the figure legend.
+    pub label: String,
+    /// The run that produces the row.
+    pub scenario: Scenario,
+}
+
+impl GridRow {
+    /// The row's outcome from the FOM and high-water mark of its run, its
+    /// ΔFOM/MByte taken against the DDR reference FOM.
+    fn result(self, fom: f64, mcdram_hwm: ByteSize, ddr_fom: f64) -> ApproachResult {
+        use PlacementApproach::*;
+        let charged_mcdram_mib = match self.scenario.approach {
+            Framework { .. } | Online => self.scenario.mcdram_budget.mib(),
+            NumactlPreferred | CacheMode => ByteSize::from_gib(16).mib(),
+            AutoHbw { .. } | DdrOnly => 0.0,
+        };
+        ApproachResult {
+            is_framework: matches!(self.scenario.approach, Framework { .. }),
+            label: self.label,
+            fom,
+            mcdram_hwm,
+            charged_mcdram_mib,
+            dfom_per_mbyte: delta_fom_per_mbyte(fom, ddr_fom, charged_mcdram_mib),
+        }
+    }
 }
 
 /// One configuration's outcome.
@@ -89,27 +156,6 @@ pub struct ApproachResult {
     /// Whether this row is one of the framework configurations (as opposed
     /// to a baseline).
     pub is_framework: bool,
-}
-
-impl ApproachResult {
-    /// A grid row, its ΔFOM/MByte taken against the DDR reference FOM.
-    fn row(
-        label: String,
-        fom: f64,
-        mcdram_hwm: ByteSize,
-        charged_mcdram_mib: f64,
-        is_framework: bool,
-        ddr_fom: f64,
-    ) -> Self {
-        ApproachResult {
-            label,
-            fom,
-            mcdram_hwm,
-            charged_mcdram_mib,
-            dfom_per_mbyte: delta_fom_per_mbyte(fom, ddr_fom, charged_mcdram_mib),
-            is_framework,
-        }
-    }
 }
 
 /// The full Figure-4 data for one application.
@@ -173,117 +219,57 @@ impl AppExperiment {
     }
 }
 
-/// Run the whole grid for one application. The framework's strategy × budget
-/// configurations and the profiling-free baselines are all independent
-/// simulations, so they are fanned out over scoped worker threads. Every
-/// job is a declarative [`Scenario`] dispatched through the [`Simulation`]
-/// facade — the grid is now literally a list of scenario values.
+/// Run the whole grid for one application, one configuration after the
+/// other. The framework rows share one profile: stages 1 and 2 read neither
+/// budget nor strategy, so the application is profiled once and every
+/// strategy × budget is [placed](FrameworkPipeline::place) from that
+/// profile, with the result [`Simulation::run`] gives the row's scenario
+/// alone. Every other row runs through [`Simulation::run`].
 pub fn run_app_experiment(spec: &AppSpec, config: &ExperimentConfig) -> HmResult<AppExperiment> {
     // A malformed spec fails this application's experiment with a typed,
     // attributable error instead of poisoning the whole sweep.
     spec.validate()?;
-    let scenario = |approach: PlacementApproach, budget: ByteSize| {
-        let mut s = Scenario::app(spec.name, approach, budget).with_seed(config.seed);
-        if let Some(it) = config.iterations_override {
-            s = s.with_iterations(it);
-        }
-        s
-    };
-
+    let mut rows = config.rows(spec);
     // DDR reference first: every other configuration's efficiency metric is
     // relative to it.
-    let share = config.fcfs_share(spec);
-    let ddr = Simulation::new().run(&scenario(PlacementApproach::DdrOnly, share))?;
-    let ddr_fom = ddr.node.fom;
+    let ddr_row = rows.pop().expect("the grid ends with the DDR reference");
+    let ddr = Simulation::new().run(&ddr_row.scenario)?.node;
 
-    let full_mcdram_mib = ByteSize::from_gib(16).mib();
-    let budgets = config.budgets_for(spec);
-
-    // One independent simulation per row: (approach, budget, label, charged
-    // MiB, is_framework). The framework grid (strategies × budgets), the
-    // online runs and the three baselines share one job list, in the order
-    // the results list reports them, so a single `parallel_map` overlaps
-    // baseline runs with grid stragglers instead of draining two barriers.
-    let jobs: Vec<(PlacementApproach, ByteSize, String, f64, bool)> = config
-        .strategies
-        .iter()
-        .flat_map(|s| {
-            budgets.iter().map(move |b| {
-                let approach = PlacementApproach::framework(*s);
-                (approach, *b, format!("{s}/{b}"), b.mib(), true)
-            })
-        })
-        .chain(budgets.iter().map(|b| {
-            let label = format!("{}/{b}", ApproachKind::Online);
-            (PlacementApproach::Online, *b, label, b.mib(), false)
-        }))
-        .chain([
-            (
-                PlacementApproach::NumactlPreferred,
-                share,
-                ApproachKind::Numactl.to_string(),
-                full_mcdram_mib,
-                false,
-            ),
-            (
-                PlacementApproach::autohbw_1m(),
-                share,
-                format!("{}/1m", ApproachKind::AutoHbw),
-                0.0,
-                false,
-            ),
-            (
-                PlacementApproach::CacheMode,
-                ByteSize::ZERO,
-                ApproachKind::Cache.to_string(),
-                full_mcdram_mib,
-                false,
-            ),
-        ])
-        .collect();
-    let outcomes = parallel_map(jobs, |(approach, budget, label, mib, is_framework)| {
-        // Cache mode allocates nothing in MCDRAM: it is a hardware cache.
-        let cache = approach == PlacementApproach::CacheMode;
-        let node = Simulation::new().run(&scenario(approach, budget))?.node;
-        let hwm = if cache {
-            ByteSize::ZERO
-        } else {
-            node.mcdram_hwm
+    let mut profile = None;
+    let mut results = Vec::with_capacity(rows.len() + 1);
+    for row in rows {
+        let (fom, hwm) = match FrameworkPipeline::for_scenario(&row.scenario) {
+            Some(pipeline) => {
+                // Stages 1 and 2 run once, for the first framework row.
+                let profile = match &mut profile {
+                    Some(profile) => profile,
+                    slot @ None => slot.insert(pipeline.profile(spec)?),
+                };
+                let result = pipeline.place(spec, profile)?.result;
+                (result.fom, result.mcdram_hwm)
+            }
+            None => {
+                let node = Simulation::new().run(&row.scenario)?.node;
+                (node.fom, node.mcdram_hwm)
+            }
         };
-        Ok(ApproachResult::row(
-            label,
-            node.fom,
-            hwm,
-            mib,
-            is_framework,
-            ddr_fom,
-        ))
-    });
-
-    let mut results = outcomes.into_iter().collect::<HmResult<Vec<_>>>()?;
-    results.push(ApproachResult::row(
-        ApproachKind::Ddr.to_string(),
-        ddr_fom,
-        ByteSize::ZERO,
-        0.0,
-        false,
-        ddr_fom,
-    ));
+        results.push(row.result(fom, hwm, ddr.fom));
+    }
+    results.push(ddr_row.result(ddr.fom, ddr.mcdram_hwm, ddr.fom));
 
     Ok(AppExperiment {
         app: spec.name.to_string(),
         fom_name: spec.fom_name.to_string(),
-        ddr_fom,
+        ddr_fom: ddr.fom,
         results,
     })
 }
 
-/// Run the grid for every application, in parallel (work-shared across the
-/// machine's cores).
+/// Run the grid for every application, one after the other.
 pub fn run_full_evaluation(config: &ExperimentConfig) -> Vec<AppExperiment> {
-    parallel_map(all_apps(), |spec| run_app_experiment(&spec, config).ok())
-        .into_iter()
-        .flatten()
+    all_apps()
+        .iter()
+        .filter_map(|spec| run_app_experiment(spec, config).ok())
         .collect()
 }
 

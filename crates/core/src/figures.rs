@@ -13,6 +13,7 @@ use hmsim_callstack::CallstackCostModel;
 use hmsim_common::{ByteSize, HmResult, Nanos};
 use hmsim_machine::MachineConfig;
 use hmsim_profiler::ProfilerConfig;
+use hmsim_trace::TraceSummaryBuilder;
 
 // ---------------------------------------------------------------------------
 // Figure 1
@@ -91,12 +92,11 @@ fn table1_row(spec: &AppSpec, iterations_override: Option<u32>) -> HmResult<Tabl
     if let Some(it) = iterations_override {
         cfg = cfg.with_iterations(it);
     }
-    let result = AppRun::new(spec, cfg).execute(PlacementApproach::DdrOnly.router()?)?;
-    let trace = result
-        .trace
-        .as_ref()
-        .expect("profiled run always produces a trace");
-    let summary = hmsim_trace::TraceSummary::of(trace);
+    let (result, summary) = AppRun::new(spec, cfg).execute_into(
+        PlacementApproach::DdrOnly.router()?,
+        TraceSummaryBuilder::default(),
+    )?;
+    let summary = summary.finish();
     let secs = result.loop_time.secs().max(1e-9);
 
     // Scale the measured per-iteration sample rate up to the paper's full

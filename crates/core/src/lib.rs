@@ -40,6 +40,7 @@ pub mod simrun;
 
 pub use experiment::{
     run_app_experiment, run_full_evaluation, AppExperiment, ApproachResult, ExperimentConfig,
+    GridRow,
 };
 pub use metrics::delta_fom_per_mbyte;
 pub use pipeline::{FrameworkOutcome, FrameworkPipeline, Profile};

@@ -9,6 +9,11 @@
 //! 4. **Re-run** the unmodified application with `auto-hbwmalloc` interposed,
 //!    honouring the advisor's report.
 //!
+//! [`FrameworkPipeline::profile`] runs stages 1 and 2, which read neither the
+//! budget nor the strategy, so a sweep over both (the Figure-4 grid) profiles
+//! each application once; [`FrameworkPipeline::place`] runs stages 3 and 4
+//! from that [`Profile`], and [`FrameworkPipeline::run`] chains the two.
+//!
 //! Stages 1 and 2 hand over in one of two ways. In memory, the profiler
 //! emits straight into stage 2 (an [`EventSink`] that feeds the per-object
 //! analysis and the trace summary as each event is emitted), so no trace is
@@ -19,6 +24,7 @@
 //! it through the chunked binary writer and drops it, and stage 2 streams
 //! the file back from disk.
 
+use crate::scenario::Scenario;
 use crate::simrun::{AppRun, RunConfig, RunResult};
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
 use hmem_advisor::{Advisor, MemorySpec, PlacementReport, SelectionStrategy};
@@ -35,9 +41,10 @@ use std::path::PathBuf;
 /// Configuration of one end-to-end pipeline execution.
 #[derive(Clone, Debug)]
 pub struct FrameworkPipeline {
-    /// Per-rank MCDRAM budget handed to the advisor and to auto-hbwmalloc.
+    /// Per-rank MCDRAM budget handed to the advisor and to auto-hbwmalloc
+    /// (stages 3 and 4; the profiling run does not read it).
     pub mcdram_budget: ByteSize,
-    /// Selection strategy.
+    /// Selection strategy (stage 3).
     pub strategy: SelectionStrategy,
     /// Profiler configuration for the profiling run.
     pub profiler: ProfilerConfig,
@@ -65,6 +72,21 @@ impl FrameworkPipeline {
             seed: 0xBA5E,
             trace_spill: None,
         }
+    }
+
+    /// The pipeline a Framework scenario runs (None for every other
+    /// approach): the scenario's budget, strategy, seed, iteration count and
+    /// profiler.
+    pub fn for_scenario(scenario: &Scenario) -> Option<Self> {
+        let PlacementApproach::Framework { strategy } = scenario.approach else {
+            return None;
+        };
+        Some(FrameworkPipeline {
+            profiler: scenario.profiling.clone().unwrap_or_default(),
+            iterations_override: scenario.iterations,
+            seed: scenario.seed,
+            ..FrameworkPipeline::new(scenario.mcdram_budget, strategy)
+        })
     }
 
     /// Spill the profiling trace to a binary file at `path` and run the
@@ -97,30 +119,7 @@ impl FrameworkPipeline {
 
     /// Execute the four stages for one application.
     pub fn run(&self, spec: &AppSpec) -> HmResult<FrameworkOutcome> {
-        // Stages 1 and 2: profiling run (data in DDR, Extrae attached) and
-        // Paramedir-style analysis.
-        let profile = self.profile(spec)?;
-
-        // Stage 3: hmem_advisor.
-        let memspec = MemorySpec::knl_budget(self.mcdram_budget);
-        let placement: PlacementReport =
-            Advisor::new().advise(&profile.object_report, &memspec, self.strategy)?;
-
-        // Stage 4: re-run with auto-hbwmalloc interposed, under a different
-        // ASLR layout (different process instance).
-        let (unwinder, translator) = AppRun::callstack_machinery(spec, self.seed ^ 0x5a5a_5a5a);
-        let library = AutoHbwMalloc::new(placement.clone(), unwinder, translator)
-            .with_budget(self.mcdram_budget);
-        let final_cfg = self.run_config(self.mcdram_budget);
-        let result = AppRun::new(spec, final_cfg).execute(AllocationRouter::framework(library))?;
-
-        Ok(FrameworkOutcome {
-            trace_summary: profile.trace_summary,
-            object_report: profile.object_report,
-            placement,
-            profiling_overhead: profile.profiling_overhead,
-            result,
-        })
+        self.place(spec, &self.profile(spec)?)
     }
 
     /// Stages 1 and 2 for one application: profile it on a DDR-resident run
@@ -130,9 +129,10 @@ impl FrameworkPipeline {
     /// dropped before the analysis streams it back, so events and report
     /// never coexist in memory.
     pub fn profile(&self, spec: &AppSpec) -> HmResult<Profile> {
+        // No budget: the DDR-only router never allocates in MCDRAM.
         let run = AppRun::new(
             spec,
-            self.run_config(self.mcdram_budget)
+            self.run_config(ByteSize::ZERO)
                 .with_profiling(self.profiler.clone()),
         );
         let router = PlacementApproach::DdrOnly.router()?;
@@ -160,6 +160,32 @@ impl FrameworkPipeline {
             trace_summary,
             object_report,
             profiling_overhead: result.monitoring_overhead,
+        })
+    }
+
+    /// Stages 3 and 4 for one application, from its `profile`: the advisor
+    /// sizes the placement for this pipeline's budget and strategy, and the
+    /// application re-runs with auto-hbwmalloc honouring it.
+    pub fn place(&self, spec: &AppSpec, profile: &Profile) -> HmResult<FrameworkOutcome> {
+        // Stage 3: hmem_advisor.
+        let memspec = MemorySpec::knl_budget(self.mcdram_budget);
+        let placement: PlacementReport =
+            Advisor::new().advise(&profile.object_report, &memspec, self.strategy)?;
+
+        // Stage 4: re-run with auto-hbwmalloc interposed, under a different
+        // ASLR layout (different process instance).
+        let (unwinder, translator) = AppRun::callstack_machinery(spec, self.seed ^ 0x5a5a_5a5a);
+        let library = AutoHbwMalloc::new(placement.clone(), unwinder, translator)
+            .with_budget(self.mcdram_budget);
+        let final_cfg = self.run_config(self.mcdram_budget);
+        let result = AppRun::new(spec, final_cfg).execute(AllocationRouter::framework(library))?;
+
+        Ok(FrameworkOutcome {
+            trace_summary: profile.trace_summary.clone(),
+            object_report: profile.object_report.clone(),
+            placement,
+            profiling_overhead: profile.profiling_overhead,
+            result,
         })
     }
 

@@ -141,15 +141,7 @@ impl Simulation {
     fn run_app(&self, scenario: &Scenario, app: &str) -> HmResult<Outcome> {
         let spec = hmsim_apps::app_by_name(app)?;
 
-        if let PlacementApproach::Framework { strategy } = &scenario.approach {
-            let mut pipeline = FrameworkPipeline::new(scenario.mcdram_budget, *strategy);
-            pipeline.seed = scenario.seed;
-            if let Some(iterations) = scenario.iterations {
-                pipeline = pipeline.with_iterations(iterations);
-            }
-            if let Some(profiler) = &scenario.profiling {
-                pipeline = pipeline.with_profiler(profiler.clone());
-            }
+        if let Some(pipeline) = FrameworkPipeline::for_scenario(scenario) {
             let fw = pipeline.run(&spec)?;
             let mut outcome = Outcome::single(scenario, fw.result.clone());
             outcome.framework = Some(fw);

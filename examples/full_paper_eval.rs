@@ -7,10 +7,12 @@
 //! cargo run --release --example full_paper_eval -- --full  # full iteration counts
 //! ```
 //!
-//! Every configuration of the Figure-4 grid is a declarative `Scenario`
-//! dispatched through the `Simulation` facade; to run a single configuration
-//! instead of the whole evaluation, write it as a `.scn` file and use
-//! `cargo run --release --example run_scenario -- <file>`.
+//! Every configuration of the Figure-4 grid is a declarative `Scenario`. The
+//! grid runs on one thread and profiles each application once: the 16
+//! framework strategy × budget rows are placed from that one profile, and the
+//! baselines run through the `Simulation` facade. To run a single
+//! configuration instead of the whole evaluation, write it as a `.scn` file
+//! and use `cargo run --release --example run_scenario -- <file>`.
 
 use hmem_repro::core::experiment::{run_full_evaluation, ExperimentConfig};
 use hmem_repro::core::figures;
