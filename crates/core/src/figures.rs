@@ -6,7 +6,7 @@
 use crate::pipeline::FrameworkPipeline;
 use crate::simrun::{AppRun, RunConfig, RunResult};
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
-use hmem_advisor::SelectionStrategy;
+use hmem_advisor::{Advisor, MemorySpec, SelectionStrategy};
 use hmsim_analysis::FoldedTimeline;
 use hmsim_apps::{all_apps, app_by_name, AppSpec, StreamBenchmark};
 use hmsim_callstack::CallstackCostModel;
@@ -159,18 +159,21 @@ pub fn figure5(iterations: u32, bins: usize) -> HmResult<Figure5Data> {
         ..Default::default()
     };
 
-    // Framework run: pipeline to get the placement, then a profiled re-run.
-    let pipeline = FrameworkPipeline::new(
-        budget,
-        SelectionStrategy::Misses {
-            threshold_percent: 0.0,
-        },
-    )
-    .with_iterations(iterations);
-    let outcome = pipeline.run(&spec)?;
+    // Framework run: profile and advise to get the placement, then a
+    // densely profiled re-run under it.
+    let strategy = SelectionStrategy::Misses {
+        threshold_percent: 0.0,
+    };
+    let profile = FrameworkPipeline::new(budget, strategy)
+        .with_iterations(iterations)
+        .profile(&spec)?;
+    let placement = Advisor::new().advise(
+        &profile.object_report,
+        &MemorySpec::knl_budget(budget),
+        strategy,
+    )?;
     let (unwinder, translator) = AppRun::callstack_machinery(&spec, 0xF165);
-    let library =
-        AutoHbwMalloc::new(outcome.placement.clone(), unwinder, translator).with_budget(budget);
+    let library = AutoHbwMalloc::new(placement, unwinder, translator).with_budget(budget);
     let framework_run = AppRun::new(
         &spec,
         RunConfig::flat(budget)

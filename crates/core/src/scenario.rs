@@ -37,8 +37,9 @@ use std::path::Path;
 /// NAS-BT's default of 250, the largest in the application registry.
 pub const MAX_ITERATIONS: u32 = 10_000;
 
-/// Most accesses a trace-driven scenario may simulate, summed over its ranks:
-/// over ten times the 7.86 M of a 256 KiB steady triad.
+/// Most accesses a trace-driven scenario may simulate, summed over its ranks
+/// (and over both passes of a phased Framework run: the profile and the
+/// re-run): over ten times the 7.86 M of a 256 KiB steady triad.
 pub const MAX_TRACE_ACCESSES: u64 = 100_000_000;
 
 /// Most online epochs one rank of a trace-driven scenario may run (its
@@ -168,7 +169,8 @@ pub struct Scenario {
     pub rank_policy: ArbiterPolicy,
     /// Attach the profiler (analytic workloads only). The Framework
     /// approach profiles its pipeline's stage-1 run with this configuration
-    /// when set.
+    /// when set. A phased Framework run takes no profiling block: its PEBS
+    /// profile always uses the online runtime's default period and seed.
     pub profiling: Option<ProfilerConfig>,
     /// Master seed for the analytic runner (ASLR layouts, derived streams).
     pub seed: u64,
@@ -318,6 +320,7 @@ impl Scenario {
             ));
         }
         if matches!(self.approach, PlacementApproach::Framework { .. })
+            && matches!(self.workload, WorkloadSelector::App { .. })
             && (self.machine != MachineSelector::Knl7250 || self.memory_mode != MemoryMode::Flat)
         {
             return fail(
@@ -414,15 +417,26 @@ impl Scenario {
                 let accesses = lookup_phased(name, *array_size)?.total_accesses();
                 if !matches!(
                     self.approach,
-                    PlacementApproach::Online | PlacementApproach::DdrOnly
+                    PlacementApproach::Online
+                        | PlacementApproach::DdrOnly
+                        | PlacementApproach::Framework {
+                            strategy: SelectionStrategy::Density
+                        }
                 ) {
                     return fail(format!(
-                        "phased trace workloads run online or as the DDR reference, \
-                         not under {}",
+                        "phased trace workloads run online, as the DDR reference or \
+                         under the Framework approach with the density strategy, not \
+                         under {}",
                         self.approach
                     ));
                 }
-                Some((accesses, Some(accesses)))
+                // The Framework approach streams the workload twice: the
+                // profiling pass over DDR and the measured re-run.
+                let total = match self.approach {
+                    PlacementApproach::Framework { .. } => accesses.checked_mul(2),
+                    _ => Some(accesses),
+                };
+                Some((accesses, total))
             }
             WorkloadSelector::MultiRank(sel) => {
                 if !online_approach {
@@ -996,6 +1010,11 @@ fn parse_profiling(v: Json) -> HmResult<ProfilerConfig> {
 pub fn committed_scenarios() -> Vec<Scenario> {
     let budget = ByteSize::from_mib(256);
     let iters = 8;
+    let rotating = Scenario::phased(
+        "rotating-triad",
+        ByteSize::from_kib(32),
+        ByteSize::from_kib(96),
+    );
     vec![
         Scenario::app("miniFE", PlacementApproach::DdrOnly, budget).with_iterations(iters),
         Scenario::app("miniFE", PlacementApproach::NumactlPreferred, budget).with_iterations(iters),
@@ -1017,12 +1036,15 @@ pub fn committed_scenarios() -> Vec<Scenario> {
         )
         .with_iterations(iters),
         Scenario::app("SNAP", PlacementApproach::Online, budget).with_iterations(iters),
-        Scenario::phased(
-            "rotating-triad",
-            ByteSize::from_kib(32),
-            ByteSize::from_kib(96),
-        )
-        .with_online(OnlineConfig::default().with_epoch_accesses(8_192)),
+        rotating
+            .clone()
+            .with_online(OnlineConfig::default().with_epoch_accesses(8_192)),
+        // The paper's static placement of the same workload.
+        Scenario {
+            approach: PlacementApproach::framework(SelectionStrategy::Density),
+            ..rotating
+        }
+        .with_name("rotating-triad-framework"),
         Scenario::multirank(
             MultiRankSelector::RankSkewTriad {
                 array_size: ByteSize::from_kib(16),
@@ -1119,6 +1141,79 @@ mod tests {
             let err = s.validate().unwrap_err();
             assert!(err.to_string().contains("multi-rank"), "{}: {err}", s.name);
             with_policy(s, ArbiterPolicy::Partition).validate().unwrap();
+        }
+    }
+
+    /// Phased workloads run the paper's static placement with the density
+    /// strategy only and take no profiling block (the trace profile uses the
+    /// online runtime's PEBS period and seed), multi-rank workloads take no
+    /// profiling block either, and the Framework approach's two passes over
+    /// a phased workload both count towards the work bound.
+    #[test]
+    fn trace_workload_framework_and_profiling_knobs_are_checked() {
+        let committed = |name: &str| {
+            committed_scenarios()
+                .into_iter()
+                .find(|s| s.name == name)
+                .expect("committed scenario")
+        };
+        let framework = committed("rotating-triad-framework");
+        framework.validate().unwrap();
+
+        let with_strategy = |strategy| Scenario {
+            approach: PlacementApproach::framework(strategy),
+            ..framework.clone()
+        };
+        let snapshots = ProfilerConfig {
+            counter_snapshot_interval: Nanos::from_millis(1.0),
+            ..ProfilerConfig::default()
+        };
+        // One pass of this workload fits the bound; the two a Framework run
+        // streams do not.
+        let long = Scenario {
+            approach: PlacementApproach::DdrOnly,
+            ..Scenario::phased(
+                "steady-triad",
+                ByteSize::from_mib(2),
+                ByteSize::from_kib(96),
+            )
+        };
+        long.validate().unwrap();
+        for (s, what) in [
+            (
+                with_strategy(SelectionStrategy::Misses {
+                    threshold_percent: 0.0,
+                }),
+                "density strategy",
+            ),
+            (
+                with_strategy(SelectionStrategy::ExactKnapsack),
+                "density strategy",
+            ),
+            (
+                framework.clone().with_profiling(snapshots.clone()),
+                "profiler attaches",
+            ),
+            (
+                framework.clone().with_profiling(ProfilerConfig::default()),
+                "profiler attaches",
+            ),
+            (
+                committed("rank-skew-triad-global").with_profiling(snapshots),
+                "profiler attaches",
+            ),
+            (
+                Scenario {
+                    approach: PlacementApproach::framework(SelectionStrategy::Density),
+                    ..long
+                },
+                "limit",
+            ),
+        ] {
+            match s.validate() {
+                Err(HmError::Config(msg)) => assert!(msg.contains(what), "{what}: {msg}"),
+                other => panic!("{what}: expected a config error, got {other:?}"),
+            }
         }
     }
 

@@ -3,14 +3,17 @@
 //! [`Simulation::run`] takes a validated [`Scenario`] and routes it to the
 //! right execution engine — the analytic [`AppRun`] (optionally through the
 //! four-stage [`FrameworkPipeline`] when the approach embeds an advisor
-//! strategy), the trace-driven [`OnlineRuntime`], or the sharded
+//! strategy), the trace engine for a phased workload (the DDR reference, the
+//! paper's profile → advise → re-run static placement, or the migrating
+//! [`OnlineRuntime`]), or the sharded
 //! [`MultiRankRuntime`](hmsim_runtime::MultiRankRuntime) — and returns one
 //! unified [`Outcome`]: per-rank [`RunResult`]s plus node-level aggregates,
 //! labelled with the typed [`ApproachKind`].
 //!
 //! The facade reproduces the hand-wired call paths bit for bit (pinned by
 //! `tests/scenario_equivalence.rs`): a scenario is a *description* of a run,
-//! not a different runner.
+//! not a different runner. On phased workloads it is the only runner: the
+//! `hmsim_runtime::harness` functions it chains are its building blocks.
 
 use crate::pipeline::{FrameworkOutcome, FrameworkPipeline};
 use crate::scenario::{MultiRankSelector, Scenario, WorkloadSelector};
@@ -18,9 +21,9 @@ use crate::simrun::{AppRun, RunConfig, RunResult};
 use auto_hbwmalloc::{ApproachKind, PlacementApproach};
 use hmsim_apps::MultiRankWorkload;
 use hmsim_common::{ByteSize, HmError, HmResult, Nanos};
-use hmsim_machine::{EngineStats, MachineConfig, MemoryMode, TraceEngine};
-use hmsim_runtime::harness::provision;
-use hmsim_runtime::{run_multirank, MultiRankConfig, OnlineRuntime, RuntimeStats};
+use hmsim_machine::{EngineStats, MachineConfig, MemoryMode};
+use hmsim_runtime::harness::{profile_heat, provision, run_static, select_static};
+use hmsim_runtime::{run_multirank, MultiRankConfig, OnlineConfig, OnlineRuntime, RuntimeStats};
 
 /// Node-level aggregates of one scenario run. For single-process scenarios
 /// these mirror the one rank; for multi-rank runs they fold the shard
@@ -165,8 +168,13 @@ impl Simulation {
         Ok(Outcome::single(scenario, result))
     }
 
-    /// The trace-driven single-process path: the online migration runtime,
-    /// or the plain trace engine for the DDR reference.
+    /// The trace-driven single-process path. A phased workload runs three
+    /// ways: as the DDR reference ([`run_static`] with nothing promoted),
+    /// under the paper's profiled static placement (the Framework arm:
+    /// [`profile_heat`] with the online runtime's default PEBS period and
+    /// seed, the advisor's density selection [`select_static`], then
+    /// [`run_static`] with the selection promoted), or under the
+    /// [`OnlineRuntime`], which migrates while the stream executes.
     fn run_phased(
         &self,
         scenario: &Scenario,
@@ -176,32 +184,28 @@ impl Simulation {
         let machine = Self::machine(scenario);
         let workload = crate::scenario::lookup_phased(name, array_size)?;
         let accesses = workload.total_accesses();
+        let budget = scenario.mcdram_budget;
 
-        let result = match &scenario.approach {
+        let promoted = match &scenario.approach {
             PlacementApproach::Online => {
                 let cfg = scenario.online.clone().unwrap_or_default();
-                let mut p = provision(&workload, &machine, scenario.mcdram_budget)?;
-                let mut rt = OnlineRuntime::new(&machine, scenario.mcdram_budget, cfg);
+                let mut p = provision(&workload, &machine, budget)?;
+                let mut rt = OnlineRuntime::new(&machine, budget, cfg);
                 rt.run(workload.stream(&p.ranges), &mut p.heap);
-                trace_result(
+                let result = trace_result(
                     ApproachKind::Online,
                     rt.total_time(),
                     rt.engine_stats(),
                     accesses,
                     rt.stats(),
-                )
+                );
+                return Ok(Outcome::single(scenario, result));
             }
-            PlacementApproach::DdrOnly => {
-                let p = provision(&workload, &machine, scenario.mcdram_budget)?;
-                let mut engine = TraceEngine::new(&machine);
-                engine.run_stream(workload.stream(&p.ranges), p.heap.page_table());
-                trace_result(
-                    ApproachKind::Ddr,
-                    engine.stats().time,
-                    engine.stats(),
-                    accesses,
-                    &RuntimeStats::default(),
-                )
+            PlacementApproach::DdrOnly => Vec::new(),
+            PlacementApproach::Framework { .. } => {
+                let pebs = OnlineConfig::default();
+                let heat = profile_heat(&workload, &machine, pebs.pebs_period, pebs.seed)?;
+                select_static(&workload.objects(), &heat, budget)
             }
             other => {
                 return Err(HmError::Config(format!(
@@ -209,6 +213,13 @@ impl Simulation {
                 )))
             }
         };
+        let (engine, resident) = run_static(&workload, &machine, budget, &promoted)?;
+        let stats = RuntimeStats {
+            fast_residency_peak: resident,
+            ..RuntimeStats::default()
+        };
+        let kind = scenario.approach.kind();
+        let result = trace_result(kind, engine.time, &engine, accesses, &stats);
         Ok(Outcome::single(scenario, result))
     }
 
@@ -285,7 +296,8 @@ impl Simulation {
 /// Map a trace-engine run into the unified [`RunResult`] shape. Trace
 /// workloads have no application FOM, so throughput (accesses per second)
 /// stands in; kernel breakdown and profiling fields stay empty. Migration
-/// figures come from `stats` (all zero for the DDR reference).
+/// figures and the fast-tier high-water mark come from `stats` (a static
+/// run carries only its residency).
 fn trace_result(
     approach: ApproachKind,
     time: Nanos,

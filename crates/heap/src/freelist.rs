@@ -112,11 +112,6 @@ impl FreeListAllocator {
     pub fn free_bytes(&self) -> ByteSize {
         self.arena.len - self.used_bytes()
     }
-
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
-    }
 }
 
 #[cfg(test)]
@@ -148,10 +143,10 @@ mod tests {
         let r = a.alloc(ByteSize::from_kib(4)).unwrap();
         assert!(a.owns(r.start));
         assert_eq!(size_of(&a, r.start), Some(ByteSize::from_kib(4)));
-        assert_eq!(a.live_count(), 1);
+        assert_eq!(a.live.len(), 1);
         a.free(r.start).unwrap();
         assert_eq!(a.free_bytes(), total_free);
-        assert_eq!(a.live_count(), 0);
+        assert_eq!(a.live.len(), 0);
         assert_eq!(fragments(&a), 1, "coalescing must restore a single block");
     }
 
@@ -258,7 +253,7 @@ mod tests {
                     len,
                     "round {round} step {step}"
                 );
-                assert_eq!(a.live_count(), live.len());
+                assert_eq!(a.live.len(), live.len());
             }
             for addr in live {
                 a.free(addr).unwrap();

@@ -87,11 +87,6 @@ impl LiveObjectRegistry {
             .collect()
     }
 
-    /// Number of live objects.
-    pub fn live_count(&self) -> usize {
-        self.by_start.len()
-    }
-
     /// Total size of live objects.
     pub fn live_bytes(&self) -> ByteSize {
         self.objects.values().map(|o| o.size()).sum()
@@ -129,7 +124,7 @@ mod tests {
         assert!(reg.find_containing(Address(0x11000)).is_none());
         assert_eq!(reg.find_containing(Address(0x21000)).unwrap().id, b);
         assert!(reg.find_containing(Address(0x9000)).is_none());
-        assert_eq!(reg.live_count(), 2);
+        assert_eq!(reg.live().len(), 2);
         assert_eq!(reg.live_bytes(), ByteSize::from_kib(12));
     }
 
@@ -146,7 +141,7 @@ mod tests {
             reg.set_tier(a, TierId::MCDRAM),
             Err(HmError::NotFound(_))
         ));
-        assert_eq!(reg.live_count(), 0);
+        assert_eq!(reg.live().len(), 0);
     }
 
     #[test]
@@ -162,6 +157,6 @@ mod tests {
         reg.remove_by_start(Address(0x10000)).unwrap();
         let b = make(&mut reg, 0x10000, 8);
         assert_eq!(reg.find_containing(Address(0x10400)).unwrap().id, b);
-        assert_eq!(reg.live_count(), 1);
+        assert_eq!(reg.live().len(), 1);
     }
 }

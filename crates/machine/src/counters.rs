@@ -47,12 +47,6 @@ impl PerfCounters {
         self.instructions as f64 / wall.secs() / 1e6
     }
 
-    /// L1 data cache hits, derived from references and misses (the PMU does
-    /// not expose a separate hit counter, and neither do we store one).
-    pub fn l1_hits(&self) -> u64 {
-        self.l1_references.saturating_sub(self.l1_misses)
-    }
-
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

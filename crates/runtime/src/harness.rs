@@ -1,19 +1,18 @@
-//! Drivers that run the registered phased workloads online and under the
-//! best static placement, so benches and tests compare like with like.
-//!
-//! The static side reproduces the paper's offline pipeline at trace scale:
-//! a profiling run over DDR with the same PEBS sampler, the advisor's
-//! selection over the profiled heat, then a fresh placement-honouring run.
-//! The online side provisions the identical heap and lets the
-//! [`OnlineRuntime`] migrate while the stream executes.
+//! Building blocks of the trace-driven runs that
+//! `hmem_core::Simulation` dispatches: the loaded trace-study machine, the
+//! provisioning of a phased workload's objects into a fresh heap, and the
+//! three steps of the paper's offline pipeline at trace scale: a profiling
+//! run over DDR with the runtime's PEBS sampler ([`profile_heat`]), the
+//! advisor's density selection over the profiled heat ([`select_static`])
+//! and a fresh placement-honouring run ([`run_static`], which with no
+//! promotions is also the DDR reference).
 
-use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
 use hmem_advisor::greedy::{pack, rank_by_density};
-use hmem_advisor::{Candidate, SelectionStrategy};
+use hmem_advisor::Candidate;
 use hmsim_apps::PhasedWorkload;
 use hmsim_common::{AddressRange, ByteSize, HmResult, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
-use hmsim_machine::{MachineConfig, TraceEngine};
+use hmsim_machine::{EngineStats, MachineConfig, TraceEngine};
 use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 
 /// A machine for trace-driven placement studies, with *loaded* memory
@@ -74,56 +73,44 @@ pub(crate) fn provision_prefixed(
     Ok(Provisioned { heap, ranges, ids })
 }
 
-/// Outcome of one static (non-migrating) run.
-#[derive(Clone, Debug)]
-pub struct StaticOutcome {
-    /// Label of the placement (`"DDR"` or `"profiled/<strategy>"`).
-    pub label: String,
-    /// Simulated execution time.
-    pub time: Nanos,
-    /// LLC misses of the run.
-    pub llc_misses: u64,
-    /// Indices (into the workload's object list) promoted to the fast tier.
-    pub promoted: Vec<usize>,
-}
-
 /// Run the workload once with the listed object indices promoted to the
-/// fast tier before execution starts (the offline placement run).
+/// fast tier before execution starts (the offline placement run; an empty
+/// list is the DDR reference). Returns the engine's statistics and the fast
+/// tier's residency during the run.
 pub fn run_static(
     workload: &PhasedWorkload,
     machine: &MachineConfig,
     fast_budget: ByteSize,
     promoted: &[usize],
-    label: impl Into<String>,
-) -> HmResult<StaticOutcome> {
+) -> HmResult<(EngineStats, ByteSize)> {
     let mut p = provision(workload, machine, fast_budget)?;
     for &idx in promoted {
         p.heap.migrate_object(p.ids[idx], TierId::MCDRAM)?;
     }
     let mut engine = TraceEngine::new(machine);
-    let misses = engine.run_stream(workload.stream(&p.ranges), p.heap.page_table());
-    Ok(StaticOutcome {
-        label: label.into(),
-        time: engine.stats().time,
-        llc_misses: misses,
-        promoted: promoted.to_vec(),
-    })
+    engine.run_stream(workload.stream(&p.ranges), p.heap.page_table());
+    Ok((
+        engine.stats().clone(),
+        p.heap.tier_occupancy(TierId::MCDRAM),
+    ))
 }
 
-/// Profile the workload over an all-DDR placement with the runtime's PEBS
-/// sampler, returning total heat (sample weight) per object index.
+/// Profile the workload over an all-DDR placement with a PEBS sampler of
+/// the given period and seed, returning total heat (sample weight) per
+/// object index.
 pub fn profile_heat(
     workload: &PhasedWorkload,
     machine: &MachineConfig,
-    cfg: &OnlineConfig,
+    period: u64,
+    seed: u64,
 ) -> HmResult<Vec<u64>> {
     let p = provision(workload, machine, ByteSize::ZERO)?;
     let mut engine = TraceEngine::new(machine);
     let mut sampler = PebsSampler::new(
         ProcessorFamily::KnightsLanding,
         PebsEvent::LlcLoadMiss,
-        cfg.pebs_period,
-        hmsim_common::DetRng::new(cfg.seed),
+        period,
+        hmsim_common::DetRng::new(seed),
     );
     let mut heat = vec![0u64; p.ranges.len()];
     for acc in workload.stream(&p.ranges) {
@@ -166,59 +153,6 @@ pub fn select_static(
     .0
 }
 
-/// The best static placement the offline pipeline can produce: the better of
-/// DDR-only and the profile → advise → re-run placement.
-pub fn best_static(
-    workload: &PhasedWorkload,
-    machine: &MachineConfig,
-    fast_budget: ByteSize,
-    cfg: &OnlineConfig,
-) -> HmResult<StaticOutcome> {
-    let ddr = run_static(workload, machine, fast_budget, &[], "DDR")?;
-    let heat = profile_heat(workload, machine, cfg)?;
-    let promoted = select_static(&workload.objects(), &heat, fast_budget);
-    let profiled = run_static(
-        workload,
-        machine,
-        fast_budget,
-        &promoted,
-        format!("profiled/{}", SelectionStrategy::Density),
-    )?;
-    Ok(if profiled.time < ddr.time {
-        profiled
-    } else {
-        ddr
-    })
-}
-
-/// Outcome of one online (migrating) run.
-#[derive(Clone, Debug)]
-pub struct OnlineOutcome {
-    /// Total simulated time including migration charges.
-    pub time: Nanos,
-    /// LLC misses of the run.
-    pub llc_misses: u64,
-    /// The runtime's statistics.
-    pub stats: RuntimeStats,
-}
-
-/// Run the workload under the online migration runtime.
-pub fn run_online(
-    workload: &PhasedWorkload,
-    machine: &MachineConfig,
-    fast_budget: ByteSize,
-    cfg: OnlineConfig,
-) -> HmResult<OnlineOutcome> {
-    let mut p = provision(workload, machine, fast_budget)?;
-    let mut rt = OnlineRuntime::new(machine, fast_budget, cfg);
-    let misses = rt.run(workload.stream(&p.ranges), &mut p.heap);
-    Ok(OnlineOutcome {
-        time: rt.total_time(),
-        llc_misses: misses,
-        stats: rt.stats().clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,31 +187,20 @@ mod tests {
     fn profiled_static_promotes_the_steady_hot_set() {
         let m = loaded_machine();
         let w = hmsim_apps::phased_workload_by_name("steady-triad", TEST_ARRAY).unwrap();
-        let cfg = OnlineConfig::default();
-        let heat = profile_heat(&w, &m, &cfg).unwrap();
-        assert!(heat.iter().all(|&h| h > 0), "all three arrays are hot");
-        let sel = select_static(&w.objects(), &heat, w.hot_set_size());
-        assert_eq!(sel.len(), 3, "the whole triad fits the budget");
-        let best = best_static(&w, &m, w.hot_set_size(), &cfg).unwrap();
-        assert!(best.label.starts_with("profiled/"));
-        assert_eq!(best.promoted.len(), 3);
-    }
-
-    #[test]
-    fn online_beats_best_static_on_the_rotating_triad() {
-        let m = loaded_machine();
-        let w = hmsim_apps::phased_workload_by_name("rotating-triad", TEST_ARRAY).unwrap();
         let budget = w.hot_set_size();
-        let cfg = OnlineConfig::default().with_epoch_accesses(8_192);
-        let stat = best_static(&w, &m, budget, &cfg).unwrap();
-        let online = run_online(&w, &m, budget, cfg).unwrap();
-        assert!(online.stats.migrations > 0);
+        let heat = profile_heat(&w, &m, 257, 0x0E11_0C47).unwrap();
+        assert!(heat.iter().all(|&h| h > 0), "all three arrays are hot");
+        let sel = select_static(&w.objects(), &heat, budget);
+        assert_eq!(sel.len(), 3, "the whole triad fits the budget");
+        let (ddr, ddr_resident) = run_static(&w, &m, budget, &[]).unwrap();
+        let (profiled, resident) = run_static(&w, &m, budget, &sel).unwrap();
+        assert_eq!(ddr_resident, ByteSize::ZERO);
+        assert_eq!(resident, budget, "the promoted triad fills the budget");
         assert!(
-            online.time < stat.time,
-            "online {} vs best static {} ({})",
-            online.time,
-            stat.time,
-            stat.label
+            profiled.time < ddr.time,
+            "profiled {} vs DDR {}",
+            profiled.time,
+            ddr.time
         );
     }
 }

@@ -7,17 +7,51 @@
 //!    the epoch loop, the PEBS observer and the controller must be pure
 //!    observers until they decide to move something.
 //! 2. **Wins where it should** — with migrations enabled the runtime beats
-//!    the best static placement (DDR-only or the offline profile → advise →
-//!    re-run pipeline, whichever is faster) on the phase-shifting workloads.
+//!    the best static placement (the DDR reference or the Framework
+//!    approach's offline profile → advise → re-run, whichever is faster; both
+//!    through `Simulation`) on the rotating triad, and migrates on every
+//!    phase-shifting workload.
 //! 3. **Parity where it must** — on stationary workloads the runtime stays
 //!    within a few percent of the best static placement instead of paying
 //!    for migrations that cannot help.
 
+use hmem_repro::advisor::SelectionStrategy;
 use hmem_repro::apps::phased_workloads;
+use hmem_repro::autohbw::PlacementApproach;
 use hmem_repro::common::ByteSize;
+use hmem_repro::core::{Outcome, Scenario, Simulation};
 use hmem_repro::machine::TraceEngine;
-use hmem_repro::runtime::harness::{best_static, loaded_machine, provision, run_online};
+use hmem_repro::runtime::harness::{loaded_machine, provision};
 use hmem_repro::runtime::{OnlineConfig, OnlineRuntime};
+
+/// The best static placement and the online run of a phased workload, both
+/// through the facade. The static side is the better of the DDR reference
+/// and the Framework approach's profile → advise → re-run.
+fn best_static_and_online(
+    name: &str,
+    array: ByteSize,
+    budget: ByteSize,
+    cfg: &OnlineConfig,
+) -> (Outcome, Outcome) {
+    let run = |scenario: &Scenario| Simulation::new().run(scenario).unwrap();
+    let online = Scenario::phased(name, array, budget).with_online(cfg.clone());
+    let ddr = run(&Scenario {
+        approach: PlacementApproach::DdrOnly,
+        online: None,
+        ..online.clone()
+    });
+    let profiled = run(&Scenario {
+        approach: PlacementApproach::framework(SelectionStrategy::Density),
+        online: None,
+        ..online.clone()
+    });
+    let best = if profiled.node.time < ddr.node.time {
+        profiled
+    } else {
+        ddr
+    };
+    (best, run(&online))
+}
 
 #[test]
 fn disabled_runtime_counters_bitwise_match_static_engine_on_every_workload() {
@@ -72,44 +106,49 @@ fn disabled_runtime_counters_bitwise_match_static_engine_on_every_workload() {
 
 #[test]
 fn online_beats_best_static_on_phase_shifting_workloads() {
-    let machine = loaded_machine();
+    let array = ByteSize::from_kib(64);
     let cfg = OnlineConfig::default().with_epoch_accesses(8_192);
-    let mut wins = 0;
-    for workload in phased_workloads(ByteSize::from_kib(64)) {
+    let mut rotating_checked = false;
+    for workload in phased_workloads(array) {
         if workload.stationary {
             continue;
         }
         let budget = workload.hot_set_size();
-        let stat = best_static(&workload, &machine, budget, &cfg).unwrap();
-        let online = run_online(&workload, &machine, budget, cfg.clone()).unwrap();
+        let (stat, online) = best_static_and_online(workload.name, array, budget, &cfg);
         assert!(
-            online.stats.migrations > 0,
+            online.node.migrations > 0,
             "{}: the runtime should chase the moving hot set",
             workload.name
         );
-        if online.time < stat.time {
-            wins += 1;
+        // At these 64 KiB arrays migrating must already win on the rotating
+        // triad; the sweeping stencil's win (1.141x in BENCH_runtime.json)
+        // needs the bench's larger arrays.
+        if workload.name == "rotating-triad" {
+            assert!(
+                online.node.time < stat.node.time,
+                "{}: online {} vs best static {} ({})",
+                workload.name,
+                online.node.time,
+                stat.node.time,
+                stat.approach
+            );
+            rotating_checked = true;
         }
     }
-    assert!(
-        wins >= 1,
-        "the online runtime must beat the best static placement on at \
-         least one phase-shifting workload"
-    );
+    assert!(rotating_checked, "rotating-triad is a registered workload");
 }
 
 #[test]
 fn online_stays_near_static_on_stationary_workloads() {
-    let machine = loaded_machine();
+    let array = ByteSize::from_kib(64);
     let cfg = OnlineConfig::default();
-    for workload in phased_workloads(ByteSize::from_kib(64)) {
+    for workload in phased_workloads(array) {
         if !workload.stationary {
             continue;
         }
         let budget = workload.hot_set_size();
-        let stat = best_static(&workload, &machine, budget, &cfg).unwrap();
-        let online = run_online(&workload, &machine, budget, cfg.clone()).unwrap();
-        let overhead = online.time.nanos() / stat.time.nanos() - 1.0;
+        let (stat, online) = best_static_and_online(workload.name, array, budget, &cfg);
+        let overhead = online.node.time.nanos() / stat.node.time.nanos() - 1.0;
         // The debug-scale arrays here make the one-off costs proportionally
         // larger than at bench scale (where the 2% criterion is enforced);
         // 5% bounds the same behaviour without a release-size run.
@@ -117,18 +156,18 @@ fn online_stays_near_static_on_stationary_workloads() {
             overhead < 0.05,
             "{}: online {} vs static {} ({}) — {:.2}% overhead",
             workload.name,
-            online.time,
-            stat.time,
-            stat.label,
+            online.node.time,
+            stat.node.time,
+            stat.approach,
             overhead * 100.0
         );
         // No thrash: a stationary run needs at most one fill of the budget
         // plus a handful of corrective moves.
         assert!(
-            online.stats.migrations <= workload.objects().len() as u64,
+            online.node.migrations <= workload.objects().len() as u64,
             "{}: {} migrations on a stationary workload",
             workload.name,
-            online.stats.migrations
+            online.node.migrations
         );
     }
 }

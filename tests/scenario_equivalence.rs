@@ -1,7 +1,8 @@
 //! The `Simulation` facade is a *description* of a run, not a different
 //! runner: for every approach × workload it must reproduce the pre-redesign
 //! hand-wired call path — `AppRun::execute(PlacementApproach::X.router())`,
-//! the bare `OnlineRuntime`, `run_multirank` — bit for bit (FOM, counters,
+//! the bare `OnlineRuntime`, the harness's `profile_heat` → `select_static`
+//! → `run_static` chain, `run_multirank` — bit for bit (FOM, counters,
 //! times, migrations, footprint).
 
 use auto_hbwmalloc::PlacementApproach;
@@ -11,8 +12,8 @@ use hmem_core::simrun::{AppRun, RunConfig, RunResult};
 use hmem_core::{MultiRankSelector, Outcome, Scenario, Simulation};
 use hmsim_apps::{app_by_name, MultiRankWorkload};
 use hmsim_common::{ByteSize, Nanos};
-use hmsim_runtime::harness::{loaded_machine, run_online};
-use hmsim_runtime::{run_multirank, ArbiterPolicy, MultiRankConfig, OnlineConfig};
+use hmsim_runtime::harness::{loaded_machine, profile_heat, provision, run_static, select_static};
+use hmsim_runtime::{run_multirank, ArbiterPolicy, MultiRankConfig, OnlineConfig, OnlineRuntime};
 
 const BUDGET: ByteSize = ByteSize::from_mib(256);
 const ITERS: u32 = 6;
@@ -142,23 +143,69 @@ fn facade_matches_the_hand_wired_online_runtime_on_trace_workloads() {
     for name in ["rotating-triad", "sweeping-stencil", "steady-triad"] {
         let workload = hmsim_apps::phased_workload_by_name(name, array).unwrap();
         let budget = workload.hot_set_size();
-        let old = run_online(&workload, &machine, budget, cfg.clone()).unwrap();
+        let mut p = provision(&workload, &machine, budget).unwrap();
+        let mut old = OnlineRuntime::new(&machine, budget, cfg.clone());
+        let old_misses = old.run(workload.stream(&p.ranges), &mut p.heap);
 
         let scenario = Scenario::phased(name, array, budget).with_online(cfg.clone());
         let new = facade(&scenario);
 
         assert_eq!(
-            old.time.nanos().to_bits(),
+            old.total_time().nanos().to_bits(),
             new.result().total_time.nanos().to_bits(),
             "{name}: time diverged"
         );
-        assert_eq!(old.llc_misses, new.result().counters.llc_misses, "{name}");
-        assert_eq!(old.stats.migrations, new.result().migrations, "{name}");
+        assert_eq!(old_misses, new.result().counters.llc_misses, "{name}");
+        assert_eq!(old.stats().migrations, new.result().migrations, "{name}");
         assert_eq!(
-            old.stats.migration_time.nanos().to_bits(),
+            old.stats().migration_time.nanos().to_bits(),
             new.result().migration_time.nanos().to_bits(),
             "{name}"
         );
+    }
+}
+
+/// The DDR reference and the paper's static placement on trace workloads:
+/// the facade's phased DDR and Framework arms against `run_static` with
+/// nothing promoted, and against `profile_heat` (with the online runtime's
+/// default PEBS period and seed) → `select_static` → `run_static` chained by
+/// hand.
+#[test]
+fn facade_matches_the_hand_chained_static_placement_on_trace_workloads() {
+    let machine = loaded_machine();
+    let array = ByteSize::from_kib(16);
+    let pebs = OnlineConfig::default();
+    for name in ["rotating-triad", "sweeping-stencil", "steady-triad"] {
+        let workload = hmsim_apps::phased_workload_by_name(name, array).unwrap();
+        let budget = workload.hot_set_size();
+        let heat = profile_heat(&workload, &machine, pebs.pebs_period, pebs.seed).unwrap();
+        let promoted = select_static(&workload.objects(), &heat, budget);
+        assert!(!promoted.is_empty(), "{name}: the profile promotes nothing");
+
+        for (approach, promoted) in [
+            (PlacementApproach::DdrOnly, &[][..]),
+            (
+                PlacementApproach::framework(SelectionStrategy::Density),
+                &promoted[..],
+            ),
+        ] {
+            let label = format!("{name}/{approach}");
+            let (old, resident) = run_static(&workload, &machine, budget, promoted).unwrap();
+            let new = facade(&Scenario {
+                approach,
+                ..Scenario::phased(name, array, budget)
+            });
+            let r = new.result();
+            assert_eq!(
+                old.time.nanos().to_bits(),
+                r.total_time.nanos().to_bits(),
+                "{label}: time diverged"
+            );
+            assert_eq!(old.counters.llc_misses, r.counters.llc_misses, "{label}");
+            assert_eq!(old.counters, r.counters, "{label}: counters diverged");
+            assert_eq!(resident, r.mcdram_hwm, "{label}: residency diverged");
+            assert_eq!(r.migrations, 0, "{label}: a static placement moves nothing");
+        }
     }
 }
 

@@ -202,7 +202,7 @@ fn field_mutants_of_committed_scenarios_run_or_fail_typed() {
         .map(|p| std::fs::read_to_string(p).expect("committed scenario is readable"))
         .collect();
     corpus.sort();
-    assert_eq!(corpus.len(), 9, "the committed corpus");
+    assert_eq!(corpus.len(), 10, "the committed corpus");
 
     let mut rng = DetRng::new(0xF1E1_D5CE);
     let (mut ran, mut refused) = (0u32, 0u32);
