@@ -53,8 +53,9 @@ struct Group {
     allocation_count: u64,
 }
 
-/// Streaming per-object aggregation: push events one at a time, then
-/// [`finish`](Self::finish) into an [`ObjectReport`].
+/// Streaming per-object aggregation: an [`EventSink`] that consumes events
+/// one at a time; [`finish`](Self::finish) turns them into an
+/// [`ObjectReport`].
 ///
 /// Sample attribution prefers the object id recorded by the profiler; samples
 /// lacking one are matched against the address ranges of objects live at the
@@ -87,63 +88,6 @@ impl ObjectStatsBuilder {
             total_misses: 0,
             unattributed: 0,
             events_seen: 0,
-        }
-    }
-
-    /// Consume one event.
-    pub fn push(&mut self, event: &TraceEvent) {
-        self.events_seen += 1;
-        match event {
-            TraceEvent::Alloc(a) => {
-                let (key, kind) = match (a.class, &a.site) {
-                    (ObjectClass::Dynamic, Some(site)) => {
-                        (GroupKey::Site(site.clone()), ReportedKind::Dynamic)
-                    }
-                    (ObjectClass::Dynamic, None) => {
-                        (GroupKey::Name(a.name.clone()), ReportedKind::Dynamic)
-                    }
-                    (ObjectClass::Static, _) => {
-                        (GroupKey::Name(a.name.clone()), ReportedKind::Static)
-                    }
-                    (ObjectClass::Stack, _) => {
-                        (GroupKey::Name(a.name.clone()), ReportedKind::Stack)
-                    }
-                };
-                let groups = &mut self.groups;
-                let index = *self.group_of.entry(key).or_insert_with(|| {
-                    groups.push(Group {
-                        name: a.name.clone(),
-                        site: a.site.clone(),
-                        kind,
-                        max_size: ByteSize::ZERO,
-                        min_size: ByteSize::from_bytes(u64::MAX),
-                        llc_misses: 0,
-                        samples: 0,
-                        allocation_count: 0,
-                    });
-                    groups.len() - 1
-                });
-                let group = &mut self.groups[index];
-                group.allocation_count += 1;
-                group.max_size = group.max_size.max(a.size);
-                group.min_size = group.min_size.min(a.size);
-                let range = AddressRange::new(a.address, a.size);
-                self.by_id.insert(
-                    a.object,
-                    LiveObject {
-                        group: index,
-                        range,
-                    },
-                );
-                self.live.push((range, index));
-            }
-            TraceEvent::Free { object, .. } => {
-                if let Some(obj) = self.by_id.remove(object) {
-                    self.live.retain(|(range, _)| *range != obj.range);
-                }
-            }
-            TraceEvent::Sample(s) => self.sample(s),
-            _ => {}
         }
     }
 
@@ -200,8 +144,60 @@ impl ObjectStatsBuilder {
 }
 
 impl EventSink for ObjectStatsBuilder {
-    fn event(&mut self, event: TraceEvent) {
-        self.push(&event);
+    fn event(&mut self, event: &TraceEvent) {
+        self.events_seen += 1;
+        match event {
+            TraceEvent::Alloc(a) => {
+                let (key, kind) = match (a.class, &a.site) {
+                    (ObjectClass::Dynamic, Some(site)) => {
+                        (GroupKey::Site(site.clone()), ReportedKind::Dynamic)
+                    }
+                    (ObjectClass::Dynamic, None) => {
+                        (GroupKey::Name(a.name.clone()), ReportedKind::Dynamic)
+                    }
+                    (ObjectClass::Static, _) => {
+                        (GroupKey::Name(a.name.clone()), ReportedKind::Static)
+                    }
+                    (ObjectClass::Stack, _) => {
+                        (GroupKey::Name(a.name.clone()), ReportedKind::Stack)
+                    }
+                };
+                let groups = &mut self.groups;
+                let index = *self.group_of.entry(key).or_insert_with(|| {
+                    groups.push(Group {
+                        name: a.name.clone(),
+                        site: a.site.clone(),
+                        kind,
+                        max_size: ByteSize::ZERO,
+                        min_size: ByteSize::from_bytes(u64::MAX),
+                        llc_misses: 0,
+                        samples: 0,
+                        allocation_count: 0,
+                    });
+                    groups.len() - 1
+                });
+                let group = &mut self.groups[index];
+                group.allocation_count += 1;
+                group.max_size = group.max_size.max(a.size);
+                group.min_size = group.min_size.min(a.size);
+                let range = AddressRange::new(a.address, a.size);
+                self.by_id.insert(
+                    a.object,
+                    LiveObject {
+                        group: index,
+                        range,
+                    },
+                );
+                self.live.push((range, index));
+            }
+            TraceEvent::Free { object, .. } => {
+                if let Some(obj) = self.by_id.remove(object) {
+                    self.live.retain(|(range, _)| *range != obj.range);
+                }
+            }
+            TraceEvent::Sample(s) => self.sample(s),
+            _ => {}
+        }
     }
 
     fn samples(&mut self, samples: &[SampleRecord]) {
@@ -227,7 +223,7 @@ pub fn analyze_stream<E: Borrow<TraceEvent>>(
 ) -> ObjectReport {
     let mut builder = ObjectStatsBuilder::new(application);
     for e in events {
-        builder.push(e.borrow());
+        builder.event(e.borrow());
     }
     builder.finish()
 }
@@ -241,7 +237,7 @@ pub fn analyze_try_stream(
 ) -> HmResult<ObjectReport> {
     let mut builder = ObjectStatsBuilder::new(application);
     for e in events {
-        builder.push(&e?);
+        builder.event(&e?);
     }
     Ok(builder.finish())
 }

@@ -14,28 +14,27 @@
 //! each application once; [`FrameworkPipeline::place`] runs stages 3 and 4
 //! from that [`Profile`], and [`FrameworkPipeline::run`] chains the two.
 //!
-//! Stages 1 and 2 hand over in one of two ways. In memory, the profiler
-//! emits straight into stage 2 (an [`EventSink`] that feeds the per-object
-//! analysis and the trace summary as each event is emitted), so no trace is
-//! built, sorted or walked again; stage 2 takes each interval's samples in
-//! the per-object order the profiler emits them, which does not change the
-//! report. With a spill path, stage 1 records a [`TraceFile`], which keeps
-//! time order by merging each interval's samples as it stores them, writes
-//! it through the chunked binary writer and drops it, and stage 2 streams
-//! the file back from disk.
+//! Stage 2 is one [`EventSink`]: the per-object analysis paired with the
+//! trace summary. Only what feeds it differs between the two hand-offs. In
+//! memory, the profiler emits straight into it, so no trace is built,
+//! sorted or walked again; stage 2 takes each interval's samples in the
+//! per-object order the profiler emits them, which does not change the
+//! report. With a spill path, the paper's own hand-off, the profiler emits
+//! into the chunked [`BinaryWriter`], which stores the trace on disk in time
+//! order, and a [`TraceReader`] then streams the file into the same sink.
+//! Neither way holds a whole trace in memory.
 
 use crate::scenario::Scenario;
 use crate::simrun::{AppRun, RunConfig, RunResult};
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
 use hmem_advisor::{Advisor, MemorySpec, PlacementReport, SelectionStrategy};
-use hmsim_analysis::{analyze_try_stream, ObjectReport, ObjectStatsBuilder};
+use hmsim_analysis::{ObjectReport, ObjectStatsBuilder};
 use hmsim_apps::AppSpec;
-use hmsim_common::{ByteSize, HmError, HmResult};
+use hmsim_common::{ByteSize, HmResult};
 use hmsim_profiler::ProfilerConfig;
-use hmsim_trace::{
-    write_binary_to, EventSink, SampleRecord, TraceEvent, TraceFile, TraceReader, TraceSummary,
-    TraceSummaryBuilder,
-};
+use hmsim_trace::{BinaryWriter, EventSink, TraceReader, TraceSummary, TraceSummaryBuilder};
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::PathBuf;
 
 /// Configuration of one end-to-end pipeline execution.
@@ -54,10 +53,10 @@ pub struct FrameworkPipeline {
     /// layouts, exercising the translation path exactly as a real re-run
     /// under ASLR would.
     pub seed: u64,
-    /// When set, the profiling trace is written to this path through the
-    /// chunked binary writer and stage 2 re-reads it as a stream from disk —
-    /// the out-of-core hand-off between Extrae and Paramedir (the in-memory
-    /// trace is dropped before analysis).
+    /// When set, the profiler emits its trace to this path through the
+    /// chunked binary writer and stage 2 streams it back from disk — the
+    /// out-of-core hand-off between Extrae and Paramedir. The file stays
+    /// behind for other readers.
     pub trace_spill: Option<PathBuf>,
 }
 
@@ -124,10 +123,10 @@ impl FrameworkPipeline {
 
     /// Stages 1 and 2 for one application: profile it on a DDR-resident run
     /// and analyse the profile into the per-object report. In memory the
-    /// profile streams into the analysis as it is emitted. In spill mode
-    /// the trace goes to disk through the chunked binary writer and is
-    /// dropped before the analysis streams it back, so events and report
-    /// never coexist in memory.
+    /// profile streams into stage 2 as it is emitted. In spill mode it
+    /// streams into the binary writer, and stage 2 reads the file back; an
+    /// I/O error on the way fails the call with
+    /// [`HmError::Io`](hmsim_common::HmError::Io).
     pub fn profile(&self, spec: &AppSpec) -> HmResult<Profile> {
         // No budget: the DDR-only router never allocates in MCDRAM.
         let run = AppRun::new(
@@ -136,29 +135,26 @@ impl FrameworkPipeline {
                 .with_profiling(self.profiler.clone()),
         );
         let router = PlacementApproach::DdrOnly.router()?;
-        let (trace_summary, object_report, result) = match &self.trace_spill {
-            None => {
-                let stage2 = Stage2 {
-                    report: ObjectStatsBuilder::new(spec.name),
-                    summary: TraceSummaryBuilder::default(),
-                };
-                let (result, stage2) = run.execute_into(router, stage2)?;
-                (stage2.summary.finish(), stage2.report.finish(), result)
-            }
+        let mut stage2 = (
+            ObjectStatsBuilder::new(spec.name),
+            TraceSummaryBuilder::default(),
+        );
+        let (result, (object_report, trace_summary)) = match &self.trace_spill {
+            None => run.execute_into(router, stage2)?,
             Some(path) => {
-                let mut result = run.execute(router)?;
-                let trace = result.trace.take().ok_or_else(|| {
-                    HmError::InvalidState("profiling run produced no trace".into())
-                })?;
-                let trace_summary = TraceSummary::of(&trace);
-                Self::write_trace(&trace, path)?;
-                drop(trace);
-                (trace_summary, Self::analyze_spilled(path)?, result)
+                let file = BufWriter::new(File::create(path)?);
+                let writer = BinaryWriter::new(file, &run.trace_metadata())?;
+                let (result, writer) = run.execute_into(router, writer)?;
+                writer.finish()?;
+                for event in TraceReader::open(path)? {
+                    stage2.event(&event?);
+                }
+                (result, stage2)
             }
         };
         Ok(Profile {
-            trace_summary,
-            object_report,
+            trace_summary: trace_summary.finish(),
+            object_report: object_report.finish(),
             profiling_overhead: result.monitoring_overhead,
         })
     }
@@ -187,39 +183,6 @@ impl FrameworkPipeline {
             profiling_overhead: profile.profiling_overhead,
             result,
         })
-    }
-
-    /// Write `trace` to `path` through the chunked binary writer.
-    fn write_trace(trace: &TraceFile, path: &PathBuf) -> HmResult<()> {
-        let file = std::fs::File::create(path)?;
-        write_binary_to(std::io::BufWriter::new(file), trace)?;
-        Ok(())
-    }
-
-    /// Stream a spilled binary trace from disk into the per-object report.
-    fn analyze_spilled(path: &PathBuf) -> HmResult<ObjectReport> {
-        let reader = TraceReader::open(path)?;
-        let application = reader.metadata().application.clone();
-        analyze_try_stream(application, reader)
-    }
-}
-
-/// Stage 2 as the profiler's sink: the per-object analysis and the trace
-/// summary, both fed as events are emitted.
-struct Stage2 {
-    report: ObjectStatsBuilder,
-    summary: TraceSummaryBuilder,
-}
-
-impl EventSink for Stage2 {
-    fn event(&mut self, event: TraceEvent) {
-        self.summary.push(&event);
-        self.report.push(&event);
-    }
-
-    fn samples(&mut self, samples: &[SampleRecord]) {
-        self.summary.samples(samples);
-        self.report.samples(samples);
     }
 }
 
@@ -254,6 +217,7 @@ mod tests {
     use super::*;
     use crate::simrun::{AppRun, RunConfig};
     use hmsim_apps::app_by_name;
+    use hmsim_common::HmError;
 
     fn quick(
         budget_mib: u64,
@@ -339,6 +303,20 @@ mod tests {
         let reader = hmsim_trace::TraceReader::open(&spill_path).unwrap();
         assert_eq!(reader.metadata().application, "miniFE");
         let _ = std::fs::remove_file(&spill_path);
+    }
+
+    #[test]
+    fn a_spill_path_that_cannot_be_created_is_an_io_error() {
+        let spec = app_by_name("miniFE").unwrap();
+        let missing =
+            std::env::temp_dir().join(format!("hmsim_pipeline_missing_dir_{}", std::process::id()));
+        let err = FrameworkPipeline::new(ByteSize::from_mib(128), SelectionStrategy::Density)
+            .with_iterations(2)
+            .with_trace_spill(missing.join("trace.hmtb"))
+            .profile(&spec)
+            .unwrap_err();
+        assert!(matches!(err, HmError::Io(_)), "{err:?}");
+        assert!(!missing.exists());
     }
 
     #[test]

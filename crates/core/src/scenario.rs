@@ -373,6 +373,9 @@ impl Scenario {
             }
         }
         if let Some(profiling) = &self.profiling {
+            if profiling.sampling_period == 0 {
+                return fail("profiling.sampling_period must be at least 1".to_string());
+            }
             if !profiling.counter_snapshot_interval.nanos().is_finite() {
                 return fail(format!(
                     "profiling.counter_snapshot_interval_ns {} must be finite",
@@ -1238,6 +1241,13 @@ mod tests {
         let mut s = base.clone();
         s.online.as_mut().unwrap().pebs_period = 0;
         rejects(&s, "pebs_period");
+        let profiling = ProfilerConfig {
+            sampling_period: 0,
+            ..ProfilerConfig::default()
+        };
+        let s = Scenario::app("miniFE", PlacementApproach::DdrOnly, ByteSize::from_mib(64))
+            .with_profiling(profiling);
+        rejects(&s, "profiling.sampling_period must be at least 1");
 
         let mut s = base.clone();
         let WorkloadSelector::MultiRank(MultiRankSelector::RankSkewTriad { ranks, .. }) =

@@ -17,7 +17,7 @@ use hmsim_heap::{DataObject, ObjectKind, ProcessHeap};
 use hmsim_machine::{
     AnalyticEngine, MachineConfig, MemoryMode, ObjectTraffic, PerfCounters, PhaseProfile, Placement,
 };
-use hmsim_profiler::{Profiler, ProfilerConfig};
+use hmsim_profiler::{Profiler, ProfilerConfig, MIN_ALLOC_SIZE};
 use hmsim_runtime::{
     execute_plan, ArbiterPolicy, MigrationCostModel, ObjectPlacement, OnlineConfig,
     PlacementController,
@@ -207,8 +207,10 @@ impl<'a> AppRun<'a> {
     /// every main-loop iteration (one online epoch each), then total up.
     /// A profiled run keeps its trace in [`RunResult::trace`].
     pub fn execute(&self, router: AllocationRouter) -> HmResult<RunResult> {
-        let profiler = self.config.profile.clone();
-        let profiler = profiler.map(|cfg| Profiler::new(self.trace_metadata(), cfg));
+        let profiler = self.config.profile.clone().map(|cfg| {
+            let metadata = self.trace_metadata();
+            Profiler::with_sink(&metadata, cfg, TraceFile::new(metadata.clone()))
+        });
         let (mut result, trace) = self.run(router, profiler)?;
         result.trace = trace;
         Ok(result)
@@ -231,14 +233,17 @@ impl<'a> AppRun<'a> {
         Ok((result, sink.expect("a profiled run hands back its sink")))
     }
 
-    /// The process a profile of this run describes.
-    fn trace_metadata(&self) -> TraceMetadata {
+    /// The header of a profile of this run: the process it describes and
+    /// how the configured profiler (the default one, if none) samples it.
+    pub fn trace_metadata(&self) -> TraceMetadata {
+        let profiler = self.config.profile.clone().unwrap_or_default();
         TraceMetadata {
             application: self.spec.name.to_string(),
             ranks: self.spec.ranks,
             threads_per_rank: self.spec.threads_per_rank,
+            sampling_period: profiler.sampling_period,
+            min_alloc_size: MIN_ALLOC_SIZE.bytes(),
             rank: 0,
-            ..Default::default()
         }
     }
 

@@ -1,13 +1,16 @@
 //! The profiler itself: allocation hooks, PEBS wiring and event emission.
 //!
-//! The profiler writes to an [`EventSink`], by default a [`TraceFile`]. It
-//! emits events in time order as long as the caller records allocations,
-//! phases and intervals as simulated time advances. One interval's samples
-//! go to the sink in a single batch, object after object, each object's
-//! samples in time order; putting them in time order is the sink's business.
-//! The trace merges them as it stores them, so a finished trace is sorted
-//! without a final sort, while the framework's analysis stage counts them
-//! in the order they come (see `hmsim_analysis::analyzer`).
+//! The profiler writes to the [`EventSink`] it is built with
+//! ([`Profiler::with_sink`]); there is no default sink, so a caller that
+//! wants the trace passes a [`TraceFile`](hmsim_trace::TraceFile) whose
+//! metadata it chose. It emits
+//! events in time order as long as the caller records allocations, phases
+//! and intervals as simulated time advances. One interval's samples go to
+//! the sink in a single batch, object after object, each object's samples in
+//! time order; putting them in time order is the sink's business. The trace
+//! and the binary writer merge them as they store them, so a finished trace
+//! is sorted without a final sort, while the framework's analysis stage
+//! counts them in the order they come (see `hmsim_analysis::analyzer`).
 
 use crate::config::{ProfilerConfig, MIN_ALLOC_SIZE};
 use crate::overhead::OverheadModel;
@@ -15,14 +18,14 @@ use hmsim_common::{Address, DetRng, Nanos, ObjectId};
 use hmsim_heap::{DataObject, ObjectKind};
 use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily};
 use hmsim_trace::{
-    AllocationRecord, CounterSnapshot, EventSink, ObjectClass, SampleRecord, TraceEvent, TraceFile,
+    AllocationRecord, CounterSnapshot, EventSink, ObjectClass, SampleRecord, TraceEvent,
     TraceMetadata,
 };
 
 /// The Extrae-like profiler attached to one simulated process, emitting
 /// into the sink `S`.
 #[derive(Clone, Debug)]
-pub struct Profiler<S = TraceFile> {
+pub struct Profiler<S> {
     config: ProfilerConfig,
     sink: S,
     sampler: PebsSampler,
@@ -39,17 +42,6 @@ pub struct Profiler<S = TraceFile> {
     last_time: Nanos,
     /// One interval's samples, object after object, reused across intervals.
     batch: Vec<SampleRecord>,
-}
-
-impl Profiler {
-    /// Attach a profiler for an application run described by `metadata`,
-    /// recording a trace.
-    pub fn new(mut metadata: TraceMetadata, config: ProfilerConfig) -> Self {
-        metadata.sampling_period = config.sampling_period;
-        metadata.min_alloc_size = MIN_ALLOC_SIZE.bytes();
-        let trace = TraceFile::new(metadata.clone());
-        Profiler::with_sink(&metadata, config, trace)
-    }
 }
 
 impl<S: EventSink> Profiler<S> {
@@ -89,7 +81,7 @@ impl<S: EventSink> Profiler<S> {
 
     fn emit(&mut self, event: TraceEvent) {
         self.last_time = self.last_time.max(event.time());
-        self.sink.event(event);
+        self.sink.event(&event);
     }
 
     /// Record an allocation (or a static/stack definition). Dynamic
@@ -245,6 +237,7 @@ mod tests {
     use hmsim_apps::{all_apps, AllocTiming, AppSpec, KernelSpec, ObjectSpec};
     use hmsim_callstack::SiteKey;
     use hmsim_common::{AddressRange, ByteSize, TierId};
+    use hmsim_trace::TraceFile;
 
     fn object(id: u32, start: u64, size: ByteSize, kind: ObjectKind) -> DataObject {
         DataObject {
@@ -258,14 +251,20 @@ mod tests {
         }
     }
 
-    fn profiler(period: u64) -> Profiler {
-        Profiler::new(
-            TraceMetadata {
-                application: "unit".to_string(),
-                ..Default::default()
-            },
-            ProfilerConfig::dense(period),
-        )
+    /// A profiler recording a trace whose header names `application` and
+    /// carries `config`'s period.
+    fn recording(application: &str, config: ProfilerConfig) -> Profiler<TraceFile> {
+        let metadata = TraceMetadata {
+            application: application.to_string(),
+            sampling_period: config.sampling_period,
+            min_alloc_size: MIN_ALLOC_SIZE.bytes(),
+            ..Default::default()
+        };
+        Profiler::with_sink(&metadata, config, TraceFile::new(metadata.clone()))
+    }
+
+    fn profiler(period: u64) -> Profiler<TraceFile> {
+        recording("unit", ProfilerConfig::dense(period))
     }
 
     #[test]
@@ -394,7 +393,7 @@ mod tests {
     /// another, leaving the interval out of time order for a stable sort of
     /// the whole trace after `finish` (`sorted_finish`).
     fn oracle_record_interval(
-        p: &mut Profiler,
+        p: &mut Profiler<TraceFile>,
         start: Nanos,
         duration: Nanos,
         instructions: u64,
@@ -438,13 +437,13 @@ mod tests {
     }
 
     /// The oracle's trace: finished, then stably sorted by time.
-    fn sorted_finish(oracle: Profiler) -> TraceFile {
+    fn sorted_finish(oracle: Profiler<TraceFile>) -> TraceFile {
         let mut trace = oracle.finish();
         trace.sort_by_time();
         trace
     }
 
-    type RecordInterval = fn(&mut Profiler, Nanos, Nanos, u64, &[(&DataObject, u64)]);
+    type RecordInterval = fn(&mut Profiler<TraceFile>, Nanos, Nanos, u64, &[(&DataObject, u64)]);
 
     /// Profile `iterations` of `spec` in the order the analytic run records
     /// them: definitions and init allocations, then per iteration the churn
@@ -457,12 +456,8 @@ mod tests {
         iterations: u32,
         config: ProfilerConfig,
         record_interval: RecordInterval,
-    ) -> Profiler {
-        let metadata = TraceMetadata {
-            application: spec.name.to_string(),
-            ..Default::default()
-        };
-        let mut p = Profiler::new(metadata, config);
+    ) -> Profiler<TraceFile> {
+        let mut p = recording(spec.name, config);
         let mut next_id = 0u32;
         let mut allocate = |o: &ObjectSpec, size: ByteSize| {
             next_id += 1;

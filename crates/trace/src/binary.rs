@@ -32,7 +32,8 @@
 //! followed by the value when present.
 
 use crate::event::{AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent};
-use crate::trace_file::{TraceFile, TraceMetadata};
+use crate::sink::EventSink;
+use crate::trace_file::{sort_by_time, TraceFile, TraceMetadata};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, HmError, HmResult, Nanos, ObjectId};
 use std::io::{Read, Write};
@@ -144,17 +145,20 @@ fn encode_event(buf: &mut Vec<u8>, e: &TraceEvent) {
     }
 }
 
-/// Chunked, buffered writer of the binary trace format.
-///
-/// Events are appended with [`push`](Self::push); the writer batches them
-/// into chunks and emits one I/O write per chunk. [`finish`](Self::finish)
-/// flushes the tail chunk and the end-of-trace terminator — dropping the
-/// writer without calling it produces a truncated (unreadable) trace.
+/// Chunked, buffered writer of the binary trace format, and an
+/// [`EventSink`]: it stores each interval's samples in time order, as a
+/// [`TraceFile`] does, and emits one I/O write per chunk. The first I/O
+/// error stops all writes and is returned by [`finish`](Self::finish), which
+/// flushes the tail chunk and the terminator — dropping the writer without
+/// calling it produces a truncated (unreadable) trace.
 pub struct BinaryWriter<W: Write> {
     sink: W,
     chunk: Vec<u8>,
     chunk_events: u32,
     chunk_capacity: usize,
+    /// One interval's samples in time order, reused across intervals.
+    sorted: Vec<TraceEvent>,
+    error: Option<HmError>,
 }
 
 impl<W: Write> BinaryWriter<W> {
@@ -185,39 +189,56 @@ impl<W: Write> BinaryWriter<W> {
             chunk: Vec::with_capacity(chunk_capacity + 256),
             chunk_events: 0,
             chunk_capacity: chunk_capacity.max(1),
+            sorted: Vec::new(),
+            error: None,
         })
     }
 
-    /// Append one event (buffered; flushed when the chunk fills).
-    pub fn push(&mut self, event: &TraceEvent) -> HmResult<()> {
-        encode_event(&mut self.chunk, event);
-        self.chunk_events += 1;
-        if self.chunk.len() >= self.chunk_capacity {
-            self.flush_chunk()?;
+    fn flush_chunk(&mut self) {
+        if self.chunk_events > 0 && self.error.is_none() {
+            let mut frame = [0u8; 8];
+            frame[..4].copy_from_slice(&(self.chunk.len() as u32).to_le_bytes());
+            frame[4..].copy_from_slice(&self.chunk_events.to_le_bytes());
+            let written = self
+                .sink
+                .write_all(&frame)
+                .and_then(|()| self.sink.write_all(&self.chunk));
+            self.error = written.err().map(HmError::from);
         }
-        Ok(())
-    }
-
-    fn flush_chunk(&mut self) -> HmResult<()> {
-        if self.chunk_events == 0 {
-            return Ok(());
-        }
-        let mut frame = [0u8; 8];
-        frame[..4].copy_from_slice(&(self.chunk.len() as u32).to_le_bytes());
-        frame[4..].copy_from_slice(&self.chunk_events.to_le_bytes());
-        self.sink.write_all(&frame)?;
-        self.sink.write_all(&self.chunk)?;
         self.chunk.clear();
         self.chunk_events = 0;
-        Ok(())
     }
 
-    /// Flush the tail chunk, write the terminator and return the sink.
+    /// Flush the tail chunk, write the terminator and return the sink, or
+    /// the first I/O error the writer met.
     pub fn finish(mut self) -> HmResult<W> {
-        self.flush_chunk()?;
+        self.flush_chunk();
+        if let Some(e) = self.error {
+            return Err(e);
+        }
         self.sink.write_all(&[0u8; 8])?;
         self.sink.flush()?;
         Ok(self.sink)
+    }
+}
+
+impl<W: Write> EventSink for BinaryWriter<W> {
+    fn event(&mut self, event: &TraceEvent) {
+        encode_event(&mut self.chunk, event);
+        self.chunk_events += 1;
+        if self.chunk.len() >= self.chunk_capacity {
+            self.flush_chunk();
+        }
+    }
+
+    fn samples(&mut self, samples: &[SampleRecord]) {
+        let mut sorted = std::mem::take(&mut self.sorted);
+        sorted.extend(samples.iter().cloned().map(TraceEvent::Sample));
+        sort_by_time(&mut sorted);
+        for event in sorted.drain(..) {
+            self.event(&event);
+        }
+        self.sorted = sorted;
     }
 }
 
@@ -226,7 +247,7 @@ impl<W: Write> BinaryWriter<W> {
 pub fn write_binary_to<W: Write>(sink: W, trace: &TraceFile) -> HmResult<W> {
     let mut w = BinaryWriter::new(sink, &trace.metadata)?;
     for e in trace.events() {
-        w.push(e)?;
+        w.event(e);
     }
     w.finish()
 }
@@ -536,7 +557,7 @@ mod tests {
         // Tiny chunks force many chunk boundaries.
         let mut w = BinaryWriter::with_chunk_capacity(Vec::new(), &original.metadata, 16).unwrap();
         for e in original.events() {
-            w.push(e).unwrap();
+            w.event(e);
         }
         let bytes = w.finish().unwrap();
         let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
@@ -564,5 +585,92 @@ mod tests {
         let back = read_binary(&write_binary(&t)).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.metadata, t.metadata);
+    }
+
+    #[test]
+    fn emitted_samples_are_written_in_the_recorded_trace_order() {
+        let metadata = sample_trace().metadata;
+        let sample = |ns: f64, object: u32| SampleRecord {
+            time: Nanos(ns),
+            address: Address(0x1000),
+            object: Some(ObjectId(object)),
+            weight: 997,
+            latency_cycles: None,
+        };
+        let batches = [
+            vec![
+                sample(5.0, 0),
+                sample(9.0, 0),
+                sample(2.0, 1),
+                sample(5.0, 1),
+            ],
+            vec![sample(12.0, 1), sample(11.0, 0)],
+        ];
+        let writer = |capacity| BinaryWriter::with_chunk_capacity(Vec::new(), &metadata, capacity);
+        let mut emitted = (TraceFile::new(metadata.clone()), writer(16).unwrap());
+        for (batch, end) in batches.iter().zip([10.0, 13.0]) {
+            emitted.samples(batch);
+            emitted.event(&TraceEvent::PhaseEnd {
+                time: Nanos(end),
+                name: "iteration".to_string(),
+            });
+        }
+        let (trace, emitted) = (emitted.0, emitted.1.finish().unwrap());
+        let times: Vec<f64> = trace.events().iter().map(|e| e.time().nanos()).collect();
+        assert_eq!(times, [2.0, 5.0, 5.0, 9.0, 10.0, 11.0, 12.0, 13.0]);
+        let mut recorded = writer(16).unwrap();
+        for e in trace.events() {
+            recorded.event(e);
+        }
+        assert_eq!(emitted, recorded.finish().unwrap());
+    }
+
+    /// Accepts `budget` bytes, then fails this and every later write with a
+    /// numbered error.
+    struct FailingAfter {
+        budget: usize,
+        writes: usize,
+        failures: usize,
+    }
+
+    impl Write for FailingAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.failures > 0 || buf.len() > self.budget {
+                self.failures += 1;
+                return Err(std::io::Error::other(format!("failure {}", self.failures)));
+            }
+            self.budget -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_first_io_error_stops_the_writer_and_is_returned_by_finish() {
+        let trace = sample_trace();
+        let mut sink = FailingAfter {
+            budget: 100,
+            writes: 0,
+            failures: 0,
+        };
+        let mut w = BinaryWriter::with_chunk_capacity(&mut sink, &trace.metadata, 16).unwrap();
+        for e in trace.events() {
+            w.event(e);
+        }
+        w.samples(&[SampleRecord {
+            time: Nanos(70.0),
+            address: Address(0x7f00_0000_1000),
+            object: None,
+            weight: 1,
+            latency_cycles: None,
+        }]);
+        let err = w.finish().err().expect("the sink failed");
+        assert_eq!(err, HmError::Io("failure 1".to_string()));
+        assert_eq!(sink.failures, 1, "no write after the failure");
+        assert!(sink.writes > 2, "the header and a chunk went through");
     }
 }

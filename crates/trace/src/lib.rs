@@ -20,7 +20,9 @@
 //! * **Binary** ([`binary`]): a compact chunked record format with a
 //!   buffered [`BinaryWriter`] and a streaming [`TraceReader`] that iterates
 //!   events while holding one chunk in memory — the out-of-core capture
-//!   format, sized for traces that do not fit in RAM.
+//!   format, sized for traces that do not fit in RAM. The writer is an
+//!   [`EventSink`] too, so a profile can go straight to disk without ever
+//!   being held in memory.
 //!
 //! A trace holds one rank: the pipeline profiles a single representative
 //! MPI process and places its objects per process, so there is no

@@ -34,14 +34,14 @@ impl TraceSummary {
     pub fn of(trace: &TraceFile) -> TraceSummary {
         let mut builder = TraceSummaryBuilder::default();
         for e in trace.events() {
-            builder.push(e);
+            builder.event(e);
         }
         builder.finish()
     }
 }
 
-/// Streaming form of [`TraceSummary::of`]: push events one at a time (or
-/// emit a profile into it as an [`EventSink`]), then
+/// Streaming form of [`TraceSummary::of`]: an [`EventSink`] that takes
+/// events one at a time (or a profile as it is emitted), then
 /// [`finish`](Self::finish).
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummaryBuilder {
@@ -55,21 +55,6 @@ pub struct TraceSummaryBuilder {
 }
 
 impl TraceSummaryBuilder {
-    /// Consume one event.
-    pub fn push(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::Alloc(a) => {
-                self.allocations += 1;
-                self.allocated_bytes += a.size;
-            }
-            TraceEvent::Free { .. } => self.frees += 1,
-            TraceEvent::Sample(s) => self.sample(s),
-            _ => {}
-        }
-        self.events += 1;
-        self.duration = self.duration.max(event.time());
-    }
-
     fn sample(&mut self, s: &SampleRecord) {
         self.samples += 1;
         self.sampled_misses += s.weight;
@@ -94,8 +79,18 @@ impl TraceSummaryBuilder {
 }
 
 impl EventSink for TraceSummaryBuilder {
-    fn event(&mut self, event: TraceEvent) {
-        self.push(&event);
+    fn event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::Alloc(a) => {
+                self.allocations += 1;
+                self.allocated_bytes += a.size;
+            }
+            TraceEvent::Free { .. } => self.frees += 1,
+            TraceEvent::Sample(s) => self.sample(s),
+            _ => {}
+        }
+        self.events += 1;
+        self.duration = self.duration.max(event.time());
     }
 
     fn samples(&mut self, samples: &[SampleRecord]) {

@@ -98,8 +98,8 @@ impl TraceFile {
 /// The trace stores time order, so it merges each interval's per-object
 /// sample runs as they arrive.
 impl EventSink for TraceFile {
-    fn event(&mut self, event: TraceEvent) {
-        self.push(event);
+    fn event(&mut self, event: &TraceEvent) {
+        self.push(event.clone());
     }
 
     fn samples(&mut self, samples: &[SampleRecord]) {
@@ -113,7 +113,8 @@ impl EventSink for TraceFile {
     }
 }
 
-fn sort_by_time(events: &mut [TraceEvent]) {
+/// Stable sort by timestamp: the order a trace, and a binary trace, keeps.
+pub(crate) fn sort_by_time(events: &mut [TraceEvent]) {
     events.sort_by(|a, b| a.time().partial_cmp(&b.time()).expect("no NaN timestamps"));
 }
 

@@ -7,8 +7,8 @@
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
-    binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord, TraceEvent, TraceFile,
-    TraceMetadata, TraceReader,
+    binary, AllocationRecord, CounterSnapshot, EventSink, ObjectClass, SampleRecord, TraceEvent,
+    TraceFile, TraceMetadata, TraceReader,
 };
 
 /// Fragments chosen to break naive escaping: field separators, the escape
@@ -142,7 +142,7 @@ fn streaming_reader_with_tiny_chunks_matches_materialised_read() {
         )
         .unwrap();
         for e in original.events() {
-            w.push(e).unwrap();
+            w.event(e);
         }
         let bytes = w.finish().unwrap();
         let streamed: Vec<TraceEvent> = TraceReader::new(bytes.as_slice())

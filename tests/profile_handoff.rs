@@ -4,7 +4,8 @@
 //! records the whole trace, summarises it with `TraceSummary::of`, analyses
 //! it with `analyze_trace` and chains the advisor and the re-run by hand.
 //! Every application is checked at the paper's sampling period and at a
-//! dense one, with the trace kept in memory and spilled to disk.
+//! dense one, with the trace kept in memory and spilled to disk; the spilled
+//! file must equal `write_binary` of the recorded trace byte for byte.
 
 use auto_hbwmalloc::{AllocationRouter, AutoHbwMalloc, PlacementApproach};
 use hmem_advisor::{Advisor, MemorySpec, PlacementReport, SelectionStrategy};
@@ -14,12 +15,14 @@ use hmsim_analysis::{analyze_trace, ObjectReport};
 use hmsim_apps::{all_apps, AppSpec};
 use hmsim_common::ByteSize;
 use hmsim_profiler::ProfilerConfig;
-use hmsim_trace::TraceSummary;
+use hmsim_trace::{write_binary, TraceSummary};
 
 const BUDGET: ByteSize = ByteSize::from_mib(128);
 const ITERS: u32 = 12;
 
 struct Oracle {
+    /// The recorded trace in the binary format.
+    binary: Vec<u8>,
     trace_summary: TraceSummary,
     object_report: ObjectReport,
     profiling_overhead: f64,
@@ -52,6 +55,7 @@ fn oracle(pipeline: &FrameworkPipeline, spec: &AppSpec) -> Oracle {
         .execute(AllocationRouter::framework(library))
         .unwrap();
     Oracle {
+        binary: write_binary(&trace),
         trace_summary,
         object_report,
         profiling_overhead: profiled.monitoring_overhead,
@@ -113,8 +117,10 @@ fn streamed_and_spilled_hand_offs_match_the_materialised_oracle_on_every_app() {
                 spec.name
             ));
             let spilled = pipeline.clone().with_trace_spill(&path).run(spec);
+            let bytes = std::fs::read(&path);
             let _ = std::fs::remove_file(&path);
             let what = format!("{}/{label}/spilled", spec.name);
+            assert!(bytes.unwrap() == want.binary, "{what}: spilled bytes");
             assert_matches(&what, &spilled.unwrap(), &want);
         }
     }

@@ -10,7 +10,7 @@ use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, AddressRange, ByteSize, Nanos, ObjectId, TierId};
 use hmsim_heap::{DataObject, ObjectKind};
 use hmsim_profiler::{Profiler, ProfilerConfig};
-use hmsim_trace::{BinaryWriter, TraceEvent, TraceFile, TraceMetadata, TraceReader};
+use hmsim_trace::{BinaryWriter, EventSink, TraceEvent, TraceFile, TraceMetadata, TraceReader};
 
 const ITERATIONS: usize = 6;
 /// An iteration length whose multiples are not exact in binary, so the
@@ -39,12 +39,15 @@ fn boundary(i: usize) -> Nanos {
 /// A profiled pseudo-run: repeated iterations over two objects of different
 /// heat.
 fn trace() -> TraceFile {
-    let mut p = Profiler::new(
-        TraceMetadata {
-            application: "streamed-app".to_string(),
-            ..Default::default()
-        },
+    let metadata = TraceMetadata {
+        application: "streamed-app".to_string(),
+        sampling_period: 997,
+        ..Default::default()
+    };
+    let mut p = Profiler::with_sink(
+        &metadata,
         ProfilerConfig::dense(997),
+        TraceFile::new(metadata.clone()),
     );
     let hot = object(0, 64);
     let cold = object(1, 16);
@@ -76,7 +79,7 @@ fn trace() -> TraceFile {
 fn binary_file(trace: &TraceFile) -> Vec<u8> {
     let mut w = BinaryWriter::new(Vec::new(), &trace.metadata).unwrap();
     for e in trace.events() {
-        w.push(e).unwrap();
+        w.event(e);
     }
     w.finish().unwrap()
 }
@@ -160,7 +163,7 @@ fn fold_is_a_single_pass_over_events() {
     let mut total = 0u64;
     for event in streamed(&bytes) {
         fold.push(&event);
-        stats.push(&event);
+        stats.event(&event);
         total += 1;
     }
     assert_eq!(fold.events_visited(), total);
