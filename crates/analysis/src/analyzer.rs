@@ -23,7 +23,7 @@
 
 use crate::object_stats::{ObjectReport, ObjectStats, ReportedKind};
 use hmsim_callstack::SiteKey;
-use hmsim_common::{Address, AddressRange, ByteSize, HmResult, IdMap, ObjectId};
+use hmsim_common::{Address, AddressRange, ByteSize, IdMap, ObjectId};
 use hmsim_trace::{EventSink, ObjectClass, SampleRecord, TraceEvent, TraceFile};
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -215,8 +215,9 @@ pub fn analyze_trace(trace: &TraceFile) -> ObjectReport {
 }
 
 /// Analyse any infallible event stream (e.g. an iterator over in-memory
-/// events) without materialising it. For a fallible source such as a
-/// [`TraceReader`](hmsim_trace::TraceReader), use [`analyze_try_stream`].
+/// events) without materialising it. A fallible source such as a
+/// [`TraceReader`](hmsim_trace::TraceReader) feeds an [`ObjectStatsBuilder`]
+/// through [`EventSink::event`] instead, stopping at its first error.
 pub fn analyze_stream<E: Borrow<TraceEvent>>(
     application: impl Into<String>,
     events: impl IntoIterator<Item = E>,
@@ -226,20 +227,6 @@ pub fn analyze_stream<E: Borrow<TraceEvent>>(
         builder.event(e.borrow());
     }
     builder.finish()
-}
-
-/// Analyse a fallible event stream — e.g. a
-/// [`TraceReader`](hmsim_trace::TraceReader) streaming an on-disk binary
-/// trace — stopping at the first error.
-pub fn analyze_try_stream(
-    application: impl Into<String>,
-    events: impl IntoIterator<Item = HmResult<TraceEvent>>,
-) -> HmResult<ObjectReport> {
-    let mut builder = ObjectStatsBuilder::new(application);
-    for e in events {
-        builder.event(&e?);
-    }
-    Ok(builder.finish())
 }
 
 fn lookup_by_address(live: &[(AddressRange, usize)], addr: Address) -> Option<usize> {

@@ -21,6 +21,6 @@ pub mod analyzer;
 pub mod folding;
 pub mod object_stats;
 
-pub use analyzer::{analyze_stream, analyze_trace, analyze_try_stream, ObjectStatsBuilder};
+pub use analyzer::{analyze_stream, analyze_trace, ObjectStatsBuilder};
 pub use folding::{FoldAccumulator, FoldedBin, FoldedTimeline};
 pub use object_stats::{ObjectReport, ObjectStats, ReportedKind};

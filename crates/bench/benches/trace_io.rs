@@ -25,15 +25,16 @@ use hmem_advisor::SelectionStrategy;
 use hmem_core::pipeline::FrameworkPipeline;
 use hmem_core::simrun::{AppRun, RunConfig};
 use hmsim_analysis::{
-    analyze_stream, analyze_trace, analyze_try_stream, FoldAccumulator, FoldedTimeline,
-    ObjectReport,
+    analyze_stream, analyze_trace, FoldAccumulator, FoldedTimeline, ObjectReport,
+    ObjectStatsBuilder,
 };
 use hmsim_bench::{best_of, median_of_pairs, write_artifact};
 use hmsim_callstack::SiteKey;
 use hmsim_common::{Address, ByteSize, DetRng, Nanos, ObjectId};
 use hmsim_trace::{
-    read_binary, write_binary, AllocationRecord, CounterSnapshot, ObjectClass, SampleRecord,
-    TraceEvent, TraceFile, TraceMetadata, TraceReader, TraceSummary,
+    read_binary, write_binary, AllocationRecord, CounterSnapshot, EventSink, ObjectClass,
+    SampleRecord, TraceEvent, TraceFile, TraceMetadata, TraceReader, TraceSummary,
+    TraceSummaryBuilder,
 };
 
 /// A profiler-shaped trace: a handful of hot objects, repeated iterations
@@ -155,7 +156,11 @@ fn handoff(iterations: Option<u32>, pairs: usize) -> Handoff {
                     .execute(PlacementApproach::DdrOnly.router().unwrap())
                     .unwrap();
                 let trace = run.trace.take().expect("profiled run keeps its trace");
-                let summary = TraceSummary::of(&trace);
+                let mut summary = TraceSummaryBuilder::default();
+                for e in trace.events() {
+                    summary.event(e);
+                }
+                let summary = summary.finish();
                 let report = analyze_trace(&trace);
                 (summary, report, run.monitoring_overhead.to_bits())
             })
@@ -231,9 +236,12 @@ fn main() {
             report,
             "streamed analysis diverged"
         );
-        let reader = TraceReader::new(binary.as_slice()).unwrap();
+        let mut from_reader = ObjectStatsBuilder::new(app.clone());
+        for e in TraceReader::new(binary.as_slice()).unwrap() {
+            from_reader.event(&e.unwrap());
+        }
         assert_eq!(
-            analyze_try_stream(app, reader).unwrap(),
+            from_reader.finish(),
             report,
             "analysis of the binary trace diverged"
         );

@@ -18,10 +18,7 @@ use hmsim_machine::{
     AnalyticEngine, MachineConfig, MemoryMode, ObjectTraffic, PerfCounters, PhaseProfile, Placement,
 };
 use hmsim_profiler::{Profiler, ProfilerConfig, MIN_ALLOC_SIZE};
-use hmsim_runtime::{
-    execute_plan, ArbiterPolicy, MigrationCostModel, ObjectPlacement, OnlineConfig,
-    PlacementController,
-};
+use hmsim_runtime::{ArbiterPolicy, Migrator, OnlineConfig, RuntimeStats};
 use hmsim_trace::{EventSink, TraceFile, TraceMetadata};
 
 /// Configuration of one run.
@@ -354,11 +351,6 @@ fn canonical_site(unwinder: &Unwinder, translator: &Translator, o: &ObjectSpec) 
     Some(translator.translate(&raw).0.site_key())
 }
 
-/// The online runtime of an analytic run, its per-epoch fast-tier budget,
-/// and each spec object's node misses per epoch: the heat the controller
-/// consumes at every boundary.
-type Online = (PlacementController, MigrationCostModel, ByteSize, Vec<u64>);
-
 /// Everything one run carries from initialisation to wrap-up; a profiled
 /// run emits into `S`.
 struct Run<'a, S> {
@@ -368,7 +360,9 @@ struct Run<'a, S> {
     router: AllocationRouter,
     heap: ProcessHeap,
     profiler: Option<Profiler<S>>,
-    online: Option<Online>,
+    /// The online runtime's commit half and each spec object's node misses
+    /// per epoch: the heat it records at every boundary.
+    online: Option<(Migrator, Vec<u64>)>,
     kernels: Vec<Kernel>,
     /// Canonical (ASLR-independent) site key of each dynamic spec object.
     sites: Vec<Option<SiteKey>>,
@@ -378,10 +372,6 @@ struct Run<'a, S> {
     loop_time: Nanos,
     allocator_time: Nanos,
     counters: PerfCounters,
-    migration_time: Nanos,
-    migrations: u64,
-    migrations_rejected: u64,
-    mcdram_migrated_peak: ByteSize,
 }
 
 impl<'a, S: EventSink> Run<'a, S> {
@@ -404,7 +394,7 @@ impl<'a, S: EventSink> Run<'a, S> {
         }
 
         let kernels = kernel_table(spec, cores_used);
-        // The online migration runtime: the controller re-plans placement
+        // The online migration runtime: the migrator re-plans placement
         // after every main-loop iteration (the analytic engine's natural
         // epoch) against the per-rank budget `mcdram_capacity`, and every
         // move is charged bytes × per-tier bandwidth.
@@ -413,12 +403,8 @@ impl<'a, S: EventSink> Run<'a, S> {
             for &(object, node, ..) in kernels.iter().flat_map(|k| &k.traffic) {
                 heat[object] += node;
             }
-            (
-                PlacementController::new(config.online.clone().unwrap_or_default()),
-                MigrationCostModel::new(machine),
-                config.mcdram_capacity,
-                heat,
-            )
+            let cfg = config.online.clone().unwrap_or_default();
+            (Migrator::new(machine, config.mcdram_capacity, cfg), heat)
         });
 
         // Site keys derived through the same unwind/translate machinery the
@@ -442,10 +428,6 @@ impl<'a, S: EventSink> Run<'a, S> {
             loop_time: Nanos::ZERO,
             allocator_time: Nanos::ZERO,
             counters: PerfCounters::default(),
-            migration_time: Nanos::ZERO,
-            migrations: 0,
-            migrations_rejected: 0,
-            mcdram_migrated_peak: ByteSize::ZERO,
         })
     }
 
@@ -575,33 +557,23 @@ impl<'a, S: EventSink> Run<'a, S> {
         }
     }
 
-    /// Online epoch boundary: fold this iteration's misses into the
-    /// controller's heat, re-run the selection against the budget and
-    /// execute the migration delta. The moved bytes are charged at per-tier
-    /// bandwidth and serialise into the loop time, exactly like allocator
-    /// overhead does.
+    /// Online epoch boundary: record this iteration's misses as each
+    /// object's heat and let the migrator commit the epoch. The moves'
+    /// latency serialises into the loop time, exactly like allocator
+    /// overhead does. The analytic engine simulates no single accesses or
+    /// samples, so the epoch is booked with none.
     fn epoch_boundary(&mut self) {
-        let Some((controller, cost, budget, heat)) = self.online.as_mut() else {
+        let Some((migrator, heat)) = self.online.as_mut() else {
             return;
         };
         for (id, misses) in self.ids.iter().zip(heat.iter()) {
             if let Some(id) = id {
-                controller.record(*id, *misses as f64);
+                migrator.record(*id, *misses as f64);
             }
         }
-        let live = ObjectPlacement::snapshot_live(&self.heap);
-        let plan = controller.end_epoch(&live, *budget);
-        // The controller plans against the same occupancy the heap enforces,
-        // so rejects are a should-not-happen path — but they must stay
-        // observable.
-        let exec = execute_plan(&mut self.heap, &plan, cost);
-        self.migrations += exec.moves();
-        self.migrations_rejected += exec.rejected;
-        self.now += exec.time;
-        self.loop_time += exec.time;
-        self.migration_time += exec.time;
-        let occupancy = self.heap.tier_occupancy(TierId::MCDRAM);
-        self.mcdram_migrated_peak = self.mcdram_migrated_peak.max(occupancy);
+        let time = migrator.commit(&mut self.heap, 0, 0);
+        self.now += time;
+        self.loop_time += time;
     }
 
     /// Wrap-up: totals, FOM, overheads, and the profiler's sink (the
@@ -618,21 +590,24 @@ impl<'a, S: EventSink> Run<'a, S> {
         let fom = self.spec.fom_work_per_iteration * f64::from(iterations)
             / monitored_loop_time.secs().max(1e-12);
         // Online runs never allocate in MCDRAM, so their footprint shows up
-        // as migrated residency rather than allocator HWM.
+        // as migrated residency rather than allocator HWM. A static run
+        // books no migration.
         let allocator_hwm = self.heap.allocated_hwm(TierId::MCDRAM);
+        let static_run = RuntimeStats::default();
+        let online = self.online.as_ref().map_or(&static_run, |(m, _)| m.stats());
         let per_iteration = |k: Kernel| (k.phase.name, k.time / f64::from(iterations));
         let result = RunResult {
             fom,
             total_time: self.spec.init_time + monitored_loop_time,
             loop_time: monitored_loop_time,
-            mcdram_hwm: allocator_hwm.max(self.mcdram_migrated_peak),
+            mcdram_hwm: allocator_hwm.max(online.fast_residency_peak),
             counters: self.counters,
             kernel_times: self.kernels.into_iter().map(per_iteration).collect(),
             monitoring_overhead,
             allocator_time,
-            migration_time: self.migration_time,
-            migrations: self.migrations,
-            migrations_rejected: self.migrations_rejected,
+            migration_time: online.migration_time,
+            migrations: online.migrations,
+            migrations_rejected: online.rejected_moves,
             trace: None,
             approach: self.router.kind(),
         };
@@ -750,6 +725,27 @@ mod tests {
         // Static approaches never migrate.
         assert_eq!(ddr.migrations, 0);
         assert_eq!(ddr.migration_time, Nanos::ZERO);
+    }
+
+    /// Every application under every budget of the default experiment
+    /// grid: the analytic online run never has a planned move rejected and
+    /// never holds more MCDRAM than its budget.
+    #[test]
+    fn online_runs_reject_no_move_and_stay_within_every_grid_budget() {
+        let grid = crate::experiment::ExperimentConfig::default();
+        let mut migrated = 0;
+        for spec in hmsim_apps::all_apps() {
+            for &budget in grid.budgets_for(&spec) {
+                let result = AppRun::new(&spec, RunConfig::flat(budget).with_iterations(3))
+                    .execute(PlacementApproach::Online.router().unwrap())
+                    .unwrap();
+                let at = format!("{} at {budget}", spec.name);
+                assert_eq!(result.migrations_rejected, 0, "{at}");
+                assert!(result.mcdram_hwm <= budget, "{at}: {}", result.mcdram_hwm);
+                migrated += usize::from(result.migrations > 0);
+            }
+        }
+        assert!(migrated > 0, "no online run migrated anything");
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! The per-epoch placement controller: heat aggregation, hysteresis and the
 //! advisor-backed selection that turns observed heat into a migration plan.
 //!
-//! The controller is deliberately engine-agnostic: the trace-driven
-//! [`OnlineRuntime`](crate::OnlineRuntime) feeds it PEBS sample weights, the
-//! analytic runner in `hmem-core` feeds it per-iteration object miss counts,
-//! and both execute the same plans through [`execute_plan`].
+//! The controller is deliberately engine-agnostic: it sees object ids, heat
+//! and a live snapshot, never an engine. A [`Migrator`](crate::Migrator)
+//! owns one and executes its plans, whether the heat is PEBS sample weights
+//! from the trace-driven [`OnlineRuntime`](crate::OnlineRuntime) or
+//! per-iteration object miss counts from the analytic runner in
+//! `hmem-core`; the multi-rank global policy runs one over every rank's
+//! objects.
 //!
 //! Every plan moves objects between MCDRAM (the fast tier) and DDR (the
-//! slow tier). Each epoch re-runs the advisor's density selection, the
-//! paper's hmem_advisor ranking, over the decayed heat. Three constants keep
-//! the control loop from thrashing: [`MIN_RESIDENCY_EPOCHS`] forbids moving
-//! an object again right after it moved, and [`HEAT_DEADBAND`] with
-//! [`HEAT_DECAY`] make incumbents sticky.
+//! slow tier). Each epoch ranks the decayed heat by density and packs it
+//! greedily into the budget (`hmem_advisor::greedy`, the paper's
+//! hmem_advisor ranking). Three constants keep the control loop from
+//! thrashing: [`MIN_RESIDENCY_EPOCHS`] forbids moving an object again right
+//! after it moved, and [`HEAT_DEADBAND`] with [`HEAT_DECAY`] make incumbents
+//! sticky.
 
 use crate::config::OnlineConfig;
-use crate::cost::MigrationCostModel;
 use hmem_advisor::greedy::{pack, rank_by_density};
 use hmem_advisor::Candidate;
-use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
+use hmsim_common::{ByteSize, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use std::collections::{HashMap, HashSet};
 
@@ -53,9 +56,9 @@ pub struct ObjectPlacement {
 }
 
 impl ObjectPlacement {
-    /// Snapshot every live object of a heap — the placement view both the
-    /// trace-driven runtime and the analytic runner hand to
-    /// [`PlacementController::end_epoch`].
+    /// Snapshot every live object of a heap — the placement view the
+    /// [`Migrator`](crate::Migrator) and the multi-rank global planner hand
+    /// to [`PlacementController::end_epoch`].
     pub fn snapshot_live(heap: &ProcessHeap) -> Vec<ObjectPlacement> {
         heap.registry()
             .live()
@@ -90,61 +93,6 @@ impl EpochPlan {
     pub fn moves(&self) -> usize {
         self.demotions.len() + self.promotions.len()
     }
-}
-
-/// What executing one [`EpochPlan`] did. Each caller books it into its
-/// own statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PlanExecution {
-    /// Objects promoted to the fast tier.
-    pub promotions: u32,
-    /// Objects demoted out of the fast tier.
-    pub demotions: u32,
-    /// Bytes moved between tiers.
-    pub bytes_moved: u64,
-    /// Latency charged for the moves.
-    pub time: Nanos,
-    /// Planned moves the heap rejected (capacity races). Plans are
-    /// conservative, so this should stay at zero.
-    pub rejected: u64,
-}
-
-impl PlanExecution {
-    /// Moves executed (promotions + demotions).
-    pub fn moves(&self) -> u64 {
-        u64::from(self.promotions) + u64::from(self.demotions)
-    }
-}
-
-/// Execute `plan` on `heap`: the demotions to DDR first, freeing the
-/// capacity the promotions to MCDRAM consume. Every move is charged through
-/// `cost`; a move the heap rejects is counted, not fatal.
-pub fn execute_plan(
-    heap: &mut ProcessHeap,
-    plan: &EpochPlan,
-    cost: &MigrationCostModel,
-) -> PlanExecution {
-    let mut exec = PlanExecution::default();
-    for (ids, from, to) in [
-        (&plan.demotions, TierId::MCDRAM, TierId::DDR),
-        (&plan.promotions, TierId::DDR, TierId::MCDRAM),
-    ] {
-        for id in ids {
-            match heap.migrate_object(*id, to) {
-                Ok(bytes) => {
-                    if to == TierId::MCDRAM {
-                        exec.promotions += 1;
-                    } else {
-                        exec.demotions += 1;
-                    }
-                    exec.bytes_moved += bytes.bytes();
-                    exec.time += cost.charge(bytes, from, to);
-                }
-                Err(_) => exec.rejected += 1,
-            }
-        }
-    }
-    exec
 }
 
 /// Epoch-driven placement decision engine with hysteresis.

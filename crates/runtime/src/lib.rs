@@ -9,21 +9,22 @@
 //!    PEBS sampler watches the LLC-miss stream;
 //! 2. **aggregate** — samples resolve to live data objects through the heap
 //!    registry and accumulate into exponentially-decayed per-object heat;
-//! 3. **decide** — the advisor's density selection re-runs against the
-//!    MCDRAM budget, with fixed hysteresis (a minimum residency, a heat
-//!    deadband protecting incumbents, see [`controller`]) so phase noise
+//! 3. **decide** — the [`controller`] ranks the decayed heat by density and
+//!    packs it into the MCDRAM budget, with fixed hysteresis (a minimum
+//!    residency, a heat deadband protecting incumbents) so phase noise
 //!    cannot thrash;
-//! 4. **act** — the placement delta executes as `ProcessHeap::migrate_object`
-//!    calls between MCDRAM and DDR, each charged as bytes moved × per-tier
-//!    bandwidth through the [`MigrationCostModel`] and added to the run's
-//!    latency.
+//! 4. **act** — the [`Migrator`] executes the placement delta as
+//!    `ProcessHeap::migrate_object` calls between MCDRAM and DDR, charges
+//!    each move as bytes moved × per-tier bandwidth through the
+//!    [`MigrationCostModel`] and books the epoch into [`RuntimeStats`].
 //!
 //! With the per-epoch move budget set to zero the runtime degenerates to the
 //! static engine — bit-for-bit, which is what the equivalence tests pin.
 //!
-//! The [`controller`] half (heat, hysteresis, selection) is engine-agnostic:
-//! `hmem-core` drives the same [`PlacementController`] from the analytical
-//! engine, with one application iteration as its epoch, which is how
+//! Steps 3 and 4 are engine-agnostic: the [`OnlineRuntime`] is the observe
+//! half (trace engine + sampler) in front of a [`Migrator`], and `hmem-core`
+//! drives the same [`Migrator`] from the analytical engine, with one
+//! application iteration as its epoch, which is how
 //! `PlacementApproach::Online` joins the Figure-4 experiment grid.
 //!
 //! The [`multirank`] module scales the loop from one process to a node: R
@@ -47,11 +48,8 @@ pub mod runtime;
 
 pub use arbiter::{ArbiterPolicy, NodeArbiter};
 pub use config::OnlineConfig;
-pub use controller::{
-    execute_plan, EpochPlan, ObjectPlacement, PlacementController, PlanExecution,
-};
 pub use cost::MigrationCostModel;
 pub use multirank::{
     run_multirank, MultiRankConfig, MultiRankOutcome, MultiRankRuntime, RankOutcome, MAX_RANKS,
 };
-pub use runtime::{EpochRecord, OnlineRuntime, RuntimeStats};
+pub use runtime::{EpochRecord, Migrator, OnlineRuntime, RuntimeStats};

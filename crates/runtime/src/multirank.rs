@@ -364,13 +364,14 @@ impl MultiRankRuntime {
                 rt, heap, samples, ..
             } = &mut self.shards[rank];
             if consumed > 0 {
-                rt.commit_epoch_with_plan(heap, consumed, samples.len() as u64, slice);
+                rt.migrator
+                    .commit_plan(heap, consumed, samples.len() as u64, slice);
             } else if !slice.is_empty() {
                 // The shard's stream has drained but the node plan touches
                 // its objects (demoting leftover residency to make room for
                 // active ranks): execute as background housekeeping — no
                 // phantom epoch, no charge on the finished rank's time.
-                rt.commit_background_plan(heap, slice);
+                rt.migrator.commit_background(heap, slice);
             }
         }
     }
@@ -389,6 +390,7 @@ pub fn run_multirank(
 mod tests {
     use super::*;
     use crate::harness::loaded_machine;
+    use crate::EpochRecord;
     use hmsim_apps::PhasedWorkload;
 
     const ARRAY: ByteSize = ByteSize::from_kib(16);
@@ -492,6 +494,46 @@ mod tests {
                 .map(|r| r.stats.accesses)
                 .sum::<u64>()
         );
+    }
+
+    /// Under the global policy the node planner demotes a drained rank's
+    /// residency to make room for the ranks still running. Those moves
+    /// happen as background moves: no epoch is booked for them and their
+    /// latency stays off the drained rank's time.
+    #[test]
+    fn background_moves_of_drained_ranks_stay_off_their_time() {
+        let m = loaded_machine();
+        let w = MultiRankWorkload::rank_skew_triad(ARRAY, 4, 4, 4);
+        let cfg = MultiRankConfig::new(ArbiterPolicy::Global, ByteSize::from_kib(128))
+            .with_online(OnlineConfig::default().with_epoch_accesses(16_384));
+        let out = run_multirank(&w, &m, cfg).unwrap();
+        assert!(
+            out.per_rank
+                .iter()
+                .any(|r| r.stats.background_migrations > 0
+                    && r.stats.background_migration_time > Nanos::ZERO),
+            "no background move"
+        );
+        for r in &out.per_rank {
+            let (s, at) = (&r.stats, format!("rank {}", r.rank));
+            assert_eq!(s.rejected_moves, 0, "{at}");
+            let time = r.engine.time + s.migration_time;
+            assert_eq!(r.time.nanos().to_bits(), time.nanos().to_bits(), "{at}");
+            assert_eq!(s.epoch_log.len() as u64, s.epochs, "{at}");
+            let moves: u64 = s.epoch_log.iter().map(EpochRecord::moves).sum();
+            assert_eq!(moves, s.migrations, "{at}");
+            let bytes: u64 = s.epoch_log.iter().map(|e| e.bytes_moved).sum();
+            assert_eq!(bytes, s.bytes_migrated.bytes(), "{at}");
+            let logged = s
+                .epoch_log
+                .iter()
+                .fold(Nanos::ZERO, |t, e| t + e.migration_time);
+            assert_eq!(
+                logged.nanos().to_bits(),
+                s.migration_time.nanos().to_bits(),
+                "{at}"
+            );
+        }
     }
 
     #[test]

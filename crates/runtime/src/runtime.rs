@@ -1,19 +1,22 @@
-//! The trace-driven online placement runtime.
+//! The trace-driven online placement runtime and the commit half every
+//! online run shares.
 //!
-//! Each epoch the runtime (1) drives the [`TraceEngine`] over the next
-//! window of accesses while a [`PebsSampler`] observes the LLC-miss stream,
-//! (2) aggregates the samples into per-object heat through the heap's
-//! live-object registry, (3) re-runs the advisor's selection against the
-//! fast-tier budget, and (4) executes the migration delta through
-//! [`execute_plan`], charging every move through the
-//! [`MigrationCostModel`] and adding it to the run's latency.
+//! Each epoch the [`OnlineRuntime`] (1) drives the [`TraceEngine`] over the
+//! next window of accesses while a [`PebsSampler`] observes the LLC-miss
+//! stream, (2) aggregates the samples into per-object heat through the
+//! heap's live-object registry, then hands the epoch to its [`Migrator`],
+//! which (3) re-runs the controller's selection against the fast-tier
+//! budget and (4) executes the migration delta, charging every move through
+//! the [`MigrationCostModel`] and booking it into [`RuntimeStats`].
+//!
+//! The [`Migrator`] is the one place migrations are booked: the analytic
+//! runner in `hmem-core` drives the same one, with one application iteration
+//! as its epoch and each object's misses as its heat.
 
-use crate::controller::{
-    execute_plan, EpochPlan, ObjectPlacement, PlacementController, PlanExecution,
-};
+use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
 use crate::cost::MigrationCostModel;
 use crate::OnlineConfig;
-use hmsim_common::{ByteSize, Nanos, TierId};
+use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
 use hmsim_heap::ProcessHeap;
 use hmsim_machine::{EngineStats, MachineConfig, MemoryAccess, TraceEngine};
 use hmsim_pebs::{PebsEvent, PebsSampler, ProcessorFamily, RawSample};
@@ -33,6 +36,13 @@ pub struct EpochRecord {
     pub bytes_moved: u64,
     /// Latency charged for this epoch's migrations.
     pub migration_time: Nanos,
+}
+
+impl EpochRecord {
+    /// Moves executed (promotions + demotions).
+    pub fn moves(&self) -> u64 {
+        u64::from(self.promotions) + u64::from(self.demotions)
+    }
 }
 
 /// Aggregate statistics of one online run.
@@ -71,14 +81,122 @@ pub struct RuntimeStats {
     pub epoch_log: Vec<EpochRecord>,
 }
 
-/// The epoch-driven online placement engine.
-pub struct OnlineRuntime {
-    engine: TraceEngine,
-    sampler: PebsSampler,
+/// The commit half of an online run: it takes each epoch's heat, plans the
+/// placement delta against the fast-tier budget, executes it between MCDRAM
+/// and DDR and books the epoch into its [`RuntimeStats`].
+pub struct Migrator {
     controller: PlacementController,
     cost: MigrationCostModel,
     fast_budget: ByteSize,
     stats: RuntimeStats,
+}
+
+impl Migrator {
+    /// A migrator for `machine` with `fast_budget` bytes of MCDRAM at its
+    /// disposal; plans promote into MCDRAM and demote to DDR.
+    pub fn new(machine: &MachineConfig, fast_budget: ByteSize, cfg: OnlineConfig) -> Self {
+        Migrator {
+            controller: PlacementController::new(cfg),
+            cost: MigrationCostModel::new(machine),
+            fast_budget,
+            stats: RuntimeStats::default(),
+        }
+    }
+
+    /// Accumulate `weight` units of heat on object `id` for the current
+    /// epoch (a PEBS sample weight or a miss count).
+    pub fn record(&mut self, id: ObjectId, weight: f64) {
+        self.controller.record(id, weight);
+    }
+
+    /// Close one epoch of `accesses` accesses and `samples` samples:
+    /// re-run the selection over the recorded heat against the fast-tier
+    /// budget, execute the delta on `heap` and book it. Returns the latency
+    /// charged for the epoch's moves.
+    pub fn commit(&mut self, heap: &mut ProcessHeap, accesses: u64, samples: u64) -> Nanos {
+        let live = ObjectPlacement::snapshot_live(heap);
+        let plan = self.controller.end_epoch(&live, self.fast_budget);
+        self.commit_plan(heap, accesses, samples, &plan)
+    }
+
+    /// The statistics booked so far.
+    pub fn stats(&self) -> &RuntimeStats {
+        &self.stats
+    }
+
+    /// Close one epoch by executing `plan` (the node-global planner's slice
+    /// for this rank) and booking the epoch. Returns the moves' latency.
+    pub(crate) fn commit_plan(
+        &mut self,
+        heap: &mut ProcessHeap,
+        accesses: u64,
+        samples: u64,
+        plan: &EpochPlan,
+    ) -> Nanos {
+        let record = EpochRecord {
+            accesses,
+            samples,
+            ..self.execute(heap, plan)
+        };
+        let stats = &mut self.stats;
+        stats.epochs += 1;
+        stats.accesses += accesses;
+        stats.samples += samples;
+        stats.migrations += record.moves();
+        stats.bytes_migrated += ByteSize::from_bytes(record.bytes_moved);
+        stats.migration_time += record.migration_time;
+        stats.epoch_log.push(record);
+        record.migration_time
+    }
+
+    /// Execute a node-planner slice for a rank whose stream has already
+    /// drained. The moves happen and count as background moves, but no
+    /// epoch is booked and their latency is not the rank's: demoting a
+    /// finished rank's residency is housekeeping off its critical path.
+    pub(crate) fn commit_background(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) {
+        let record = self.execute(heap, plan);
+        self.stats.background_migrations += record.moves();
+        self.stats.background_migration_time += record.migration_time;
+    }
+
+    /// Execute `plan` on `heap`: the demotions to DDR first, freeing the
+    /// capacity the promotions to MCDRAM consume. Every move is charged
+    /// through the cost model. A move the heap rejects is not fatal: it
+    /// counts in `rejected_moves`. The MCDRAM residency left afterwards
+    /// updates `fast_residency_peak`.
+    fn execute(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) -> EpochRecord {
+        let mut record = EpochRecord::default();
+        for (ids, from, to) in [
+            (&plan.demotions, TierId::MCDRAM, TierId::DDR),
+            (&plan.promotions, TierId::DDR, TierId::MCDRAM),
+        ] {
+            for id in ids {
+                match heap.migrate_object(*id, to) {
+                    Ok(bytes) => {
+                        if to == TierId::MCDRAM {
+                            record.promotions += 1;
+                        } else {
+                            record.demotions += 1;
+                        }
+                        record.bytes_moved += bytes.bytes();
+                        record.migration_time += self.cost.charge(bytes, from, to);
+                    }
+                    Err(_) => self.stats.rejected_moves += 1,
+                }
+            }
+        }
+        let occupancy = heap.tier_occupancy(TierId::MCDRAM);
+        self.stats.fast_residency_peak = self.stats.fast_residency_peak.max(occupancy);
+        record
+    }
+}
+
+/// The epoch-driven online placement engine: the observe half (engine and
+/// sampler) in front of a [`Migrator`].
+pub struct OnlineRuntime {
+    engine: TraceEngine,
+    sampler: PebsSampler,
+    pub(crate) migrator: Migrator,
 }
 
 impl OnlineRuntime {
@@ -94,27 +212,14 @@ impl OnlineRuntime {
         OnlineRuntime {
             engine: TraceEngine::new(machine),
             sampler,
-            cost: MigrationCostModel::new(machine),
-            controller: PlacementController::new(cfg),
-            fast_budget,
-            stats: RuntimeStats::default(),
+            migrator: Migrator::new(machine, fast_budget, cfg),
         }
-    }
-
-    /// The fast-tier budget the next epoch's selection packs against.
-    pub fn fast_budget(&self) -> ByteSize {
-        self.fast_budget
     }
 
     /// Re-arm the fast-tier budget. The multi-rank shard runner calls this
     /// every epoch with whatever the node arbiter granted this rank.
     pub fn set_fast_budget(&mut self, budget: ByteSize) {
-        self.fast_budget = budget;
-    }
-
-    /// The configuration driving the epoch loop.
-    pub fn config(&self) -> &OnlineConfig {
-        self.controller.config()
+        self.migrator.fast_budget = budget;
     }
 
     /// The engine's accumulated simulation statistics.
@@ -124,7 +229,7 @@ impl OnlineRuntime {
 
     /// The runtime's own statistics.
     pub fn stats(&self) -> &RuntimeStats {
-        &self.stats
+        self.migrator.stats()
     }
 
     /// Total simulated latency: the engine's execution-time estimate plus
@@ -132,7 +237,11 @@ impl OnlineRuntime {
     /// (background housekeeping moves are excluded — see
     /// [`RuntimeStats::background_migration_time`]).
     pub fn total_time(&self) -> Nanos {
-        self.engine.stats().time + self.stats.migration_time
+        self.engine.stats().time + self.stats().migration_time
+    }
+
+    fn epoch_len(&self) -> u64 {
+        self.migrator.controller.config().epoch_accesses
     }
 
     /// Drive the whole access stream through the epoch loop, mutating the
@@ -144,7 +253,7 @@ impl OnlineRuntime {
     {
         let mut it = accesses.into_iter();
         let misses_before = self.engine.stats().counters.llc_misses;
-        let epoch_len = self.controller.config().epoch_accesses;
+        let epoch_len = self.epoch_len();
         // Scratch buffer for the epoch's samples, reused across epochs.
         let mut sampled: Vec<RawSample> = Vec::new();
 
@@ -176,7 +285,7 @@ impl OnlineRuntime {
     where
         I: Iterator<Item = MemoryAccess>,
     {
-        let epoch_len = self.controller.config().epoch_accesses;
+        let epoch_len = self.epoch_len();
         sampled.clear();
         let epoch_start = self.engine.stats().time;
         let mut consumed = 0u64;
@@ -195,68 +304,15 @@ impl OnlineRuntime {
         consumed
     }
 
-    /// Close one observed epoch: aggregate the samples into heat, re-run the
-    /// controller's selection against [`fast_budget`](Self::fast_budget) and
-    /// execute the migration delta.
+    /// Close one observed epoch: resolve each sample to the live object it
+    /// falls in, record its weight as heat and let the [`Migrator`] commit.
     pub fn commit_epoch(&mut self, heap: &mut ProcessHeap, consumed: u64, sampled: &[RawSample]) {
         for s in sampled {
             if let Some(obj) = heap.registry().find_containing(s.address) {
-                self.controller.record(obj.id, s.weight as f64);
+                self.migrator.record(obj.id, s.weight as f64);
             }
         }
-        let live = ObjectPlacement::snapshot_live(heap);
-        let plan = self.controller.end_epoch(&live, self.fast_budget);
-        self.commit_epoch_with_plan(heap, consumed, sampled.len() as u64, &plan);
-    }
-
-    /// Close one observed epoch by executing `plan` and booking the epoch
-    /// into the statistics. [`commit_epoch`](Self::commit_epoch) passes its
-    /// own controller's plan; the node-global planner passes its slice.
-    pub fn commit_epoch_with_plan(
-        &mut self,
-        heap: &mut ProcessHeap,
-        accesses: u64,
-        samples: u64,
-        plan: &EpochPlan,
-    ) {
-        let exec = self.execute(heap, plan);
-        self.stats.accesses += accesses;
-        self.stats.epochs += 1;
-        self.stats.samples += samples;
-        self.stats.migrations += exec.moves();
-        self.stats.bytes_migrated += ByteSize::from_bytes(exec.bytes_moved);
-        self.stats.migration_time += exec.time;
-        self.stats.epoch_log.push(EpochRecord {
-            accesses,
-            samples,
-            promotions: exec.promotions,
-            demotions: exec.demotions,
-            bytes_moved: exec.bytes_moved,
-            migration_time: exec.time,
-        });
-    }
-
-    /// Execute a node-planner slice on a runtime whose stream has already
-    /// drained. The moves happen (and are counted as background moves), but
-    /// no epoch is booked and the latency does not extend
-    /// [`total_time`](Self::total_time): demoting a finished rank's
-    /// residency is housekeeping off that rank's critical path.
-    pub fn commit_background_plan(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) {
-        let exec = self.execute(heap, plan);
-        self.stats.background_migrations += exec.moves();
-        self.stats.background_migration_time += exec.time;
-    }
-
-    /// Execute a plan between MCDRAM and DDR, booking rejects and the
-    /// MCDRAM residency peak.
-    fn execute(&mut self, heap: &mut ProcessHeap, plan: &EpochPlan) -> PlanExecution {
-        let exec = execute_plan(heap, plan, &self.cost);
-        self.stats.rejected_moves += exec.rejected;
-        self.stats.fast_residency_peak = self
-            .stats
-            .fast_residency_peak
-            .max(heap.tier_occupancy(TierId::MCDRAM));
-        exec
+        self.migrator.commit(heap, consumed, sampled.len() as u64);
     }
 }
 

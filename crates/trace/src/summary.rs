@@ -3,7 +3,6 @@
 
 use crate::event::{SampleRecord, TraceEvent};
 use crate::sink::EventSink;
-use crate::trace_file::TraceFile;
 use hmsim_common::{ByteSize, Nanos};
 
 /// Aggregate statistics of one trace.
@@ -29,20 +28,8 @@ pub struct TraceSummary {
     pub sampled_misses: u64,
 }
 
-impl TraceSummary {
-    /// Compute the summary of a trace.
-    pub fn of(trace: &TraceFile) -> TraceSummary {
-        let mut builder = TraceSummaryBuilder::default();
-        for e in trace.events() {
-            builder.event(e);
-        }
-        builder.finish()
-    }
-}
-
-/// Streaming form of [`TraceSummary::of`]: an [`EventSink`] that takes
-/// events one at a time (or a profile as it is emitted), then
-/// [`finish`](Self::finish).
+/// Computes a [`TraceSummary`]: an [`EventSink`] that takes events one at
+/// a time (or a profile as it is emitted), then [`finish`](Self::finish).
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummaryBuilder {
     events: usize,
@@ -106,8 +93,16 @@ impl EventSink for TraceSummaryBuilder {
 mod tests {
     use super::*;
     use crate::event::{AllocationRecord, ObjectClass, SampleRecord};
-    use crate::trace_file::TraceMetadata;
+    use crate::trace_file::{TraceFile, TraceMetadata};
     use hmsim_common::{Address, ObjectId};
+
+    fn summarise(t: &TraceFile) -> TraceSummary {
+        let mut builder = TraceSummaryBuilder::default();
+        for e in t.events() {
+            builder.event(e);
+        }
+        builder.finish()
+    }
 
     #[test]
     fn summary_counts_and_rates() {
@@ -138,7 +133,7 @@ mod tests {
             }));
         }
         t.sort_by_time();
-        let s = TraceSummary::of(&t);
+        let s = summarise(&t);
         assert_eq!(s.allocations, 4);
         assert_eq!(s.frees, 1);
         assert_eq!(s.samples, 8);
@@ -152,7 +147,7 @@ mod tests {
     #[test]
     fn empty_trace_summary_is_zero() {
         let t = TraceFile::new(TraceMetadata::default());
-        let s = TraceSummary::of(&t);
+        let s = summarise(&t);
         assert_eq!(s.events, 0);
         assert_eq!(s.allocations_per_second, 0.0);
         assert_eq!(s.sampled_misses, 0);

@@ -1,8 +1,9 @@
 //! The framework pipeline hands its profile to the analysis stage as the
 //! profiler emits it, so in memory no trace is ever built. That hand-off
 //! must give exactly what the materialised one gives. The oracle here
-//! records the whole trace, summarises it with `TraceSummary::of`, analyses
-//! it with `analyze_trace` and chains the advisor and the re-run by hand.
+//! records the whole trace, summarises it by feeding every event to a
+//! `TraceSummaryBuilder`, analyses it with `analyze_trace` and chains the
+//! advisor and the re-run by hand.
 //! Every application is checked at the paper's sampling period and at a
 //! dense one, with the trace kept in memory and spilled to disk; the spilled
 //! file must equal `write_binary` of the recorded trace byte for byte.
@@ -15,7 +16,7 @@ use hmsim_analysis::{analyze_trace, ObjectReport};
 use hmsim_apps::{all_apps, AppSpec};
 use hmsim_common::ByteSize;
 use hmsim_profiler::ProfilerConfig;
-use hmsim_trace::{write_binary, TraceSummary};
+use hmsim_trace::{write_binary, EventSink, TraceSummary, TraceSummaryBuilder};
 
 const BUDGET: ByteSize = ByteSize::from_mib(128);
 const ITERS: u32 = 12;
@@ -39,7 +40,11 @@ fn oracle(pipeline: &FrameworkPipeline, spec: &AppSpec) -> Oracle {
         .execute(PlacementApproach::DdrOnly.router().unwrap())
         .unwrap();
     let trace = profiled.trace.take().expect("profiled run keeps its trace");
-    let trace_summary = TraceSummary::of(&trace);
+    let mut summary = TraceSummaryBuilder::default();
+    for e in trace.events() {
+        summary.event(e);
+    }
+    let trace_summary = summary.finish();
     let object_report = analyze_trace(&trace);
     let placement = Advisor::new()
         .advise(
