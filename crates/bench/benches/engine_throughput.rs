@@ -15,7 +15,7 @@
 use hmsim_bench::{median_of_pairs, write_artifact};
 use hmsim_common::{Address, AddressRange, ByteSize, DetRng, TierId};
 use hmsim_machine::{
-    AccessPattern, AccessStream, MachineConfig, MemoryAccess, PageTable, ServiceLevel, TraceEngine,
+    AccessPattern, AccessStream, MachineConfig, MemoryAccess, PageTable, TraceEngine,
 };
 
 /// Faithful reimplementation of the seed's trace-engine hot path, kept as the
@@ -364,6 +364,8 @@ fn main() {
         AddressRange::new(Address(0x9000_0000), ByteSize::from_kib(4)),
         TierId::MCDRAM,
     );
-    let level = e.access_with(&MemoryAccess::load(Address(0x9000_0000), 8), &pt, |_| {});
-    assert_eq!(level, ServiceLevel::Memory(TierId::MCDRAM));
+    e.access_with(&MemoryAccess::load(Address(0x9000_0000), 8), &pt, |_| {});
+    let traffic = e.stats().tier_traffic;
+    assert_eq!(traffic.bytes(TierId::MCDRAM), config.line_size);
+    assert_eq!(traffic.bytes(TierId::DDR), 0);
 }

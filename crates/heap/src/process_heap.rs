@@ -720,7 +720,6 @@ mod tests {
                     let resident: u64 = h
                         .registry()
                         .live()
-                        .into_iter()
                         .filter(|o| o.tier == t && !(o.id == region && t == TierId::DDR))
                         .map(|o| FreeListAllocator::reserved(o.size()).bytes())
                         .sum();

@@ -80,11 +80,8 @@ impl LiveObjectRegistry {
     }
 
     /// All live objects, in address order.
-    pub fn live(&self) -> Vec<&DataObject> {
-        self.by_start
-            .values()
-            .filter_map(|id| self.objects.get(id))
-            .collect()
+    pub fn live(&self) -> impl Iterator<Item = &DataObject> + '_ {
+        self.by_start.values().map(|id| &self.objects[id])
     }
 
     /// Total size of live objects.
@@ -124,7 +121,7 @@ mod tests {
         assert!(reg.find_containing(Address(0x11000)).is_none());
         assert_eq!(reg.find_containing(Address(0x21000)).unwrap().id, b);
         assert!(reg.find_containing(Address(0x9000)).is_none());
-        assert_eq!(reg.live().len(), 2);
+        assert_eq!(reg.live().count(), 2);
         assert_eq!(reg.live_bytes(), ByteSize::from_kib(12));
     }
 
@@ -141,7 +138,7 @@ mod tests {
             reg.set_tier(a, TierId::MCDRAM),
             Err(HmError::NotFound(_))
         ));
-        assert_eq!(reg.live().len(), 0);
+        assert_eq!(reg.live().count(), 0);
     }
 
     #[test]
@@ -157,6 +154,6 @@ mod tests {
         reg.remove_by_start(Address(0x10000)).unwrap();
         let b = make(&mut reg, 0x10000, 8);
         assert_eq!(reg.find_containing(Address(0x10400)).unwrap().id, b);
-        assert_eq!(reg.live().len(), 1);
+        assert_eq!(reg.live().count(), 1);
     }
 }

@@ -48,9 +48,9 @@ impl MemoryAccess {
     }
 }
 
-/// High-level description of how a kernel walks a data object. The analytic
-/// engine uses this to estimate cache behaviour; the trace-driven engine uses
-/// it to synthesise concrete address streams.
+/// High-level description of how a kernel walks a data object.
+/// [`AccessStream`] expands it into the concrete address stream the
+/// trace-driven engine consumes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AccessPattern {
     /// Contiguous, unit-stride streaming over the whole object.

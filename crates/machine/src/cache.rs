@@ -1,7 +1,8 @@
 //! Set-associative cache simulator with LRU replacement.
 //!
 //! Used for the L1 and L2 (LLC) levels of the trace-driven engine and, with
-//! one way per set, as the direct-mapped model behind MCDRAM cache mode.
+//! one way per set, as the direct-mapped reference simulator the analytical
+//! MCDRAM cache-mode hit rate is tested against.
 
 use hmsim_common::{Address, ByteSize};
 

@@ -1,11 +1,13 @@
 //! Trace-driven execution engine.
 //!
 //! Pushes every simulated memory access through an L1 → L2 (LLC) hierarchy;
-//! LLC misses are served by the memory tier owning the page (flat mode) or by
-//! the MCDRAM memory-side cache (cache mode). The engine accumulates
-//! [`PerfCounters`], per-tier traffic and an execution-time estimate, and can
-//! invoke a callback on every LLC miss so the PEBS sampler and the profiler
-//! can observe the miss stream exactly the way the hardware exposes it.
+//! LLC misses are served by the memory tier owning the page. The engine
+//! simulates flat mode only: MCDRAM cache mode is costed by the analytic
+//! engine ([`crate::analytic`]), and [`TraceEngine::new`] refuses a
+//! cache-mode machine. The engine accumulates [`PerfCounters`], per-tier
+//! traffic and an execution-time estimate, and can invoke a callback on
+//! every LLC miss so the PEBS sampler and the profiler can observe the miss
+//! stream exactly the way the hardware exposes it.
 //!
 //! # Hot path
 //!
@@ -24,30 +26,16 @@
 //! * per-tier traffic lives in a fixed two-entry [`TierTraffic`] array
 //!   indexed by [`TierId`], not a `HashMap`;
 //! * the miss charges of the two tiers are precomputed at engine
-//!   construction into a two-entry table, as are the cache-mode hit and miss
-//!   latencies and the reciprocal MLP/frequency factors.
+//!   construction into a two-entry table, as are the reciprocal
+//!   MLP/frequency factors.
 
 use crate::access::{AccessKind, MemoryAccess};
 use crate::bandwidth::BandwidthModel;
 use crate::cache::{CacheConfig, SetAssocCache};
 use crate::config::{MachineConfig, MemoryMode};
 use crate::counters::PerfCounters;
-use crate::mcdram_cache::McdramCacheModel;
 use crate::page_table::PageTable;
 use hmsim_common::{Address, Nanos, Page, TierId};
-
-/// Where an access was ultimately served from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServiceLevel {
-    /// Hit in the L1 data cache.
-    L1,
-    /// Hit in the L2 / last-level cache.
-    Llc,
-    /// Served by the memory-side MCDRAM cache (cache mode only).
-    McdramCache,
-    /// Served by a memory tier (flat mode, or cache-mode miss to DDR).
-    Memory(TierId),
-}
 
 /// Bytes of traffic served by each memory tier, held in a fixed array indexed
 /// by [`TierId`] (DDR, MCDRAM) so the per-miss update is a single indexed add.
@@ -132,11 +120,10 @@ const INSTRUCTIONS_PER_ACCESS: u64 = 2;
 
 /// The trace-driven engine simulating one core's cache hierarchy.
 pub struct TraceEngine {
-    config: MachineConfig,
-    bandwidth: BandwidthModel,
     l1: SetAssocCache,
     l2: SetAssocCache,
-    mcdram_cache: Option<SetAssocCache>,
+    /// Bytes each LLC miss moves from its memory tier.
+    line_size: u64,
     stats: EngineStats,
     /// One-entry last-translation cache: (page table identity key, page
     /// extent `[lo, hi)`, tier). Invalidated whenever the page table mutates
@@ -146,22 +133,24 @@ pub struct TraceEngine {
     l1_charge: Charge,
     /// LLC-hit charge, precomputed.
     l2_charge: Charge,
-    /// Flat-mode miss charge of the serving tier, indexed by `TierId`
-    /// (DDR, MCDRAM), precomputed.
+    /// Miss charge of the serving tier, indexed by `TierId` (DDR, MCDRAM),
+    /// precomputed.
     mem_charge: [Charge; 2],
-    /// Cache-mode MCDRAM-hit charge, precomputed.
-    cm_hit_charge: Charge,
-    /// Cache-mode DDR-miss charge, precomputed.
-    cm_miss_charge: Charge,
 }
 
 impl TraceEngine {
-    /// Create an engine for the given machine. In cache mode a scaled
-    /// direct-mapped MCDRAM cache simulator is instantiated; because a full
-    /// 16 GiB tag array is wasteful for unit-scale traces, the memory-side
-    /// cache is capped at 16 MiB of simulated capacity unless the machine's
-    /// MCDRAM is already smaller.
+    /// Create an engine for the given flat-mode machine.
+    ///
+    /// # Panics
+    ///
+    /// If the machine runs MCDRAM in cache mode: the trace engine simulates
+    /// flat mode only, and cache mode is costed by the analytic engine.
     pub fn new(config: &MachineConfig) -> Self {
+        assert!(
+            config.memory_mode == MemoryMode::Flat,
+            "the trace engine simulates flat-mode machines only; \
+             cost cache mode with the analytic engine"
+        );
         let l1 = SetAssocCache::new(CacheConfig::new(
             config.l1_size,
             config.line_size,
@@ -172,15 +161,6 @@ impl TraceEngine {
             config.line_size,
             config.l2_ways,
         ));
-        let mcdram_cache = if config.memory_mode == MemoryMode::Cache {
-            let capped = config
-                .mcdram
-                .capacity
-                .min(hmsim_common::ByteSize::from_mib(16));
-            Some(McdramCacheModel::new(capped, config.line_size).simulator())
-        } else {
-            None
-        };
 
         let bandwidth = BandwidthModel::new(config);
         // Cache-level latencies are mostly hidden by out-of-order execution
@@ -190,10 +170,9 @@ impl TraceEngine {
         let mem_charge_of = |l: Nanos| Charge::new(l, config.mlp, config.frequency_hz);
 
         TraceEngine {
-            config: config.clone(),
             l1,
             l2,
-            mcdram_cache,
+            line_size: config.line_size,
             stats: EngineStats::default(),
             tlb: None,
             l1_charge: cache_charge(config.l1_latency),
@@ -202,20 +181,7 @@ impl TraceEngine {
                 mem_charge_of(bandwidth.latency(&config.ddr)),
                 mem_charge_of(bandwidth.latency(&config.mcdram)),
             ],
-            cm_hit_charge: mem_charge_of(bandwidth.cache_mode_latency(1.0)),
-            cm_miss_charge: mem_charge_of(bandwidth.cache_mode_latency(0.0)),
-            bandwidth,
         }
-    }
-
-    /// The machine configuration this engine simulates.
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// The bandwidth model bound to this engine's machine.
-    pub fn bandwidth(&self) -> &BandwidthModel {
-        &self.bandwidth
     }
 
     /// Translate `addr` through the one-entry TLB, falling back to the page
@@ -244,8 +210,8 @@ impl TraceEngine {
 
     /// Process one access, invoking `on_llc_miss` with the address whenever
     /// the access misses the LLC (this is the hook the PEBS sampler uses).
-    /// `page_table` supplies the flat-mode placement. Returns the level that
-    /// served the access.
+    /// `page_table` supplies the placement: an LLC miss is served by the
+    /// tier owning the page.
     ///
     /// This is the engine's only per-access path: every counter and charge
     /// of an access is booked here, as it happens, so any loop over it (see
@@ -256,52 +222,27 @@ impl TraceEngine {
         acc: &MemoryAccess,
         page_table: &PageTable,
         mut on_llc_miss: F,
-    ) -> ServiceLevel {
+    ) {
         let is_store = acc.kind == AccessKind::Store;
         let c = &mut self.stats.counters;
         c.instructions += INSTRUCTIONS_PER_ACCESS;
         c.l1_references += 1;
         if self.l1.access(acc.address, is_store) {
             self.charge_cache(self.l1_charge);
-            return ServiceLevel::L1;
+            return;
         }
         c.l1_misses += 1;
         c.llc_references += 1;
         if self.l2.access(acc.address, is_store) {
             self.charge_cache(self.l2_charge);
-            return ServiceLevel::Llc;
+            return;
         }
         c.llc_misses += 1;
         on_llc_miss(acc.address);
 
-        // LLC miss: serve from the memory system.
-        let line = self.config.line_size;
-        match self.config.memory_mode {
-            MemoryMode::Flat => {
-                let served_by =
-                    MachineConfig::serving_tier(self.translate(acc.address, page_table));
-                self.stats.tier_traffic.add(served_by, line);
-                self.charge_memory(self.mem_charge[served_by.index()]);
-                ServiceLevel::Memory(served_by)
-            }
-            MemoryMode::Cache => {
-                let mc_hit = self
-                    .mcdram_cache
-                    .as_mut()
-                    .map(|c| c.access(acc.address, is_store))
-                    .unwrap_or(false);
-                if mc_hit {
-                    self.stats.tier_traffic.add(TierId::MCDRAM, line);
-                    self.charge_memory(self.cm_hit_charge);
-                    ServiceLevel::McdramCache
-                } else {
-                    self.stats.tier_traffic.add(TierId::DDR, line);
-                    self.stats.tier_traffic.add(TierId::MCDRAM, line);
-                    self.charge_memory(self.cm_miss_charge);
-                    ServiceLevel::Memory(TierId::DDR)
-                }
-            }
-        }
+        let served_by = MachineConfig::serving_tier(self.translate(acc.address, page_table));
+        self.stats.tier_traffic.add(served_by, self.line_size);
+        self.charge_memory(self.mem_charge[served_by.index()]);
     }
 
     /// Run an access sequence through [`access_with`](Self::access_with),
@@ -366,6 +307,17 @@ mod tests {
         (TraceEngine::new(&cfg), PageTable::new(TierId::DDR))
     }
 
+    /// Load `addr` once and return the tier that served it, or `None` if
+    /// the caches did.
+    fn served_by(e: &mut TraceEngine, addr: Address, pt: &PageTable) -> Option<TierId> {
+        let before = e.stats().tier_traffic;
+        e.access_with(&MemoryAccess::load(addr, 8), pt, |_| {});
+        let after = e.stats().tier_traffic;
+        [TierId::DDR, TierId::MCDRAM]
+            .into_iter()
+            .find(|t| after.bytes(*t) > before.bytes(*t))
+    }
+
     #[test]
     fn small_working_set_stays_in_l1() {
         let (mut e, pt) = flat_engine();
@@ -406,30 +358,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_mode_routes_misses_through_mcdram_cache() {
-        let cfg = MachineConfig::tiny_test().with_memory_mode(MemoryMode::Cache);
-        let mut e = TraceEngine::new(&cfg);
-        let pt = PageTable::new(TierId::DDR);
-        let range = AddressRange::new(Address(0x40_0000), ByteSize::from_kib(512));
-        let sweep = sequential_sweep(range, 8, AccessKind::Load);
-        // First pass: cold misses go to DDR (and install in the MCDRAM cache).
-        e.run_stream(sweep.iter().copied(), &pt);
-        let ddr_first = e.stats().tier_traffic.bytes(TierId::DDR);
-        assert!(ddr_first > 0);
-        // Second pass: the 512 KiB working set fits in the scaled MCDRAM
-        // cache, so DDR traffic must not grow much.
-        e.run_stream(sweep.iter().copied(), &pt);
-        let ddr_second = e.stats().tier_traffic.bytes(TierId::DDR);
-        assert!(
-            ddr_second < ddr_first * 2,
-            "DDR traffic kept growing: {ddr_first} -> {ddr_second}"
-        );
-        let service = e.access_with(&MemoryAccess::load(Address(0x40_0000), 8), &pt, |_| {});
-        // The line was just re-installed; L1 or LLC or MCDRAM cache must own it.
-        assert!(matches!(
-            service,
-            ServiceLevel::L1 | ServiceLevel::Llc | ServiceLevel::McdramCache
-        ));
+    #[should_panic(expected = "flat-mode machines only")]
+    fn cache_mode_machines_are_refused() {
+        TraceEngine::new(&MachineConfig::tiny_test().with_memory_mode(MemoryMode::Cache));
     }
 
     #[test]
@@ -453,7 +384,7 @@ mod tests {
         // Thrash the LLC so repeated accesses to the probe page keep missing:
         // two conflicting far-apart pages plus the probe page.
         let probe = Address(0x100_0000);
-        let drive = |e: &mut TraceEngine, pt: &PageTable| -> ServiceLevel {
+        let drive = |e: &mut TraceEngine, pt: &PageTable| -> Option<TierId> {
             // Evict the probe line from L1/L2 by sweeping > L2 capacity.
             let evict = sequential_sweep(
                 AddressRange::new(Address(0x800_0000), ByteSize::from_kib(256)),
@@ -461,14 +392,14 @@ mod tests {
                 AccessKind::Load,
             );
             e.run_stream(evict.iter().copied(), pt);
-            e.access_with(&MemoryAccess::load(probe, 8), pt, |_| {})
+            served_by(e, probe, pt)
         };
-        assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::MCDRAM));
+        assert_eq!(drive(&mut e, &pt), Some(TierId::MCDRAM));
         // Mutate the placement: the cached translation must be dropped.
         pt.unmap_range(range);
-        assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::DDR));
+        assert_eq!(drive(&mut e, &pt), Some(TierId::DDR));
         pt.map_range(AddressRange::new(probe, ByteSize::ZERO), TierId::MCDRAM);
-        assert_eq!(drive(&mut e, &pt), ServiceLevel::Memory(TierId::MCDRAM));
+        assert_eq!(drive(&mut e, &pt), Some(TierId::MCDRAM));
 
         // Back-to-back cold misses with no mutation in between: the cached
         // extent's bounds alone must notice each step out of it, from an
@@ -488,8 +419,11 @@ mod tests {
             (Page(0x2003).base(), TierId::MCDRAM),
             (Page(0x1fff).base(), TierId::DDR),
         ] {
-            let level = e.access_with(&MemoryAccess::load(addr, 8), &pt, |_| {});
-            assert_eq!(level, ServiceLevel::Memory(tier), "access at {addr:?}");
+            assert_eq!(
+                served_by(&mut e, addr, &pt),
+                Some(tier),
+                "access at {addr:?}"
+            );
         }
     }
 
@@ -499,10 +433,8 @@ mod tests {
         // Map a page to a tier id the tiny machine does not have.
         let page = Page(0x5000);
         pt.map_range(AddressRange::new(page.base(), ByteSize::ZERO), TierId(3));
-        let acc = MemoryAccess::load(page.base(), 8);
         // Force an LLC miss by touching it cold.
-        let level = e.access_with(&acc, &pt, |_| {});
-        assert_eq!(level, ServiceLevel::Memory(TierId::DDR));
+        assert_eq!(served_by(&mut e, page.base(), &pt), Some(TierId::DDR));
         assert!(e.stats().tier_traffic.bytes(TierId::DDR) > 0);
     }
 

@@ -22,16 +22,18 @@
 //! * a **trace-driven engine** ([`engine::TraceEngine`]) that pushes every
 //!   simulated memory access through a set-associative L1/L2 hierarchy and a
 //!   page table mapping pages to tiers — faithful but only practical for
-//!   micro-kernels (STREAM, unit tests, ablations);
+//!   micro-kernels (STREAM, unit tests, ablations). It simulates flat mode
+//!   only and refuses a cache-mode machine;
 //! * an **analytical engine** ([`analytic`]) that computes phase execution
 //!   times from per-object traffic/miss profiles with a roofline-style
 //!   bandwidth/latency model — this is what makes the full Figure-4 grid
 //!   (8 apps × 4 budgets × 4 strategies × 4 baselines × 64 ranks) run in
-//!   seconds.
+//!   seconds. It costs both modes; cache mode's hit rate comes from
+//!   [`mcdram_cache::McdramCacheModel`].
 //!
 //! Both engines agree on the same [`config::MachineConfig`] and the same
 //! [`page_table::PageTable`] notion of data placement, so the rest of the
-//! framework does not care which one produced a number.
+//! framework does not care which one produced a flat-mode number.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,7 +55,7 @@ pub use bandwidth::BandwidthModel;
 pub use cache::{CacheConfig, CacheStats, SetAssocCache};
 pub use config::{MachineConfig, MemoryMode};
 pub use counters::PerfCounters;
-pub use engine::{EngineStats, ServiceLevel, TierTraffic, TraceEngine};
+pub use engine::{EngineStats, TierTraffic, TraceEngine};
 pub use mcdram_cache::McdramCacheModel;
 pub use page_table::PageTable;
 pub use tier::TierSpec;

@@ -3,9 +3,10 @@
 //! In cache mode the 16 GiB of MCDRAM front all DDR accesses. The paper notes
 //! that cache mode "is not as efficient as consciously exploiting it in flat
 //! mode, especially for those workloads where the lack of associativity is a
-//! problem" — this module provides both an analytical hit-rate estimate used
-//! by the phase-cost engine and a trace-driven direct-mapped simulator used
-//! by tests and ablation studies.
+//! problem" — this module provides the analytical hit-rate estimate the
+//! phase-cost engine uses, and a direct-mapped simulator its tests check
+//! that estimate against. Cache mode is costed analytically only: the
+//! trace-driven engine simulates flat mode.
 
 use crate::cache::{CacheConfig, SetAssocCache};
 use hmsim_common::ByteSize;
@@ -96,9 +97,9 @@ impl McdramCacheModel {
         }
     }
 
-    /// Build a trace-driven direct-mapped simulator of this cache. Only
-    /// sensible for scaled-down capacities (tests/ablations): the number of
-    /// lines is `capacity / line_size`.
+    /// Build a direct-mapped simulator of this cache, the reference the
+    /// analytical hit rate is tested against. Only sensible for scaled-down
+    /// capacities: the number of lines is `capacity / line_size`.
     pub fn simulator(&self) -> SetAssocCache {
         SetAssocCache::new(CacheConfig::new(self.capacity, self.line_size, 1))
     }

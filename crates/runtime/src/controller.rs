@@ -2,12 +2,12 @@
 //! advisor-backed selection that turns observed heat into a migration plan.
 //!
 //! The controller is deliberately engine-agnostic: it sees object ids, heat
-//! and a live snapshot, never an engine. A [`Migrator`](crate::Migrator)
-//! owns one and executes its plans, whether the heat is PEBS sample weights
-//! from the trace-driven [`OnlineRuntime`](crate::OnlineRuntime) or
-//! per-iteration object miss counts from the analytic runner in
-//! `hmem-core`; the multi-rank global policy runs one over every rank's
-//! objects.
+//! and the heap's own live-object records (borrowed, never copied), never
+//! an engine. A [`Migrator`](crate::Migrator) owns one and executes its
+//! plans, whether the heat is PEBS sample weights from the trace-driven
+//! [`OnlineRuntime`](crate::OnlineRuntime) or per-iteration object miss
+//! counts from the analytic runner in `hmem-core`; the multi-rank global
+//! policy runs one over every rank's objects under rank-globalized ids.
 //!
 //! Every plan moves objects between MCDRAM (the fast tier) and DDR (the
 //! slow tier). Each epoch ranks the decayed heat by density and packs it
@@ -21,7 +21,7 @@ use crate::config::OnlineConfig;
 use hmem_advisor::greedy::{pack, rank_by_density};
 use hmem_advisor::Candidate;
 use hmsim_common::{ByteSize, ObjectId, TierId};
-use hmsim_heap::ProcessHeap;
+use hmsim_heap::DataObject;
 use std::collections::{HashMap, HashSet};
 
 /// An object that migrated must stay put for this many epochs before it
@@ -41,37 +41,6 @@ pub const HEAT_DEADBAND: f64 = 2.5;
 /// Per-epoch exponential decay of accumulated heat (0 = only the last
 /// epoch counts, 1 = infinite memory).
 pub const HEAT_DECAY: f64 = 0.6;
-
-/// Where one live object currently sits, as the controller sees it.
-#[derive(Clone, Debug)]
-pub struct ObjectPlacement {
-    /// The object.
-    pub id: ObjectId,
-    /// Its name (tie-breaker for deterministic ranking).
-    pub name: String,
-    /// Its size.
-    pub size: ByteSize,
-    /// The tier its pages currently live in.
-    pub tier: TierId,
-}
-
-impl ObjectPlacement {
-    /// Snapshot every live object of a heap — the placement view the
-    /// [`Migrator`](crate::Migrator) and the multi-rank global planner hand
-    /// to [`PlacementController::end_epoch`].
-    pub fn snapshot_live(heap: &ProcessHeap) -> Vec<ObjectPlacement> {
-        heap.registry()
-            .live()
-            .into_iter()
-            .map(|o| ObjectPlacement {
-                id: o.id,
-                name: o.name.clone(),
-                size: o.size(),
-                tier: o.tier,
-            })
-            .collect()
-    }
-}
 
 /// The migration plan for one epoch. Demotions are ordered first: they free
 /// the fast-tier capacity the promotions consume.
@@ -144,11 +113,17 @@ impl PlacementController {
     /// Close the current epoch: re-run the advisor's selection over the
     /// accumulated heat, derive the migration delta against the placement in
     /// `live`, apply hysteresis and the per-epoch move budget, decay the heat
-    /// and return the plan. `fast_budget` is MCDRAM's byte budget.
-    pub fn end_epoch(&mut self, live: &[ObjectPlacement], fast_budget: ByteSize) -> EpochPlan {
+    /// and return the plan. `live` pairs each live object with the id it is
+    /// planned under (its own, or a rank-globalized one); the object's name
+    /// breaks ranking ties. `fast_budget` is MCDRAM's byte budget.
+    pub fn end_epoch(
+        &mut self,
+        live: &[(ObjectId, &DataObject)],
+        fast_budget: ByteSize,
+    ) -> EpochPlan {
         self.epoch += 1;
         // Heat and pinning state for objects that died stops mattering.
-        let live_ids: HashSet<ObjectId> = live.iter().map(|o| o.id).collect();
+        let live_ids: HashSet<ObjectId> = live.iter().map(|(id, _)| *id).collect();
         self.heat.retain(|id, _| live_ids.contains(id));
         self.moved_at.retain(|id, _| live_ids.contains(id));
 
@@ -174,8 +149,8 @@ impl PlacementController {
 
     /// Effective heat used for ranking: MCDRAM incumbents get the deadband
     /// bonus, so a challenger must out-heat them by that margin.
-    fn effective_heat(&self, obj: &ObjectPlacement) -> f64 {
-        let h = self.heat_of(obj.id);
+    fn effective_heat(&self, id: ObjectId, obj: &DataObject) -> f64 {
+        let h = self.heat_of(id);
         if obj.tier == TierId::MCDRAM {
             h * (1.0 + HEAT_DEADBAND)
         } else {
@@ -185,32 +160,39 @@ impl PlacementController {
 
     /// Run the advisor's density selection over the unpinned candidates and
     /// pack the winners into the budget left after pinned MCDRAM residents.
-    fn select_target(&self, candidates: &[&ObjectPlacement], budget: ByteSize) -> Vec<ObjectId> {
+    fn select_target(
+        &self,
+        candidates: &[(ObjectId, &DataObject)],
+        budget: ByteSize,
+    ) -> Vec<ObjectId> {
         let offered: Vec<Candidate<'_>> = candidates
             .iter()
-            .map(|o| Candidate {
+            .map(|(id, o)| Candidate {
                 name: &o.name,
-                size: o.size,
-                value: self.effective_heat(o),
+                size: o.size(),
+                value: self.effective_heat(*id, o),
             })
             .collect();
         pack(&offered, &rank_by_density(&offered), Some(budget))
             .0
             .into_iter()
-            .map(|i| candidates[i].id)
+            .map(|i| candidates[i].0)
             .collect()
     }
 
-    fn plan(&mut self, live: &[ObjectPlacement], budget: ByteSize) -> EpochPlan {
+    fn plan(&mut self, live: &[(ObjectId, &DataObject)], budget: ByteSize) -> EpochPlan {
         // Pinned MCDRAM residents consume budget no matter what.
         let pinned_fast: u64 = live
             .iter()
-            .filter(|o| o.tier == TierId::MCDRAM && self.pinned(o.id))
-            .map(|o| o.size.page_aligned().bytes())
+            .filter(|(id, o)| o.tier == TierId::MCDRAM && self.pinned(*id))
+            .map(|(_, o)| o.size().page_aligned().bytes())
             .sum();
         let free_budget = budget.saturating_sub(ByteSize::from_bytes(pinned_fast));
-        let candidates: Vec<&ObjectPlacement> =
-            live.iter().filter(|o| !self.pinned(o.id)).collect();
+        let candidates: Vec<(ObjectId, &DataObject)> = live
+            .iter()
+            .copied()
+            .filter(|(id, _)| !self.pinned(*id))
+            .collect();
         let target: HashSet<ObjectId> = self
             .select_target(&candidates, free_budget)
             .into_iter()
@@ -218,51 +200,51 @@ impl PlacementController {
 
         // Promotion queue: hottest first. Demotion queue: coldest first.
         // Names break ties so plans are deterministic across runs.
-        let mut promote: Vec<&&ObjectPlacement> = candidates
+        let mut promote: Vec<&(ObjectId, &DataObject)> = candidates
             .iter()
-            .filter(|o| target.contains(&o.id) && o.tier != TierId::MCDRAM)
+            .filter(|(id, o)| target.contains(id) && o.tier != TierId::MCDRAM)
             .collect();
-        promote.sort_by(|a, b| {
-            self.heat_of(b.id)
-                .partial_cmp(&self.heat_of(a.id))
+        promote.sort_by(|(a, ao), (b, bo)| {
+            self.heat_of(*b)
+                .partial_cmp(&self.heat_of(*a))
                 .expect("heat is never NaN")
-                .then_with(|| a.name.cmp(&b.name))
+                .then_with(|| ao.name.cmp(&bo.name))
         });
-        let mut demote: Vec<&&ObjectPlacement> = candidates
+        let mut demote: Vec<&(ObjectId, &DataObject)> = candidates
             .iter()
-            .filter(|o| !target.contains(&o.id) && o.tier == TierId::MCDRAM)
+            .filter(|(id, o)| !target.contains(id) && o.tier == TierId::MCDRAM)
             .collect();
-        demote.sort_by(|a, b| {
-            self.heat_of(a.id)
-                .partial_cmp(&self.heat_of(b.id))
+        demote.sort_by(|(a, ao), (b, bo)| {
+            self.heat_of(*a)
+                .partial_cmp(&self.heat_of(*b))
                 .expect("heat is never NaN")
-                .then_with(|| a.name.cmp(&b.name))
+                .then_with(|| ao.name.cmp(&bo.name))
         });
 
         // MCDRAM bytes currently in use (everything resident, pinned or
         // not); demotions hand bytes back as they are committed.
         let used: u64 = live
             .iter()
-            .filter(|o| o.tier == TierId::MCDRAM)
-            .map(|o| o.size.page_aligned().bytes())
+            .filter(|(_, o)| o.tier == TierId::MCDRAM)
+            .map(|(_, o)| o.size().page_aligned().bytes())
             .sum();
         let mut avail = budget.bytes() as i64 - used as i64;
         let mut moves_left = self.cfg.max_moves_per_epoch as usize;
         let mut plan = EpochPlan::default();
         let mut demote_cursor = 0usize;
 
-        for p in promote {
+        for &(promoted, p) in promote {
             if moves_left == 0 {
                 break;
             }
-            let need = p.size.page_aligned().bytes() as i64;
+            let need = p.size().page_aligned().bytes() as i64;
             // Peek how many demotions it takes to fit this promotion; commit
             // only if the whole package fits the move budget — demoting
             // without promoting would pay migration cost for nothing.
             let mut take = 0usize;
             let mut freed = 0i64;
             while avail + freed < need && demote_cursor + take < demote.len() {
-                freed += demote[demote_cursor + take].size.page_aligned().bytes() as i64;
+                freed += demote[demote_cursor + take].1.size().page_aligned().bytes() as i64;
                 take += 1;
             }
             if avail + freed < need {
@@ -276,15 +258,15 @@ impl PlacementController {
                 // `break` here would repeat every epoch).
                 continue;
             }
-            for d in &demote[demote_cursor..demote_cursor + take] {
-                plan.demotions.push(d.id);
-                self.moved_at.insert(d.id, self.epoch);
+            for &&(demoted, _) in &demote[demote_cursor..demote_cursor + take] {
+                plan.demotions.push(demoted);
+                self.moved_at.insert(demoted, self.epoch);
             }
             demote_cursor += take;
             avail += freed - need;
             moves_left -= take + 1;
-            plan.promotions.push(p.id);
-            self.moved_at.insert(p.id, self.epoch);
+            plan.promotions.push(promoted);
+            self.moved_at.insert(promoted, self.epoch);
         }
         plan
     }
@@ -293,22 +275,35 @@ impl PlacementController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmsim_common::DetRng;
+    use hmsim_common::{Address, AddressRange, DetRng, Nanos};
+    use hmsim_heap::ObjectKind;
 
-    fn obj(id: u32, name: &str, kib: u64, tier: TierId) -> ObjectPlacement {
-        ObjectPlacement {
+    fn sized(id: u32, name: String, size: ByteSize, tier: TierId) -> DataObject {
+        DataObject {
             id: ObjectId(id),
-            name: name.to_string(),
-            size: ByteSize::from_kib(kib),
+            name,
+            kind: ObjectKind::Dynamic,
+            site: None,
+            range: AddressRange::new(Address(u64::from(id) << 32), size),
             tier,
+            allocated_at: Nanos::ZERO,
         }
+    }
+
+    fn obj(id: u32, name: &str, kib: u64, tier: TierId) -> DataObject {
+        sized(id, name.to_string(), ByteSize::from_kib(kib), tier)
+    }
+
+    /// The controller's view of `live`: each object under its own id.
+    fn view(live: &[DataObject]) -> Vec<(ObjectId, &DataObject)> {
+        live.iter().map(|o| (o.id, o)).collect()
     }
 
     fn controller() -> PlacementController {
         PlacementController::new(OnlineConfig::default())
     }
 
-    fn apply(live: &mut [ObjectPlacement], plan: &EpochPlan) {
+    fn apply(live: &mut [DataObject], plan: &EpochPlan) {
         for o in live.iter_mut() {
             if plan.promotions.contains(&o.id) {
                 o.tier = TierId::MCDRAM;
@@ -318,10 +313,10 @@ mod tests {
         }
     }
 
-    fn fast_bytes(live: &[ObjectPlacement]) -> u64 {
+    fn fast_bytes(live: &[DataObject]) -> u64 {
         live.iter()
             .filter(|o| o.tier == TierId::MCDRAM)
-            .map(|o| o.size.page_aligned().bytes())
+            .map(|o| o.size().page_aligned().bytes())
             .sum()
     }
 
@@ -334,7 +329,7 @@ mod tests {
         ];
         c.record(ObjectId(1), 1000.0);
         c.record(ObjectId(2), 10.0);
-        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&view(&live), ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(1)]);
         assert!(plan.demotions.is_empty());
     }
@@ -353,7 +348,7 @@ mod tests {
             c.record(o.id, 1e300);
         }
         let budget = ByteSize::from_kib(128);
-        let plan = c.end_epoch(&live, budget);
+        let plan = c.end_epoch(&view(&live), budget);
         assert!(!plan.promotions.is_empty(), "{plan:?}");
         // Equal heat: the deadband keeps the MCDRAM incumbent in place.
         assert!(!plan.demotions.contains(&ObjectId(3)), "{plan:?}");
@@ -368,7 +363,7 @@ mod tests {
         let live = vec![obj(1, "hot", 64, TierId::DDR)];
         c.record(ObjectId(1), 1e6);
         for _ in 0..5 {
-            assert!(c.end_epoch(&live, ByteSize::from_mib(1)).is_empty());
+            assert!(c.end_epoch(&view(&live), ByteSize::from_mib(1)).is_empty());
         }
     }
 
@@ -383,7 +378,7 @@ mod tests {
             let mut c = controller();
             c.record(ObjectId(1), 1000.0);
             c.record(ObjectId(2), challenger);
-            c.end_epoch(&live, ByteSize::from_kib(64))
+            c.end_epoch(&view(&live), ByteSize::from_kib(64))
         };
         // Just inside the deadband: the incumbent stays.
         let plan = plan_with(0.95 * margin * 1000.0);
@@ -403,7 +398,7 @@ mod tests {
         ];
         c.record(ObjectId(1), 5000.0);
         c.record(ObjectId(2), 10.0);
-        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&view(&live), ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(1)]);
         assert_eq!(plan.demotions, vec![ObjectId(2)]);
         apply(&mut live, &plan);
@@ -412,12 +407,12 @@ mod tests {
         // expires.
         for _ in 1..MIN_RESIDENCY_EPOCHS {
             c.record(ObjectId(2), 50_000.0);
-            let plan = c.end_epoch(&live, ByteSize::from_kib(64));
+            let plan = c.end_epoch(&view(&live), ByteSize::from_kib(64));
             assert!(plan.is_empty(), "residency must pin fresh movers");
         }
         // Once the residency has run out the swap is allowed.
         c.record(ObjectId(2), 50_000.0);
-        let plan = c.end_epoch(&live, ByteSize::from_kib(64));
+        let plan = c.end_epoch(&view(&live), ByteSize::from_kib(64));
         assert_eq!(plan.promotions, vec![ObjectId(2)]);
         assert_eq!(plan.demotions, vec![ObjectId(1)]);
     }
@@ -428,13 +423,13 @@ mod tests {
             max_moves_per_epoch: 2,
             ..OnlineConfig::default()
         });
-        let live: Vec<ObjectPlacement> = (0..6)
+        let live: Vec<DataObject> = (0..6)
             .map(|i| obj(i, &format!("o{i}"), 64, TierId::DDR))
             .collect();
         for i in 0..6 {
             c.record(ObjectId(i), 1000.0 + f64::from(i));
         }
-        let plan = c.end_epoch(&live, ByteSize::from_mib(1));
+        let plan = c.end_epoch(&view(&live), ByteSize::from_mib(1));
         assert!(plan.moves() <= 2, "moves {:?}", plan);
         assert_eq!(plan.promotions.len(), 2);
     }
@@ -442,7 +437,7 @@ mod tests {
     #[test]
     fn equal_heat_never_thrashes() {
         let mut c = controller();
-        let mut live: Vec<ObjectPlacement> = (0..4)
+        let mut live: Vec<DataObject> = (0..4)
             .map(|i| obj(i, &format!("seg{i}"), 64, TierId::DDR))
             .collect();
         // Uniform heat, budget for two objects: after the initial fill the
@@ -451,7 +446,7 @@ mod tests {
             for i in 0..4 {
                 c.record(ObjectId(i), 100.0);
             }
-            let plan = c.end_epoch(&live, ByteSize::from_kib(128));
+            let plan = c.end_epoch(&view(&live), ByteSize::from_kib(128));
             apply(&mut live, &plan);
             if epoch > 0 {
                 assert!(plan.is_empty(), "epoch {epoch} churned: {plan:?}");
@@ -465,7 +460,7 @@ mod tests {
         let mut c = controller();
         c.record(ObjectId(1), 100.0);
         let live = vec![obj(1, "x", 64, TierId::DDR)];
-        c.end_epoch(&live, ByteSize::ZERO);
+        c.end_epoch(&view(&live), ByteSize::ZERO);
         assert!((c.heat_of(ObjectId(1)) - 100.0 * HEAT_DECAY).abs() < 1e-9);
         // Object 1 died: its state disappears on the next epoch close.
         c.end_epoch(&[], ByteSize::ZERO);
@@ -487,7 +482,7 @@ mod tests {
                 max_moves_per_epoch: max_moves,
                 ..OnlineConfig::default()
             });
-            let mut live: Vec<ObjectPlacement> = Vec::new();
+            let mut live: Vec<DataObject> = Vec::new();
             let mut last_move: HashMap<ObjectId, u64> = HashMap::new();
             let mut next_id = 0u32;
             for epoch in 1..=60u64 {
@@ -498,12 +493,12 @@ mod tests {
                     } else {
                         TierId::DDR
                     };
-                    live.push(ObjectPlacement {
-                        id: ObjectId(next_id),
-                        name: format!("o{next_id}"),
-                        size: ByteSize::from_bytes(rng.uniform_range(1, 256 << 10)),
+                    live.push(sized(
+                        next_id,
+                        format!("o{next_id}"),
+                        ByteSize::from_bytes(rng.uniform_range(1, 256 << 10)),
                         tier,
-                    });
+                    ));
                     next_id += 1;
                 }
                 for o in &live {
@@ -513,7 +508,7 @@ mod tests {
                 }
                 let budget = ByteSize::from_bytes(rng.uniform_range(0, 2 << 20));
                 let before = fast_bytes(&live);
-                let plan = c.end_epoch(&live, budget);
+                let plan = c.end_epoch(&view(&live), budget);
                 let at = format!("trial {trial} epoch {epoch}: {plan:?}");
 
                 assert!(plan.moves() <= max_moves as usize, "{at}");

@@ -30,7 +30,7 @@
 //! `multirank_equivalence` integration test pins that bitwise.
 
 use crate::arbiter::{ArbiterPolicy, NodeArbiter};
-use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
+use crate::controller::{EpochPlan, PlacementController};
 use crate::harness::provision_prefixed;
 use crate::{OnlineConfig, OnlineRuntime, RuntimeStats};
 use hmsim_apps::{MultiRankWorkload, PhasedStream};
@@ -331,14 +331,12 @@ impl MultiRankRuntime {
             }
         }
 
-        // Node-wide live snapshot. Finished shards are included: their
-        // objects still occupy the fast tier and must stay demotable.
-        let mut live: Vec<ObjectPlacement> = Vec::new();
+        // Every rank's live objects under global ids. Finished shards count:
+        // their objects still occupy the fast tier and must stay demotable.
+        let mut live = Vec::new();
         for s in shards {
-            for mut o in ObjectPlacement::snapshot_live(&s.heap) {
-                o.id = global_id(s.rank, o.id);
-                live.push(o);
-            }
+            let objects = s.heap.registry().live();
+            live.extend(objects.map(|o| (global_id(s.rank, o.id), o)));
         }
         let plan = controller.end_epoch(&live, self.arbiter.node_budget());
 

@@ -5,15 +5,16 @@
 //! next window of accesses while a [`PebsSampler`] observes the LLC-miss
 //! stream, (2) aggregates the samples into per-object heat through the
 //! heap's live-object registry, then hands the epoch to its [`Migrator`],
-//! which (3) re-runs the controller's selection against the fast-tier
-//! budget and (4) executes the migration delta, charging every move through
-//! the [`MigrationCostModel`] and booking it into [`RuntimeStats`].
+//! which (3) re-runs the controller's selection over the heap's live
+//! objects, read in place from the registry, against the fast-tier budget
+//! and (4) executes the migration delta, charging every move through the
+//! [`MigrationCostModel`] and booking it into [`RuntimeStats`].
 //!
 //! The [`Migrator`] is the one place migrations are booked: the analytic
 //! runner in `hmem-core` drives the same one, with one application iteration
 //! as its epoch and each object's misses as its heat.
 
-use crate::controller::{EpochPlan, ObjectPlacement, PlacementController};
+use crate::controller::{EpochPlan, PlacementController};
 use crate::cost::MigrationCostModel;
 use crate::OnlineConfig;
 use hmsim_common::{ByteSize, Nanos, ObjectId, TierId};
@@ -110,11 +111,12 @@ impl Migrator {
     }
 
     /// Close one epoch of `accesses` accesses and `samples` samples:
-    /// re-run the selection over the recorded heat against the fast-tier
-    /// budget, execute the delta on `heap` and book it. Returns the latency
+    /// re-run the selection over the recorded heat and `heap`'s live
+    /// objects, each under its own id, against the fast-tier budget,
+    /// execute the delta on `heap` and book it. Returns the latency
     /// charged for the epoch's moves.
     pub fn commit(&mut self, heap: &mut ProcessHeap, accesses: u64, samples: u64) -> Nanos {
-        let live = ObjectPlacement::snapshot_live(heap);
+        let live: Vec<_> = heap.registry().live().map(|o| (o.id, o)).collect();
         let plan = self.controller.end_epoch(&live, self.fast_budget);
         self.commit_plan(heap, accesses, samples, &plan)
     }

@@ -345,8 +345,7 @@ impl<R: Read> TraceReader<R> {
                 "corrupt chunk frame: {payload_len} bytes / {event_count} events"
             )));
         }
-        self.chunk.resize(payload_len, 0);
-        self.source.read_exact(&mut self.chunk)?;
+        read_len(&mut self.source, payload_len, &mut self.chunk)?;
         self.cursor = 0;
         self.chunk_events_left = event_count;
         Ok(true)
@@ -460,9 +459,24 @@ impl<R: Read> TraceReader<R> {
 fn read_str<R: Read>(source: &mut R) -> HmResult<String> {
     let mut len = [0u8; 4];
     source.read_exact(&mut len)?;
-    let mut bytes = vec![0u8; u32::from_le_bytes(len) as usize];
-    source.read_exact(&mut bytes)?;
+    let mut bytes = Vec::new();
+    read_len(source, u32::from_le_bytes(len) as usize, &mut bytes)?;
     String::from_utf8(bytes).map_err(|_| HmError::parse("invalid UTF-8 in trace header"))
+}
+
+/// Replace `buf`'s contents with the next `len` bytes of `source`. The
+/// buffer grows only as bytes arrive, so a corrupt length that claims more
+/// than the stream holds fails without allocating for the claim.
+fn read_len<R: Read>(source: &mut R, len: usize, buf: &mut Vec<u8>) -> HmResult<()> {
+    buf.clear();
+    source.take(len as u64).read_to_end(buf)?;
+    if buf.len() < len {
+        let got = buf.len();
+        return Err(HmError::parse(format!(
+            "truncated trace: {got} of {len} bytes"
+        )));
+    }
+    Ok(())
 }
 
 impl<R: Read> Iterator for TraceReader<R> {
@@ -577,6 +591,46 @@ mod tests {
         let reader = TraceReader::new(truncated).unwrap();
         let result: HmResult<Vec<TraceEvent>> = reader.collect();
         assert!(result.is_err(), "truncated stream must surface an error");
+    }
+
+    /// A frame header followed by 16 payload bytes, claiming `claimed`.
+    fn lying_frame(claimed: u32) -> Vec<u8> {
+        let mut bytes = write_binary(&TraceFile::new(TraceMetadata::default()));
+        bytes.truncate(bytes.len() - 8);
+        bytes.extend_from_slice(&claimed.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        bytes
+    }
+
+    #[test]
+    fn a_frame_claiming_more_than_the_stream_holds_allocates_only_what_arrives() {
+        let bytes = lying_frame(64 << 20);
+        let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
+        let err = reader.next().expect("an item").unwrap_err();
+        assert!(
+            matches!(&err, HmError::Parse { message, .. } if message.contains("16 of 67108864")),
+            "{err:?}"
+        );
+        assert!(reader.next().is_none(), "the reader stops after the error");
+        assert!(
+            reader.chunk.capacity() < 1 << 20,
+            "{}",
+            reader.chunk.capacity()
+        );
+    }
+
+    #[test]
+    fn a_header_name_claiming_more_than_the_stream_holds_is_an_error() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(b"short name");
+        let err = TraceReader::new(bytes.as_slice()).err().expect("refused");
+        assert!(
+            matches!(&err, HmError::Parse { message, .. } if message.contains("10 of 4294967295")),
+            "{err:?}"
+        );
     }
 
     #[test]

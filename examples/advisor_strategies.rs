@@ -7,12 +7,9 @@
 //! ```
 
 use hmem_repro::advisor::{Advisor, MemorySpec, SelectionStrategy};
-use hmem_repro::analysis::analyze_trace;
 use hmem_repro::apps::app_by_name;
-use hmem_repro::autohbw::PlacementApproach;
 use hmem_repro::common::ByteSize;
-use hmem_repro::core::{Scenario, Simulation};
-use hmem_repro::profiler::ProfilerConfig;
+use hmem_repro::core::FrameworkPipeline;
 
 fn main() {
     let app_name = std::env::args()
@@ -23,18 +20,14 @@ fn main() {
         std::process::exit(1);
     });
 
-    // Profile once: a declarative DDR scenario with Extrae attached.
-    let scenario = Scenario::app(
-        spec.name,
-        PlacementApproach::DdrOnly,
-        ByteSize::from_mib(256),
-    )
-    .with_iterations(10)
-    .with_profiling(ProfilerConfig::default());
-    let outcome = Simulation::new()
-        .run(&scenario)
-        .expect("profiling run succeeds");
-    let report = analyze_trace(outcome.result().trace.as_ref().unwrap());
+    // Profile once: the pipeline's first two stages (an all-DDR run with
+    // Extrae attached, then the per-object analysis). Neither stage reads
+    // the budget or the strategy.
+    let report = FrameworkPipeline::new(ByteSize::from_mib(256), SelectionStrategy::Density)
+        .with_iterations(10)
+        .profile(&spec)
+        .expect("profiling run succeeds")
+        .object_report;
 
     println!(
         "Profile of {}: {} objects, {} sampled LLC misses\n",

@@ -5,9 +5,12 @@
 //! [`Simulation::run`]. The test profile keeps overflow checks on, so an
 //! unchecked `+` or `*` on the mutated value panics here.
 
+use auto_hbwmalloc::PlacementApproach;
 use hmem_core::scenario::{MAX_EPOCHS_PER_RANK, MAX_ITERATIONS, MAX_TRACE_ACCESSES};
-use hmem_core::{Scenario, Simulation};
-use hmsim_common::{DetRng, HmError};
+use hmem_core::{MultiRankSelector, Scenario, Simulation};
+use hmsim_common::{ByteSize, DetRng, HmError};
+use hmsim_machine::MemoryMode;
+use hmsim_runtime::ArbiterPolicy;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -89,6 +92,34 @@ fn online_epochs_beyond_the_work_bound_are_a_config_error() {
         "\"epoch_accesses\": \"1\"",
     );
     assert_config_error(&scenario, &MAX_EPOCHS_PER_RANK.to_string());
+}
+
+/// The trace engine simulates flat mode only, so a trace-driven scenario in
+/// cache mode is refused before any engine is built: by `validate` and by
+/// `Simulation::run`, as a typed config error naming flat mode.
+#[test]
+fn cache_mode_on_a_trace_workload_is_a_config_error() {
+    let phased = Scenario::phased("rotating-triad", ByteSize::from_kib(32), ByteSize::ZERO);
+    let multirank = Scenario::multirank(
+        MultiRankSelector::RankSkewTriad {
+            array_size: ByteSize::from_kib(16),
+            ranks: 4,
+            skew: 4,
+            passes: 2,
+        },
+        ArbiterPolicy::Global,
+        ByteSize::ZERO,
+    );
+    for mut scenario in [phased, multirank] {
+        scenario.approach = PlacementApproach::CacheMode;
+        scenario.memory_mode = MemoryMode::Cache;
+        scenario.mcdram_budget = ByteSize::ZERO;
+        match scenario.validate() {
+            Err(HmError::Config(msg)) => assert!(msg.contains("flat-mode"), "{msg}"),
+            other => panic!("{}: expected a config error, got {other:?}", scenario.name),
+        }
+        assert_config_error(&scenario, "flat-mode");
+    }
 }
 
 /// A fractional size beyond `u64::MAX` bytes is refused like its integer
