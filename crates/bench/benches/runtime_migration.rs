@@ -22,16 +22,26 @@
 //! (`stream_ns_per_access`) and the online runtime's end-to-end rate
 //! (`online_accesses_per_sec`). They are wall-clock measurements, kept apart
 //! from the simulated times above.
+//!
+//! 4. **What does re-planning cost the host?** `commit_host_time` times the
+//!    multi-rank commit half alone (arbitration, the controllers' selection
+//!    and the migrations) on the churn shape: 16 ranks of a 64-plane
+//!    sweeping stencil at 1024-access epochs. Each sample is one run's
+//!    commit time per node epoch; the row gives their median and quartiles
+//!    per arbitration policy. Also wall-clock, on one thread.
 
 use auto_hbwmalloc::{ApproachKind, PlacementApproach};
 use hmem_advisor::SelectionStrategy;
 use hmem_core::{Scenario, Simulation};
-use hmsim_apps::{phased_workloads, PhasedWorkload};
+use hmsim_apps::{phased_workloads, MultiRankWorkload, PhasedWorkload};
 use hmsim_bench::{median_of_pairs, write_artifact};
 use hmsim_common::ByteSize;
 use hmsim_machine::TraceEngine;
 use hmsim_runtime::harness::{loaded_machine, provision};
-use hmsim_runtime::{OnlineConfig, OnlineRuntime};
+use hmsim_runtime::{
+    run_multirank, ArbiterPolicy, MultiRankConfig, MultiRankRuntime, OnlineConfig, OnlineRuntime,
+};
+use std::time::Instant;
 
 struct WorkloadRow {
     name: &'static str,
@@ -168,7 +178,80 @@ fn run_workload_row(workload: &PhasedWorkload, array: ByteSize, pairs: usize) ->
     row
 }
 
-fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow]) {
+/// One policy's commit-half host time: a sample per run, in µs per node
+/// epoch, sorted.
+struct CommitRow {
+    policy: ArbiterPolicy,
+    node_epochs: u64,
+    us: Vec<f64>,
+}
+
+impl CommitRow {
+    /// The value a `q`-th of the way up the sorted samples.
+    fn at(&self, q: f64) -> f64 {
+        self.us[((self.us.len() - 1) as f64 * q).round() as usize]
+    }
+}
+
+/// `runs` samples per policy of the commit half's host time per node epoch
+/// on the churn shape (`full`) or a 4-rank miniature of it. Rounds
+/// interleave the policies so each sees the same host drift.
+fn commit_host_time(full: bool, runs: usize) -> Vec<CommitRow> {
+    let (array, planes, ranks, epoch) = if full {
+        (ByteSize::from_kib(16), 64, 16, 1024)
+    } else {
+        (ByteSize::from_kib(4), 8, 4, 512)
+    };
+    let stencil = PhasedWorkload::sweeping_stencil(array, planes, 2, 1);
+    let workload = MultiRankWorkload::replicated(stencil, ranks);
+    let machine = loaded_machine();
+    let cfg = |policy| {
+        MultiRankConfig::new(policy, workload.node_hot_set())
+            .with_online(OnlineConfig::default().with_epoch_accesses(epoch))
+    };
+    let mut rows: Vec<CommitRow> = ArbiterPolicy::ALL
+        .iter()
+        .map(|&policy| CommitRow {
+            policy,
+            node_epochs: 0,
+            us: Vec::new(),
+        })
+        .collect();
+    for _ in 0..runs {
+        for row in &mut rows {
+            let mut rt = MultiRankRuntime::new(&workload, &machine, cfg(row.policy)).unwrap();
+            let mut busy = 0.0;
+            while rt.observe() {
+                let t0 = Instant::now();
+                rt.commit();
+                busy += t0.elapsed().as_secs_f64();
+            }
+            let out = rt.run();
+            // The halves driven one by one are the whole run.
+            let whole = run_multirank(&workload, &machine, cfg(row.policy)).unwrap();
+            assert_eq!(out.node_epochs, whole.node_epochs, "{}", row.policy);
+            assert_eq!(out.total_migrations(), whole.total_migrations());
+            assert_eq!(out.node_time().nanos(), whole.node_time().nanos());
+            row.node_epochs = out.node_epochs;
+            row.us.push(busy * 1e6 / out.node_epochs as f64);
+        }
+    }
+    for row in &mut rows {
+        row.us.sort_by(f64::total_cmp);
+        println!(
+            "commit half, {}: {:.1} us per node epoch (quartiles {:.1}..{:.1}, {} runs, {} node epochs)",
+            row.policy,
+            row.at(0.5),
+            row.at(0.25),
+            row.at(0.75),
+            row.us.len(),
+            row.node_epochs
+        );
+    }
+    rows
+}
+
+fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow], commit: &[CommitRow]) {
     let headline = rows
         .iter()
         .filter(|r| !r.stationary)
@@ -197,9 +280,24 @@ fn write_baseline(overhead_percent: f64, rows: &[WorkloadRow]) {
             r.online_accesses_per_sec
         ));
     }
+    let policies = commit
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{\n      \"node_epochs\": {},\n      \"median\": {:.1},\n      \"q1\": {:.1},\n      \"q3\": {:.1}\n    }}",
+                r.policy,
+                r.node_epochs,
+                r.at(0.5),
+                r.at(0.25),
+                r.at(0.75)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let samples = commit.first().map_or(0, |r| r.us.len());
     let online = ApproachKind::Online.key();
     let json = format!(
-        "{{\n  \"bench\": \"runtime_migration\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"threads\": 1,\n  \"headline_{online}_speedup\": {headline:.3},\n  \"epoch_overhead_percent\": {overhead_percent:.2},\n  \"workloads\": {{\n{workloads}\n  }}\n}}\n"
+        "{{\n  \"bench\": \"runtime_migration\",\n  \"machine\": \"loaded tiny_test (DDR 320ns / MCDRAM 180ns loaded latencies)\",\n  \"threads\": 1,\n  \"headline_{online}_speedup\": {headline:.3},\n  \"epoch_overhead_percent\": {overhead_percent:.2},\n  \"workloads\": {{\n{workloads}\n  }},\n  \"commit_host_time\": {{\n    \"shape\": \"16 ranks x 64-plane sweeping stencil (16 KiB planes), 1024-access epochs, node budget = node hot set\",\n    \"unit\": \"us per node epoch\",\n    \"samples\": {samples},\n{policies}\n  }}\n}}\n"
     );
     write_artifact("BENCH_runtime.json", &json);
 }
@@ -225,6 +323,7 @@ fn main() {
         .iter()
         .map(|w| run_workload_row(w, array, pairs))
         .collect();
+    let commit = commit_host_time(!test_mode, pairs);
     if !test_mode {
         // The acceptance criteria of the online runtime, enforced at bench
         // scale: win on at least one phase-shifting workload, stay within
@@ -242,6 +341,6 @@ fn main() {
                 r.static_ms
             );
         }
-        write_baseline(overhead, &rows);
+        write_baseline(overhead, &rows, &commit);
     }
 }

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `engine_throughput` | `BENCH_engine.json` | trace-engine hot path, naive vs optimized |
 //! | `trace_io` | `BENCH_trace.json` | binary trace write/parse, folding and the profile → analysis hand-off |
-//! | `runtime_migration` | `BENCH_runtime.json` | online migration runtime vs best static placement |
+//! | `runtime_migration` | `BENCH_runtime.json` | online migration runtime vs best static placement; host time of the multi-rank commit half |
 //! | `multirank_scaling` | `BENCH_multirank.json` | arbitration policies on a rank-skewed node |
 //! | `grid` | `BENCH_grid.json` | the Figure-4 grid from one profile per app vs every scenario alone |
 //!

@@ -37,6 +37,7 @@ pub const EXPECTED: &[(&str, &str, &[&str], &[&str])] = &[
             "headline_online_speedup",
             "epoch_overhead_percent",
             "workloads",
+            "commit_host_time",
         ],
         &[
             "online_ms",
@@ -159,7 +160,7 @@ mod tests {
             parse_json(&format!(
                 "{{\"bench\": \"runtime_migration\", \"threads\": 1, \
                  \"headline_online_speedup\": 1, \"epoch_overhead_percent\": 1, \
-                 \"workloads\": {{\"triad\": {entry}}}}}"
+                 \"commit_host_time\": {{}}, \"workloads\": {{\"triad\": {entry}}}}}"
             ))
             .unwrap()
         };

@@ -71,6 +71,9 @@ pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// It does not resist keys crafted to collide, which only costs lookup time
 /// (a trace file read from disk can name any ids). Keep the default hasher
 /// for keys that are not ids.
+///
+/// Its users: the analyzer's live-object table, the heap registry's objects
+/// by id, and the placement controller's per-object heat and move epochs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IdHasher(u64);
 

@@ -6,15 +6,15 @@
 //! the previously allocated object's address ranges" (paper §III, step 1).
 
 use crate::object::DataObject;
-use hmsim_common::{Address, ByteSize, HmError, HmResult, ObjectId};
+use hmsim_common::{Address, ByteSize, HmError, HmResult, IdMap, ObjectId};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 
 /// Live-object registry with address-range lookup.
 #[derive(Clone, Debug, Default)]
 pub struct LiveObjectRegistry {
-    /// Live objects by id.
-    objects: HashMap<ObjectId, DataObject>,
+    /// Live objects by id. The registry assigns the ids itself, so they are
+    /// hashed with [`IdHasher`](hmsim_common::IdHasher).
+    objects: IdMap<ObjectId, DataObject>,
     /// Live objects ordered by start address (for range lookup).
     by_start: BTreeMap<u64, ObjectId>,
     next_id: u32,

@@ -1,28 +1,30 @@
 //! The per-epoch placement controller: heat aggregation, hysteresis and the
 //! advisor-backed selection that turns observed heat into a migration plan.
 //!
-//! The controller is deliberately engine-agnostic: it sees object ids, heat
-//! and the heap's own live-object records (borrowed, never copied), never
-//! an engine. A [`Migrator`](crate::Migrator) owns one and executes its
-//! plans, whether the heat is PEBS sample weights from the trace-driven
-//! [`OnlineRuntime`](crate::OnlineRuntime) or per-iteration object miss
-//! counts from the analytic runner in `hmem-core`; the multi-rank global
-//! policy runs one over every rank's objects under rank-globalized ids.
+//! It sees object ids, heat and the heap's live-object records (borrowed,
+//! never copied), never an engine. A [`Migrator`](crate::Migrator) owns one
+//! and executes its plans, whether the heat is PEBS sample weights from the
+//! [`OnlineRuntime`](crate::OnlineRuntime) or per-iteration miss counts from
+//! the analytic runner in `hmem-core`; the multi-rank global policy runs one
+//! over every rank's objects under rank-globalized ids.
 //!
-//! Every plan moves objects between MCDRAM (the fast tier) and DDR (the
-//! slow tier). Each epoch ranks the decayed heat by density and packs it
-//! greedily into the budget (`hmem_advisor::greedy`, the paper's
-//! hmem_advisor ranking). Three constants keep the control loop from
-//! thrashing: [`MIN_RESIDENCY_EPOCHS`] forbids moving an object again right
-//! after it moved, and [`HEAT_DEADBAND`] with [`HEAT_DECAY`] make incumbents
-//! sticky.
+//! Every plan moves objects between MCDRAM (the fast tier) and DDR. Each
+//! epoch ranks the decayed heat by density and packs it greedily into the
+//! budget (`hmem_advisor::greedy`, the paper's hmem_advisor ranking).
+//! [`MIN_RESIDENCY_EPOCHS`] forbids moving an object again right after it
+//! moved, and [`HEAT_DEADBAND`] with [`HEAT_DECAY`] make incumbents sticky.
+//!
+//! The state is one [`IdMap`] of per-object tracks: decayed heat, last move
+//! epoch and last epoch live. An epoch close looks each live object up once,
+//! copying its track into an array indexed like the live set, and plans on
+//! indices into it; planned moves write back, and one `retain` decays the
+//! heat and drops dead objects' tracks.
 
 use crate::config::OnlineConfig;
 use hmem_advisor::greedy::{pack, rank_by_density};
 use hmem_advisor::Candidate;
-use hmsim_common::{ByteSize, ObjectId, TierId};
+use hmsim_common::{ByteSize, IdMap, ObjectId, TierId};
 use hmsim_heap::DataObject;
-use std::collections::{HashMap, HashSet};
 
 /// An object that migrated must stay put for this many epochs before it
 /// may move again.
@@ -64,14 +66,23 @@ impl EpochPlan {
     }
 }
 
+/// What the controller knows of one object.
+#[derive(Clone, Copy, Debug, Default)]
+struct Track {
+    /// Decayed heat (sample weights / miss counts).
+    heat: f64,
+    /// Epoch at which the object last migrated (for min-residency pinning).
+    moved_at: Option<u64>,
+    /// Last epoch whose live set held the object; older tracks are pruned.
+    seen: u64,
+}
+
 /// Epoch-driven placement decision engine with hysteresis.
 #[derive(Clone, Debug)]
 pub struct PlacementController {
     cfg: OnlineConfig,
-    /// Decayed per-object heat (sample weights / miss counts).
-    heat: HashMap<ObjectId, f64>,
-    /// Epoch at which each object last migrated (for min-residency pinning).
-    moved_at: HashMap<ObjectId, u64>,
+    /// Per-object state, keyed by the id the object is planned under.
+    tracks: IdMap<ObjectId, Track>,
     /// Epochs completed.
     epoch: u64,
 }
@@ -81,8 +92,7 @@ impl PlacementController {
     pub fn new(cfg: OnlineConfig) -> Self {
         PlacementController {
             cfg,
-            heat: HashMap::new(),
-            moved_at: HashMap::new(),
+            tracks: IdMap::default(),
             epoch: 0,
         }
     }
@@ -101,13 +111,13 @@ impl PlacementController {
     /// miss count attributed to the object during the current epoch).
     pub fn record(&mut self, id: ObjectId, weight: f64) {
         if weight > 0.0 {
-            *self.heat.entry(id).or_insert(0.0) += weight;
+            self.tracks.entry(id).or_default().heat += weight;
         }
     }
 
     /// Current decayed heat of an object.
     pub fn heat_of(&self, id: ObjectId) -> f64 {
-        self.heat.get(&id).copied().unwrap_or(0.0)
+        self.tracks.get(&id).map_or(0.0, |t| t.heat)
     }
 
     /// Close the current epoch: re-run the advisor's selection over the
@@ -122,129 +132,121 @@ impl PlacementController {
         fast_budget: ByteSize,
     ) -> EpochPlan {
         self.epoch += 1;
-        // Heat and pinning state for objects that died stops mattering.
-        let live_ids: HashSet<ObjectId> = live.iter().map(|(id, _)| *id).collect();
-        self.heat.retain(|id, _| live_ids.contains(id));
-        self.moved_at.retain(|id, _| live_ids.contains(id));
+        // The one lookup per live object: stamp its track as seen and copy
+        // it out, indexed like `live`.
+        let tracks: Vec<Track> = live
+            .iter()
+            .map(|(id, _)| {
+                let track = self.tracks.entry(*id).or_default();
+                track.seen = self.epoch;
+                *track
+            })
+            .collect();
 
-        let plan = if self.cfg.migrations_enabled() {
-            self.plan(live, fast_budget)
-        } else {
-            EpochPlan::default()
-        };
-
-        for h in self.heat.values_mut() {
-            *h *= HEAT_DECAY;
+        let mut plan = EpochPlan::default();
+        if self.cfg.migrations_enabled() {
+            plan = self.plan(live, &tracks, fast_budget);
         }
+        for id in plan.demotions.iter().chain(&plan.promotions) {
+            let track = self.tracks.get_mut(id).expect("planned objects are live");
+            track.moved_at = Some(self.epoch);
+        }
+
+        // Heat and pinning state for objects that died stops mattering.
+        self.tracks.retain(|_, t| {
+            t.heat *= HEAT_DECAY;
+            t.seen == self.epoch
+        });
         plan
     }
 
-    /// An object that moved less than [`MIN_RESIDENCY_EPOCHS`] ago is
-    /// pinned to the tier it is in.
-    fn pinned(&self, id: ObjectId) -> bool {
-        self.moved_at
-            .get(&id)
-            .is_some_and(|at| self.epoch - at < MIN_RESIDENCY_EPOCHS)
-    }
-
-    /// Effective heat used for ranking: MCDRAM incumbents get the deadband
-    /// bonus, so a challenger must out-heat them by that margin.
-    fn effective_heat(&self, id: ObjectId, obj: &DataObject) -> f64 {
-        let h = self.heat_of(id);
-        if obj.tier == TierId::MCDRAM {
-            h * (1.0 + HEAT_DEADBAND)
-        } else {
-            h
-        }
-    }
-
-    /// Run the advisor's density selection over the unpinned candidates and
-    /// pack the winners into the budget left after pinned MCDRAM residents.
+    /// Run the advisor's density selection over the unpinned `candidates`
+    /// (indices into `live`; MCDRAM incumbents get the deadband bonus) and
+    /// flag the winners packed into `budget`.
     fn select_target(
-        &self,
-        candidates: &[(ObjectId, &DataObject)],
+        live: &[(ObjectId, &DataObject)],
+        tracks: &[Track],
+        candidates: &[usize],
         budget: ByteSize,
-    ) -> Vec<ObjectId> {
+    ) -> Vec<bool> {
         let offered: Vec<Candidate<'_>> = candidates
             .iter()
-            .map(|(id, o)| Candidate {
-                name: &o.name,
-                size: o.size(),
-                value: self.effective_heat(*id, o),
+            .map(|&i| {
+                let o = live[i].1;
+                let bonus = if o.tier == TierId::MCDRAM {
+                    1.0 + HEAT_DEADBAND
+                } else {
+                    1.0
+                };
+                Candidate {
+                    name: &o.name,
+                    size: o.size(),
+                    value: tracks[i].heat * bonus,
+                }
             })
             .collect();
-        pack(&offered, &rank_by_density(&offered), Some(budget))
-            .0
-            .into_iter()
-            .map(|i| candidates[i].0)
-            .collect()
+        let mut target = vec![false; live.len()];
+        for j in pack(&offered, &rank_by_density(&offered), Some(budget)).0 {
+            target[candidates[j]] = true;
+        }
+        target
     }
 
-    fn plan(&mut self, live: &[(ObjectId, &DataObject)], budget: ByteSize) -> EpochPlan {
-        // Pinned MCDRAM residents consume budget no matter what.
-        let pinned_fast: u64 = live
-            .iter()
-            .filter(|(id, o)| o.tier == TierId::MCDRAM && self.pinned(*id))
-            .map(|(_, o)| o.size().page_aligned().bytes())
+    fn plan(
+        &self,
+        live: &[(ObjectId, &DataObject)],
+        tracks: &[Track],
+        budget: ByteSize,
+    ) -> EpochPlan {
+        let fast = |i: usize| live[i].1.tier == TierId::MCDRAM;
+        let bytes = |i: usize| i128::from(live[i].1.size().page_aligned().bytes());
+        // An object that moved less than `MIN_RESIDENCY_EPOCHS` ago is pinned
+        // to its tier; pinned MCDRAM residents consume budget no matter what.
+        let pinned = |i: usize| {
+            let moved_at = tracks[i].moved_at;
+            moved_at.is_some_and(|at| self.epoch - at < MIN_RESIDENCY_EPOCHS)
+        };
+        let pinned_fast: ByteSize = (0..live.len())
+            .filter(|&i| fast(i) && pinned(i))
+            .map(|i| live[i].1.size().page_aligned())
             .sum();
-        let free_budget = budget.saturating_sub(ByteSize::from_bytes(pinned_fast));
-        let candidates: Vec<(ObjectId, &DataObject)> = live
-            .iter()
-            .copied()
-            .filter(|(id, _)| !self.pinned(*id))
-            .collect();
-        let target: HashSet<ObjectId> = self
-            .select_target(&candidates, free_budget)
-            .into_iter()
-            .collect();
+        let free_budget = budget.saturating_sub(pinned_fast);
+        let candidates: Vec<usize> = (0..live.len()).filter(|&i| !pinned(i)).collect();
+        let target = Self::select_target(live, tracks, &candidates, free_budget);
 
         // Promotion queue: hottest first. Demotion queue: coldest first.
         // Names break ties so plans are deterministic across runs.
-        let mut promote: Vec<&(ObjectId, &DataObject)> = candidates
+        // Heat is never NaN (`record` drops it), so `total_cmp` is its order.
+        let heat = |a: usize, b: usize| tracks[a].heat.total_cmp(&tracks[b].heat);
+        let name = |a: usize, b: usize| live[a].1.name.cmp(&live[b].1.name);
+        let (mut promote, mut demote): (Vec<usize>, Vec<usize>) = candidates
             .iter()
-            .filter(|(id, o)| target.contains(id) && o.tier != TierId::MCDRAM)
-            .collect();
-        promote.sort_by(|(a, ao), (b, bo)| {
-            self.heat_of(*b)
-                .partial_cmp(&self.heat_of(*a))
-                .expect("heat is never NaN")
-                .then_with(|| ao.name.cmp(&bo.name))
-        });
-        let mut demote: Vec<&(ObjectId, &DataObject)> = candidates
-            .iter()
-            .filter(|(id, o)| !target.contains(id) && o.tier == TierId::MCDRAM)
-            .collect();
-        demote.sort_by(|(a, ao), (b, bo)| {
-            self.heat_of(*a)
-                .partial_cmp(&self.heat_of(*b))
-                .expect("heat is never NaN")
-                .then_with(|| ao.name.cmp(&bo.name))
-        });
+            .filter(|&&i| target[i] != fast(i))
+            .partition(|&&i| target[i]);
+        promote.sort_by(|&a, &b| heat(b, a).then_with(|| name(a, b)));
+        demote.sort_by(|&a, &b| heat(a, b).then_with(|| name(a, b)));
 
-        // MCDRAM bytes currently in use (everything resident, pinned or
-        // not); demotions hand bytes back as they are committed.
-        let used: u64 = live
-            .iter()
-            .filter(|(_, o)| o.tier == TierId::MCDRAM)
-            .map(|(_, o)| o.size().page_aligned().bytes())
-            .sum();
-        let mut avail = budget.bytes() as i64 - used as i64;
+        // MCDRAM bytes in use (pinned or not); demotions hand bytes back as
+        // they are committed. No budget wraps an i128, and `avail` stays
+        // negative while residency exceeds the budget.
+        let used: i128 = (0..live.len()).filter(|&i| fast(i)).map(bytes).sum();
+        let mut avail = i128::from(budget.bytes()) - used;
         let mut moves_left = self.cfg.max_moves_per_epoch as usize;
         let mut plan = EpochPlan::default();
         let mut demote_cursor = 0usize;
 
-        for &(promoted, p) in promote {
+        for promoted in promote {
             if moves_left == 0 {
                 break;
             }
-            let need = p.size().page_aligned().bytes() as i64;
+            let need = bytes(promoted);
             // Peek how many demotions it takes to fit this promotion; commit
             // only if the whole package fits the move budget — demoting
             // without promoting would pay migration cost for nothing.
             let mut take = 0usize;
-            let mut freed = 0i64;
+            let mut freed = 0i128;
             while avail + freed < need && demote_cursor + take < demote.len() {
-                freed += demote[demote_cursor + take].1.size().page_aligned().bytes() as i64;
+                freed += bytes(demote[demote_cursor + take]);
                 take += 1;
             }
             if avail + freed < need {
@@ -258,15 +260,12 @@ impl PlacementController {
                 // `break` here would repeat every epoch).
                 continue;
             }
-            for &&(demoted, _) in &demote[demote_cursor..demote_cursor + take] {
-                plan.demotions.push(demoted);
-                self.moved_at.insert(demoted, self.epoch);
-            }
+            let demoted = &demote[demote_cursor..demote_cursor + take];
+            plan.demotions.extend(demoted.iter().map(|&i| live[i].0));
             demote_cursor += take;
             avail += freed - need;
             moves_left -= take + 1;
-            plan.promotions.push(promoted);
-            self.moved_at.insert(promoted, self.epoch);
+            plan.promotions.push(live[promoted].0);
         }
         plan
     }
@@ -277,6 +276,7 @@ mod tests {
     use super::*;
     use hmsim_common::{Address, AddressRange, DetRng, Nanos};
     use hmsim_heap::ObjectKind;
+    use std::collections::{HashMap, HashSet};
 
     fn sized(id: u32, name: String, size: ByteSize, tier: TierId) -> DataObject {
         DataObject {
@@ -468,22 +468,57 @@ mod tests {
         assert_eq!(c.epochs(), 2);
     }
 
-    /// Drive the controller over many epochs of random live sets (objects
-    /// born and dying, in either tier, with sizes that are not page
-    /// multiples), random heat, budgets and move caps, applying every plan,
-    /// and check each plan against the controller's invariants.
+    /// A budget beyond `i64::MAX` bytes is a budget with room for
+    /// everything: the hot object is promoted, exactly as under 1 TiB.
     #[test]
-    fn random_epochs_keep_every_plan_invariant() {
+    fn a_budget_beyond_i64_still_promotes() {
+        let live = vec![
+            obj(1, "hot", 64, TierId::DDR),
+            obj(2, "warm", 64, TierId::DDR),
+            obj(3, "resident", 64, TierId::MCDRAM),
+        ];
+        let plan_under = |budget| {
+            let mut c = controller();
+            c.record(ObjectId(1), 1000.0);
+            c.record(ObjectId(2), 10.0);
+            c.end_epoch(&view(&live), budget)
+        };
+        for budget in [ByteSize::from_bytes(u64::MAX), ByteSize::from_gib(1024)] {
+            let plan = plan_under(budget);
+            assert_eq!(plan.promotions, vec![ObjectId(1), ObjectId(2)], "{budget}");
+            assert!(plan.demotions.is_empty(), "{budget}: {plan:?}");
+        }
+    }
+
+    /// One step of [`random_epochs`].
+    enum Step<'a> {
+        /// A trial starts: the controller under test is built afresh.
+        Trial(OnlineConfig),
+        /// Heat lands on a live object.
+        Record(ObjectId, f64),
+        /// The epoch closes over `live` against `budget`; the plan returned
+        /// is applied to `live`. Ids below `born` have all been live once.
+        Close {
+            at: String,
+            live: &'a [DataObject],
+            budget: ByteSize,
+            born: u32,
+        },
+    }
+
+    /// Forty trials of sixty epochs over random live sets: objects born and
+    /// dying, in either tier, with sizes that are not page multiples,
+    /// random heat, budgets and move caps (a cap of 0 disables migration).
+    /// Every plan `drive` returns for a [`Step::Close`] is applied, so
+    /// planned objects flip tiers; other steps' return values are ignored.
+    fn random_epochs(mut drive: impl FnMut(Step<'_>) -> EpochPlan) {
         let mut rng = DetRng::new(0xC0_47_80_11);
-        let (mut promotions, mut demotions, mut capped) = (0usize, 0usize, 0usize);
         for trial in 0..40 {
-            let max_moves = rng.uniform_range(1, 9) as u32;
-            let mut c = PlacementController::new(OnlineConfig {
-                max_moves_per_epoch: max_moves,
+            drive(Step::Trial(OnlineConfig {
+                max_moves_per_epoch: rng.uniform_range(0, 9) as u32,
                 ..OnlineConfig::default()
-            });
+            }));
             let mut live: Vec<DataObject> = Vec::new();
-            let mut last_move: HashMap<ObjectId, u64> = HashMap::new();
             let mut next_id = 0u32;
             for epoch in 1..=60u64 {
                 live.retain(|_| !rng.chance(0.05));
@@ -503,15 +538,47 @@ mod tests {
                 }
                 for o in &live {
                     if rng.chance(0.7) {
-                        c.record(o.id, rng.uniform().powi(4) * 1e5);
+                        drive(Step::Record(o.id, rng.uniform().powi(4) * 1e5));
                     }
                 }
                 let budget = ByteSize::from_bytes(rng.uniform_range(0, 2 << 20));
-                let before = fast_bytes(&live);
-                let plan = c.end_epoch(&view(&live), budget);
-                let at = format!("trial {trial} epoch {epoch}: {plan:?}");
+                let plan = drive(Step::Close {
+                    at: format!("trial {trial} epoch {epoch}"),
+                    live: &live,
+                    budget,
+                    born: next_id,
+                });
+                apply(&mut live, &plan);
+            }
+        }
+    }
 
-                assert!(plan.moves() <= max_moves as usize, "{at}");
+    /// Drive the controller over [`random_epochs`] and check each plan
+    /// against the controller's invariants.
+    #[test]
+    fn random_epochs_keep_every_plan_invariant() {
+        let mut c = controller();
+        let mut last_move: HashMap<ObjectId, u64> = HashMap::new();
+        let (mut promotions, mut demotions, mut capped, mut disabled) = (0, 0, 0, 0);
+        random_epochs(|step| match step {
+            Step::Trial(cfg) => {
+                c = PlacementController::new(cfg);
+                last_move.clear();
+                EpochPlan::default()
+            }
+            Step::Record(id, weight) => {
+                c.record(id, weight);
+                EpochPlan::default()
+            }
+            Step::Close {
+                at, live, budget, ..
+            } => {
+                let max_moves = c.config().max_moves_per_epoch as usize;
+                let epoch = c.epochs() + 1;
+                let plan = c.end_epoch(&view(live), budget);
+                let at = format!("{at}: {plan:?}");
+
+                assert!(plan.moves() <= max_moves, "{at}");
                 assert!(
                     plan.demotions.is_empty() || !plan.promotions.is_empty(),
                     "demotions without a promotion, {at}"
@@ -536,18 +603,241 @@ mod tests {
                         }
                     }
                 }
-                apply(&mut live, &plan);
-                let after = fast_bytes(&live);
+                let before = fast_bytes(live);
+                let mut after = live.to_vec();
+                apply(&mut after, &plan);
+                let after = fast_bytes(&after);
                 assert!(
                     after <= budget.bytes().max(before),
                     "MCDRAM {after} B over budget {budget} (was {before} B), {at}"
                 );
                 promotions += plan.promotions.len();
                 demotions += plan.demotions.len();
-                capped += usize::from(plan.moves() == max_moves as usize);
+                capped += usize::from(max_moves > 0 && plan.moves() == max_moves);
+                disabled += usize::from(max_moves == 0);
+                plan
+            }
+        });
+        // The inputs exercise every path the invariants speak about.
+        assert!(promotions > 0 && demotions > 0 && capped > 0 && disabled > 0);
+    }
+
+    /// The map-based controller the index-based one replaced, kept verbatim
+    /// as the reference: heat and move epochs in two SipHash maps, pruned
+    /// through a set of live ids, selection and queues over id lookups. Its
+    /// `i64` budget arithmetic wraps above `i64::MAX`; [`random_epochs`]
+    /// stays far below.
+    struct MapController {
+        cfg: OnlineConfig,
+        heat: HashMap<ObjectId, f64>,
+        moved_at: HashMap<ObjectId, u64>,
+        epoch: u64,
+    }
+
+    impl MapController {
+        fn new(cfg: OnlineConfig) -> Self {
+            MapController {
+                cfg,
+                heat: HashMap::new(),
+                moved_at: HashMap::new(),
+                epoch: 0,
             }
         }
-        // The inputs exercise every path the invariants speak about.
-        assert!(promotions > 0 && demotions > 0 && capped > 0);
+
+        fn record(&mut self, id: ObjectId, weight: f64) {
+            if weight > 0.0 {
+                *self.heat.entry(id).or_insert(0.0) += weight;
+            }
+        }
+
+        fn heat_of(&self, id: ObjectId) -> f64 {
+            self.heat.get(&id).copied().unwrap_or(0.0)
+        }
+
+        fn end_epoch(
+            &mut self,
+            live: &[(ObjectId, &DataObject)],
+            fast_budget: ByteSize,
+        ) -> EpochPlan {
+            self.epoch += 1;
+            // Heat and pinning state for objects that died stops mattering.
+            let live_ids: HashSet<ObjectId> = live.iter().map(|(id, _)| *id).collect();
+            self.heat.retain(|id, _| live_ids.contains(id));
+            self.moved_at.retain(|id, _| live_ids.contains(id));
+
+            let plan = if self.cfg.migrations_enabled() {
+                self.plan(live, fast_budget)
+            } else {
+                EpochPlan::default()
+            };
+
+            for h in self.heat.values_mut() {
+                *h *= HEAT_DECAY;
+            }
+            plan
+        }
+
+        fn pinned(&self, id: ObjectId) -> bool {
+            self.moved_at
+                .get(&id)
+                .is_some_and(|at| self.epoch - at < MIN_RESIDENCY_EPOCHS)
+        }
+
+        fn effective_heat(&self, id: ObjectId, obj: &DataObject) -> f64 {
+            let h = self.heat_of(id);
+            if obj.tier == TierId::MCDRAM {
+                h * (1.0 + HEAT_DEADBAND)
+            } else {
+                h
+            }
+        }
+
+        fn select_target(
+            &self,
+            candidates: &[(ObjectId, &DataObject)],
+            budget: ByteSize,
+        ) -> Vec<ObjectId> {
+            let offered: Vec<Candidate<'_>> = candidates
+                .iter()
+                .map(|(id, o)| Candidate {
+                    name: &o.name,
+                    size: o.size(),
+                    value: self.effective_heat(*id, o),
+                })
+                .collect();
+            pack(&offered, &rank_by_density(&offered), Some(budget))
+                .0
+                .into_iter()
+                .map(|i| candidates[i].0)
+                .collect()
+        }
+
+        fn plan(&mut self, live: &[(ObjectId, &DataObject)], budget: ByteSize) -> EpochPlan {
+            // Pinned MCDRAM residents consume budget no matter what.
+            let pinned_fast: u64 = live
+                .iter()
+                .filter(|(id, o)| o.tier == TierId::MCDRAM && self.pinned(*id))
+                .map(|(_, o)| o.size().page_aligned().bytes())
+                .sum();
+            let free_budget = budget.saturating_sub(ByteSize::from_bytes(pinned_fast));
+            let candidates: Vec<(ObjectId, &DataObject)> = live
+                .iter()
+                .copied()
+                .filter(|(id, _)| !self.pinned(*id))
+                .collect();
+            let target: HashSet<ObjectId> = self
+                .select_target(&candidates, free_budget)
+                .into_iter()
+                .collect();
+
+            // Promotion queue: hottest first. Demotion queue: coldest first.
+            // Names break ties so plans are deterministic across runs.
+            let mut promote: Vec<&(ObjectId, &DataObject)> = candidates
+                .iter()
+                .filter(|(id, o)| target.contains(id) && o.tier != TierId::MCDRAM)
+                .collect();
+            promote.sort_by(|(a, ao), (b, bo)| {
+                self.heat_of(*b)
+                    .partial_cmp(&self.heat_of(*a))
+                    .expect("heat is never NaN")
+                    .then_with(|| ao.name.cmp(&bo.name))
+            });
+            let mut demote: Vec<&(ObjectId, &DataObject)> = candidates
+                .iter()
+                .filter(|(id, o)| !target.contains(id) && o.tier == TierId::MCDRAM)
+                .collect();
+            demote.sort_by(|(a, ao), (b, bo)| {
+                self.heat_of(*a)
+                    .partial_cmp(&self.heat_of(*b))
+                    .expect("heat is never NaN")
+                    .then_with(|| ao.name.cmp(&bo.name))
+            });
+
+            // MCDRAM bytes currently in use (everything resident, pinned or
+            // not); demotions hand bytes back as they are committed.
+            let used: u64 = live
+                .iter()
+                .filter(|(_, o)| o.tier == TierId::MCDRAM)
+                .map(|(_, o)| o.size().page_aligned().bytes())
+                .sum();
+            let mut avail = budget.bytes() as i64 - used as i64;
+            let mut moves_left = self.cfg.max_moves_per_epoch as usize;
+            let mut plan = EpochPlan::default();
+            let mut demote_cursor = 0usize;
+
+            for &(promoted, p) in promote {
+                if moves_left == 0 {
+                    break;
+                }
+                let need = p.size().page_aligned().bytes() as i64;
+                // Peek how many demotions it takes to fit this promotion;
+                // commit only if the whole package fits the move budget.
+                let mut take = 0usize;
+                let mut freed = 0i64;
+                while avail + freed < need && demote_cursor + take < demote.len() {
+                    freed += demote[demote_cursor + take].1.size().page_aligned().bytes() as i64;
+                    take += 1;
+                }
+                if avail + freed < need {
+                    continue;
+                }
+                if moves_left < take + 1 {
+                    continue;
+                }
+                for &&(demoted, _) in &demote[demote_cursor..demote_cursor + take] {
+                    plan.demotions.push(demoted);
+                    self.moved_at.insert(demoted, self.epoch);
+                }
+                demote_cursor += take;
+                avail += freed - need;
+                moves_left -= take + 1;
+                plan.promotions.push(promoted);
+                self.moved_at.insert(promoted, self.epoch);
+            }
+            plan
+        }
+    }
+
+    /// Differential oracle: over [`random_epochs`] the controller and the
+    /// map-based reference return identical plans, and every object ever
+    /// born carries bit-identical heat after every epoch (a dead object's
+    /// heat is pruned to zero on both sides).
+    #[test]
+    fn plans_and_heat_match_the_map_based_reference() {
+        let (mut c, mut reference) = (controller(), MapController::new(OnlineConfig::default()));
+        let (mut moves, mut dead) = (0, 0);
+        random_epochs(|step| match step {
+            Step::Trial(cfg) => {
+                (c, reference) = (
+                    PlacementController::new(cfg.clone()),
+                    MapController::new(cfg),
+                );
+                EpochPlan::default()
+            }
+            Step::Record(id, weight) => {
+                c.record(id, weight);
+                reference.record(id, weight);
+                EpochPlan::default()
+            }
+            Step::Close {
+                at,
+                live,
+                budget,
+                born,
+            } => {
+                let plan = c.end_epoch(&view(live), budget);
+                let expected = reference.end_epoch(&view(live), budget);
+                assert_eq!(plan.promotions, expected.promotions, "{at}");
+                assert_eq!(plan.demotions, expected.demotions, "{at}");
+                for id in (0..born).map(ObjectId) {
+                    let (heat, want) = (c.heat_of(id), reference.heat_of(id));
+                    assert_eq!(heat.to_bits(), want.to_bits(), "{id} heat, {at}");
+                }
+                moves += plan.moves();
+                dead += born as usize - live.len();
+                plan
+            }
+        });
+        assert!(moves > 0 && dead > 0);
     }
 }

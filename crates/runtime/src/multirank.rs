@@ -164,6 +164,8 @@ pub struct MultiRankRuntime {
     arbiter: NodeArbiter,
     /// The node-spanning controller (global policy only).
     global: Option<PlacementController>,
+    /// The open node epoch: each active rank with the accesses it consumed.
+    observed: Vec<(u32, u64)>,
     epoch_len: u64,
     node_epochs: u64,
 }
@@ -214,6 +216,7 @@ impl MultiRankRuntime {
             shards,
             arbiter,
             global,
+            observed: Vec::new(),
             epoch_len: cfg.online.epoch_accesses,
             node_epochs: 0,
         })
@@ -227,7 +230,9 @@ impl MultiRankRuntime {
     /// Drive every shard to the end of its stream, arbitrating the fast
     /// tier at every epoch boundary, and return the outcome.
     pub fn run(mut self) -> MultiRankOutcome {
-        while self.step() {}
+        while self.observe() {
+            self.commit();
+        }
         let policy = self.arbiter.policy();
         let per_rank = self
             .shards
@@ -247,38 +252,43 @@ impl MultiRankRuntime {
         }
     }
 
-    /// One node epoch: observation, then arbitration, both in rank order.
-    /// Returns `false` once every shard has drained its stream.
-    fn step(&mut self) -> bool {
-        // Each shard's samples land in its own reused scratch buffer.
-        let observed: Vec<(u32, u64)> = self
-            .shards
-            .iter_mut()
-            .filter(|s| !s.done)
-            .map(|s| {
-                let consumed = s.rt.observe_epoch(&mut s.stream, &s.heap, &mut s.samples);
-                (s.rank, consumed)
-            })
-            .collect();
+    /// The observe half of a node epoch: every active shard, in rank order,
+    /// drives its next window of accesses into its own reused sample buffer.
+    /// Returns `false`, opening no epoch, once every shard has drained its
+    /// stream.
+    pub fn observe(&mut self) -> bool {
+        let mut observed = Vec::with_capacity(self.shards.len());
+        for s in self.shards.iter_mut().filter(|s| !s.done) {
+            let consumed = s.rt.observe_epoch(&mut s.stream, &s.heap, &mut s.samples);
+            observed.push((s.rank, consumed));
+        }
         // Also true when every shard is already done.
         if observed.iter().all(|(_, consumed)| *consumed == 0) {
             return false;
         }
         self.node_epochs += 1;
+        self.observed = observed;
+        true
+    }
 
-        // Arbitration half, deterministic in rank order.
+    /// The arbitrate + commit half of the node epoch the last
+    /// [`observe`](Self::observe) opened, deterministic in rank order. It
+    /// closes that epoch: a second call commits nothing.
+    pub fn commit(&mut self) {
+        let observed = std::mem::take(&mut self.observed);
+        if observed.is_empty() {
+            return;
+        }
         if self.global.is_some() {
             self.commit_global(&observed);
         } else {
             self.commit_per_rank(&observed);
         }
-
         for (rank, consumed) in &observed {
             if *consumed < self.epoch_len {
                 self.shards[*rank as usize].done = true;
             }
         }
-        true
     }
 
     /// FCFS / partition commit: each shard plans with its own controller
@@ -286,28 +296,28 @@ impl MultiRankRuntime {
     /// migrations are visible to later ranks' budgets — that *is* the
     /// first-come-first-served semantics.
     fn commit_per_rank(&mut self, observed: &[(u32, u64)]) {
-        // Only FCFS budgets depend on who holds what; the snapshot must then
-        // be retaken per rank, after the earlier ranks' commits. Partition
-        // budgets are residency-independent, so skip the O(ranks²) walk.
-        let fcfs = self.arbiter.policy() == ArbiterPolicy::Fcfs;
-        for (rank, consumed) in observed {
-            if *consumed == 0 {
+        // Only FCFS budgets depend on who holds what. A rank's commit moves
+        // only its own residency, so one snapshot per node epoch, updated
+        // after each commit, is what every later rank would see. Partition
+        // budgets are residency-independent and take none.
+        let mut residencies: Vec<ByteSize> = Vec::new();
+        if self.arbiter.policy() == ArbiterPolicy::Fcfs {
+            let occupancy = |s: &Shard| s.heap.tier_occupancy(TierId::MCDRAM);
+            residencies.extend(self.shards.iter().map(occupancy));
+        }
+        for &(rank, consumed) in observed {
+            if consumed == 0 {
                 continue;
             }
-            let residencies: Vec<ByteSize> = if fcfs {
-                self.shards
-                    .iter()
-                    .map(|s| s.heap.tier_occupancy(TierId::MCDRAM))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let budget = self.arbiter.epoch_budget(*rank, &residencies);
+            let budget = self.arbiter.epoch_budget(rank, &residencies);
             let Shard {
                 rt, heap, samples, ..
-            } = &mut self.shards[*rank as usize];
+            } = &mut self.shards[rank as usize];
             rt.set_fast_budget(budget);
-            rt.commit_epoch(heap, *consumed, samples);
+            rt.commit_epoch(heap, consumed, samples);
+            if let Some(held) = residencies.get_mut(rank as usize) {
+                *held = heap.tier_occupancy(TierId::MCDRAM);
+            }
         }
     }
 
@@ -455,7 +465,8 @@ mod tests {
             // Re-run step by step to watch occupancy under the budget at
             // every epoch boundary.
             let mut rt = MultiRankRuntime::new(&w, &m, cfg(policy, budget)).unwrap();
-            while rt.step() {
+            while rt.observe() {
+                rt.commit();
                 let used = shards_occupancy(&rt);
                 assert!(
                     used <= budget.bytes(),

@@ -122,6 +122,35 @@ fn cache_mode_on_a_trace_workload_is_a_config_error() {
     }
 }
 
+/// A budget beyond `i64::MAX` bytes leaves room for everything, exactly as
+/// 1 TiB does on this workload: the planner's byte arithmetic must not wrap
+/// it into a negative budget that promotes nothing.
+#[test]
+fn online_budget_beyond_i64_plans_like_one_tib() {
+    let run = |budget: &str| {
+        let to = format!("\"mcdram_budget\": \"{budget}\"");
+        let scenario = mutated(
+            "rotating-triad-online.scn",
+            "\"mcdram_budget\": \"96KiB\"",
+            &to,
+        );
+        Simulation::new().run(&scenario).expect("runs").node
+    };
+    let reference = run("1TiB");
+    assert!(reference.migrations > 0);
+    for budget in ["9000000TiB", "16777215TiB"] {
+        let node = run(budget);
+        assert_eq!(node.migrations, reference.migrations, "{budget}");
+        assert_eq!(node.fom.to_bits(), reference.fom.to_bits(), "{budget}");
+        assert_eq!(
+            node.time.nanos().to_bits(),
+            reference.time.nanos().to_bits()
+        );
+        assert_eq!(node.llc_misses, reference.llc_misses, "{budget}");
+        assert_eq!(node.mcdram_hwm, reference.mcdram_hwm, "{budget}");
+    }
+}
+
 /// A fractional size beyond `u64::MAX` bytes is refused like its integer
 /// spelling instead of saturating to `u64::MAX`.
 #[test]
